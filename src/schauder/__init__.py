@@ -15,12 +15,10 @@ from .basis_core import (
     coefficient_sweep,
     convergence_report,
     distinctness_check,
-    finite_rank_apply,
     materialize,
     partial_sum,
     projection_algebra_check,
     semigroup_max_discrepancy,
-    tensor_as_function,
     vector_scalar_consistency,
 )
 from .errors import InputError, NumericError

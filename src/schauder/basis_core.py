@@ -26,8 +26,6 @@ __all__ = [
     "coefficient_sweep",
     "materialize",
     "partial_sum",
-    "finite_rank_apply",
-    "tensor_as_function",
     "projection_algebra_check",
     "semigroup_max_discrepancy",
     "biorthogonality_check",
@@ -175,16 +173,6 @@ class FiniteRankElement:
                 )
             handles.append((deriv(order), coeff))
         return FiniteRankElement(handles)
-
-
-def finite_rank_apply(element, y):
-    """Apply a functional to a finite-rank element: sum_n y(f_n) e_n."""
-    return element.apply_functional(y)
-
-
-def tensor_as_function(element, x):
-    """Evaluate a finite-rank element as a function at point(s) x."""
-    return element(x)
 
 
 class ExpansionOperator:

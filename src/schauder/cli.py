@@ -196,14 +196,14 @@ def _py(obj):
         return [_py(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_py(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.complexfloating, complex)):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -8,9 +8,10 @@ breakpoints so that L^p quadrature can split on the jumps.
 Dyadic arithmetic note: the default dense point sequence is the dyadic one
 (0, 1, 1/2, 1/4, 3/4, 1/8, ...).  All its points, hat slopes at those points,
 and Haar jump locations are exactly representable, which is what makes the
-coefficient recursions reproduce interpolation values without rounding noise.
+hat surpluses reproduce interpolation values without rounding noise.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from .basis_core import BasisFamily
 from .errors import InputError
 from .functions import as_bundle
 from .indexing import IndexSet
-from .quadrature import gauss_legendre_rule, weighted_sum
+from .quadrature import gauss_legendre_rule, require_finite, weighted_sum
 from .value_space import ValueSpace
 
 __all__ = [
@@ -234,8 +235,13 @@ class DenseSequence:
     """A sequence of distinct points t_0 = a, t_1 = b, t_2, t_3, ... in [a, b].
 
     The enumeration order matters: hat number n is the hat of the partition
-    {t_0, ..., t_n} peaking at the newest point t_n.  Instances are immutable;
-    the coefficient-recursion engine they cache is an implementation detail.
+    {t_0, ..., t_n} peaking at the newest point t_n.  For n >= 2 the point
+    t_n splits a cell of T_{n-1} = {t_0, ..., t_{n-1}}; the cell's ends are
+    its flanking neighbours, stored once at construction as index arrays:
+    t_n lies strictly between points[left[n]] and points[right[n]] (entries
+    0 and 1 are -1: the endpoints have no neighbours).  The neighbours are
+    the support of hat n and the chord ends of its hierarchical surplus (see
+    ``hat_coefficients``).  Instances are immutable.
     """
 
     def __init__(self, points):
@@ -251,7 +257,18 @@ class DenseSequence:
             raise InputError("points must be pairwise distinct")
         pts.flags.writeable = False
         self.points = pts
-        self._engine = _HatRecursionEngine(self)
+        left, right = [-1, -1], [-1, -1]
+        values, order = pts[:2].tolist(), [0, 1]
+        for n, t in enumerate(pts[2:].tolist(), start=2):
+            pos = bisect.bisect(values, t)
+            left.append(order[pos - 1])
+            right.append(order[pos])
+            values.insert(pos, t)
+            order.insert(pos, n)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.left.flags.writeable = False
+        self.right.flags.writeable = False
 
     @property
     def a(self):
@@ -284,87 +301,6 @@ class DenseSequence:
 
     def to_json(self):
         return [float(t) for t in self.points]
-
-
-class _HatRecursionEngine:
-    """Memoized coefficient recursion lambda_n(f) = f(t_n) - sum_{k<n} lambda_k(f) hat_k(t_n).
-
-    Structure (each point's flanking neighbors at insertion time) is built
-    once; per-function coefficient prefixes are cached so ascending sweeps
-    cost O(1) amortized per index.  Skipping hats that vanish at t_n leaves
-    the floating-point accumulation unchanged (the skipped terms are exact
-    zeros), so this is the plain recursion, just faster.
-    """
-
-    _CACHE_LIMIT = 16
-
-    def __init__(self, seq):
-        self.seq = seq
-        self.left = [None, None]
-        self.right = [None, None]
-        self._sorted = [seq.a, seq.b]
-        self._built = 2
-        self._coeff_cache = {}
-
-    def _extend_structure(self, n):
-        pts = self.seq.points
-        while self._built <= n:
-            i = self._built
-            t = float(pts[i])
-            pos = int(np.searchsorted(self._sorted, t))
-            self.left.append(self._sorted[pos - 1])
-            self.right.append(self._sorted[pos])
-            self._sorted.insert(pos, t)
-            self._built += 1
-
-    def hat_values_at(self, i):
-        """hat_k(t_i) for all k < i, dense array (exact zeros off support)."""
-        self._extend_structure(i)
-        pts = self.seq.points
-        a, b = self.seq.a, self.seq.b
-        t = float(pts[i])
-        vals = np.zeros(i)
-        if i > 0:
-            vals[0] = (b - t) / (b - a)
-        if i > 1:
-            vals[1] = (t - a) / (b - a)
-        for k in range(2, i):
-            lk, rk = self.left[k], self.right[k]
-            if lk < t < rk:
-                peak = pts[k]
-                if t <= peak:
-                    vals[k] = (t - lk) / (peak - lk)
-                else:
-                    vals[k] = (rk - t) / (rk - peak)
-        return vals
-
-    def coefficients(self, f, n):
-        """Coefficient prefix lambda_0..lambda_n of ``f`` (cached per handle)."""
-        self._extend_structure(n)
-        key = id(f)
-        cached = self._coeff_cache.get(key)
-        if cached is not None and cached[0] is f and len(cached[1]) > n:
-            return cached[1][: n + 1]
-        pts = self.seq.points[: n + 1]
-        fv = np.asarray(f(pts))
-        if fv.shape[:1] != (n + 1,):
-            raise InputError(
-                f"handle returned shape {fv.shape} for {n + 1} points"
-            )
-        if not np.all(np.isfinite(fv)):
-            raise InputError("non-finite function values in coefficient recursion")
-        coeffs = [fv[0], fv[1]] if n >= 1 else [fv[0]]
-        for i in range(2, n + 1):
-            hv = self.hat_values_at(i)
-            acc = np.zeros_like(fv[0])
-            for k in range(i):
-                if hv[k] != 0.0:
-                    acc = acc + coeffs[k] * hv[k]
-            coeffs.append(fv[i] - acc)
-        if len(self._coeff_cache) >= self._CACHE_LIMIT:
-            self._coeff_cache.pop(next(iter(self._coeff_cache)))
-        self._coeff_cache[key] = (f, coeffs)
-        return coeffs[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +419,7 @@ class HaarBasis(BasisFamily):
         """Dyadic grid fine enough to isolate every jump and kink of rank-k sums."""
         k = max(int(k), 1)
         level = (int(k) - 1).bit_length() if k >= 2 else 0
-        step_level = min(level + 2, 12)
-        m = 2 ** step_level
+        m = 2 ** (level + 2)
         return np.arange(m + 1) / m
 
     def lp_error(self, f, g, p, rank, space=None):
@@ -535,10 +470,8 @@ def schauder_hat(seq, n):
         return PiecewisePolynomial([a, b], [[1.0, -1.0 / (b - a)]])
     if n == 1:
         return PiecewisePolynomial([a, b], [[0.0, 1.0 / (b - a)]])
-    engine = seq._engine
-    engine._extend_structure(n)
     peak = float(seq.points[n])
-    left, right = engine.left[n], engine.right[n]
+    left, right = float(seq.points[seq.left[n]]), float(seq.points[seq.right[n]])
     bps = [a]
     rows = []
     if left > a:
@@ -554,24 +487,58 @@ def schauder_hat(seq, n):
     return PiecewisePolynomial(bps, rows)
 
 
+def _hat_surplus(seq, f, n, prefix):
+    """lambda_0(f), ..., lambda_n(f) if ``prefix``, else lambda_n(f) alone.
+
+    ``f`` is evaluated once, in ascending index order, on just the points the
+    requested coefficients read: each t_i and its flanking neighbours.
+    """
+    if not isinstance(seq, DenseSequence):
+        raise InputError("hat coefficients need a DenseSequence")
+    if not 0 <= n < len(seq):
+        raise InputError(f"coefficient index {n} out of range for this sequence")
+    idx = np.arange(n + 1) if prefix else np.array([n])
+    interior = idx >= 2
+    inner = idx[interior]
+    lft, rgt = seq.left[inner], seq.right[inner]
+    need = np.unique(np.concatenate([idx, lft, rgt]))
+    nodes = seq.points[need]
+    fv = np.asarray(f(nodes))
+    if fv.shape[:1] != (need.size,):
+        raise InputError(f"handle returned shape {fv.shape} for {need.size} points")
+    if not np.issubdtype(fv.dtype, np.inexact):
+        fv = fv.astype(float)
+    require_finite(nodes, fv)
+    t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
+    col = (slice(None),) + (None,) * (fv.ndim - 1)
+    wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
+
+    def at(i):
+        return fv[np.searchsorted(need, i)]
+
+    out = at(idx)
+    out[interior] = at(inner) - (wl * at(lft) + wr * at(rgt))
+    return out
+
+
 def hat_coefficients(seq, f, n):
     """The full coefficient prefix lambda_0(f), ..., lambda_n(f).
 
-    lambda_0 = f(a), lambda_1 = f(b), and for n >= 2 the interpolation
-    recursion lambda_n = f(t_n) - sum_{k<n} lambda_k hat_k(t_n), accumulated
-    in ascending k.  Vector-valued handles get componentwise-identical
-    arithmetic.
+    lambda_0 = f(a), lambda_1 = f(b), and for n >= 2 the hierarchical
+    surplus lambda_n = f(t_n) - (w_l f(t_left) + w_r f(t_right)): f at the
+    new point minus the chord through its flanking neighbours, which is
+    P_{n-1} f(t_n) because the rank n-1 interpolant is affine on the cell
+    that t_n splits.  Chord weights w_l = (t_right - t_n) / (t_right -
+    t_left) and w_r = (t_n - t_left) / (t_right - t_left).  One evaluation
+    of ``f`` on t_0..t_n, then one vectorized step; vector-valued handles
+    get componentwise-identical arithmetic.
     """
-    if not isinstance(seq, DenseSequence):
-        raise InputError("hat_coefficients expects a DenseSequence")
-    if not 0 <= n < len(seq):
-        raise InputError(f"coefficient index {n} out of range for this sequence")
-    return list(seq._engine.coefficients(f, n))
+    return list(_hat_surplus(seq, f, n, prefix=True))
 
 
 def hat_coefficient(seq, f, n):
-    """lambda_n(f) for the hat family of ``seq``."""
-    return hat_coefficients(seq, f, n)[n]
+    """lambda_n(f) for the hat family of ``seq``; evaluates f on at most 3 points."""
+    return _hat_surplus(seq, f, n, prefix=False)[0]
 
 
 class HatBasis(BasisFamily):

@@ -94,12 +94,7 @@ def weighted_sum(nodes, weights, f):
         raise InputError(f"handle returned shape {samples.shape}; expected (k,) or (k, m)")
     if not np.issubdtype(samples.dtype, np.inexact):
         samples = samples.astype(float)
-    finite = np.isfinite(samples)
-    if not finite.all():
-        bad = int(np.argwhere(~finite.reshape(npts, -1).all(axis=1))[0, 0])
-        node = nodes[bad]
-        node = node.tolist() if isinstance(node, np.ndarray) else complex(node) if np.iscomplexobj(nodes) else float(node)
-        raise NumericError(f"non-finite sample at node {node!r}", node=node)
+    require_finite(nodes, samples)
     acc = np.zeros(samples.shape[1:], dtype=samples.dtype)
     for i in range(npts):
         acc = acc + weights[i] * samples[i]
@@ -108,9 +103,15 @@ def weighted_sum(nodes, weights, f):
     return acc
 
 
-def integrate_rule(f, rule):
-    """Apply a prebuilt rule to a handle."""
-    return weighted_sum(rule.nodes, rule.weights, f)
+def require_finite(nodes, samples):
+    """Raise ``NumericError`` carrying the first node whose sample row is non-finite."""
+    finite = np.isfinite(samples)
+    if finite.all():
+        return
+    bad = int(np.argwhere(~finite.reshape(len(samples), -1).all(axis=1))[0, 0])
+    node = nodes[bad]
+    node = node.tolist() if isinstance(node, np.ndarray) else complex(node) if np.iscomplexobj(nodes) else float(node)
+    raise NumericError(f"non-finite sample at node {node!r}", node=node)
 
 
 # -- interval rules ----------------------------------------------------------

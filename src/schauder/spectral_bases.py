@@ -21,6 +21,7 @@ from .quadrature import (
     box_rule,
     gauss_hermite_rule,
     periodic_rule,
+    require_finite,
     weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
@@ -496,8 +497,7 @@ def taylor_coefficients(f, n_max, ctx=None):
     samples = np.asarray(f(zs))
     if samples.shape[:1] != (npts,):
         raise InputError(f"handle returned shape {samples.shape} for {npts} nodes")
-    if not np.all(np.isfinite(samples)):
-        raise InputError("non-finite contour samples")
+    require_finite(zs, samples)
     out = []
     for n in range(n_max + 1):
         phase = np.exp(-1j * (n * angles))

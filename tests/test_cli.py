@@ -113,11 +113,13 @@ def test_bad_ranks_string(capsys):
 def test_non_finite_samples_produce_diagnostic(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.0,0.0\n0.5,1e400\n1.0,0.0\n")
-    rc, out, _ = _run(capsys, ["expand", "--basis", "haar", "--fn", str(path), "--max-n", "3"])
-    assert rc == 1
-    doc = json.loads(out)
-    assert doc["error"] == "numeric"
-    assert "node" in doc
+    for basis in ("haar", "hat-dyadic"):
+        rc, out, _ = _run(capsys, ["expand", "--basis", basis, "--fn", str(path), "--max-n", "3"])
+        assert rc == 1, basis
+        doc = json.loads(out)
+        assert doc["error"] == "numeric"
+        assert "node" in doc
+    assert doc["node"] == 0.5  # the hat surplus samples the dyadic points
 
 
 def test_config_file_merge(tmp_path, capsys):
@@ -169,3 +171,4 @@ def test_verify_small_run_is_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
     assert doc["pass"] == 1
+    assert doc["pass"] is True

@@ -1,0 +1,78 @@
+"""Property tests for the hat family on random non-dyadic dense sequences.
+
+Interior points are distinct multiples of 1/997 of [a, b] in random
+insertion order, so chord weights round and cells are split off-center;
+the dyadic tests elsewhere see neither.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schauder import HatBasis, biorthogonality_matrix, hat_coefficient, hat_coefficients, schauder_hat
+from schauder.interval_bases import DenseSequence
+
+PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+FUNCS = (
+    lambda x: np.sin(3.0 * x) + 0.25 * x,
+    lambda x: np.exp(-x * x),
+    lambda x: x ** 3 - x,
+    lambda x: 1.0 / (1.0 + 25.0 * x * x),
+)
+
+
+@st.composite
+def sequences(draw, max_interior=30):
+    a = draw(st.floats(-2.0, 2.0))
+    width = draw(st.floats(0.5, 3.0))
+    ks = draw(st.lists(st.integers(1, 996), min_size=1, max_size=max_interior, unique=True))
+    return DenseSequence([a, a + width] + [a + width * k / 997 for k in ks])
+
+
+def _handle(i):
+    return lambda x: FUNCS[i](np.asarray(x, dtype=float))
+
+
+@PROPS
+@given(sequences(), st.integers(0, len(FUNCS) - 1))
+def test_coefficients_match_triangular_solve(seq, i):
+    f = _handle(i)
+    n = len(seq) - 1
+    pts = seq.points
+    phi = [schauder_hat(seq, j) for j in range(n + 1)]
+    mat = np.array([[phi[j](float(t)) for j in range(n + 1)] for t in pts])
+    want = np.linalg.solve(mat, f(pts))
+    got = np.asarray(hat_coefficients(seq, f, n))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@PROPS
+@given(sequences(max_interior=14))
+def test_biorthogonality_gap(seq):
+    count = len(seq)
+    gap = np.max(np.abs(biorthogonality_matrix(HatBasis(seq), count) - np.eye(count)))
+    assert gap <= 1e-12
+
+
+@PROPS
+@given(sequences(), st.integers(0, len(FUNCS) - 1))
+def test_single_coefficient_equals_prefix_entry(seq, i):
+    f = _handle(i)
+    n = len(seq) - 1
+    prefix = hat_coefficients(seq, f, n)
+    for m in range(n + 1):
+        assert np.array_equal(hat_coefficient(seq, f, m), prefix[m])
+
+
+@PROPS
+@given(sequences())
+def test_stacked_coefficients_equal_scalar_ones(seq):
+    handles = [_handle(i) for i in range(len(FUNCS))]
+    stack = lambda x: np.stack([h(x) for h in handles], axis=-1)
+    n = len(seq) - 1
+    vec = np.asarray(hat_coefficients(seq, stack, n))
+    scalar = np.stack([np.asarray(hat_coefficients(seq, h, n)) for h in handles], axis=-1)
+    assert np.array_equal(vec, scalar)
+    for m in range(n + 1):
+        assert np.array_equal(hat_coefficient(seq, stack, m), scalar[m])

@@ -209,6 +209,13 @@ def test_step_partial_sum_is_cell_average():
         assert abs(el(j / 8.0 + 1e-9) - mid) <= 1e-9
 
 
+def test_step_breakpoints_hold_every_jump_above_rank_4096():
+    k = 8192
+    bps = HaarBasis().segment_breakpoints(k)
+    jumps = {e for n in range(1, k + 1) for lo, hi, _ in haar_constancy_intervals(n) for e in (lo, hi)}
+    assert np.all(np.isin(np.array(sorted(jumps)), bps))
+
+
 # -- hat family --------------------------------------------------------------
 
 
@@ -256,6 +263,20 @@ def test_hat_coefficient_frozen_values():
     # interpolation defect of x^2 at the first midpoint: 1/4 - 1/2
     assert hat_coefficient(T, f, 2) == -0.25
     assert hat_coefficients(T, f, 4) == [0.0, 1.0, -0.25, -0.0625, -0.0625]
+
+
+def test_hat_coefficient_evaluates_at_most_three_points():
+    seen = []
+
+    def f(x):
+        seen.append(np.asarray(x).size)
+        return np.sin(np.pi * np.asarray(x))
+
+    T = DenseSequence.dyadic()
+    for n in (0, 1, 2, 3, 17, 500, len(T) - 1):
+        seen.clear()
+        hat_coefficient(T, f, n)
+        assert seen and sum(seen) <= 3, (n, seen)
 
 
 def test_hat_projection_interpolates_prefix_nodes():

@@ -9,6 +9,7 @@ from schauder import (
     FourierBasis,
     HermiteBasis,
     InputError,
+    NumericError,
     PeriodicContext,
     TaylorBasis,
     cr_residual,
@@ -243,6 +244,15 @@ def test_contour_must_resolve_requested_order():
     ctx = DiscContext(0.0, np.inf, 1.0, 16)
     with pytest.raises(InputError):
         taylor_coefficients(reg("exp-z"), 8, ctx)
+
+
+def test_non_finite_contour_sample_carries_its_node():
+    # contour radius 1 around 0: node 0 is z = 1, where the handle blows up
+    ctx = DiscContext(0.0, np.inf, 1.0, 64)
+    f = lambda z: np.where(z == 1.0, np.nan, z)
+    with pytest.raises(NumericError) as info:
+        taylor_coefficients(f, 4, ctx)
+    assert info.value.node == 1.0 + 0.0j
 
 
 def test_context_validation():

@@ -84,7 +84,6 @@ from .spectral_bases import (
     hermite_coefficient,
     hermite_function,
     hermite_polynomial,
-    hermite_polynomial_derivative,
     hermite_tail_bound_check,
     schwartz_seminorm,
     taylor_coefficient,

@@ -62,13 +62,24 @@ class BasisFamily(ABC):
         """Vectorized handle for the n-th basis element."""
 
     @abstractmethod
-    def coefficient(self, f, n):
-        """The n-th coefficient functional applied to ``f``.
+    def coefficients(self, f, idxs):
+        """The coefficient functionals of a nonempty index list applied to ``f``.
 
-        Returns a scalar for scalar-valued ``f`` and a length-m vector for
-        vector-valued ``f``; components of the vector result are computed by
-        exactly the scalar component computations.
+        Returns an array whose row i is lambda_{idxs[i]}(f): a scalar for
+        scalar-valued ``f`` and a length-m vector for vector-valued ``f``;
+        components of the vector result are computed by exactly the scalar
+        component computations.  ``f`` is evaluated once on the union of the
+        nodes the indices need, and each row is accumulated in the same order
+        whatever else is in the batch, so every batch gives the same bits.
         """
+
+    def coefficient(self, f, n):
+        """The n-th coefficient functional applied to ``f``: ``coefficients(f, [n])[0]``.
+
+        Each family binds this in its own class body, so the single-index
+        calls of each family can be wrapped (traced) separately.
+        """
+        return self.coefficients(f, [n])[0]
 
     def indices(self, k):
         """All indices of grade <= k in accumulation order."""
@@ -193,14 +204,17 @@ class ExpansionOperator:
 
 def coefficient_sweep(basis, f, k):
     """[(n, coefficient)] for every index of grade <= k, in order."""
-    return [(n, basis.coefficient(f, n)) for n in basis.indices(k)]
+    idxs = basis.indices(k)
+    return list(zip(idxs, basis.coefficients(f, idxs))) if idxs else []
 
 
 def materialize(basis, f, k):
     """P_k f as a finite-rank element (element handles paired with coefficients)."""
-    return FiniteRankElement(
-        [(basis.element(n), c) for n, c in coefficient_sweep(basis, f, k)]
-    )
+    return _element(basis, coefficient_sweep(basis, f, k))
+
+
+def _element(basis, sweep):
+    return FiniteRankElement([(basis.element(n), c) for n, c in sweep])
 
 
 def partial_sum(basis, f, k, x):
@@ -228,16 +242,17 @@ def projection_algebra_check(basis, f, k, j, points=None, space=None):
 def semigroup_max_discrepancy(basis, f, kmax, points=None):
     """Max over all pairs k, j <= kmax of the projection-algebra discrepancy.
 
-    Reuses one coefficient sweep of f and one re-expansion per rank j; every
-    lambda_m(P_j f) is still computed through the coefficient functional.
-    Prefix accumulation over the element-value table then covers all k at
-    once in enumeration order.
+    One batched coefficient sweep of f, then for each rank j one batched
+    sweep of P_j f, which evaluates P_j f once on the union of the nodes
+    the functionals read; every lambda_m(P_j f) is still computed through
+    the coefficient functional.  Prefix accumulation over the element-value
+    table then covers all k at once in enumeration order.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
     if not idxs:
         return 0.0
-    coeffs = [basis.coefficient(f, n) for n in idxs]
+    coeffs = basis.coefficients(f, idxs)
     values = np.stack([_rows(basis.element(n)(pts)) for n in idxs])  # (N, P, m)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
@@ -256,11 +271,8 @@ def semigroup_max_discrepancy(basis, f, kmax, points=None):
     worst = 0.0
     for j in ranks:
         nj = counts[j]
-        inner = FiniteRankElement(
-            [(basis.element(idxs[i]), coeffs[i]) for i in range(nj)]
-        )
-        re_coeffs = [basis.coefficient(inner, n) for n in idxs]
-        outer = prefix_sums(re_coeffs)
+        inner = _element(basis, zip(idxs[:nj], coeffs[:nj]))
+        outer = prefix_sums(basis.coefficients(inner, idxs))
         for k in ranks:
             nk = counts[k]
             nmin = counts[min(k, j)]
@@ -282,9 +294,7 @@ def biorthogonality_matrix(basis, count):
     enum = _first_indices(basis, count)
     out = np.zeros((count, count), dtype=np.complex128 if basis.field == "complex" else float)
     for a, n in enumerate(enum):
-        fn = basis.element(n)
-        for b, m in enumerate(enum):
-            out[b, a] = basis.coefficient(fn, m)
+        out[:, a] = basis.coefficients(basis.element(n), enum)
     return out
 
 
@@ -305,7 +315,7 @@ def vector_scalar_consistency(basis, f, n, components):
     evaluation points and accumulation order make the two routes agree to
     the bit; the check still computes both honestly.
     """
-    vec = np.asarray(basis.coefficient(f, n))
+    vec = np.asarray(basis.coefficients(f, [n])[0])
     if vec.shape != (components,):
         raise InputError(
             f"vector coefficient has shape {vec.shape}, expected ({components},)"
@@ -313,7 +323,7 @@ def vector_scalar_consistency(basis, f, n, components):
     gaps = []
     for i in range(components):
         fi = _component_handle(f, i)
-        gaps.append(abs(basis.coefficient(fi, n) - vec[i]))
+        gaps.append(abs(basis.coefficients(fi, [n])[0] - vec[i]))
     return float(max(gaps))
 
 
@@ -357,11 +367,12 @@ def distinctness_check(basis, kmax, points=None):
     worst = np.inf
     for pos in range(1, len(idxs)):
         n = idxs[pos]
-        fj = basis.element(n)
         grade = basis.index_set.grade(n)
-        full = materialize(basis, fj, grade)
+        sweep = coefficient_sweep(basis, basis.element(n), grade)
         prev_grade = basis.index_set.grade(idxs[pos - 1])
-        trunc = materialize(basis, fj, min(prev_grade, grade - 1))
+        # indices are graded in order, so the lower rank's sweep is a prefix
+        cut = len(basis.indices(min(prev_grade, grade - 1)))
+        full, trunc = _element(basis, sweep), _element(basis, sweep[:cut])
         rows = basis.residual_rows(full, trunc, pts)
         worst = min(worst, float(np.max(np.abs(rows))))
     return worst
@@ -388,9 +399,11 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
     """
     sp = space if space is not None else basis.scalar_space()
     pts = basis.sample_points() if points is None else np.asarray(points)
+    # one sweep to the largest rank; each rank's indices are a prefix of it
+    sweep = coefficient_sweep(basis, f, max(ranks)) if ranks else []
     out = []
     for k in ranks:
-        g = materialize(basis, f, k)
+        g = _element(basis, sweep[:len(basis.indices(k))])
         if mode == "sup":
             rows = basis.residual_rows(f, g, pts)
             errs = np.max(sp.seminorm_table(rows), axis=0) if rows.size else np.zeros(len(sp.seminorms))

@@ -52,7 +52,7 @@ BASIS_SCHEMAS = {
         "doc": "C^k family: jets at 0, then k-fold antiderivatives of hats",
     },
     "hermite": {
-        "params": {"n_max": "largest degree (default 64)",
+        "params": {"n_max": "largest degree (default 64, at most 145 without quad_size)",
                    "quad_size": "Gauss-Hermite size override"},
         "doc": "normalized Hermite functions on the line",
     },

@@ -121,12 +121,21 @@ def central_difference_bundle(f, max_order, h=1e-5):
     A command-line fallback for sampled or derivative-less functions used
     with bases that differentiate.  Accuracy is the usual second-order
     truncation plus h-division roundoff; exact handles are always preferred.
+    Where x - h or x + h would leave ``f.domain`` (a sampled function's
+    interval) the stencil is shifted inside it, which makes it the one-sided
+    first-order difference (g(x + 2h) - g(x)) / (2h) at the left end and
+    its mirror image at the right end.
     """
     if max_order < 0:
         raise InputError("max_order must be >= 0")
+    lo, hi = getattr(f, "domain", (-np.inf, np.inf))
 
     def diff(g):
-        return lambda x, g=g: (g(np.asarray(x) + h) - g(np.asarray(x) - h)) / (2.0 * h)
+        def dg(x):
+            c = np.clip(np.asarray(x, dtype=float), lo + h, hi - h)
+            return (g(c + h) - g(c - h)) / (2.0 * h)
+
+        return dg
 
     handles = []
     g = f
@@ -134,3 +143,4 @@ def central_difference_bundle(f, max_order, h=1e-5):
         g = diff(g)
         handles.append(g)
     return FunctionBundle(f, tuple(handles))
+

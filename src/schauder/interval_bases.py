@@ -20,7 +20,7 @@ from .basis_core import BasisFamily
 from .errors import InputError
 from .functions import as_bundle
 from .indexing import IndexSet
-from .quadrature import gauss_legendre_rule, require_finite, weighted_sum
+from .quadrature import accumulate, samples_of, segment_rules
 from .value_space import ValueSpace
 
 __all__ = [
@@ -364,16 +364,38 @@ def haar_coefficient(f, n, panels=None, order=8):
     basis family normalizes by ||h_n||_2^2 to make the functionals
     biorthogonal (see ``HaarBasis``).
     """
-    acc = None
-    for lo, hi, sign in haar_constancy_intervals(n):
-        p = panels if panels is not None else _haar_piece_panels(lo, hi)
-        rule = gauss_legendre_rule(lo, hi, panels=p, order=order)
-        piece = weighted_sum(rule.nodes, rule.weights, f)
-        contrib = sign * np.asarray(piece)
-        acc = contrib if acc is None else acc + contrib
-    if np.ndim(acc) == 0:
-        return acc[()] if isinstance(acc, np.ndarray) else acc
-    return acc
+    return _haar_integrals(f, [n], panels, order)[0]
+
+
+def _haar_integrals(f, idxs, panels, order):
+    """Raw Haar integrals of every index in ``idxs``, ``f`` evaluated once.
+
+    Each constancy interval gets its own composite rule; intervals with the
+    same panel count are built and accumulated together, then each index
+    adds its signed interval sums in interval order.
+    """
+    pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
+              for lo, hi, sign in haar_constancy_intervals(n)]
+    counts = [panels if panels is not None else _haar_piece_panels(lo, hi)
+              for _, lo, hi, _ in pieces]
+    lo = np.array([p[1] for p in pieces])
+    hi = np.array([p[2] for p in pieces])
+    groups = []
+    for c in sorted(set(counts)):
+        sel = [j for j, cj in enumerate(counts) if cj == c]
+        groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=order))
+    samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
+    sums, start = [None] * len(pieces), 0
+    for sel, nodes, weights in groups:
+        block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
+        start += nodes.size
+        for j, piece in zip(sel, accumulate(weights.T, block.swapaxes(0, 1))):
+            sums[j] = piece
+    acc = [None] * len(idxs)
+    for (i, _, _, sign), piece in zip(pieces, sums):
+        contrib = sign * piece
+        acc[i] = contrib if acc[i] is None else acc[i] + contrib
+    return np.array(acc)
 
 
 class HaarBasis(BasisFamily):
@@ -403,14 +425,15 @@ class HaarBasis(BasisFamily):
 
         return h
 
-    def coefficient(self, f, n):
-        n = int(n)
-        self.index_set.validate_member(n)
-        raw = haar_coefficient(f, n, panels=self.panels, order=self.order)
-        split = _haar_split(n)
-        if split is None:
-            return raw
-        return raw * float(2 ** split[0])
+    coefficient = BasisFamily.coefficient
+
+    def coefficients(self, f, idxs):
+        idxs = [int(n) for n in idxs]
+        for n in idxs:
+            self.index_set.validate_member(n)
+        raw = _haar_integrals(f, idxs, self.panels, self.order)
+        scale = np.array([float(2 ** _haar_split(n)[0]) if n > 1 else 1.0 for n in idxs])
+        return raw * scale.reshape(scale.shape + (1,) * (raw.ndim - 1))
 
     def sample_points(self):
         return np.linspace(0.0, 1.0, 1001)
@@ -487,28 +510,25 @@ def schauder_hat(seq, n):
     return PiecewisePolynomial(bps, rows)
 
 
-def _hat_surplus(seq, f, n, prefix):
-    """lambda_0(f), ..., lambda_n(f) if ``prefix``, else lambda_n(f) alone.
+def _hat_surplus(seq, f, idxs):
+    """lambda_n(f) for every n in ``idxs``, as one array.
 
     ``f`` is evaluated once, in ascending index order, on just the points the
-    requested coefficients read: each t_i and its flanking neighbours.
+    requested coefficients read: each t_n and its flanking neighbours.
     """
     if not isinstance(seq, DenseSequence):
         raise InputError("hat coefficients need a DenseSequence")
-    if not 0 <= n < len(seq):
-        raise InputError(f"coefficient index {n} out of range for this sequence")
-    idx = np.arange(n + 1) if prefix else np.array([n])
+    idx = np.asarray(idxs, dtype=np.intp)
+    outside = (idx < 0) | (idx >= len(seq))
+    if outside.any():
+        raise InputError(
+            f"coefficient index {int(idx[outside][0])} out of range for this sequence"
+        )
     interior = idx >= 2
     inner = idx[interior]
     lft, rgt = seq.left[inner], seq.right[inner]
     need = np.unique(np.concatenate([idx, lft, rgt]))
-    nodes = seq.points[need]
-    fv = np.asarray(f(nodes))
-    if fv.shape[:1] != (need.size,):
-        raise InputError(f"handle returned shape {fv.shape} for {need.size} points")
-    if not np.issubdtype(fv.dtype, np.inexact):
-        fv = fv.astype(float)
-    require_finite(nodes, fv)
+    fv = samples_of(f, seq.points[need])
     t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
     col = (slice(None),) + (None,) * (fv.ndim - 1)
     wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
@@ -533,12 +553,13 @@ def hat_coefficients(seq, f, n):
     of ``f`` on t_0..t_n, then one vectorized step; vector-valued handles
     get componentwise-identical arithmetic.
     """
-    return list(_hat_surplus(seq, f, n, prefix=True))
+    # a negative n is passed on alone, to be reported as out of range
+    return list(_hat_surplus(seq, f, np.arange(n + 1) if n >= 0 else [n]))
 
 
 def hat_coefficient(seq, f, n):
     """lambda_n(f) for the hat family of ``seq``; evaluates f on at most 3 points."""
-    return _hat_surplus(seq, f, n, prefix=False)[0]
+    return _hat_surplus(seq, f, [n])[0]
 
 
 class HatBasis(BasisFamily):
@@ -560,8 +581,10 @@ class HatBasis(BasisFamily):
             self._elements[n] = schauder_hat(self.seq, n)
         return self._elements[n]
 
-    def coefficient(self, f, n):
-        return hat_coefficient(self.seq, f, int(n))
+    coefficient = BasisFamily.coefficient
+
+    def coefficients(self, f, idxs):
+        return _hat_surplus(self.seq, f, [int(n) for n in idxs])
 
     def sample_points(self):
         a, b = self.seq.a, self.seq.b
@@ -609,14 +632,24 @@ def ck_coefficient(seq, k, f, n):
     handles up to order k (a FunctionBundle, a PiecewisePolynomial, or a
     materialized sum of such terms).
     """
-    if n < 0:
+    return _ck_coefficients(seq, k, f, [n])[0]
+
+
+def _ck_coefficients(seq, k, f, idxs):
+    """mu_n(f) for every n in ``idxs``: each jet f^(n)(a) is read once, and
+    f^(k) is evaluated once for all the hat coefficients."""
+    idx = np.asarray(idxs, dtype=np.intp)
+    if (idx < 0).any():
         raise InputError("coefficient index must be >= 0")
-    needed = min(n, k) if n < k else k
-    bundle = as_bundle(f, max_order=needed)
-    if n < k:
-        dn = bundle.derivative(n)
-        return np.asarray(dn(np.array([seq.a])))[0]
-    return hat_coefficient(seq, bundle.derivative(k), n - k)
+    bundle = as_bundle(f, max_order=min(int(idx.max()), k))
+    out = [None] * idx.size
+    for pos in np.flatnonzero(idx < k):
+        out[pos] = np.asarray(bundle.derivative(int(idx[pos]))(np.array([seq.a])))[0]
+    smooth = np.flatnonzero(idx >= k)
+    if smooth.size:
+        for pos, value in zip(smooth, _hat_surplus(seq, bundle.derivative(k), idx[smooth] - k)):
+            out[pos] = value
+    return np.array(out)
 
 
 class CkBasis(BasisFamily):
@@ -645,8 +678,10 @@ class CkBasis(BasisFamily):
             self._elements[n] = ck_basis_element(self.seq, self.k, n)
         return self._elements[n]
 
-    def coefficient(self, f, n):
-        return ck_coefficient(self.seq, self.k, f, int(n))
+    coefficient = BasisFamily.coefficient
+
+    def coefficients(self, f, idxs):
+        return _ck_coefficients(self.seq, self.k, f, [int(n) for n in idxs])
 
     def sample_points(self):
         return np.linspace(self.seq.a, self.seq.b, 513)
@@ -674,8 +709,10 @@ def lp_error(f, g, p, breakpoints, panels=2, order=8, space=None):
     ``breakpoints`` split the domain so that the integrand is smooth on each
     segment (place them on jumps and kinks); within a segment a small
     composite Gauss-Legendre rule is exact for piecewise-polynomial
-    residuals.  Returns a scalar for scalar handles without a space, else
-    one value per seminorm of ``space``.
+    residuals.  ``f`` and ``g`` are evaluated once on the nodes of every
+    segment; each segment's integral is accumulated in node order, then the
+    segments in ascending order.  Returns a scalar for scalar handles
+    without a space, else one value per seminorm of ``space``.
     """
     if p < 1:
         raise InputError("p must be >= 1")
@@ -689,11 +726,10 @@ def lp_error(f, g, p, breakpoints, panels=2, order=8, space=None):
         table = sp.seminorm_table(rows if rows.ndim == 2 else rows[:, None])
         return table ** p
 
-    acc = None
-    for i in range(bps.size - 1):
-        rule = gauss_legendre_rule(bps[i], bps[i + 1], panels=panels, order=order)
-        piece = weighted_sum(rule.nodes, rule.weights, integrand)
-        acc = piece if acc is None else acc + piece
+    nodes, weights = segment_rules(bps[:-1], bps[1:], panels=panels, order=order)
+    table = samples_of(integrand, nodes.ravel())
+    pieces = accumulate(weights.T, table.reshape(nodes.shape + table.shape[1:]).swapaxes(0, 1))
+    acc = accumulate(np.ones(len(pieces)), pieces)
     vals = np.maximum(np.asarray(acc), 0.0) ** (1.0 / p)
     if space is None:
         return float(vals[0])

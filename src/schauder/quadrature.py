@@ -1,9 +1,12 @@
 """Deterministic quadrature with a fixed accumulation order.
 
-Every integral in this package reduces to ``weighted_sum``: evaluate the
-handle once on the whole node array, then accumulate ``acc += w_i * f(x_i)``
-in ascending node order with an explicit loop.  Two consequences are load
-bearing for the rest of the package:
+Every integral in this package reduces to one kernel, ``accumulate``: the
+handle is evaluated once on the whole node array, then ``acc = acc + w_i *
+f(x_i)`` runs from zero in ascending node order.  The kernel does this with
+``np.add.accumulate`` over a zero-prefixed stack of terms, which adds
+strictly left to right (never pairwise), one fixed-size block at a time so
+memory does not grow with the rule.  Two consequences are load bearing for
+the rest of the package:
 
 * coordinate functionals commute with integration bit for bit -- component i
   of the vector accumulation performs exactly the IEEE operations the scalar
@@ -81,26 +84,49 @@ def weighted_sum(nodes, weights, f):
     Non-finite samples raise ``NumericError`` carrying the first offending
     node.
     """
-    nodes = np.asarray(nodes)
-    weights = np.asarray(weights, dtype=float)
-    npts = weights.shape[0]
+    return accumulate(weights, samples_of(f, np.asarray(nodes)))
+
+
+def samples_of(f, nodes):
+    """``f`` evaluated once on ``nodes``: (k,) or (k, m) inexact rows, all finite."""
+    npts = len(nodes)
     samples = np.asarray(f(nodes))
-    if samples.shape[:1] != (npts,):
+    if samples.shape[:1] != (npts,) or samples.ndim > 2:
         raise InputError(
             f"handle returned shape {samples.shape} for {npts} nodes; "
             "expected (k,) or (k, m)"
         )
-    if samples.ndim > 2:
-        raise InputError(f"handle returned shape {samples.shape}; expected (k,) or (k, m)")
     if not np.issubdtype(samples.dtype, np.inexact):
         samples = samples.astype(float)
     require_finite(nodes, samples)
-    acc = np.zeros(samples.shape[1:], dtype=samples.dtype)
-    for i in range(npts):
-        acc = acc + weights[i] * samples[i]
-    if acc.ndim == 0:
-        return acc[()]
-    return acc
+    return samples
+
+
+ACCUMULATE_BLOCK = 4096
+
+
+def accumulate(weights, terms):
+    """sum_i weights[i] * terms[i] over axis 0, added left to right from zero.
+
+    Bit for bit the loop ``acc = acc + weights[i] * terms[i]`` started at
+    ``acc = 0``: every entry of the result is its own sequential sum, so a
+    column of a stacked ``terms`` equals the sum of that column alone.
+    ``weights`` has shape (n,) or (n, s); it broadcasts against the leading
+    axes of ``terms``.  The products are formed one block of
+    ``ACCUMULATE_BLOCK`` rows at a time and the running sum is carried
+    across blocks as the zero row of the next stack.  A 0-d result is
+    returned as a numpy scalar.
+    """
+    weights = np.asarray(weights, dtype=float)
+    terms = np.asarray(terms)
+    if terms.shape[:weights.ndim] != weights.shape:
+        raise InputError(f"weights of shape {weights.shape} for terms of shape {terms.shape}")
+    col = (slice(None),) * weights.ndim + (None,) * (terms.ndim - weights.ndim)
+    acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
+    for start in range(0, terms.shape[0], ACCUMULATE_BLOCK):
+        block = weights[start:start + ACCUMULATE_BLOCK][col] * terms[start:start + ACCUMULATE_BLOCK]
+        acc = np.add.accumulate(np.concatenate([acc[None], block]), axis=0)[-1]
+    return acc[()] if acc.ndim == 0 else acc
 
 
 def require_finite(nodes, samples):
@@ -123,22 +149,32 @@ def gauss_legendre_rule(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     Nodes are strictly ascending across the whole interval; weights are
     positive.  Exact for polynomials of degree <= 2*order - 1 on each panel.
     """
-    a, b = float(a), float(b)
-    if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-        raise InputError(f"bad interval [{a!r}, {b!r}]")
+    nodes, weights = segment_rules([a], [b], panels=panels, order=order)
+    return QuadratureRule("gauss-legendre-composite", nodes[0], weights[0])
+
+
+def segment_rules(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
+    """The composite Gauss-Legendre rules of many segments [a_s, b_s] at once.
+
+    Returns (nodes, weights), each of shape (s, panels * order); row s is the
+    rule ``gauss_legendre_rule(a_s, b_s, panels, order)`` would build, bit
+    for bit, since every node is formed by the same operations.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    bad = ~(np.isfinite(a) & np.isfinite(b) & (a < b))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InputError(f"bad interval [{float(a[i])!r}, {float(b[i])!r}]")
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise InputError(f"panels must be a positive integer, got {panels!r}")
     base_x, base_w = _leggauss(order)
-    width = (b - a) / panels
-    nodes = np.empty(panels * order)
-    weights = np.empty(panels * order)
+    width = ((b - a) / panels)[:, None]
     half = 0.5 * width
-    for p in range(panels):
-        left = a + p * width
-        mid = left + half
-        nodes[p * order:(p + 1) * order] = mid + half * base_x
-        weights[p * order:(p + 1) * order] = half * base_w
-    return QuadratureRule("gauss-legendre-composite", nodes, weights)
+    mid = (a[:, None] + np.arange(panels) * width) + half
+    nodes = mid[:, :, None] + half[:, :, None] * base_x
+    weights = np.broadcast_to(half[:, :, None] * base_w, nodes.shape)
+    return nodes.reshape(a.size, -1), weights.reshape(a.size, -1)
 
 
 def integrate_interval(f, a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
@@ -246,8 +282,8 @@ def integral_bound_check(f, nodes, weights, space, slack=1e-12):
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise InputError("bound check requires nonnegative weights")
-    integral = weighted_sum(nodes, weights, f)
-    samples = np.asarray(f(np.asarray(nodes)))
+    samples = samples_of(f, np.asarray(nodes))
+    integral = accumulate(weights, samples)
     table = space.seminorm_table(samples)
     sup = np.max(table, axis=0)
     total = float(np.sum(weights))

@@ -4,7 +4,7 @@ tail bound for Hermite integrals, Schwartz-type seminorms).
 
 Coefficients are quadrature-backed: Gauss-Hermite on the line, the uniform
 rectangle rule on the torus, and uniform contour averaging on a circle.  All
-three inherit the fixed accumulation order of ``quadrature.weighted_sum`` or
+three inherit the fixed accumulation order of ``quadrature.accumulate`` or
 reproduce it literally (the contour average), so repeated runs are
 byte-stable and vector components match scalar runs bit for bit.
 """
@@ -18,17 +18,18 @@ from .basis_core import BasisFamily
 from .errors import InputError
 from .indexing import IndexSet
 from .quadrature import (
+    accumulate,
     box_rule,
     gauss_hermite_rule,
     periodic_rule,
     require_finite,
+    samples_of,
     weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
 
 __all__ = [
     "hermite_polynomial",
-    "hermite_polynomial_derivative",
     "hermite_function",
     "hermite_coefficient",
     "HermiteBasis",
@@ -56,9 +57,7 @@ __all__ = [
 def hermite_polynomial(n, x):
     """Physicists' Hermite polynomial H_n by the three-term recursion.
 
-    H_{n+1}(x) = 2 x H_n(x) - 2 n H_{n-1}(x); the derivative term of the
-    recursion is eliminated through H_n' = 2 n H_{n-1} (see
-    ``hermite_polynomial_derivative``).
+    H_{n+1}(x) = 2 x H_n(x) - 2 n H_{n-1}(x).
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise InputError(f"Hermite degree must be a nonnegative integer, got {n!r}")
@@ -70,13 +69,6 @@ def hermite_polynomial(n, x):
     for j in range(1, n):
         prev, cur = cur, 2.0 * x * cur - 2.0 * j * prev
     return cur
-
-
-def hermite_polynomial_derivative(n, x):
-    """H_n'(x) = 2 n H_{n-1}(x) (0 for n = 0)."""
-    if n == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return 2.0 * n * hermite_polynomial(n - 1, x)
 
 
 def _norm_constant(n):
@@ -126,6 +118,10 @@ def hermite_function(n, x, d=1):
     return vals[0] if scalar else vals
 
 
+# numpy's hermgauss returns non-finite weights from size 372 on
+_MAX_QUAD = 300
+
+
 class HermiteBasis(BasisFamily):
     """Hermite-function expansions on R^d via Gauss-Hermite quadrature.
 
@@ -133,7 +129,8 @@ class HermiteBasis(BasisFamily):
     the e^{-|x|^2} weight by writing the integrand as
     f(x) c_n H_n(x) e^{+|x|^2/2}; the quadrature size defaults to
     max(40, 2 n_max + 10) per axis, exact for the polynomial part through
-    degree 2M - 1.
+    degree 2M - 1.  Sizes are capped at 300, so n_max <= 145 unless
+    ``quad_size`` is given.
     """
 
     name = "hermite"
@@ -144,8 +141,16 @@ class HermiteBasis(BasisFamily):
     def __init__(self, d=1, n_max=64, quad_size=None):
         if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
             raise InputError(f"Hermite family supports d in 1..3, got {d!r}")
-        if quad_size is not None and not 1 <= quad_size <= 300:
-            raise InputError("quad_size must be in 1..300")
+        if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+            raise InputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+        if quad_size is None and 2 * n_max + 10 > _MAX_QUAD:
+            raise InputError(
+                f"n_max {n_max} needs a Gauss-Hermite rule of size 2*n_max+10 = "
+                f"{2 * n_max + 10} > {_MAX_QUAD}; n_max must be in "
+                f"0..{(_MAX_QUAD - 10) // 2} unless quad_size is given"
+            )
+        if quad_size is not None and not 1 <= quad_size <= _MAX_QUAD:
+            raise InputError(f"quad_size must be in 1..{_MAX_QUAD}")
         self.d = int(d)
         self.n_max = int(n_max)
         self.quad_size = int(quad_size) if quad_size else max(40, 2 * self.n_max + 10)
@@ -162,24 +167,26 @@ class HermiteBasis(BasisFamily):
 
         return h
 
-    def coefficient(self, f, n):
-        ns = _as_multi(n, self.d)
-        rule = self._rule
+    coefficient = BasisFamily.coefficient
 
-        def g(pts, ns=ns, d=self.d):
-            pts = np.asarray(pts, dtype=float)
-            cols = pts[:, None] if d == 1 else pts
+    def coefficients(self, f, idxs):
+        nodes, weights = self._rule.nodes, self._rule.weights
+        cols = nodes[:, None] if self.d == 1 else nodes
+        fv = samples_of(f, nodes)
+        sq = np.zeros(cols.shape[0])
+        for axis in range(self.d):
+            sq = sq + cols[:, axis] * cols[:, axis]
+        growth = np.exp(0.5 * sq)
+        out = []
+        for n in idxs:
             factor = np.ones(cols.shape[0])
-            sq = np.zeros(cols.shape[0])
-            for axis, ni in enumerate(ns):
-                xi = cols[:, axis]
-                factor = factor * (_norm_constant(ni) * hermite_polynomial(ni, xi))
-                sq = sq + xi * xi
-            factor = factor * np.exp(0.5 * sq)
-            fv = np.asarray(f(pts))
-            return fv * factor if fv.ndim == 1 else fv * factor[:, None]
-
-        return weighted_sum(rule.nodes, rule.weights, g)
+            for axis, ni in enumerate(_as_multi(n, self.d)):
+                factor = factor * (_norm_constant(ni) * hermite_polynomial(ni, cols[:, axis]))
+            factor = factor * growth
+            terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
+            require_finite(nodes, terms)
+            out.append(accumulate(weights, terms))
+        return np.array(out)
 
     def sample_points(self):
         if self.d == 1:
@@ -367,24 +374,29 @@ def fourier_coefficient(f, n, ctx=None):
     mode gap below the grid size; modes beyond (grid_size - 1) / 2 alias and
     are rejected.
     """
-    ctx = ctx or PeriodicContext()
-    ns = _as_lattice(n, ctx.d)
-    if max(abs(c) for c in ns) > ctx.max_mode:
-        raise InputError(
-            f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
-            f"of a size-{ctx.grid_size} grid"
-        )
+    return _fourier_coefficients(f, [n], ctx or PeriodicContext())[0]
+
+
+def _fourier_coefficients(f, idxs, ctx):
+    """f_hat(n) for every mode in ``idxs``: one evaluation of ``f`` on the
+    rectangle rule, then one integrand and one accumulation per mode."""
+    modes = [_as_lattice(n, ctx.d) for n in idxs]
+    for n, ns in zip(idxs, modes):
+        if max(abs(c) for c in ns) > ctx.max_mode:
+            raise InputError(
+                f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
+                f"of a size-{ctx.grid_size} grid"
+            )
     rule = periodic_rule(ctx.grid_size, d=ctx.d)
-
-    def g(pts, ns=ns, d=ctx.d):
-        pts = np.asarray(pts, dtype=float)
-        phase = pts * ns[0] if d == 1 else pts @ np.asarray(ns, dtype=float)
-        fv = np.asarray(f(pts))
+    fv = samples_of(f, rule.nodes)
+    out = []
+    for ns in modes:
+        phase = rule.nodes * ns[0] if ctx.d == 1 else rule.nodes @ np.asarray(ns, dtype=float)
         ph = np.exp(-1j * phase)
-        return fv * ph if fv.ndim == 1 else fv * ph[:, None]
-
-    total = weighted_sum(rule.nodes, rule.weights, g)
-    return total / (2.0 * math.pi) ** ctx.d
+        terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
+        require_finite(rule.nodes, terms)
+        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
+    return np.array(out)
 
 
 class FourierBasis(BasisFamily):
@@ -416,9 +428,10 @@ class FourierBasis(BasisFamily):
 
         return e
 
-    def coefficient(self, f, n):
-        ns = _as_lattice(n, self.d)
-        return fourier_coefficient(f, ns if self.d > 1 else ns[0], self.ctx)
+    coefficient = BasisFamily.coefficient
+
+    def coefficients(self, f, idxs):
+        return _fourier_coefficients(f, idxs, self.ctx)
 
     def indices(self, k):
         idxs = self.index_set.up_to(k)
@@ -494,10 +507,7 @@ def taylor_coefficients(f, n_max, ctx=None):
     angles = 2.0 * math.pi * np.arange(npts) / npts
     ring = np.exp(1j * angles)
     zs = ctx.center + ctx.contour_radius * ring
-    samples = np.asarray(f(zs))
-    if samples.shape[:1] != (npts,):
-        raise InputError(f"handle returned shape {samples.shape} for {npts} nodes")
-    require_finite(zs, samples)
+    samples = samples_of(f, zs)
     out = []
     for n in range(n_max + 1):
         phase = np.exp(-1j * (n * angles))
@@ -540,8 +550,14 @@ class TaylorBasis(BasisFamily):
 
         return mono
 
-    def coefficient(self, f, n):
-        return taylor_coefficient(f, int(n), self.ctx)
+    coefficient = BasisFamily.coefficient
+
+    def coefficients(self, f, idxs):
+        idxs = [int(n) for n in idxs]
+        for n in idxs:
+            self.index_set.validate_member(n)
+        coeffs = taylor_coefficients(f, max(idxs), self.ctx)
+        return np.array([coeffs[n] for n in idxs])
 
     def sample_points(self):
         angles = 2.0 * math.pi * np.arange(64) / 64
@@ -586,5 +602,4 @@ def to_s_space(basis, f, n_max):
     if not isinstance(basis, (HermiteBasis, FourierBasis)):
         raise InputError("s-space bridge supports Hermite and Fourier families")
     idxs = basis.indices(n_max)
-    values = [basis.coefficient(f, n) for n in idxs]
-    return TruncatedSequence(tuple(idxs), np.asarray(values), limit=None, space="s")
+    return TruncatedSequence(tuple(idxs), basis.coefficients(f, idxs), limit=None, space="s")

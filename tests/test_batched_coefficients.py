@@ -1,0 +1,83 @@
+"""The batched coefficient path: one evaluation per node set, same bits per index."""
+
+import numpy as np
+import pytest
+
+from schauder import (
+    CkBasis,
+    FiniteRankElement,
+    FourierBasis,
+    HaarBasis,
+    HatBasis,
+    HermiteBasis,
+    TaylorBasis,
+    gauss_legendre_rule,
+    lp_error,
+    semigroup_max_discrepancy,
+    weighted_sum,
+)
+from schauder.registry import corpus, vector_stack
+
+
+def _families():
+    return [HaarBasis(), HatBasis(), CkBasis(k=2), HermiteBasis(n_max=12),
+            FourierBasis(n_max=8), TaylorBasis(n_max=12)]
+
+
+def _handles(basis):
+    funcs = [f for _, f in corpus(basis.name)]
+    return [funcs[1], funcs[4], vector_stack(funcs[:3])]
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_batch_equals_single_index_calls(basis):
+    idxs = basis.indices(8)
+    # any order, with repeats: a row never depends on the rest of the batch
+    mixed = idxs[::-1] + idxs[: len(idxs) // 2]
+    for f in _handles(basis):
+        for batch in (idxs, mixed):
+            got = basis.coefficients(f, batch)
+            want = np.array([basis.coefficients(f, [n])[0] for n in batch])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(basis.coefficient(f, batch[0]), want[0])
+
+
+def _count_element_calls(monkeypatch):
+    calls = []
+    original = FiniteRankElement.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(FiniteRankElement, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_semigroup_evaluates_each_partial_sum_once_per_rank(basis, monkeypatch):
+    kmax = 6
+    f = corpus(basis.name)[4][1]
+    ranks = {int(np.ceil(basis.index_set.grade(n))) for n in basis.indices(kmax)} | {0, kmax}
+    calls = _count_element_calls(monkeypatch)
+    semigroup_max_discrepancy(basis, f, kmax)
+    # C^k functionals read k jets and the k-th derivative: one element each
+    per_rank = basis.k + 1 if isinstance(basis, CkBasis) else 1
+    assert 0 < len(calls) <= per_rank * len(ranks)
+    assert len({id(el) for el in calls}) == len(calls)
+
+
+def test_lp_error_matches_segment_by_segment_loop():
+    f = lambda x: np.sin(7.0 * np.asarray(x))
+    g = lambda x: np.asarray(x) ** 2
+    bps = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 40))
+    for p in (1, 2):
+        acc = None
+        for a, b in zip(bps[:-1], bps[1:]):
+            rule = gauss_legendre_rule(a, b, panels=2, order=8)
+            piece = weighted_sum(rule.nodes, rule.weights,
+                                 lambda x: np.abs(f(x) - g(x))[:, None] ** p)
+            acc = piece if acc is None else acc + piece
+        want = float(np.maximum(acc, 0.0)[0] ** (1.0 / p))
+        assert lp_error(f, g, p, bps) == want

@@ -122,6 +122,26 @@ def test_non_finite_samples_produce_diagnostic(tmp_path, capsys):
     assert doc["node"] == 0.5  # the hat surplus samples the dyadic points
 
 
+def test_ck_dyadic_accepts_sampled_input(tmp_path, capsys):
+    # the jets sit at the sampled domain's end, where the stencil turns one-sided
+    path = tmp_path / "line.csv"
+    path.write_text("x,value\n0.0,0.5\n0.25,1.0\n0.5,1.5\n0.75,2.0\n1.0,2.5\n")
+    rc, out, err = _run(capsys, ["expand", "--basis", "ck-dyadic", "--fn", str(path), "--max-n", "3"])
+    assert rc == 0, err
+    values = [float(r["value"]) for r in csv.DictReader(out.splitlines())]
+    assert values[0] == 0.5
+    assert abs(values[1] - 2.0) <= 1e-9  # f'(0) of the line 0.5 + 2x
+    # f'' = 0, up to the eps / h^2 roundoff of a nested difference
+    assert max(abs(v) for v in values[2:]) <= 1e-4
+
+
+def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
+    rc, out, err = _run(capsys, ["verify", "--basis", "hermite", "--max-n", "181"])
+    assert rc == 2
+    assert out == ""
+    assert "n_max" in err and "145" in err
+
+
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"basis": "fourier", "fn": "cos", "max_n": 1}))

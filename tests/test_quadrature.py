@@ -18,6 +18,7 @@ from schauder import (
     periodic_rule,
     weighted_sum,
 )
+from schauder.quadrature import ACCUMULATE_BLOCK
 
 SQRT_PI = 1.7724538509055159
 
@@ -38,6 +39,18 @@ def test_weighted_sum_matches_explicit_loop_bitwise():
     weights = rng.uniform(0.0, 1.0, 33)
     f = lambda x: np.sin(3.0 * x) + x * x
     assert weighted_sum(nodes, weights, f) == _loop_sum(nodes, weights, f)
+    # longer than one accumulation block, so the running sum crosses blocks
+    n = 2 * ACCUMULATE_BLOCK + 123
+    nodes = rng.uniform(-2.0, 2.0, n)
+    weights = rng.uniform(0.0, 1.0, n)
+    for f in (
+        lambda x: np.exp(-x * x) * np.cos(9.0 * x),
+        lambda x: np.stack([np.sin(x), x ** 3, np.exp(x)], axis=-1),
+        lambda x: np.exp(1j * 5.0 * x) * (1.0 + x),
+    ):
+        got, want = weighted_sum(nodes, weights, f), _loop_sum(nodes, weights, f)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want)
 
 
 def test_weighted_sum_repeat_bitwise_identical():

@@ -104,6 +104,16 @@ def test_basis_round_trip_small_span():
     assert max(abs(el(float(x)) - f(np.array([x]))[0]) for x in xs) <= 1e-10
 
 
+def test_n_max_is_validated_before_the_rule_is_built():
+    # the default rule size is 2 n_max + 10, capped at 300 like quad_size
+    assert HermiteBasis(n_max=145).quad_size == 300
+    assert HermiteBasis(n_max=0).quad_size == 40
+    for bad in (146, 181, -1):
+        with pytest.raises(InputError, match="n_max"):
+            HermiteBasis(n_max=bad)
+    assert HermiteBasis(n_max=181, quad_size=300).quad_size == 300
+
+
 def test_tail_bound_examples_pass():
     rep = hermite_tail_bound_check(reg("h0"), 0, 2.0, 4.0)
     assert rep.passed()

@@ -242,45 +242,39 @@ def projection_algebra_check(basis, f, k, j, points=None, space=None):
 def semigroup_max_discrepancy(basis, f, kmax, points=None):
     """Max over all pairs k, j <= kmax of the projection-algebra discrepancy.
 
-    One batched coefficient sweep of f, then for each rank j one batched
-    sweep of P_j f, which evaluates P_j f once on the union of the nodes
-    the functionals read; every lambda_m(P_j f) is still computed through
-    the coefficient functional.  Prefix accumulation over the element-value
-    table then covers all k at once in enumeration order.
+    All the P_j f are lifted into one vector-valued finite-rank element:
+    term i carries c_i in column block r if it is among the first
+    counts[r] terms and 0 otherwise, so block r is P_{ranks[r]} f to the
+    bit.  The functionals act componentwise, so one batched coefficient
+    call gives every lambda_m(P_j f).  Per rank j, a zero-prefixed
+    cumulative table of element values gives P_k P_j f for all k at once.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
     if not idxs:
         return 0.0
     coeffs = basis.coefficients(f, idxs)
-    values = np.stack([_rows(basis.element(n)(pts)) for n in idxs])  # (N, P, m)
+    values = np.stack([_rows(basis.element(n)(pts)) for n in idxs])  # (N, P, 1)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
-    counts = {r: sum(1 for g in grades if g <= r) for r in ranks}
+    counts = np.array([sum(1 for g in grades if g <= r) for r in ranks])
+    size = len(idxs)
+    keep = np.arange(size)[:, None, None] < counts[None, :, None]
+    stacked = np.where(keep, coeffs.reshape(size, 1, -1), 0).reshape(size, -1)
+    lifted = basis.coefficients(_element(basis, zip(idxs, stacked)), idxs)
+    lifted = lifted.reshape(size, len(ranks), -1)  # block r: lambda(P_{ranks[r]} f)
 
-    def prefix_sums(cs):
-        # terms in enumeration order; cumsum reproduces the accumulation loop
-        terms = np.stack([
-            values[i] * np.asarray(c) if np.ndim(c) == 0
-            else values[i] * np.asarray(c)[None, :]
-            for i, c in enumerate(cs)
-        ])
-        return np.cumsum(terms, axis=0)
+    def prefix_table(cs):
+        # row i is the sum of the first i terms, added in enumeration order
+        terms = values * cs.reshape(size, 1, -1)
+        return np.cumsum(np.concatenate([np.zeros_like(terms[:1]), terms]), axis=0)
 
-    direct = prefix_sums(coeffs)  # direct[i] = sum of first i+1 terms
+    direct = prefix_table(coeffs)
     worst = 0.0
-    for j in ranks:
-        nj = counts[j]
-        inner = _element(basis, zip(idxs[:nj], coeffs[:nj]))
-        outer = prefix_sums(basis.coefficients(inner, idxs))
-        for k in ranks:
-            nk = counts[k]
-            nmin = counts[min(k, j)]
-            left = outer[nk - 1] if nk else 0.0
-            right = direct[nmin - 1] if nmin else 0.0
-            diff = np.abs(left - right)
-            if np.size(diff):
-                worst = max(worst, float(np.max(diff)))
+    for r, nj in enumerate(counts):
+        diff = np.abs(prefix_table(lifted[:, r])[counts] - direct[np.minimum(counts, nj)])
+        if diff.size:
+            worst = max(worst, float(np.max(diff)))
     return worst
 
 
@@ -290,11 +284,17 @@ def biorthogonality_check(basis, n, m):
 
 
 def biorthogonality_matrix(basis, count):
-    """Matrix [lambda_m(f_n)] over the first ``count`` enumerated indices."""
+    """Matrix [lambda_m(f_n)] over the first ``count`` enumerated indices.
+
+    The elements are lifted into one K^count-valued finite-rank element
+    whose term a carries row a of the identity, so column a is f_{n_a}
+    exactly and one batched coefficient call gives the whole matrix.
+    """
     enum = _first_indices(basis, count)
-    out = np.zeros((count, count), dtype=np.complex128 if basis.field == "complex" else float)
-    for a, n in enumerate(enum):
-        out[:, a] = basis.coefficients(basis.element(n), enum)
+    dtype = np.complex128 if basis.field == "complex" else float
+    out = np.zeros((count, count), dtype=dtype)
+    if count:
+        out[:] = basis.coefficients(_element(basis, zip(enum, np.eye(count))), enum)
     return out
 
 

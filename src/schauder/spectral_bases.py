@@ -486,6 +486,9 @@ class DiscContext:
             raise InputError("contour_points must be a power of two, >= 4")
 
 
+TAYLOR_BLOCK = 4096
+
+
 def taylor_coefficients(f, n_max, ctx=None):
     """Derivative coefficients c_0..c_{n_max} at the disc center.
 
@@ -494,6 +497,12 @@ def taylor_coefficients(f, n_max, ctx=None):
     ascending-j accumulation per coefficient.  The contour size must be at
     least 4 n_max (aliasing margin); the residual alias error scales like
     (rho / radius-of-validity)^N.
+
+    Products are formed in real arithmetic, (pr sr - pi si) + i (pr si +
+    pi sr), as the scalar complex product does (numpy's array complex
+    multiply may fuse multiply-adds), so each column of a vector-valued
+    handle gets the bits of its scalar component.  Orders are done in
+    blocks of about ``TAYLOR_BLOCK`` products.
     """
     ctx = ctx or DiscContext()
     if n_max < 0:
@@ -508,15 +517,21 @@ def taylor_coefficients(f, n_max, ctx=None):
     ring = np.exp(1j * angles)
     zs = ctx.center + ctx.contour_radius * ring
     samples = samples_of(f, zs)
+    col = (slice(None), slice(None)) + (None,) * (samples.ndim - 1)
+    sr, si = samples.real[None], samples.imag[None]
+    step = max(1, TAYLOR_BLOCK // max(samples.size, 1))
     out = []
-    for n in range(n_max + 1):
-        phase = np.exp(-1j * (n * angles))
-        acc = np.zeros(samples.shape[1:], dtype=complex)
-        for j in range(npts):
-            acc = acc + phase[j] * samples[j]
-        scale = 1.0 / (npts * ctx.contour_radius ** n)
-        acc = acc * scale
-        out.append(acc[()] if acc.ndim == 0 else acc)
+    for start in range(0, n_max + 1, step):
+        orders = np.arange(start, min(start + step, n_max + 1))
+        phase = np.exp(-1j * (orders[:, None] * angles[None, :]))
+        pr, pi = phase.real[col], phase.imag[col]
+        terms = np.zeros((len(orders), npts + 1) + samples.shape[1:], dtype=complex)
+        terms.real[:, 1:] = pr * sr - pi * si
+        terms.imag[:, 1:] = pr * si + pi * sr
+        acc = np.add.accumulate(terms, axis=1)[:, -1]
+        for i, n in enumerate(orders):
+            row = acc[i, ...] * (1.0 / (npts * ctx.contour_radius ** int(n)))
+            out.append(row[()] if row.ndim == 0 else row)
     return out
 
 

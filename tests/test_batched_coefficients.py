@@ -11,8 +11,10 @@ from schauder import (
     HatBasis,
     HermiteBasis,
     TaylorBasis,
+    biorthogonality_matrix,
     gauss_legendre_rule,
     lp_error,
+    projection_algebra_check,
     semigroup_max_discrepancy,
     weighted_sum,
 )
@@ -56,16 +58,42 @@ def _count_element_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
-def test_semigroup_evaluates_each_partial_sum_once_per_rank(basis, monkeypatch):
+def test_semigroup_evaluates_each_partial_sum_once_per_function(basis, monkeypatch):
     kmax = 6
     f = corpus(basis.name)[4][1]
-    ranks = {int(np.ceil(basis.index_set.grade(n))) for n in basis.indices(kmax)} | {0, kmax}
     calls = _count_element_calls(monkeypatch)
     semigroup_max_discrepancy(basis, f, kmax)
-    # C^k functionals read k jets and the k-th derivative: one element each
-    per_rank = basis.k + 1 if isinstance(basis, CkBasis) else 1
-    assert 0 < len(calls) <= per_rank * len(ranks)
+    # all the P_j f are one lifted element; C^k functionals read k jets and
+    # the k-th derivative of it, one element each
+    evaluations = basis.k + 1 if isinstance(basis, CkBasis) else 1
+    assert 0 < len(calls) <= evaluations
     assert len({id(el) for el in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_semigroup_equals_max_of_pairwise_checks(basis):
+    kmax = 6
+    for _, f in corpus(basis.name)[:4]:
+        pairwise = max(projection_algebra_check(basis, f, k, j)
+                       for k in range(kmax + 1) for j in range(kmax + 1))
+        assert semigroup_max_discrepancy(basis, f, kmax) == pairwise
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_semigroup_of_a_stack_is_the_max_over_its_components(basis):
+    funcs = [f for _, f in corpus(basis.name)[:3]]
+    scalar = [semigroup_max_discrepancy(basis, f, 6) for f in funcs]
+    assert semigroup_max_discrepancy(basis, vector_stack(funcs), 6) == max(scalar)
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_biorthogonality_matrix_equals_per_element_loop(basis):
+    count = 8
+    enum = basis.indices(count)[:count]
+    want = np.array([[basis.coefficient(basis.element(n), m) for n in enum] for m in enum])
+    got = biorthogonality_matrix(basis, count)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_lp_error_matches_segment_by_segment_loop():

@@ -25,6 +25,7 @@ from schauder import (
     taylor_coefficients,
     to_s_space,
 )
+from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 
 PI_Q = np.pi ** 0.25
@@ -248,6 +249,35 @@ def test_recentred_series():
     got = taylor_coefficient(reg("poly-z"), 1, ctx)
     # d/dz (z^3 + 2z + 1) at 1
     assert abs(got - 5.0) <= 1e-12
+
+
+def _contour_loop(f, n_max, ctx):
+    """c_0..c_{n_max} by one scalar complex product per contour node."""
+    npts = ctx.contour_points
+    angles = 2.0 * np.pi * np.arange(npts) / npts
+    samples = np.asarray(f(ctx.center + ctx.contour_radius * np.exp(1j * angles)))
+    out = []
+    for n in range(n_max + 1):
+        phase = np.exp(-1j * (n * angles))
+        acc = np.zeros((), dtype=complex)
+        for j in range(npts):
+            acc = acc + phase[j] * samples[j]
+        out.append(acc * (1.0 / (npts * ctx.contour_radius ** n)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ctx", [DiscContext(), DiscContext(0.3 + 0.1j, 5.0, 0.7, 256)],
+                         ids=["unit", "shifted"])
+def test_taylor_coefficients_equal_scalar_contour_loop(ctx):
+    n_max = ctx.contour_points // 4
+    funcs = [f for _, f in corpus("taylor")]
+    for f in funcs:
+        got = np.array(taylor_coefficients(f, n_max, ctx))
+        assert np.array_equal(got, _contour_loop(f, n_max, ctx))
+    stack = np.array(taylor_coefficients(vector_stack(funcs[:3]), n_max, ctx))
+    assert stack.shape == (n_max + 1, 3)
+    for i, f in enumerate(funcs[:3]):
+        assert np.array_equal(stack[:, i], taylor_coefficients(f, n_max, ctx))
 
 
 def test_contour_must_resolve_requested_order():

@@ -10,7 +10,6 @@ from .basis_core import (
     BasisFamily,
     ExpansionOperator,
     FiniteRankElement,
-    biorthogonality_check,
     biorthogonality_matrix,
     coefficient_sweep,
     convergence_report,
@@ -37,11 +36,8 @@ from .interval_bases import (
     PiecewisePolynomial,
     antiderivative,
     ck_basis_element,
-    ck_coefficient,
-    haar_coefficient,
     haar_constancy_intervals,
     haar_eval,
-    hat_coefficient,
     hat_coefficients,
     hat_function,
     lp_error,
@@ -55,7 +51,6 @@ from .quadrature import (
     gauss_legendre_rule,
     integral_bound_check,
     integrate_gauss_hermite,
-    integrate_interval,
     integrate_periodic,
     periodic_rule,
     weighted_sum,
@@ -80,13 +75,10 @@ from .spectral_bases import (
     TaylorBasis,
     cr_residual,
     fourier_coefficient,
-    fourier_partial_sum,
-    hermite_coefficient,
     hermite_function,
     hermite_polynomial,
     hermite_tail_bound_check,
     schwartz_seminorm,
-    taylor_coefficient,
     taylor_coefficients,
     to_s_space,
 )

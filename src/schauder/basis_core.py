@@ -28,7 +28,6 @@ __all__ = [
     "partial_sum",
     "projection_algebra_check",
     "semigroup_max_discrepancy",
-    "biorthogonality_check",
     "biorthogonality_matrix",
     "vector_scalar_consistency",
     "distinctness_check",
@@ -131,12 +130,9 @@ class FiniteRankElement:
     """A finite sum of simple tensors sum_n f_n (x) e_n.
 
     ``terms`` is an ordered list of ``(handle, coefficient)`` pairs;
-    coefficients are scalars or equal-length vectors.  The element acts two
-    ways, and the two agree bit for bit at shared points:
-
-    * as a map on functionals: y -> sum_n y(f_n) * e_n,
-    * as a function: x -> sum_n f_n(x) * e_n (the functional action of the
-      point evaluation at x).
+    coefficients are scalars or equal-length vectors.  Called at x, the
+    element is sum_n f_n(x) * e_n, added in term order: the action of the
+    point evaluation at x.
     """
 
     def __init__(self, terms):
@@ -144,18 +140,6 @@ class FiniteRankElement:
 
     def __len__(self):
         return len(self.terms)
-
-    def apply_functional(self, y):
-        """sum_n y(f_n) e_n accumulated in term order."""
-        if not self.terms:
-            return 0.0
-        acc = None
-        for handle, coeff in self.terms:
-            contrib = y(handle) * np.asarray(coeff)
-            acc = contrib if acc is None else acc + contrib
-        if np.ndim(acc) == 0:
-            return acc[()] if isinstance(acc, np.ndarray) else acc
-        return acc
 
     def __call__(self, x):
         x = np.asarray(x)
@@ -276,11 +260,6 @@ def semigroup_max_discrepancy(basis, f, kmax, points=None):
         if diff.size:
             worst = max(worst, float(np.max(diff)))
     return worst
-
-
-def biorthogonality_check(basis, n, m):
-    """lambda_m applied to the n-th basis element (delta_nm up to tolerance)."""
-    return basis.coefficient(basis.element(n), m)
 
 
 def biorthogonality_matrix(basis, count):

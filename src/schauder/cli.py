@@ -273,12 +273,7 @@ def _cmd_bases(args):
         "bases": BASIS_SCHEMAS,
         "functions": registry.describe(),
     }
-    text = json.dumps(_py(payload), sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, None, "json", args.output)
     return 0
 
 
@@ -394,6 +389,8 @@ def _cmd_verify(args, cfg):
     seed = args.seed if args.seed is not None else int(
         os.environ.get("SCHAUDER_SEED", "0")
     )
+    if args.max_n < 1:
+        raise InputError(f"--max-n must be >= 1 for verify, got {args.max_n}")
     rng = np.random.default_rng(seed)
     names = [args.basis] if args.basis else list(VERIFY_BASES)
     for n in names:
@@ -410,12 +407,7 @@ def _cmd_verify(args, cfg):
         for chk in per_basis.values()
     ) and report["quadrature"]["integral_bound"]["pass"]
     report["pass"] = ok
-    text = json.dumps(_py(report), sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, None, "json", args.output)
     return 0 if ok else 1
 
 

@@ -28,14 +28,11 @@ __all__ = [
     "DenseSequence",
     "haar_eval",
     "haar_constancy_intervals",
-    "haar_coefficient",
     "hat_function",
     "schauder_hat",
-    "hat_coefficient",
     "hat_coefficients",
     "antiderivative",
     "ck_basis_element",
-    "ck_coefficient",
     "lp_error",
     "HaarBasis",
     "HatBasis",
@@ -241,7 +238,7 @@ class DenseSequence:
     t_n lies strictly between points[left[n]] and points[right[n]] (entries
     0 and 1 are -1: the endpoints have no neighbours).  The neighbours are
     the support of hat n and the chord ends of its hierarchical surplus (see
-    ``hat_coefficients``).  Instances are immutable.
+    ``HatBasis``).  Instances are immutable.
     """
 
     def __init__(self, points):
@@ -356,48 +353,6 @@ def _haar_piece_panels(lo, hi):
     return max(4, 2 ** max(0, 6 - level))
 
 
-def haar_coefficient(f, n, panels=None, order=8):
-    """The raw Haar integral  integral_0^1 f(x) h_n(x) dx.
-
-    Computed piecewise on the constancy intervals so jump locations never sit
-    inside a quadrature panel.  Note this is the plain integral; the Haar
-    basis family normalizes by ||h_n||_2^2 to make the functionals
-    biorthogonal (see ``HaarBasis``).
-    """
-    return _haar_integrals(f, [n], panels, order)[0]
-
-
-def _haar_integrals(f, idxs, panels, order):
-    """Raw Haar integrals of every index in ``idxs``, ``f`` evaluated once.
-
-    Each constancy interval gets its own composite rule; intervals with the
-    same panel count are built and accumulated together, then each index
-    adds its signed interval sums in interval order.
-    """
-    pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
-              for lo, hi, sign in haar_constancy_intervals(n)]
-    counts = [panels if panels is not None else _haar_piece_panels(lo, hi)
-              for _, lo, hi, _ in pieces]
-    lo = np.array([p[1] for p in pieces])
-    hi = np.array([p[2] for p in pieces])
-    groups = []
-    for c in sorted(set(counts)):
-        sel = [j for j, cj in enumerate(counts) if cj == c]
-        groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=order))
-    samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
-    sums, start = [None] * len(pieces), 0
-    for sel, nodes, weights in groups:
-        block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
-        start += nodes.size
-        for j, piece in zip(sel, accumulate(weights.T, block.swapaxes(0, 1))):
-            sums[j] = piece
-    acc = [None] * len(idxs)
-    for (i, _, _, sign), piece in zip(pieces, sums):
-        contrib = sign * piece
-        acc[i] = contrib if acc[i] is None else acc[i] + contrib
-    return np.array(acc)
-
-
 class HaarBasis(BasisFamily):
     """The Haar system, enumerated from 1 in the classical level order.
 
@@ -428,10 +383,38 @@ class HaarBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
+        """2^k times the raw integral of f h_n, ``f`` evaluated once.
+
+        Each constancy interval gets its own composite rule, so jump
+        locations never sit inside a quadrature panel; intervals with the
+        same panel count are built and accumulated together, then each index
+        adds its signed interval sums in interval order.
+        """
         idxs = [int(n) for n in idxs]
         for n in idxs:
             self.index_set.validate_member(n)
-        raw = _haar_integrals(f, idxs, self.panels, self.order)
+        pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
+                  for lo, hi, sign in haar_constancy_intervals(n)]
+        counts = [self.panels if self.panels is not None else _haar_piece_panels(lo, hi)
+                  for _, lo, hi, _ in pieces]
+        lo = np.array([p[1] for p in pieces])
+        hi = np.array([p[2] for p in pieces])
+        groups = []
+        for c in sorted(set(counts)):
+            sel = [j for j, cj in enumerate(counts) if cj == c]
+            groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=self.order))
+        samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
+        sums, start = [None] * len(pieces), 0
+        for sel, nodes, weights in groups:
+            block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
+            start += nodes.size
+            for j, piece in zip(sel, accumulate(weights.T, block.swapaxes(0, 1))):
+                sums[j] = piece
+        acc = [None] * len(idxs)
+        for (i, _, _, sign), piece in zip(pieces, sums):
+            contrib = sign * piece
+            acc[i] = contrib if acc[i] is None else acc[i] + contrib
+        raw = np.array(acc)
         scale = np.array([float(2 ** _haar_split(n)[0]) if n > 1 else 1.0 for n in idxs])
         return raw * scale.reshape(scale.shape + (1,) * (raw.ndim - 1))
 
@@ -510,60 +493,22 @@ def schauder_hat(seq, n):
     return PiecewisePolynomial(bps, rows)
 
 
-def _hat_surplus(seq, f, idxs):
-    """lambda_n(f) for every n in ``idxs``, as one array.
-
-    ``f`` is evaluated once, in ascending index order, on just the points the
-    requested coefficients read: each t_n and its flanking neighbours.
-    """
-    if not isinstance(seq, DenseSequence):
-        raise InputError("hat coefficients need a DenseSequence")
-    idx = np.asarray(idxs, dtype=np.intp)
-    outside = (idx < 0) | (idx >= len(seq))
-    if outside.any():
-        raise InputError(
-            f"coefficient index {int(idx[outside][0])} out of range for this sequence"
-        )
-    interior = idx >= 2
-    inner = idx[interior]
-    lft, rgt = seq.left[inner], seq.right[inner]
-    need = np.unique(np.concatenate([idx, lft, rgt]))
-    fv = samples_of(f, seq.points[need])
-    t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
-    col = (slice(None),) + (None,) * (fv.ndim - 1)
-    wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
-
-    def at(i):
-        return fv[np.searchsorted(need, i)]
-
-    out = at(idx)
-    out[interior] = at(inner) - (wl * at(lft) + wr * at(rgt))
-    return out
-
-
 def hat_coefficients(seq, f, n):
-    """The full coefficient prefix lambda_0(f), ..., lambda_n(f).
+    """The full coefficient prefix lambda_0(f), ..., lambda_n(f) (see ``HatBasis``)."""
+    # a negative n is passed on alone, to be reported as out of range
+    return list(HatBasis(seq).coefficients(f, np.arange(n + 1) if n >= 0 else [n]))
+
+
+class HatBasis(BasisFamily):
+    """Piecewise-linear interpolation system over a dense point sequence.
 
     lambda_0 = f(a), lambda_1 = f(b), and for n >= 2 the hierarchical
     surplus lambda_n = f(t_n) - (w_l f(t_left) + w_r f(t_right)): f at the
     new point minus the chord through its flanking neighbours, which is
     P_{n-1} f(t_n) because the rank n-1 interpolant is affine on the cell
     that t_n splits.  Chord weights w_l = (t_right - t_n) / (t_right -
-    t_left) and w_r = (t_n - t_left) / (t_right - t_left).  One evaluation
-    of ``f`` on t_0..t_n, then one vectorized step; vector-valued handles
-    get componentwise-identical arithmetic.
+    t_left) and w_r = (t_n - t_left) / (t_right - t_left).
     """
-    # a negative n is passed on alone, to be reported as out of range
-    return list(_hat_surplus(seq, f, np.arange(n + 1) if n >= 0 else [n]))
-
-
-def hat_coefficient(seq, f, n):
-    """lambda_n(f) for the hat family of ``seq``; evaluates f on at most 3 points."""
-    return _hat_surplus(seq, f, [n])[0]
-
-
-class HatBasis(BasisFamily):
-    """Piecewise-linear interpolation system over a dense point sequence."""
 
     name = "hat"
     field = "real"
@@ -572,6 +517,8 @@ class HatBasis(BasisFamily):
 
     def __init__(self, seq=None):
         self.seq = seq if seq is not None else DenseSequence.dyadic()
+        if not isinstance(self.seq, DenseSequence):
+            raise InputError("hat coefficients need a DenseSequence")
         self.index_set = IndexSet("linear", origin=0)
         self._elements = {}
 
@@ -584,7 +531,32 @@ class HatBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        return _hat_surplus(self.seq, f, [int(n) for n in idxs])
+        """``f`` is evaluated once, in ascending index order, on just the points
+        the requested coefficients read: each t_n and its flanking neighbours;
+        then one vectorized step.  Vector-valued handles get componentwise
+        identical arithmetic."""
+        seq = self.seq
+        idx = np.asarray(idxs, dtype=np.intp)
+        outside = (idx < 0) | (idx >= len(seq))
+        if outside.any():
+            raise InputError(
+                f"coefficient index {int(idx[outside][0])} out of range for this sequence"
+            )
+        interior = idx >= 2
+        inner = idx[interior]
+        lft, rgt = seq.left[inner], seq.right[inner]
+        need = np.unique(np.concatenate([idx, lft, rgt]))
+        fv = samples_of(f, seq.points[need])
+        t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
+        col = (slice(None),) + (None,) * (fv.ndim - 1)
+        wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
+
+        def at(i):
+            return fv[np.searchsorted(need, i)]
+
+        out = at(idx)
+        out[interior] = at(inner) - (wl * at(lft) + wr * at(rgt))
+        return out
 
     def sample_points(self):
         a, b = self.seq.a, self.seq.b
@@ -624,34 +596,6 @@ def ck_basis_element(seq, k, n):
     return pp
 
 
-def ck_coefficient(seq, k, f, n):
-    """Coefficient functional n of the C^k family.
-
-    mu_n(f) = f^(n)(a) for n < k, and the hat coefficient
-    lambda_{n-k}(f^(k)) otherwise.  ``f`` must provide exact derivative
-    handles up to order k (a FunctionBundle, a PiecewisePolynomial, or a
-    materialized sum of such terms).
-    """
-    return _ck_coefficients(seq, k, f, [n])[0]
-
-
-def _ck_coefficients(seq, k, f, idxs):
-    """mu_n(f) for every n in ``idxs``: each jet f^(n)(a) is read once, and
-    f^(k) is evaluated once for all the hat coefficients."""
-    idx = np.asarray(idxs, dtype=np.intp)
-    if (idx < 0).any():
-        raise InputError("coefficient index must be >= 0")
-    bundle = as_bundle(f, max_order=min(int(idx.max()), k))
-    out = [None] * idx.size
-    for pos in np.flatnonzero(idx < k):
-        out[pos] = np.asarray(bundle.derivative(int(idx[pos]))(np.array([seq.a])))[0]
-    smooth = np.flatnonzero(idx >= k)
-    if smooth.size:
-        for pos, value in zip(smooth, _hat_surplus(seq, bundle.derivative(k), idx[smooth] - k)):
-            out[pos] = value
-    return np.array(out)
-
-
 class CkBasis(BasisFamily):
     """C^k functions on an interval: jets at a, then smoothed hats.
 
@@ -668,7 +612,8 @@ class CkBasis(BasisFamily):
         if k < 0:
             raise InputError("smoothness order k must be >= 0")
         self.k = int(k)
-        self.seq = seq if seq is not None else DenseSequence.dyadic()
+        self._hats = HatBasis(seq)
+        self.seq = self._hats.seq
         self.index_set = IndexSet("linear", origin=0)
         self._elements = {}
 
@@ -681,7 +626,24 @@ class CkBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        return _ck_coefficients(self.seq, self.k, f, [int(n) for n in idxs])
+        """mu_n(f) = f^(n)(a) for n < k, and the hat coefficient
+        lambda_{n-k}(f^(k)) otherwise.  ``f`` must provide exact derivative
+        handles up to order k (a FunctionBundle, a PiecewisePolynomial, or a
+        materialized sum of such terms).  Each jet f^(n)(a) is read once,
+        and f^(k) is evaluated once for all the hat coefficients."""
+        idx = np.asarray([int(n) for n in idxs], dtype=np.intp)
+        if (idx < 0).any():
+            raise InputError("coefficient index must be >= 0")
+        k = self.k
+        bundle = as_bundle(f, max_order=min(int(idx.max()), k))
+        out = [None] * idx.size
+        for pos in np.flatnonzero(idx < k):
+            out[pos] = np.asarray(bundle.derivative(int(idx[pos]))(np.array([self.seq.a])))[0]
+        smooth = np.flatnonzero(idx >= k)
+        if smooth.size:
+            for pos, value in zip(smooth, self._hats.coefficients(bundle.derivative(k), idx[smooth] - k)):
+                out[pos] = value
+        return np.array(out)
 
     def sample_points(self):
         return np.linspace(self.seq.a, self.seq.b, 513)

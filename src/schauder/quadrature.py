@@ -177,12 +177,6 @@ def segment_rules(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     return nodes.reshape(a.size, -1), weights.reshape(a.size, -1)
 
 
-def integrate_interval(f, a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
-    """Integral of ``f`` over [a, b] by the composite Gauss-Legendre rule."""
-    rule = gauss_legendre_rule(a, b, panels=panels, order=order)
-    return weighted_sum(rule.nodes, rule.weights, f)
-
-
 def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     """Tensor composite Gauss-Legendre rule on the box [-c, c]^d.
 

@@ -205,34 +205,42 @@ def _weighted_sup(x, weights, space):
     return vals if space is not None else float(vals[0])
 
 
-def c0_seminorm(x, matrix, j, space=None):
-    """|x|_j = sup_k p(x_k) a(k, j) for the Koethe space c_0(A, E)."""
-    weights = []
+def _weights(x, kind, matrix=None, j=None, l=None):
+    """Per-entry weights of the c0, s or en seminorm, in the order of x.indices.
+
+    c0 -> a(n, j) of the Koethe matrix; s -> (1 + |n|^2)^{j/2}; en -> the
+    indicator of n <= l.  c0 and en take positive integer indices only.
+    """
+    if kind == "s":
+        if j < 0:
+            raise InputError("weight order must be >= 0")
+        return [(1.0 + _grade(idx) ** 2) ** (0.5 * j) for idx in x.indices]
+    if kind == "en" and l < 1:
+        raise InputError("coordinate cutoff must be >= 1")
     for idx in x.indices:
         if isinstance(idx, tuple) or idx < 1:
-            raise InputError("c_0(A) indices must be positive integers (rows of A)")
-        weights.append(matrix.entry(int(idx), j))
-    return _weighted_sup(x, weights, space)
+            raise InputError(
+                "c_0(A) indices must be positive integers (rows of A)" if kind == "c0"
+                else "E^N indices must be positive integers"
+            )
+    if kind == "c0":
+        return [matrix.entry(int(idx), j) for idx in x.indices]
+    return [1.0 if idx <= l else 0.0 for idx in x.indices]
+
+
+def c0_seminorm(x, matrix, j, space=None):
+    """|x|_j = sup_k p(x_k) a(k, j) for the Koethe space c_0(A, E)."""
+    return _weighted_sup(x, _weights(x, "c0", matrix=matrix, j=j), space)
 
 
 def s_seminorm(x, j, space=None):
     """|x|_j = sup_k p(x_k) (1 + |k|^2)^{j/2} for the rapid-decay space."""
-    if j < 0:
-        raise InputError("weight order must be >= 0")
-    weights = [(1.0 + _grade(idx) ** 2) ** (0.5 * j) for idx in x.indices]
-    return _weighted_sup(x, weights, space)
+    return _weighted_sup(x, _weights(x, "s", j=j), space)
 
 
 def en_seminorm(x, l, space=None):
     """sup over k <= l of p(x_k): the coordinate seminorms of the product E^N."""
-    if l < 1:
-        raise InputError("coordinate cutoff must be >= 1")
-    weights = []
-    for idx in x.indices:
-        if isinstance(idx, tuple) or idx < 1:
-            raise InputError("E^N indices must be positive integers")
-        weights.append(1.0 if idx <= l else 0.0)
-    return _weighted_sup(x, weights, space)
+    return _weighted_sup(x, _weights(x, "en", l=l), space)
 
 
 # ---------------------------------------------------------------------------
@@ -314,28 +322,21 @@ def projection_error_profile(x, kind, ranks, matrix=None, j=None, l=None,
     """
     _check_kind(kind)
     sp = _space_for(x, space)
-    if kind == "c0":
-        if matrix is None or j is None:
-            raise InputError("c0 profile needs the weight matrix and column j")
-        weights = np.array([matrix.entry(int(i), j) for i in x.indices])
-        rows = x.rows()
-    elif kind == "s":
-        if j is None:
-            raise InputError("s profile needs the weight order j")
-        weights = np.array([(1.0 + _grade(i) ** 2) ** (0.5 * j) for i in x.indices])
-        rows = x.rows()
-    elif kind == "en":
-        if l is None:
-            raise InputError("E^N profile needs the coordinate cutoff l")
-        weights = np.array([1.0 if (not isinstance(i, tuple) and i <= l) else 0.0
-                            for i in x.indices])
-        rows = x.rows()
-    else:
+    if kind == "c0" and (matrix is None or j is None):
+        raise InputError("c0 profile needs the weight matrix and column j")
+    if kind == "s" and j is None:
+        raise InputError("s profile needs the weight order j")
+    if kind == "en" and l is None:
+        raise InputError("E^N profile needs the coordinate cutoff l")
+    if kind == "c":
         if x.limit is None:
             raise InputError("convergent-sequence profile needs a declared limit")
         weights = np.ones(len(x.indices))
         lim = np.atleast_1d(np.asarray(x.limit))
         rows = x.rows() - lim[None, :]
+    else:
+        weights = np.array(_weights(x, kind, matrix=matrix, j=j, l=l))
+        rows = x.rows()
     table = sp.seminorm_table(rows) * weights[:, None]
     grades = np.array([_grade(i) for i in x.indices])
     out = []

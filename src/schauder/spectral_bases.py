@@ -31,18 +31,15 @@ from .sequence_spaces import TruncatedSequence
 __all__ = [
     "hermite_polynomial",
     "hermite_function",
-    "hermite_coefficient",
     "HermiteBasis",
     "hermite_tail_bound_check",
     "TailBoundReport",
     "schwartz_seminorm",
     "PeriodicContext",
     "fourier_coefficient",
-    "fourier_partial_sum",
     "FourierBasis",
     "DiscContext",
     "taylor_coefficients",
-    "taylor_coefficient",
     "TaylorBasis",
     "cr_residual",
     "to_s_space",
@@ -194,13 +191,6 @@ class HermiteBasis(BasisFamily):
         axis = np.linspace(-5.0, 5.0, 41)
         grids = np.meshgrid(*([axis] * self.d), indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def hermite_coefficient(f, n, d=1, quad_size=None):
-    """f_hat(n) = integral over R^d of f h_n, one-off convenience form."""
-    n_max = max(_as_multi(n, d)) if d > 1 else int(np.max(n))
-    basis = HermiteBasis(d=d, n_max=max(n_max, 1), quad_size=quad_size)
-    return basis.coefficient(f, n)
 
 
 # -- weighted tail bound for truncated Hermite integrals ---------------------
@@ -368,39 +358,19 @@ def _as_lattice(n, d):
 
 
 def fourier_coefficient(f, n, ctx=None):
-    """f_hat(n) = (2 pi)^{-d} integral over [-pi, pi]^d of f(x) e^{-i<n, x>}.
-
-    The rectangle rule is exact for trigonometric polynomials with every
-    mode gap below the grid size; modes beyond (grid_size - 1) / 2 alias and
-    are rejected.
-    """
-    return _fourier_coefficients(f, [n], ctx or PeriodicContext())[0]
-
-
-def _fourier_coefficients(f, idxs, ctx):
-    """f_hat(n) for every mode in ``idxs``: one evaluation of ``f`` on the
-    rectangle rule, then one integrand and one accumulation per mode."""
-    modes = [_as_lattice(n, ctx.d) for n in idxs]
-    for n, ns in zip(idxs, modes):
-        if max(abs(c) for c in ns) > ctx.max_mode:
-            raise InputError(
-                f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
-                f"of a size-{ctx.grid_size} grid"
-            )
-    rule = periodic_rule(ctx.grid_size, d=ctx.d)
-    fv = samples_of(f, rule.nodes)
-    out = []
-    for ns in modes:
-        phase = rule.nodes * ns[0] if ctx.d == 1 else rule.nodes @ np.asarray(ns, dtype=float)
-        ph = np.exp(-1j * phase)
-        terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
-        require_finite(rule.nodes, terms)
-        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
-    return np.array(out)
+    """f_hat(n) on the torus of ``ctx`` (see ``FourierBasis``)."""
+    ctx = ctx or PeriodicContext()
+    return FourierBasis(d=ctx.d, grid_size=ctx.grid_size).coefficient(f, n)
 
 
 class FourierBasis(BasisFamily):
-    """Exponential modes e^{i<n, x>} on [-pi, pi]^d, Euclidean-graded."""
+    """Exponential modes e^{i<n, x>} on [-pi, pi]^d, Euclidean-graded.
+
+    f_hat(n) = (2 pi)^{-d} integral over [-pi, pi]^d of f(x) e^{-i<n, x>}
+    by the rectangle rule, which is exact for trigonometric polynomials
+    with every mode gap below the grid size; modes beyond
+    (grid_size - 1) / 2 alias and are rejected.
+    """
 
     name = "fourier"
     field = "complex"
@@ -431,7 +401,26 @@ class FourierBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        return _fourier_coefficients(f, idxs, self.ctx)
+        """One evaluation of ``f`` on the rectangle rule, then one integrand
+        and one accumulation per mode."""
+        ctx = self.ctx
+        modes = [_as_lattice(n, ctx.d) for n in idxs]
+        for n, ns in zip(idxs, modes):
+            if max(abs(c) for c in ns) > ctx.max_mode:
+                raise InputError(
+                    f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
+                    f"of a size-{ctx.grid_size} grid"
+                )
+        rule = periodic_rule(ctx.grid_size, d=ctx.d)
+        fv = samples_of(f, rule.nodes)
+        out = []
+        for ns in modes:
+            phase = rule.nodes * ns[0] if ctx.d == 1 else rule.nodes @ np.asarray(ns, dtype=float)
+            ph = np.exp(-1j * phase)
+            terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
+            require_finite(rule.nodes, terms)
+            out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
+        return np.array(out)
 
     def indices(self, k):
         idxs = self.index_set.up_to(k)
@@ -443,15 +432,6 @@ class FourierBasis(BasisFamily):
         if self.d == 1:
             return periodic_rule(256).nodes
         return periodic_rule(24, d=self.d).nodes
-
-
-def fourier_partial_sum(f, k, x, ctx=None):
-    """The graded partial sum sum over |n| <= k of f_hat(n) e^{i<n, x>} at x."""
-    ctx = ctx or PeriodicContext()
-    basis = FourierBasis(d=ctx.d, n_max=max(int(k), 1), grid_size=ctx.grid_size)
-    from .basis_core import partial_sum as _ps
-
-    return _ps(basis, f, k, x)
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +513,6 @@ def taylor_coefficients(f, n_max, ctx=None):
             row = acc[i, ...] * (1.0 / (npts * ctx.contour_radius ** int(n)))
             out.append(row[()] if row.ndim == 0 else row)
     return out
-
-
-def taylor_coefficient(f, n, ctx=None):
-    """c_n alone; see ``taylor_coefficients``."""
-    return taylor_coefficients(f, n, ctx)[n]
 
 
 class TaylorBasis(BasisFamily):

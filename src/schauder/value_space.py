@@ -125,12 +125,7 @@ class ValueSpace:
         """Evaluate the alpha-th seminorm on vector ``v``."""
         if not 0 <= alpha < len(self.seminorms):
             raise InputError(f"seminorm index {alpha} out of range")
-        v = np.asarray(v)
-        if v.shape != (self.dimension,):
-            raise InputError(
-                f"vector has shape {v.shape}, space dimension is {self.dimension}"
-            )
-        return self._apply(self.seminorms[alpha], v)
+        return float(self.seminorm_values(v)[alpha])
 
     def seminorm_values(self, v):
         """All seminorms of ``v`` as a float array of length len(seminorms)."""
@@ -139,7 +134,7 @@ class ValueSpace:
             raise InputError(
                 f"vector has shape {v.shape}, space dimension is {self.dimension}"
             )
-        return np.array([self._apply(s, v) for s in self.seminorms])
+        return self.seminorm_table(v[None, :])[0].astype(float)
 
     def seminorm_labels(self):
         """Stable short labels, used for CSV headers and reports."""
@@ -170,23 +165,10 @@ class ValueSpace:
                 cols.append(np.max(a[:, mask], axis=1))
         return np.stack(cols, axis=1)
 
-    @staticmethod
-    def _apply(spec, v):
-        a = np.abs(v)
-        if spec.kind == "sup":
-            return float(np.max(a))
-        if spec.kind == "weighted-sup":
-            return float(np.max(np.asarray(spec.weights) * a))
-        if spec.kind == "euclidean":
-            return float(np.sqrt(np.sum(a * a)))
-        mask = np.asarray(spec.weights) > 0
-        return float(np.max(a[mask]))
-
     def _check_separation(self):
-        for i in range(self.dimension):
-            e = np.zeros(self.dimension)
-            e[i] = 1.0
-            if all(self._apply(s, e) == 0.0 for s in self.seminorms):
+        # row i holds every seminorm of the unit vector e_i
+        for i, row in enumerate(self.seminorm_table(np.eye(self.dimension))):
+            if not np.any(row):
                 raise InputError(
                     f"seminorm family does not separate coordinate {i}"
                 )

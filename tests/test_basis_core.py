@@ -10,7 +10,6 @@ from schauder import (
     HatBasis,
     InputError,
     TaylorBasis,
-    biorthogonality_check,
     biorthogonality_matrix,
     coefficient_sweep,
     convergence_report,
@@ -74,8 +73,8 @@ def test_semigroup_discrepancy_small_rank():
 
 def test_biorthogonality_check_values():
     basis = HatBasis()
-    assert biorthogonality_check(basis, 3, 3) == 1.0
-    assert biorthogonality_check(basis, 2, 3) == 0.0
+    assert basis.coefficient(basis.element(3), 3) == 1.0
+    assert basis.coefficient(basis.element(2), 3) == 0.0
 
 
 def test_biorthogonality_matrix_real_and_complex():

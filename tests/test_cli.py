@@ -142,6 +142,14 @@ def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
     assert "n_max" in err and "145" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_rejects_max_n_below_one(capsys, max_n):
+    rc, out, err = _run(capsys, ["verify", "--basis", "haar", "--max-n", max_n])
+    assert rc == 2
+    assert out == ""
+    assert "--max-n" in err
+
+
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"basis": "fourier", "fn": "cos", "max_n": 1}))

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schauder import HatBasis, biorthogonality_matrix, hat_coefficient, hat_coefficients, schauder_hat
+from schauder import HatBasis, biorthogonality_matrix, hat_coefficients, schauder_hat
 from schauder.interval_bases import DenseSequence
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -62,7 +62,7 @@ def test_single_coefficient_equals_prefix_entry(seq, i):
     n = len(seq) - 1
     prefix = hat_coefficients(seq, f, n)
     for m in range(n + 1):
-        assert np.array_equal(hat_coefficient(seq, f, m), prefix[m])
+        assert np.array_equal(HatBasis(seq).coefficient(f, m), prefix[m])
 
 
 @PROPS
@@ -75,4 +75,4 @@ def test_stacked_coefficients_equal_scalar_ones(seq):
     scalar = np.stack([np.asarray(hat_coefficients(seq, h, n)) for h in handles], axis=-1)
     assert np.array_equal(vec, scalar)
     for m in range(n + 1):
-        assert np.array_equal(hat_coefficient(seq, stack, m), scalar[m])
+        assert np.array_equal(HatBasis(seq).coefficient(stack, m), scalar[m])

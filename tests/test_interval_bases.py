@@ -20,11 +20,8 @@ from schauder import (
     ValueSpace,
     antiderivative,
     ck_basis_element,
-    ck_coefficient,
-    haar_coefficient,
     haar_constancy_intervals,
     haar_eval,
-    hat_coefficient,
     hat_coefficients,
     hat_function,
     lp_error,
@@ -178,17 +175,23 @@ def test_step_constancy_intervals():
     assert haar_constancy_intervals(1) == [(0.0, 1.0, 1)]
 
 
+def _raw_step_integral(f, n):
+    # the family's functional is 2^k times the raw integral of f h_n, n = 2^k + j
+    k = (n - 1).bit_length() - 1 if n > 1 else 0
+    return HaarBasis().coefficient(f, n) / 2 ** k
+
+
 def test_step_raw_coefficients_match_exact_rational_oracle():
     for n in range(1, 13):
         for m in range(1, 13):
             want = float(_exact_product_integral(n, m))
-            got = haar_coefficient(lambda x, m=m: haar_eval(m, x), n)
+            got = _raw_step_integral(lambda x, m=m: haar_eval(m, x), n)
             assert abs(got - want) <= 1e-14, (n, m)
 
 
 def test_step_raw_coefficient_of_identity():
     # first mean-zero step against f(x) = x: left mass 1/8 + right mass -3/8
-    got = haar_coefficient(lambda x: np.asarray(x, dtype=float), 2)
+    got = _raw_step_integral(lambda x: np.asarray(x, dtype=float), 2)
     assert abs(got + 0.25) <= 1e-13
 
 
@@ -261,8 +264,20 @@ def test_hat_coefficient_frozen_values():
     T = DenseSequence.dyadic()
     f = lambda x: np.asarray(x) ** 2
     # interpolation defect of x^2 at the first midpoint: 1/4 - 1/2
-    assert hat_coefficient(T, f, 2) == -0.25
+    assert HatBasis(T).coefficient(f, 2) == -0.25
     assert hat_coefficients(T, f, 4) == [0.0, 1.0, -0.25, -0.0625, -0.0625]
+
+
+def test_hat_coefficient_out_of_range_is_an_input_error():
+    T = DenseSequence.dyadic(3)
+    f = lambda x: np.asarray(x) ** 2
+    for n in (-1, len(T)):
+        with pytest.raises(InputError):
+            HatBasis(T).coefficient(f, n)
+    with pytest.raises(InputError):
+        hat_coefficients(T, f, -1)
+    with pytest.raises(InputError):
+        HatBasis([0.0, 1.0, 0.5])
 
 
 def test_hat_coefficient_evaluates_at_most_three_points():
@@ -275,7 +290,7 @@ def test_hat_coefficient_evaluates_at_most_three_points():
     T = DenseSequence.dyadic()
     for n in (0, 1, 2, 3, 17, 500, len(T) - 1):
         seen.clear()
-        hat_coefficient(T, f, n)
+        HatBasis(T).coefficient(f, n)
         assert seen and sum(seen) <= 3, (n, seen)
 
 

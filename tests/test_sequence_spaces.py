@@ -190,6 +190,25 @@ def test_coordinate_profile_hits_zero_at_the_window():
     assert prof[3][1] == 0.0
 
 
+def test_c0_profile_rejects_multi_indices_as_the_seminorm_does():
+    km = KotheMatrix.from_function(lambda k, j: float(k) ** (j - 1), 4, 2)
+    multi = _seq([1.0, 2.0], indices=((1, 0), (0, 1)), space="c0")
+    with pytest.raises(InputError):
+        c0_seminorm(multi, km, 2)
+    with pytest.raises(InputError):
+        projection_error_profile(multi, "c0", [0, 1], matrix=km, j=2)
+
+
+def test_en_profile_rejects_what_the_seminorm_rejects():
+    negative = _seq([1.0, 2.0, 3.0], indices=(-1, 1, 2), space="en")
+    with pytest.raises(InputError):
+        en_seminorm(negative, 2)
+    with pytest.raises(InputError):
+        projection_error_profile(negative, "en", [0, 1], l=2)
+    with pytest.raises(InputError):
+        projection_error_profile(_seq([1.0, 2.0], space="en"), "en", [0], l=0)
+
+
 def test_convergent_profile_uses_distance_to_limit():
     idx = tuple(range(1, 11))
     x = TruncatedSequence(idx, np.array([1.0 + 1.0 / n for n in idx]), limit=1.0, space="c")

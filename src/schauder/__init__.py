@@ -17,6 +17,7 @@ from .basis_core import (
     materialize,
     partial_sum,
     projection_algebra_check,
+    semigroup_discrepancies,
     semigroup_max_discrepancy,
     vector_scalar_consistency,
 )
@@ -25,7 +26,6 @@ from .functions import (
     FunctionBundle,
     SampledFunction,
     as_bundle,
-    central_difference_bundle,
 )
 from .indexing import IndexSet
 from .interval_bases import (

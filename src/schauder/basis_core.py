@@ -28,6 +28,7 @@ __all__ = [
     "partial_sum",
     "projection_algebra_check",
     "semigroup_max_discrepancy",
+    "semigroup_discrepancies",
     "biorthogonality_matrix",
     "vector_scalar_consistency",
     "distinctness_check",
@@ -133,18 +134,38 @@ class FiniteRankElement:
     coefficients are scalars or equal-length vectors.  Called at x, the
     element is sum_n f_n(x) * e_n, added in term order: the action of the
     point evaluation at x.
+
+    With ``counts`` the element is instead the K^(R*m)-valued element whose
+    block r (columns r*m .. r*m + m - 1, m the coefficient length, 1 for
+    scalars) is the partial sum of the first ``counts[r]`` terms; see
+    ``partial_sums``.
     """
 
-    def __init__(self, terms):
+    def __init__(self, terms, counts=None):
         self.terms = list(terms)
+        self.counts = None if counts is None else [int(c) for c in counts]
 
     def __len__(self):
         return len(self.terms)
+
+    def partial_sums(self, counts):
+        """The partial sums of the first ``counts[r]`` terms, side by side.
+
+        Evaluating the result takes one running sum over the terms, each
+        handle evaluated once; block r is the running sum as it stands after
+        ``counts[r]`` terms (zero for a count of 0).  Since the functionals
+        act componentwise, one coefficient call on it gives the coefficients
+        of every partial sum.
+        """
+        return FiniteRankElement(self.terms, counts)
 
     def __call__(self, x):
         x = np.asarray(x)
         scalar_input = x.ndim == 0
         pts = x[None] if scalar_input else x
+        if self.counts is not None:
+            acc = self._partial_sums(pts)
+            return acc[0] if scalar_input else acc
         acc = None
         for handle, coeff in self.terms:
             vals = np.asarray(handle(pts))
@@ -154,6 +175,22 @@ class FiniteRankElement:
         if acc is None:
             acc = np.zeros(pts.shape[0] if pts.ndim >= 1 else 1)
         return acc[0] if scalar_input else acc
+
+    def _partial_sums(self, pts):
+        counts = self.counts
+        width = np.size(self.terms[0][1]) if self.terms else 1
+        out = np.zeros((len(pts), len(counts) * width))
+        acc = None
+        for i, (handle, coeff) in enumerate(self.terms[:max(counts, default=0)]):
+            vals = np.asarray(handle(pts))
+            contrib = vals[:, None] * np.asarray(coeff).reshape(1, -1)
+            acc = contrib if acc is None else acc + contrib
+            if out.dtype != acc.dtype:
+                out = out.astype(np.result_type(out, acc))
+            for r, c in enumerate(counts):
+                if c == i + 1:
+                    out[:, r * width:(r + 1) * width] = acc
+        return out
 
     def derivative(self, order=1):
         """Termwise derivative handle, when every term handle supports one."""
@@ -167,7 +204,7 @@ class FiniteRankElement:
                     "finite-rank element has a term without derivative support"
                 )
             handles.append((deriv(order), coeff))
-        return FiniteRankElement(handles)
+        return FiniteRankElement(handles, self.counts)
 
 
 class ExpansionOperator:
@@ -224,42 +261,49 @@ def projection_algebra_check(basis, f, k, j, points=None, space=None):
 
 
 def semigroup_max_discrepancy(basis, f, kmax, points=None):
-    """Max over all pairs k, j <= kmax of the projection-algebra discrepancy.
+    """Max over all pairs k, j <= kmax of the projection-algebra discrepancy
+    (the max of ``semigroup_discrepancies`` over the components of f)."""
+    return float(np.max(semigroup_discrepancies(basis, f, kmax, points)))
 
-    All the P_j f are lifted into one vector-valued finite-rank element:
-    term i carries c_i in column block r if it is among the first
-    counts[r] terms and 0 otherwise, so block r is P_{ranks[r]} f to the
-    bit.  The functionals act componentwise, so one batched coefficient
-    call gives every lambda_m(P_j f).  Per rank j, a zero-prefixed
-    cumulative table of element values gives P_k P_j f for all k at once.
+
+def semigroup_discrepancies(basis, f, kmax, points=None):
+    """Per component of f, the max over k, j <= kmax of |P_k P_j f - P_min(k,j) f|.
+
+    Every P_j f is a prefix of the one series of f up to kmax, so the
+    partial sums of that series at the rank counts
+    (``FiniteRankElement.partial_sums``) form one vector-valued element,
+    and one batched coefficient call on it gives every lambda_n(P_j f).
+    On the grid, one running sum over the terms, from zero and in
+    enumeration order, then builds P_k P_j f for every j at once; each time
+    it reaches the term count of a rank k it is compared with P_min(k,j) f,
+    read off a running sum of the terms of f.  Functionals and sums act
+    componentwise, so entry i is the scalar result for component i of f.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
     if not idxs:
-        return 0.0
+        return np.zeros(_rows(f(pts)).shape[1])
     coeffs = basis.coefficients(f, idxs)
-    values = np.stack([_rows(basis.element(n)(pts)) for n in idxs])  # (N, P, 1)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
-    counts = np.array([sum(1 for g in grades if g <= r) for r in ranks])
-    size = len(idxs)
-    keep = np.arange(size)[:, None, None] < counts[None, :, None]
-    stacked = np.where(keep, coeffs.reshape(size, 1, -1), 0).reshape(size, -1)
-    lifted = basis.coefficients(_element(basis, zip(idxs, stacked)), idxs)
-    lifted = lifted.reshape(size, len(ranks), -1)  # block r: lambda(P_{ranks[r]} f)
-
-    def prefix_table(cs):
-        # row i is the sum of the first i terms, added in enumeration order
-        terms = values * cs.reshape(size, 1, -1)
-        return np.cumsum(np.concatenate([np.zeros_like(terms[:1]), terms]), axis=0)
-
-    direct = prefix_table(coeffs)
-    worst = 0.0
-    for r, nj in enumerate(counts):
-        diff = np.abs(prefix_table(lifted[:, r])[counts] - direct[np.minimum(counts, nj)])
-        if diff.size:
-            worst = max(worst, float(np.max(diff)))
-    return worst
+    counts = [sum(1 for g in grades if g <= r) for r in ranks]
+    sums = _element(basis, zip(idxs, coeffs)).partial_sums(counts)
+    lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
+    coeffs = coeffs.reshape(len(idxs), 1, -1)
+    values = [_rows(basis.element(n)(pts))[:, :, None] for n in idxs]  # (P, 1, 1)
+    dtype = np.result_type(values[0], lifted, coeffs)
+    outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
+    direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
+    target = np.zeros_like(outer)  # P_min(k,j) f, all j
+    worst = np.zeros(outer.shape)  # entrywise max over the ranks k reached
+    for i, vals in enumerate(values):
+        outer += vals * lifted[i]
+        direct += vals * coeffs[i]
+        if i + 1 in counts:
+            # ranks j whose count is not below this one: P_min(k,j) f = P_k f
+            target[:, counts.index(i + 1):] = direct
+            np.maximum(worst, np.abs(outer - target), out=worst)
+    return worst.reshape(-1, worst.shape[2]).max(axis=0)
 
 
 def biorthogonality_matrix(basis, count):

@@ -30,11 +30,11 @@ from .basis_core import (
     biorthogonality_matrix,
     coefficient_sweep,
     convergence_report,
-    semigroup_max_discrepancy,
+    semigroup_discrepancies,
     vector_scalar_consistency,
 )
 from .errors import InputError, NumericError
-from .functions import SampledFunction, central_difference_bundle
+from .functions import SampledFunction
 from .interval_bases import CkBasis, DenseSequence, HaarBasis, HatBasis
 from .quadrature import integral_bound_check
 from .spectral_bases import FourierBasis, HermiteBasis, TaylorBasis
@@ -126,10 +126,13 @@ def resolve_function(spec_value, basis=None):
     if isinstance(spec_value, (list, tuple)):
         return registry.vector_stack([resolve_function(s) for s in spec_value])
     if isinstance(spec_value, str) and os.path.exists(spec_value):
-        sampled = _load_samples(spec_value)
         if isinstance(basis, CkBasis):
-            return central_difference_bundle(sampled, basis.k)
-        return sampled
+            # a chord interpolant has no meaningful derivatives to read jets from
+            raise InputError(
+                f"ck-dyadic needs exact derivatives, which the sampled data in "
+                f"{spec_value} does not have; expand it in hat-dyadic instead"
+            )
+        return _load_samples(spec_value)
     if isinstance(spec_value, str) and "," in spec_value:
         return registry.vector_stack(
             [resolve_function(s.strip()) for s in spec_value.split(",")]
@@ -331,9 +334,13 @@ def _verify_basis(name, max_n, rng):
     }.get(name))
     corpus = registry.corpus(basis.name)
     tol_semigroup = 1e-10
+    # the corpus is one K^8-valued function; component i is function i
+    per_function = semigroup_discrepancies(
+        basis, registry.vector_stack([f for _, f in corpus]), max_n
+    )
     worst_name, worst = "", 0.0
-    for fname, f in corpus:
-        d = semigroup_max_discrepancy(basis, f, max_n)
+    for (fname, _), d in zip(corpus, per_function):
+        d = float(d)
         if d > worst:
             worst_name, worst = fname, d
     count = min(max_n, 20)

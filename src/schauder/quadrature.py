@@ -103,6 +103,7 @@ def samples_of(f, nodes):
 
 
 ACCUMULATE_BLOCK = 4096
+ACCUMULATE_ENTRIES = 64 * ACCUMULATE_BLOCK
 
 
 def accumulate(weights, terms):
@@ -112,10 +113,11 @@ def accumulate(weights, terms):
     ``acc = 0``: every entry of the result is its own sequential sum, so a
     column of a stacked ``terms`` equals the sum of that column alone.
     ``weights`` has shape (n,) or (n, s); it broadcasts against the leading
-    axes of ``terms``.  The products are formed one block of
-    ``ACCUMULATE_BLOCK`` rows at a time and the running sum is carried
-    across blocks as the zero row of the next stack.  A 0-d result is
-    returned as a numpy scalar.
+    axes of ``terms``.  The products are formed one block at a time, at
+    most ``ACCUMULATE_BLOCK`` rows and, past one row, at most
+    ``ACCUMULATE_ENTRIES`` entries, and the running sum is carried across
+    blocks into the first row of the next one.  A 0-d result is returned as
+    a numpy scalar.
     """
     weights = np.asarray(weights, dtype=float)
     terms = np.asarray(terms)
@@ -123,9 +125,12 @@ def accumulate(weights, terms):
         raise InputError(f"weights of shape {weights.shape} for terms of shape {terms.shape}")
     col = (slice(None),) * weights.ndim + (None,) * (terms.ndim - weights.ndim)
     acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
-    for start in range(0, terms.shape[0], ACCUMULATE_BLOCK):
-        block = weights[start:start + ACCUMULATE_BLOCK][col] * terms[start:start + ACCUMULATE_BLOCK]
-        acc = np.add.accumulate(np.concatenate([acc[None], block]), axis=0)[-1]
+    step = min(ACCUMULATE_BLOCK, max(1, ACCUMULATE_ENTRIES // max(acc.size, 1)))
+    for start in range(0, terms.shape[0], step):
+        block = weights[start:start + step][col] * terms[start:start + step]
+        block[0] = acc + block[0]
+        # in place, and only the last row kept: no table of running sums outlives the call
+        acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
     return acc[()] if acc.ndim == 0 else acc
 
 

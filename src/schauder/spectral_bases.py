@@ -383,10 +383,18 @@ class FourierBasis(BasisFamily):
         )
         self.n_max = int(n_max)
         self.index_set = IndexSet("lattice", dim=d)
+        self._rule = None
 
     @property
     def d(self):
         return self.ctx.d
+
+    @property
+    def rule(self):
+        """The rectangle rule of the coefficients, built on first use."""
+        if self._rule is None:
+            self._rule = periodic_rule(self.ctx.grid_size, d=self.ctx.d)
+        return self._rule
 
     def element(self, n):
         ns = _as_lattice(n, self.d)
@@ -411,7 +419,7 @@ class FourierBasis(BasisFamily):
                     f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
                     f"of a size-{ctx.grid_size} grid"
                 )
-        rule = periodic_rule(ctx.grid_size, d=ctx.d)
+        rule = self.rule
         fv = samples_of(f, rule.nodes)
         out = []
         for ns in modes:

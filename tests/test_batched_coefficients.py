@@ -15,6 +15,7 @@ from schauder import (
     gauss_legendre_rule,
     lp_error,
     projection_algebra_check,
+    semigroup_discrepancies,
     semigroup_max_discrepancy,
     weighted_sum,
 )
@@ -81,9 +82,33 @@ def test_semigroup_equals_max_of_pairwise_checks(basis):
 
 @pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
 def test_semigroup_of_a_stack_is_the_max_over_its_components(basis):
-    funcs = [f for _, f in corpus(basis.name)[:3]]
+    # the whole corpus as one vector-valued function, as verify runs it
+    funcs = [f for _, f in corpus(basis.name)]
     scalar = [semigroup_max_discrepancy(basis, f, 6) for f in funcs]
-    assert semigroup_max_discrepancy(basis, vector_stack(funcs), 6) == max(scalar)
+    stack = vector_stack(funcs)
+    assert semigroup_discrepancies(basis, stack, 6).tolist() == scalar
+    assert semigroup_max_discrepancy(basis, stack, 6) == max(scalar)
+
+
+@pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)
+def test_partial_sums_equal_the_zero_padded_lift(basis):
+    kmax = 6
+    idxs = basis.indices(kmax)
+    grades = [basis.index_set.grade(n) for n in idxs]
+    ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
+    counts = np.array([sum(1 for g in grades if g <= r) for r in ranks])
+    pts = basis.sample_points()
+    for f in _handles(basis)[1:]:
+        coeffs = basis.coefficients(f, idxs)
+        sums = FiniteRankElement(
+            [(basis.element(n), c) for n, c in zip(idxs, coeffs)]
+        ).partial_sums(counts)
+        # term i carries c_i in block r when i < counts[r], and 0 there otherwise
+        keep = np.arange(len(idxs))[:, None, None] < counts[None, :, None]
+        padded = np.where(keep, coeffs.reshape(len(idxs), 1, -1), 0).reshape(len(idxs), -1)
+        lift = FiniteRankElement([(basis.element(n), c) for n, c in zip(idxs, padded)])
+        assert np.array_equal(sums(pts), lift(pts))
+        assert np.array_equal(basis.coefficients(sums, idxs), basis.coefficients(lift, idxs))
 
 
 @pytest.mark.parametrize("basis", _families(), ids=lambda b: b.name)

@@ -6,9 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from schauder import DiscContext, FourierBasis, hat_coefficients, taylor_coefficients
-from schauder.cli import main
+from schauder import (
+    DiscContext,
+    FourierBasis,
+    hat_coefficients,
+    semigroup_max_discrepancy,
+    taylor_coefficients,
+)
+from schauder.cli import VERIFY_BASES, build_basis, main
 from schauder.interval_bases import DenseSequence
+from schauder.registry import corpus
 from schauder.registry import get as reg
 
 
@@ -122,17 +129,15 @@ def test_non_finite_samples_produce_diagnostic(tmp_path, capsys):
     assert doc["node"] == 0.5  # the hat surplus samples the dyadic points
 
 
-def test_ck_dyadic_accepts_sampled_input(tmp_path, capsys):
-    # the jets sit at the sampled domain's end, where the stencil turns one-sided
+def test_ck_dyadic_rejects_sampled_input(tmp_path, capsys):
+    # a chord interpolant has no f'' to read C^k coefficients from
     path = tmp_path / "line.csv"
     path.write_text("x,value\n0.0,0.5\n0.25,1.0\n0.5,1.5\n0.75,2.0\n1.0,2.5\n")
-    rc, out, err = _run(capsys, ["expand", "--basis", "ck-dyadic", "--fn", str(path), "--max-n", "3"])
-    assert rc == 0, err
-    values = [float(r["value"]) for r in csv.DictReader(out.splitlines())]
-    assert values[0] == 0.5
-    assert abs(values[1] - 2.0) <= 1e-9  # f'(0) of the line 0.5 + 2x
-    # f'' = 0, up to the eps / h^2 roundoff of a nested difference
-    assert max(abs(v) for v in values[2:]) <= 1e-4
+    for cmd in (["expand", "--max-n", "3"], ["converge", "--ranks", "1,2"]):
+        rc, out, err = _run(capsys, cmd + ["--basis", "ck-dyadic", "--fn", str(path)])
+        assert rc == 2
+        assert out == ""
+        assert "hat-dyadic" in err
 
 
 def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
@@ -148,6 +153,23 @@ def test_verify_rejects_max_n_below_one(capsys, max_n):
     assert rc == 2
     assert out == ""
     assert "--max-n" in err
+
+
+def test_verify_worst_function_matches_a_per_function_loop(capsys):
+    max_n = 8
+    rc, out, _ = _run(capsys, ["verify", "--seed", "0", "--max-n", str(max_n)])
+    assert rc == 0
+    report = json.loads(out)["bases"]
+    assert set(report) == set(VERIFY_BASES)
+    for name in VERIFY_BASES:
+        basis = build_basis(name, {"n_max": max_n} if name in ("hermite", "fourier", "taylor") else None)
+        worst_name, worst = "", 0.0
+        for fname, f in corpus(basis.name):
+            d = semigroup_max_discrepancy(basis, f, max_n)
+            if d > worst:
+                worst_name, worst = fname, d
+        check = report[name]["projection_algebra"]
+        assert (check["worst_function"], check["max_discrepancy"]) == (worst_name, worst), name
 
 
 def test_config_file_merge(tmp_path, capsys):

@@ -6,7 +6,6 @@ from schauder import (
     InputError,
     SampledFunction,
     as_bundle,
-    central_difference_bundle,
 )
 
 
@@ -35,9 +34,3 @@ def test_sampled_function_interpolates_and_guards_domain():
     assert abs(f(0.55) - (0.25 + 0.36) / 2.0) <= 1e-15
     with pytest.raises(InputError):
         f(1.5)
-
-
-def test_central_difference_bundle_accuracy():
-    f = central_difference_bundle(np.sin, max_order=2)
-    assert abs(f.derivative(1)(0.3) - np.cos(0.3)) <= 1e-8
-    assert abs(f.derivative(2)(0.3) + np.sin(0.3)) <= 1e-5

@@ -17,7 +17,7 @@ from schauder import (
     periodic_rule,
     weighted_sum,
 )
-from schauder.quadrature import ACCUMULATE_BLOCK
+from schauder.quadrature import ACCUMULATE_BLOCK, ACCUMULATE_ENTRIES, accumulate
 
 SQRT_PI = 1.7724538509055159
 
@@ -50,6 +50,19 @@ def test_weighted_sum_matches_explicit_loop_bitwise():
         got, want = weighted_sum(nodes, weights, f), _loop_sum(nodes, weights, f)
         assert np.asarray(got).dtype == np.asarray(want).dtype
         assert np.array_equal(got, want)
+
+
+def test_accumulate_carries_wide_rows_across_blocks():
+    # rows so wide that each block holds two of them
+    rng = np.random.default_rng(4)
+    weights = rng.uniform(0.0, 1.0, 7)
+    terms = rng.standard_normal((7, ACCUMULATE_ENTRIES // 2))
+    want = np.zeros(terms.shape[1])
+    for w, t in zip(weights, terms):
+        want = want + w * t
+    got = accumulate(weights, terms)
+    assert np.array_equal(got, want)
+    assert got.base is None  # no table of running sums is kept alive
 
 
 def test_weighted_sum_repeat_bitwise_identical():

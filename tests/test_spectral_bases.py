@@ -202,6 +202,24 @@ def test_partial_sum_reconstructs_cosine():
     assert abs(got - 1.0) <= 1e-12
 
 
+def test_fourier_rule_is_built_once_per_basis(monkeypatch):
+    import schauder.spectral_bases as sb
+
+    calls = []
+    original = sb.periodic_rule
+
+    def counted(n, d=1):
+        calls.append((n, d))
+        return original(n, d=d)
+
+    monkeypatch.setattr(sb, "periodic_rule", counted)
+    basis = FourierBasis(d=2, n_max=3)
+    first = basis.coefficients(reg("cos"), basis.indices(2))
+    again = basis.coefficients(reg("cos"), basis.indices(3))
+    assert calls == [(basis.ctx.grid_size, 2)]
+    assert np.array_equal(again[: len(first)], first)
+
+
 def test_basis_indices_are_graded_ints():
     basis = FourierBasis(n_max=4)
     assert basis.indices(2) == [0, -1, 1, -2, 2]

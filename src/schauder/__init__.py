@@ -34,12 +34,10 @@ from .interval_bases import (
     HaarBasis,
     HatBasis,
     PiecewisePolynomial,
-    antiderivative,
     ck_basis_element,
     haar_constancy_intervals,
     haar_eval,
     hat_coefficients,
-    hat_function,
     lp_error,
     schauder_hat,
 )
@@ -82,6 +80,6 @@ from .spectral_bases import (
     taylor_coefficients,
     to_s_space,
 )
-from .value_space import SeminormSpec, ValueSpace, axpy, coordinate_functional
+from .value_space import SeminormSpec, ValueSpace
 
 __version__ = "0.1.0"

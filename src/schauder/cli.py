@@ -72,23 +72,37 @@ BASIS_SCHEMAS = {
 }
 
 
+def _int_param(params, key, default, minimum=None):
+    """Pop an integer basis parameter; bools, floats and strings are refused."""
+    value = params.pop(key, default)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"basis parameter {key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"basis parameter {key} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _build_basis_inner(name, params):
     if name == "haar":
         return HaarBasis()
     if name == "hat-dyadic":
-        return HatBasis(DenseSequence.dyadic(int(params.pop("levels", 11))))
+        return HatBasis(DenseSequence.dyadic(_int_param(params, "levels", 11)))
     if name == "ck-dyadic":
-        return CkBasis(k=int(params.pop("k", 2)),
-                       seq=DenseSequence.dyadic(int(params.pop("levels", 11))))
+        return CkBasis(k=_int_param(params, "k", 2),
+                       seq=DenseSequence.dyadic(_int_param(params, "levels", 11)))
     if name == "hermite":
-        return HermiteBasis(n_max=int(params.pop("n_max", 64)),
-                            quad_size=params.pop("quad_size", None))
+        return HermiteBasis(n_max=_int_param(params, "n_max", 64),
+                            quad_size=_int_param(params, "quad_size", None, 1))
     if name == "fourier":
-        return FourierBasis(n_max=int(params.pop("n_max", 32)),
-                            grid_size=params.pop("grid_size", None))
+        return FourierBasis(n_max=_int_param(params, "n_max", 32),
+                            grid_size=_int_param(params, "grid_size", None, 1))
     if name == "taylor":
         center = params.pop("center", 0.0)
         if isinstance(center, (list, tuple)):
+            if len(center) != 2:
+                raise InputError(f"basis parameter center must be a pair [re, im], got {center!r}")
             center = complex(center[0], center[1])
         elif isinstance(center, dict):
             # same shape the JSON emitter uses for complex values
@@ -96,8 +110,8 @@ def _build_basis_inner(name, params):
         return TaylorBasis(center=center,
                            radius=float(params.pop("radius", np.inf)),
                            contour_radius=float(params.pop("contour_radius", 1.0)),
-                           n_max=int(params.pop("n_max", 16)),
-                           contour_points=params.pop("contour_points", None))
+                           n_max=_int_param(params, "n_max", 16),
+                           contour_points=_int_param(params, "contour_points", None, 1))
     return None
 
 

@@ -28,10 +28,8 @@ __all__ = [
     "DenseSequence",
     "haar_eval",
     "haar_constancy_intervals",
-    "hat_function",
     "schauder_hat",
     "hat_coefficients",
-    "antiderivative",
     "ck_basis_element",
     "lp_error",
     "HaarBasis",
@@ -50,8 +48,8 @@ class PiecewisePolynomial:
 
     Piece i covers [breakpoints[i], breakpoints[i+1]] and stores local
     monomial coefficients c so that the value at x is
-    sum_p c[i, p] * (x - breakpoints[i])**p.  Addition, scalar multiple,
-    derivative and antiderivative are closed and exact (no quadrature).
+    sum_p c[i, p] * (x - breakpoints[i])**p.  Derivative and antiderivative
+    are exact (no quadrature).
     """
 
     def __init__(self, breakpoints, coefficients):
@@ -132,95 +130,12 @@ class PiecewisePolynomial:
             running = v
         return PiecewisePolynomial(self.breakpoints, newco)
 
-    # -- closed arithmetic ---------------------------------------------------
-
-    def __mul__(self, a):
-        return PiecewisePolynomial(self.breakpoints, self.coefficients * float(a))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __add__(self, other):
-        if not isinstance(other, PiecewisePolynomial):
-            return NotImplemented
-        if self.domain != other.domain:
-            raise InputError("cannot add piecewise polynomials on different domains")
-        bp = np.union1d(self.breakpoints, other.breakpoints)
-        deg = max(self.degree, other.degree)
-        co = np.zeros((bp.size - 1, deg + 1))
-        for src in (self, other):
-            for i in range(bp.size - 1):
-                j = min(
-                    np.searchsorted(src.breakpoints, bp[i], side="right") - 1,
-                    src.npieces - 1,
-                )
-                shifted = _taylor_shift(src.coefficients[j], bp[i] - src.breakpoints[j])
-                co[i, : shifted.size] += shifted
-        return PiecewisePolynomial(bp, co)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiecewisePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def is_continuous(self, tol=1e-12):
-        for i in range(self.npieces - 1):
-            left = _poly_at(self.coefficients[i],
-                            self.breakpoints[i + 1] - self.breakpoints[i])
-            right = self.coefficients[i + 1, 0]
-            if abs(left - right) > tol:
-                return False
-        return True
-
-    def to_json(self):
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "pieces": [[float(c) for c in row] for row in self.coefficients],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        try:
-            return cls(data["breakpoints"], data["pieces"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed piecewise polynomial payload: {exc}")
-
     def __repr__(self):
         lo, hi = self.domain
         return (
             f"PiecewisePolynomial([{lo}, {hi}], pieces={self.npieces}, "
             f"degree={self.degree})"
         )
-
-
-def _poly_at(coeffs, u):
-    v = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        v = v * u + c
-    return v
-
-
-def _taylor_shift(coeffs, delta):
-    """Re-center local coefficients: c(u + delta) expanded in powers of u."""
-    if delta == 0.0:
-        return np.asarray(coeffs, dtype=float)
-    n = len(coeffs)
-    out = np.zeros(n)
-    for p, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for j in range(p + 1):
-            out[j] += c * math.comb(p, j) * delta ** (p - j)
-    return out
-
-
-def antiderivative(p):
-    """Antiderivative of a piecewise polynomial, vanishing at the left end."""
-    if not isinstance(p, PiecewisePolynomial):
-        raise InputError("antiderivative expects a PiecewisePolynomial")
-    return p.antiderivative()
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +193,6 @@ class DenseSequence:
     def __len__(self):
         return self.points.size
 
-    def prefix_partition(self, n):
-        """The sorted partition T_n = sort(t_0, ..., t_n)."""
-        if not 1 <= n < self.points.size:
-            raise InputError(f"partition index {n} out of range")
-        return np.sort(self.points[: n + 1])
-
     @classmethod
     def dyadic(cls, levels=11, a=0.0, b=1.0):
         """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... down to the given level, mapped to [a, b]."""
@@ -295,9 +204,6 @@ class DenseSequence:
             pts.extend((2 * j - 1) / scale for j in range(1, 2 ** (lev - 1) + 1))
         pts = np.asarray(pts)
         return cls(a + (b - a) * pts)
-
-    def to_json(self):
-        return [float(t) for t in self.points]
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +341,6 @@ class HaarBasis(BasisFamily):
 # ---------------------------------------------------------------------------
 # Faber-Schauder hats
 # ---------------------------------------------------------------------------
-
-
-def hat_function(partition, j):
-    """The hat of a sorted partition peaking at node j (one-sided at the ends).
-
-    Value 1 at node j, 0 at the neighboring nodes, affine between, zero
-    elsewhere; returned as a PiecewisePolynomial covering the whole span.
-    """
-    T = np.asarray(partition, dtype=float)
-    if T.ndim != 1 or T.size < 2:
-        raise InputError("partition needs at least two nodes")
-    if np.any(np.diff(T) <= 0):
-        raise InputError("partition nodes must be strictly increasing")
-    if not 0 <= j <= T.size - 1:
-        raise InputError(f"node index {j} out of range")
-    co = np.zeros((T.size - 1, 2))
-    if j > 0:
-        width = T[j] - T[j - 1]
-        co[j - 1] = (0.0, 1.0 / width)
-    if j < T.size - 1:
-        width = T[j + 1] - T[j]
-        co[j] = (1.0, -1.0 / width)
-    return PiecewisePolynomial(T, co)
 
 
 def schauder_hat(seq, n):

@@ -516,7 +516,7 @@ def taylor_coefficients(f, n_max, ctx=None):
         terms = np.zeros((len(orders), npts + 1) + samples.shape[1:], dtype=complex)
         terms.real[:, 1:] = pr * sr - pi * si
         terms.imag[:, 1:] = pr * si + pi * sr
-        acc = np.add.accumulate(terms, axis=1)[:, -1]
+        acc = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
         for i, n in enumerate(orders):
             row = acc[i, ...] * (1.0 / (npts * ctx.contour_radius ** int(n)))
             out.append(row[()] if row.ndim == 0 else row)

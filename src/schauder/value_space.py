@@ -176,22 +176,3 @@ class ValueSpace:
     def __repr__(self):
         kinds = ",".join(s.kind for s in self.seminorms)
         return f"ValueSpace(dim={self.dimension}, field={self.field}, [{kinds}])"
-
-
-def axpy(a, x, y):
-    """a*x + y for two vectors of equal shape."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise InputError(f"shape mismatch in axpy: {x.shape} vs {y.shape}")
-    return a * x + y
-
-
-def coordinate_functional(i, v):
-    """The i-th coordinate functional e_i'(v) = v_i."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise InputError(f"expected a vector, got shape {v.shape}")
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < v.shape[0]:
-        raise InputError(f"coordinate index {i!r} out of range for length {v.shape[0]}")
-    return v[i]

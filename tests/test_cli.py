@@ -205,6 +205,36 @@ def test_complex_center_spellings_agree(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("center", [[1.0], [1.0, 0.0, 0.0], []])
+def test_complex_center_that_is_not_a_pair_is_a_usage_error(tmp_path, capsys, center):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": "taylor", "center": center},
+                               "fn": "poly-z", "max_n": 1}))
+    rc, out, err = _run(capsys, ["expand", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "center" in err
+
+
+@pytest.mark.parametrize("basis,key,value", [
+    ("ck-dyadic", "k", 1.5),
+    ("hat-dyadic", "levels", 3.0),
+    ("hermite", "quad_size", 2.5),
+    ("hermite", "n_max", True),
+    ("fourier", "n_max", "4"),
+    ("taylor", "contour_points", "64"),
+    ("fourier", "grid_size", 0),
+    ("taylor", "contour_points", 0),
+])
+def test_integer_basis_parameters_are_not_coerced(tmp_path, capsys, basis, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": basis, key: value}, "fn": "x", "max_n": 1}))
+    rc, out, err = _run(capsys, ["expand", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert f"{key} must be" in err
+
+
 def test_unknown_basis_parameter_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"basis": {"name": "taylor", "centre": 1.0}, "fn": "poly-z", "max_n": 1}))

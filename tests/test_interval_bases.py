@@ -18,12 +18,10 @@ from schauder import (
     PiecewisePolynomial,
     SeminormSpec,
     ValueSpace,
-    antiderivative,
     ck_basis_element,
     haar_constancy_intervals,
     haar_eval,
     hat_coefficients,
-    hat_function,
     lp_error,
     materialize,
     schauder_hat,
@@ -65,31 +63,15 @@ def test_pp_domain_guard():
         p(-0.1)
 
 
-def test_pp_addition_merges_grids():
-    p = PiecewisePolynomial([0.0, 0.5, 1.0], [[0.0, 1.0], [0.5, 1.0]])
-    q = PiecewisePolynomial([0.0, 0.25, 1.0], [[1.0, 0.0], [1.0, -1.0]])
-    s = p + q
-    assert set(np.round(s.breakpoints, 12)) >= {0.0, 0.25, 0.5, 1.0}
-    for x in np.linspace(0.0, 1.0, 33):
-        assert abs(s(float(x)) - (p(float(x)) + q(float(x)))) <= 1e-12
-
-
-def test_pp_scalar_algebra():
-    p = PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0, 1.0], [1.5, 1.0]])
-    q = PiecewisePolynomial([0.0, 1.0], [[0.5, 0.25]])
-    for x in np.linspace(0.0, 1.0, 21):
-        x = float(x)
-        assert 2.0 * p(x) == (2.0 * p)(x)
-        assert (-p)(x) == -p(x)
-        assert abs((p - q)(x) - (p(x) - q(x))) <= 1e-14
-
-
 def test_pp_antiderivative_is_continuous_and_inverts_derivative():
     # d/dx of the antiderivative recovers the piece values everywhere inside
     p = PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0, -1.0], [0.5, -1.0]])
-    a = antiderivative(p)
+    a = p.antiderivative()
     assert a(0.0) == 0.0
-    assert a.is_continuous()
+    widths = np.diff(a.breakpoints)
+    for i in range(a.npieces - 1):
+        left_end = sum(c * widths[i] ** q for q, c in enumerate(a.coefficients[i]))
+        assert abs(left_end - a.coefficients[i + 1, 0]) <= 1e-12
     b = a.derivative()
     for x in np.linspace(0.01, 0.99, 23):
         assert abs(b(float(x)) - p(float(x))) <= 1e-13
@@ -98,15 +80,7 @@ def test_pp_antiderivative_is_continuous_and_inverts_derivative():
 def test_pp_antiderivative_closed_form():
     # integral of 1 - x from 0 to 1 is 1/2
     p = PiecewisePolynomial([0.0, 1.0], [[1.0, -1.0]])
-    assert abs(antiderivative(p)(1.0) - 0.5) <= 1e-15
-
-
-def test_pp_json_round_trip_is_exact():
-    rng = np.random.default_rng(9)
-    p = PiecewisePolynomial([0.0, 0.4, 1.0], rng.standard_normal((2, 3)))
-    q = PiecewisePolynomial.from_json(p.to_json())
-    assert np.array_equal(q.breakpoints, p.breakpoints)
-    assert np.array_equal(q.coefficients, p.coefficients)
+    assert abs(p.antiderivative()(1.0) - 0.5) <= 1e-15
 
 
 # -- dense sequences ---------------------------------------------------------
@@ -124,12 +98,6 @@ def test_dense_sequence_validation():
         DenseSequence([0.0, 1.0, 0.5, 0.5])
     with pytest.raises(InputError):
         DenseSequence([0.0, 1.0, 1.5])
-
-
-def test_prefix_partition_sorted():
-    T = DenseSequence.dyadic()
-    part = T.prefix_partition(4)
-    assert list(part) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 # -- step family -------------------------------------------------------------
@@ -220,15 +188,6 @@ def test_step_breakpoints_hold_every_jump_above_rank_4096():
 
 
 # -- hat family --------------------------------------------------------------
-
-
-def test_partition_hat_values():
-    h = hat_function([0.0, 0.5, 1.0], 1)
-    assert h(0.5) == 1.0
-    assert h(0.25) == 0.5
-    assert h(0.0) == 0.0 and h(1.0) == 0.0
-    left = hat_function([0.0, 0.5, 1.0], 0)
-    assert left(0.0) == 1.0 and left(0.5) == 0.0 and left(0.75) == 0.0
 
 
 def test_seed_hats_are_the_boundary_lines():

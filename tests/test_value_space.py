@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schauder import InputError, SeminormSpec, ValueSpace, axpy, coordinate_functional
+from schauder import InputError, SeminormSpec, ValueSpace
 
 
 def test_vector_coercion_and_zero():
@@ -110,13 +110,3 @@ def test_subadditivity_property():
         y = vs.vector(rng.standard_normal(4))
         for k in range(3):
             assert vs.seminorm(k, x + y) <= vs.seminorm(k, x) + vs.seminorm(k, y) + 1e-12
-
-
-def test_axpy_and_coordinate_functional():
-    vs = ValueSpace(3)
-    x = vs.vector([1.0, 2.0, 3.0])
-    y = vs.vector([0.5, 0.25, -1.0])
-    assert np.array_equal(axpy(2.0, x, y), 2.0 * x + y)
-    assert coordinate_functional(1, x) == 2.0
-    with pytest.raises(InputError):
-        coordinate_functional(5, x)

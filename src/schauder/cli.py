@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import os
 import sys
 
@@ -72,32 +73,37 @@ BASIS_SCHEMAS = {
 }
 
 
-def _int_param(params, key, default, minimum=None):
-    """Pop an integer basis parameter; bools, floats and strings are refused."""
-    value = params.pop(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"basis parameter {key} must be an integer, got {value!r}")
+def _number(value, key, kind=int, minimum=None):
+    """``kind(value)`` for a config value; bools, strings and, for ``int``, floats are refused."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{key} must be {noun}, got {value!r}")
     if minimum is not None and value < minimum:
-        raise InputError(f"basis parameter {key} must be >= {minimum}, got {value}")
-    return int(value)
+        raise InputError(f"{key} must be >= {minimum}, got {value}")
+    return kind(value)
+
+
+def _param(params, key, default, kind=int, minimum=None):
+    """Pop a basis parameter, checked by ``_number``."""
+    value = params.pop(key, default)
+    return None if value is None else _number(value, f"basis parameter {key}", kind, minimum)
 
 
 def _build_basis_inner(name, params):
     if name == "haar":
         return HaarBasis()
     if name == "hat-dyadic":
-        return HatBasis(DenseSequence.dyadic(_int_param(params, "levels", 11)))
+        return HatBasis(DenseSequence.dyadic(_param(params, "levels", 11)))
     if name == "ck-dyadic":
-        return CkBasis(k=_int_param(params, "k", 2),
-                       seq=DenseSequence.dyadic(_int_param(params, "levels", 11)))
+        return CkBasis(k=_param(params, "k", 2),
+                       seq=DenseSequence.dyadic(_param(params, "levels", 11)))
     if name == "hermite":
-        return HermiteBasis(n_max=_int_param(params, "n_max", 64),
-                            quad_size=_int_param(params, "quad_size", None, 1))
+        return HermiteBasis(n_max=_param(params, "n_max", 64),
+                            quad_size=_param(params, "quad_size", None, minimum=1))
     if name == "fourier":
-        return FourierBasis(n_max=_int_param(params, "n_max", 32),
-                            grid_size=_int_param(params, "grid_size", None, 1))
+        return FourierBasis(n_max=_param(params, "n_max", 32),
+                            grid_size=_param(params, "grid_size", None, minimum=1))
     if name == "taylor":
         center = params.pop("center", 0.0)
         if isinstance(center, (list, tuple)):
@@ -108,10 +114,10 @@ def _build_basis_inner(name, params):
             # same shape the JSON emitter uses for complex values
             center = complex(center.get("re", 0.0), center.get("im", 0.0))
         return TaylorBasis(center=center,
-                           radius=float(params.pop("radius", np.inf)),
-                           contour_radius=float(params.pop("contour_radius", 1.0)),
-                           n_max=_int_param(params, "n_max", 16),
-                           contour_points=_int_param(params, "contour_points", None, 1))
+                           radius=_param(params, "radius", np.inf, float),
+                           contour_radius=_param(params, "contour_radius", 1.0, float),
+                           n_max=_param(params, "n_max", 16),
+                           contour_points=_param(params, "contour_points", None, minimum=1))
     return None
 
 
@@ -187,7 +193,7 @@ def build_value_space(cfg, basis):
             SeminormSpec(s["kind"], tuple(s["weights"]) if s.get("weights") else None)
             for s in cfg.get("seminorms", [{"kind": "sup"}])
         ]
-        return ValueSpace(int(cfg.get("dimension", 1)),
+        return ValueSpace(_number(cfg.get("dimension", 1), "value_space dimension"),
                           field=cfg.get("field", basis.field),
                           seminorms=seminorms)
     return ValueSpace(1, field=basis.field)
@@ -508,7 +514,7 @@ def _merge_config(args, parser):
         if getattr(args, key, None) is None and value is not None:
             setattr(args, key, value)
     if getattr(args, "max_n", None) is None and "max_n" in cfg:
-        args.max_n = int(cfg["max_n"])
+        args.max_n = _number(cfg["max_n"], "max_n")
     if getattr(args, "ranks", None) is None and "ranks" in cfg:
         args.ranks = ",".join(str(r) for r in cfg["ranks"])
     if hasattr(args, "format") and args.format is None:

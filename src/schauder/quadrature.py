@@ -14,7 +14,10 @@ the rest of the package:
 * repeated runs produce identical bytes (no pairwise/BLAS reassociation).
 
 Node/weight tables come from numpy's Gauss-Legendre and Gauss-Hermite rules;
-composition into panels, tensorization, and the bound checks are local.
+composition into panels, tensorization, and the bound checks are local.  A
+d-dimensional tensor rule lists its nodes in lexicographic order (last
+coordinate fastest) as one C-contiguous (N, d) array, and the weight of node
+(i_1, ..., i_d) is the product w_i1 * w_i2 * ... * w_id taken from the left.
 """
 
 from dataclasses import dataclass
@@ -198,13 +201,19 @@ def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
 
 def tensor_rule(line_rule, d):
     """Tensorize a 1-D rule to d dimensions with lexicographic node order."""
-    grids = np.meshgrid(*([line_rule.nodes] * d), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*([line_rule.weights] * d), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights = weights * g.reshape(-1)
-    return QuadratureRule(line_rule.kind + "-tensor", nodes, weights)
+    weights = line_rule.weights
+    for _ in range(d - 1):
+        weights = np.multiply.outer(weights, line_rule.weights)
+    return QuadratureRule(line_rule.kind + "-tensor", tensor_grid(line_rule.nodes, d),
+                          weights.reshape(-1))
+
+
+def tensor_grid(axis, d):
+    """The (q**d, d) grid of ``axis`` in lexicographic order, last coordinate fastest."""
+    grid = np.empty((len(axis),) * d + (d,), dtype=axis.dtype)
+    for i in range(d):
+        grid[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
+    return grid.reshape(-1, d)
 
 
 # -- Gauss-Hermite (weight e^{-|x|^2}) ---------------------------------------
@@ -276,12 +285,16 @@ def integral_bound_check(f, nodes, weights, space, slack=1e-12):
 
         p(sum_i w_i f(x_i))  <=  (sum_i w_i) * max_i p(f(x_i)) + slack
 
-    Negative weights void the bound and raise ``InputError``.
+    Negative or non-finite weights void the bound, and like a node/weight
+    count mismatch raise ``InputError`` before ``f`` runs.
     """
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise InputError("bound check requires nonnegative weights")
-    samples = samples_of(f, np.asarray(nodes))
+    nodes = np.asarray(nodes)
+    if weights.shape != (len(nodes),):
+        raise InputError(f"{len(nodes)} nodes vs weights of shape {weights.shape}")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise InputError("bound check requires finite nonnegative weights")
+    samples = samples_of(f, nodes)
     integral = accumulate(weights, samples)
     table = space.seminorm_table(samples)
     sup = np.max(table, axis=0)

@@ -24,6 +24,7 @@ from .quadrature import (
     periodic_rule,
     require_finite,
     samples_of,
+    tensor_grid,
     weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
@@ -188,9 +189,7 @@ class HermiteBasis(BasisFamily):
     def sample_points(self):
         if self.d == 1:
             return np.linspace(-8.0, 8.0, 321)
-        axis = np.linspace(-5.0, 5.0, 41)
-        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=1)
+        return tensor_grid(np.linspace(-5.0, 5.0, 41), self.d)
 
 
 # -- weighted tail bound for truncated Hermite integrals ---------------------
@@ -263,8 +262,7 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
         pts = axis
         sq = axis * axis
     else:
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+        pts = tensor_grid(axis, d)
         sq = np.sum(pts * pts, axis=1)
     weight = (1.0 + sq) ** (0.5 * j)
     fv = np.asarray(f(pts))

@@ -235,6 +235,26 @@ def test_integer_basis_parameters_are_not_coerced(tmp_path, capsys, basis, key, 
     assert f"{key} must be" in err
 
 
+@pytest.mark.parametrize("command,config,key", [
+    ("expand", {"basis": "haar", "fn": "x", "max_n": 2.7}, "max_n"),
+    ("expand", {"basis": "haar", "fn": "x", "max_n": True}, "max_n"),
+    ("expand", {"basis": {"name": "taylor", "radius": True, "contour_radius": 0.5},
+                "fn": "poly-z", "max_n": 1}, "radius"),
+    ("expand", {"basis": {"name": "taylor", "contour_radius": True},
+                "fn": "poly-z", "max_n": 1}, "contour_radius"),
+    ("expand", {"basis": {"name": "taylor", "radius": "2"}, "fn": "poly-z", "max_n": 1}, "radius"),
+    ("converge", {"basis": "haar", "fn": "x", "ranks": [1, 2],
+                  "value_space": {"dimension": 1.9}}, "dimension"),
+])
+def test_config_numbers_are_not_coerced(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert f"{key} must be" in err
+
+
 def test_unknown_basis_parameter_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"basis": {"name": "taylor", "centre": 1.0}, "fn": "poly-z", "max_n": 1}))

@@ -17,7 +17,7 @@ from schauder import (
     periodic_rule,
     weighted_sum,
 )
-from schauder.quadrature import ACCUMULATE_BLOCK, ACCUMULATE_ENTRIES, accumulate
+from schauder.quadrature import ACCUMULATE_BLOCK, ACCUMULATE_ENTRIES, accumulate, tensor_rule
 
 SQRT_PI = 1.7724538509055159
 
@@ -175,6 +175,31 @@ def test_periodic_integrals():
         periodic_rule(16, d=4)
 
 
+def _meshgrid_rule(line, d):
+    # the meshgrid construction of a tensor rule, kept as the reference
+    grids = np.meshgrid(*([line.nodes] * d), indexing="ij")
+    nodes = np.stack([g.reshape(-1) for g in grids], axis=1)
+    weights = np.ones(nodes.shape[0])
+    for g in np.meshgrid(*([line.weights] * d), indexing="ij"):
+        weights = weights * g.reshape(-1)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("line", [
+    gauss_legendre_rule(-1.5, 2.0, panels=3, order=5),
+    gauss_hermite_rule(9),
+    periodic_rule(7),
+], ids=["gauss-legendre", "gauss-hermite", "periodic"])
+def test_tensor_rule_matches_meshgrid_construction(line, d):
+    rule = tensor_rule(line, d)
+    nodes, weights = _meshgrid_rule(line, d)
+    assert rule.nodes.shape == (len(line) ** d, d)
+    assert rule.nodes.flags.c_contiguous
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+
+
 def test_integral_bound_positive_rules_property():
     # discrete triangle inequality: |sum w_i f_i| <= sum w_i |f_i| for w >= 0
     space = ValueSpace(
@@ -200,6 +225,21 @@ def test_integral_bound_rejects_negative_weights():
     space = ValueSpace(1)
     with pytest.raises(InputError):
         integral_bound_check(lambda x: x, np.array([0.0, 1.0]), np.array([0.5, -0.5]), space)
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5],
+], ids=["nan", "inf", "fewer", "more"])
+def test_integral_bound_rejects_bad_weights_before_f_runs(weights):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x
+
+    with pytest.raises(InputError):
+        integral_bound_check(f, np.array([0.0, 0.5, 1.0]), np.array(weights), ValueSpace(1))
+    assert calls == []
 
 
 def test_integral_bound_slack_absorbs_equality():

@@ -110,3 +110,53 @@ def test_subadditivity_property():
         y = vs.vector(rng.standard_normal(4))
         for k in range(3):
             assert vs.seminorm(k, x + y) <= vs.seminorm(k, x) + vs.seminorm(k, y) + 1e-12
+
+
+def _row_wise_table(space, rows):
+    # the row-reduction construction: numpy's reduction over each row, one
+    # seminorm at a time (pairwise sums from 8 coordinates up)
+    a = np.ascontiguousarray(np.abs(rows))
+    cols = []
+    for s in space.seminorms:
+        w = None if s.weights is None else np.asarray(s.weights)
+        if s.kind == "sup":
+            cols.append(np.max(a, axis=1))
+        elif s.kind == "weighted-sup":
+            cols.append(np.max(w[None, :] * a, axis=1))
+        elif s.kind == "euclidean":
+            cols.append(np.sqrt(np.sum(a * a, axis=1)))
+        else:
+            cols.append(np.max(a[:, w > 0], axis=1))
+    return np.stack(cols, axis=1)
+
+
+def _layouts(rows):
+    strided = np.zeros((2 * rows.shape[0], 2 * rows.shape[1]), dtype=rows.dtype)
+    strided[::2, ::2] = rows
+    return {"C": rows, "F": np.asfortranarray(rows), "strided": strided[::2, ::2]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_seminorm_table_matches_row_wise_reductions(m, field):
+    rng = np.random.default_rng(100 + m)
+    weights = rng.uniform(0.0, 3.0, m)
+    weights[m // 2] = 0.0 if m > 1 else weights[0]
+    vs = ValueSpace(m, field=field, seminorms=(
+        SeminormSpec("sup"), SeminormSpec("weighted-sup", tuple(weights)),
+        SeminormSpec("euclidean"), SeminormSpec("coordinate-subset-sup", tuple(weights)),
+    ))
+    rows = rng.standard_normal((257, m)) * np.exp(rng.uniform(-20.0, 20.0, (257, m)))
+    if field == "complex":
+        rows = rows + 1j * rng.standard_normal((257, m))
+    want = _row_wise_table(vs, rows)
+    for layout, r in _layouts(rows).items():
+        table = vs.seminorm_table(r)
+        assert table.shape == (257, 4), layout
+        assert all(table[:, j].flags.c_contiguous for j in range(4)), layout
+        if m <= 7:
+            assert np.array_equal(table, want), layout
+        else:
+            # the left-to-right sum of squares and numpy's pairwise one differ in rounding only
+            assert np.array_equal(table[:, [0, 1, 3]], want[:, [0, 1, 3]]), layout
+            assert np.allclose(table[:, 2], want[:, 2], rtol=1e-15, atol=0.0), layout

@@ -10,6 +10,12 @@ Accumulation order is part of the contract: partial sums and finite-rank
 applications always run in the family's enumeration order (grade, then
 lexicographic), so results are reproducible to the bit and component i of a
 vector computation matches the scalar computation of component i exactly.
+An element handle may report a closed ``support`` interval outside which it
+is exactly zero (Haar steps, hats and the C^k elements do; Hermite, Fourier
+and Taylor elements are global).  Each term is then added, in enumeration
+order, at every point where it can be nonzero and skipped elsewhere; a
+skipped term would only have added an exact zero, so only the sign of a zero
+result can differ from adding every term everywhere.
 """
 
 from abc import ABC, abstractmethod
@@ -98,14 +104,14 @@ class BasisFamily(ABC):
         """
         return None
 
-    def residual_rows(self, f, g, pts):
-        """Rows of f - g on ``pts`` in the family's own topology.
+    def value_rows(self, f, pts):
+        """Rows of ``f`` on ``pts`` in the family's own topology.
 
         The default is plain value rows.  Families whose natural seminorms
         involve derivatives (the C^k family) override this to stack
-        derivative residuals as extra rows.
+        derivative rows below them; residuals are differences of such rows.
         """
-        return _rows(f(pts)) - _rows(g(pts))
+        return _rows(f(pts))
 
     def lp_error(self, f, g, p, rank, space=None):
         raise InputError(f"basis family {self.name!r} has no L^p error mode")
@@ -115,6 +121,34 @@ class BasisFamily(ABC):
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _layout(handles, pts):
+    """Where each handle needs evaluating: ``(order, spts, bounds)``.
+
+    ``spts`` is ``pts`` in ascending order (``pts[order]``, sorted stably;
+    ``order`` is None when ``pts`` already ascends), and handle i is evaluated
+    on ``spts[lo:hi]`` for ``(lo, hi) = bounds[i]``, the points in its closed
+    ``support``.  A handle without one gets every point, and so does every
+    handle when the points are not finite 1-D reals.  Points outside every
+    support go to the first handle, which rejects them if they lie outside
+    its domain, as evaluating it everywhere would.
+    """
+    n = len(pts)
+    supports = [getattr(handle, "support", None) for handle in handles]
+    dense = None, pts, [(0, n)] * len(handles)
+    if pts.ndim != 1 or n == 0 or np.iscomplexobj(pts) or all(s is None for s in supports):
+        return dense
+    order = None if np.all(pts[1:] >= pts[:-1]) else np.argsort(pts, kind="stable")
+    spts = pts if order is None else pts[order]
+    if not (np.isfinite(spts[0]) and np.isfinite(spts[-1])):
+        return dense
+    lo = np.searchsorted(spts, [-np.inf if s is None else s[0] for s in supports], side="left")
+    hi = np.searchsorted(spts, [np.inf if s is None else s[1] for s in supports], side="right")
+    first, last = lo.min(), hi.max()
+    if first > 0 or last < n:
+        handles[0](np.concatenate([spts[:first], spts[last:]]))
+    return order, spts, list(zip(lo.tolist(), hi.tolist()))
 
 
 def _rows(values):
@@ -157,40 +191,60 @@ class FiniteRankElement:
         act componentwise, one coefficient call on it gives the coefficients
         of every partial sum.
         """
+        counts = [int(c) for c in counts]
+        if any(not 0 <= c <= len(self.terms) for c in counts):
+            raise InputError(f"partial-sum counts must lie in 0..{len(self.terms)}")
         return FiniteRankElement(self.terms, counts)
 
     def __call__(self, x):
         x = np.asarray(x)
         scalar_input = x.ndim == 0
         pts = x[None] if scalar_input else x
-        if self.counts is not None:
-            acc = self._partial_sums(pts)
-            return acc[0] if scalar_input else acc
-        acc = None
-        for handle, coeff in self.terms:
-            vals = np.asarray(handle(pts))
-            coeff = np.asarray(coeff)
-            contrib = vals * coeff if coeff.ndim == 0 else vals[:, None] * coeff[None, :]
-            acc = contrib if acc is None else acc + contrib
-        if acc is None:
-            acc = np.zeros(pts.shape[0] if pts.ndim >= 1 else 1)
+        acc = self._sums(pts)
         return acc[0] if scalar_input else acc
 
-    def _partial_sums(self, pts):
+    def _sums(self, pts):
+        """One running sum over the terms on ``pts``, in term order.
+
+        Term i is added only on the points of its support (see ``_layout``).
+        Without ``counts`` the result is the sum of all terms; with them,
+        block r is the sum as it stands after ``counts[r]`` terms.
+        """
         counts = self.counts
+        terms = self.terms if counts is None else self.terms[:max(counts, default=0)]
+        order, spts, bounds = _layout([handle for handle, _ in terms], pts)
+        n = len(pts)
         width = np.size(self.terms[0][1]) if self.terms else 1
-        out = np.zeros((len(pts), len(counts) * width))
+        blocks = {}
+        for r, c in enumerate(counts or ()):
+            blocks.setdefault(c, []).append(r)
+        out = None if counts is None else np.zeros((n, len(counts) * width))
         acc = None
-        for i, (handle, coeff) in enumerate(self.terms[:max(counts, default=0)]):
-            vals = np.asarray(handle(pts))
-            contrib = vals[:, None] * np.asarray(coeff).reshape(1, -1)
-            acc = contrib if acc is None else acc + contrib
-            if out.dtype != acc.dtype:
-                out = out.astype(np.result_type(out, acc))
-            for r, c in enumerate(counts):
-                if c == i + 1:
-                    out[:, r * width:(r + 1) * width] = acc
-        return out
+        for i, ((handle, coeff), (lo, hi)) in enumerate(zip(terms, bounds)):
+            if lo < hi:
+                vals = np.asarray(handle(spts[lo:hi]))
+                coeff = np.asarray(coeff)
+                contrib = vals * coeff if coeff.ndim == 0 else vals[:, None] * coeff[None, :]
+                if acc is None and hi - lo == n:
+                    acc = contrib  # as the sum over global terms always began
+                else:
+                    if acc is None:
+                        acc = np.zeros((n,) + contrib.shape[1:], dtype=contrib.dtype)
+                    elif np.result_type(acc, contrib) != acc.dtype:
+                        acc = acc.astype(np.result_type(acc, contrib))
+                    acc[lo:hi] += contrib
+            if acc is not None and i + 1 in blocks:
+                if out.dtype != acc.dtype:
+                    out = out.astype(np.result_type(out, acc))
+                for r in blocks[i + 1]:
+                    out[:, r * width:(r + 1) * width] = acc.reshape(n, -1)
+        if out is None:
+            out = acc if acc is not None else np.zeros((n,) + np.shape(terms[0][1] if terms else 0))
+        if order is None:
+            return out
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        return unsorted
 
     def derivative(self, order=1):
         """Termwise derivative handle, when every term handle supports one."""
@@ -290,19 +344,28 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     sums = _element(basis, zip(idxs, coeffs)).partial_sums(counts)
     lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
     coeffs = coeffs.reshape(len(idxs), 1, -1)
-    values = [_rows(basis.element(n)(pts))[:, :, None] for n in idxs]  # (P, 1, 1)
-    dtype = np.result_type(values[0], lifted, coeffs)
+    handles = [basis.element(n) for n in idxs]
+    _, spts, bounds = _layout(handles, pts)
+    values = [_rows(h(spts[lo:hi]))[:, :, None] if lo < hi else None  # (hi - lo, 1, 1)
+              for h, (lo, hi) in zip(handles, bounds)]
+    dtype = np.result_type(lifted, coeffs, *{v.dtype for v in values if v is not None})
     outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
     direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
     target = np.zeros_like(outer)  # P_min(k,j) f, all j
     worst = np.zeros(outer.shape)  # entrywise max over the ranks k reached
-    for i, vals in enumerate(values):
-        outer += vals * lifted[i]
-        direct += vals * coeffs[i]
+    hull = len(pts), 0  # rows changed since the last comparison
+    for i, (vals, (lo, hi)) in enumerate(zip(values, bounds)):
+        if vals is not None:
+            outer[lo:hi] += vals * lifted[i]
+            direct[lo:hi] += vals * coeffs[i]
+            hull = min(hull[0], lo), max(hull[1], hi)
         if i + 1 in counts:
-            # ranks j whose count is not below this one: P_min(k,j) f = P_k f
-            target[:, counts.index(i + 1):] = direct
-            np.maximum(worst, np.abs(outer - target), out=worst)
+            # ranks j whose count is not below this one: P_min(k,j) f = P_k f;
+            # rows outside the hull already hold that, and their max
+            rows = slice(*hull)
+            target[rows, counts.index(i + 1):] = direct[rows]
+            np.maximum(worst[rows], np.abs(outer[rows] - target[rows]), out=worst[rows])
+            hull = len(pts), 0
     return worst.reshape(-1, worst.shape[2]).max(axis=0)
 
 
@@ -396,7 +459,7 @@ def distinctness_check(basis, kmax, points=None):
         # indices are graded in order, so the lower rank's sweep is a prefix
         cut = len(basis.indices(min(prev_grade, grade - 1)))
         full, trunc = _element(basis, sweep), _element(basis, sweep[:cut])
-        rows = basis.residual_rows(full, trunc, pts)
+        rows = basis.value_rows(full, pts) - basis.value_rows(trunc, pts)
         worst = min(worst, float(np.max(np.abs(rows))))
     return worst
 
@@ -410,7 +473,7 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
         Truncation thresholds, reported in the given order.
     mode : str
         ``"sup"`` for grid sup of the residual rows (derivative-aware for
-        families that override ``residual_rows``), ``"lp"`` for the family's
+        families that override ``value_rows``), ``"lp"`` for the family's
         L^p error with panel edges on element kinks.
     space : ValueSpace, optional
         Seminorm family for vector-valued f; defaults to the scalar space.
@@ -420,19 +483,24 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
     list of (rank, errors) with ``errors`` a float array, one entry per
     seminorm of the space.
     """
+    if mode not in ("sup", "lp"):
+        raise InputError(f"unknown convergence mode {mode!r}")
     sp = space if space is not None else basis.scalar_space()
-    pts = basis.sample_points() if points is None else np.asarray(points)
     # one sweep to the largest rank; each rank's indices are a prefix of it
     sweep = coefficient_sweep(basis, f, max(ranks)) if ranks else []
+    counts = [len(basis.indices(k)) for k in ranks]
+    if mode == "sup" and ranks:
+        # f once, and every P_k f read off one running sum as block r
+        pts = basis.sample_points() if points is None else np.asarray(points)
+        frows = basis.value_rows(f, pts)
+        sums = basis.value_rows(_element(basis, sweep).partial_sums(counts), pts)
+        width = sums.shape[1] // len(ranks)
     out = []
-    for k in ranks:
-        g = _element(basis, sweep[:len(basis.indices(k))])
+    for r, k in enumerate(ranks):
         if mode == "sup":
-            rows = basis.residual_rows(f, g, pts)
+            rows = frows - sums[:, r * width:(r + 1) * width]
             errs = np.max(sp.seminorm_table(rows), axis=0) if rows.size else np.zeros(len(sp.seminorms))
-        elif mode == "lp":
-            errs = basis.lp_error(f, g, p, k, space=sp)
         else:
-            raise InputError(f"unknown convergence mode {mode!r}")
+            errs = basis.lp_error(f, _element(basis, sweep[:counts[r]]), p, k, space=sp)
         out.append((k, np.asarray(errs, dtype=float)))
     return out

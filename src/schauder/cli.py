@@ -306,18 +306,21 @@ def _cmd_expand(args, cfg):
     sweep = coefficient_sweep(basis, f, args.max_n)
     if not sweep:
         raise InputError(f"no indices of grade <= {args.max_n}")
-    header, rows = _coefficient_table(basis, sweep)
-    payload = {
-        "command": "expand",
-        "basis": args.basis,
-        "fn": args.fn,
-        "max_n": args.max_n,
-        "coefficients": [
-            {"index": _index_columns(i), "value": np.atleast_1d(v)}
-            for i, v in sweep
-        ],
-    }
-    _emit(payload, (header, rows), args.format, args.output)
+    # build only what the chosen format emits
+    if args.format == "json":
+        payload, table = {
+            "command": "expand",
+            "basis": args.basis,
+            "fn": args.fn,
+            "max_n": args.max_n,
+            "coefficients": [
+                {"index": _index_columns(i), "value": np.atleast_1d(v)}
+                for i, v in sweep
+            ],
+        }, None
+    else:
+        payload, table = None, _coefficient_table(basis, sweep)
+    _emit(payload, table, args.format, args.output)
     return 0
 
 

@@ -12,6 +12,7 @@ hat surpluses reproduce interpolation values without rounding noise.
 """
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -79,6 +80,15 @@ class PiecewisePolynomial:
     @property
     def domain(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
+
+    @functools.cached_property
+    def support(self):
+        """Closed hull (lo, hi) of the pieces that are not identically zero
+        (None for the zero polynomial, which then counts as global)."""
+        live = np.flatnonzero(self.coefficients.any(axis=1))
+        if not live.size:
+            return None
+        return float(self.breakpoints[live[0]]), float(self.breakpoints[live[-1] + 1])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -284,6 +294,8 @@ class HaarBasis(BasisFamily):
         def h(x, n=int(n)):
             return haar_eval(n, x)
 
+        steps = haar_constancy_intervals(int(n))
+        h.support = steps[0][0], steps[-1][1]
         return h
 
     coefficient = BasisFamily.coefficient
@@ -446,7 +458,8 @@ class HatBasis(BasisFamily):
         return np.linspace(a, b, 1001)
 
     def segment_breakpoints(self, k):
-        return np.sort(self.seq.points[: int(k) + 1])
+        # h_0 already spans [a, b], so rank 0 needs both ends too
+        return np.sort(self.seq.points[: max(int(k), 1) + 1])
 
     def lp_error(self, f, g, p, rank, space=None):
         return lp_error(f, g, p, self.segment_breakpoints(rank), space=space)
@@ -531,16 +544,11 @@ class CkBasis(BasisFamily):
     def sample_points(self):
         return np.linspace(self.seq.a, self.seq.b, 513)
 
-    def residual_rows(self, f, g, pts):
+    def value_rows(self, f, pts):
+        """Value rows of f, f', ..., f^(k), stacked in that order."""
         fb = as_bundle(f, max_order=self.k)
-        gb = as_bundle(g, max_order=self.k)
-        rows = []
-        for order in range(self.k + 1):
-            diff = np.asarray(fb.derivative(order)(pts)) - np.asarray(
-                gb.derivative(order)(pts)
-            )
-            rows.append(diff[:, None] if diff.ndim == 1 else diff)
-        return np.concatenate(rows, axis=0)
+        rows = [np.asarray(fb.derivative(order)(pts)) for order in range(self.k + 1)]
+        return np.concatenate([v[:, None] if v.ndim == 1 else v for v in rows], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +575,10 @@ def lp_error(f, g, p, breakpoints, panels=2, order=8, space=None):
     sp = space if space is not None else ValueSpace(1)
 
     def integrand(pts):
-        rows = np.asarray(f(pts)) - np.asarray(g(pts))
-        table = sp.seminorm_table(rows if rows.ndim == 2 else rows[:, None])
-        return table ** p
+        # scalar values as one column, so a zero g (rank 0) meets a vector f
+        fv, gv = np.asarray(f(pts)), np.asarray(g(pts))
+        rows = (fv[:, None] if fv.ndim == 1 else fv) - (gv[:, None] if gv.ndim == 1 else gv)
+        return sp.seminorm_table(rows) ** p
 
     nodes, weights = segment_rules(bps[:-1], bps[1:], panels=panels, order=order)
     table = samples_of(integrand, nodes.ravel())

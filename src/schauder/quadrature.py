@@ -221,6 +221,8 @@ def tensor_grid(axis, d):
 
 def gauss_hermite_rule(m, d=1):
     """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InputError(f"Gauss-Hermite dimension must be a positive integer, got {d!r}")
     x, w = _hermgauss(m)
     line = QuadratureRule("gauss-hermite", x, w)
     if d == 1:

@@ -13,6 +13,7 @@ from schauder import (
     semigroup_max_discrepancy,
     taylor_coefficients,
 )
+from schauder import cli
 from schauder.cli import VERIFY_BASES, build_basis, main
 from schauder.interval_bases import DenseSequence
 from schauder.registry import corpus
@@ -84,6 +85,48 @@ def test_converge_l1_on_step_family(capsys):
     errs = [float(r[k]) for r in rows for k in r if k.startswith("err_")]
     assert abs(errs[0] - 0.125) <= 1e-10
     assert abs(errs[1] - 0.0625) <= 1e-10
+
+
+@pytest.mark.parametrize("mode", ["l1", "l2"])
+def test_hat_lp_error_at_rank_zero(capsys, mode):
+    # P_0 x = 0 * h_0 leaves the whole of x; P_1 x = x
+    rc, out, err = _run(
+        capsys,
+        ["converge", "--basis", "hat-dyadic", "--fn", "x", "--ranks", "0,1", "--mode", mode],
+    )
+    assert rc == 0, err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["k"] for r in rows] == ["0", "1"]
+    want = 0.5 if mode == "l1" else 3.0 ** -0.5
+    assert abs(float(rows[0]["err_p0_sup"]) - want) <= 1e-12
+    assert float(rows[1]["err_p0_sup"]) <= 1e-12
+
+
+def test_vector_lp_error_at_rank_zero(tmp_path, capsys):
+    # the Haar rank-0 sum has no terms: P_0 f = 0 in K^3
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"value_space": {"dimension": 3}}))
+    rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", "one,x,x2",
+                                 "--ranks", "0,1", "--mode", "l1", "--config", str(cfg)])
+    assert rc == 0, err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert abs(float(rows[0]["err_p0_sup"]) - 1.0) <= 1e-12
+    assert 0.0 < float(rows[1]["err_p0_sup"]) < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_expand_builds_only_the_emitted_format(capsys, monkeypatch, fmt):
+    calls = []
+    real = cli._coefficient_table
+    monkeypatch.setattr(cli, "_coefficient_table", lambda *a: calls.append(a) or real(*a))
+    rc, out, _ = _run(capsys, ["expand", "--basis", "haar", "--fn", "x", "--max-n", "4",
+                               "--format", fmt])
+    assert rc == 0
+    assert len(calls) == (fmt == "csv")
+    if fmt == "json":
+        assert [c["index"] for c in json.loads(out)["coefficients"]] == [[1], [2], [3], [4]]
+    else:
+        assert out.splitlines()[0] == "n,value" and len(out.splitlines()) == 5
 
 
 def test_sampled_function_csv_input(tmp_path, capsys):

@@ -153,6 +153,14 @@ def test_gauss_hermite_2d_constant():
     assert abs(got - np.pi) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [0, -1, 2.0, "2"])
+def test_gauss_hermite_rule_rejects_bad_dimensions(d):
+    with pytest.raises(InputError, match="dimension"):
+        gauss_hermite_rule(5, d=d)
+    with pytest.raises(InputError, match="dimension"):
+        integrate_gauss_hermite(lambda x: np.ones(len(x)), 5, d=d)
+
+
 def test_gauss_hermite_rule_shapes():
     rule = gauss_hermite_rule(10, d=2)
     assert rule.nodes.shape == (100, 2)

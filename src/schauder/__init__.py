@@ -74,7 +74,6 @@ from .spectral_bases import (
     cr_residual,
     fourier_coefficient,
     hermite_function,
-    hermite_polynomial,
     hermite_tail_bound_check,
     schwartz_seminorm,
     taylor_coefficients,

@@ -187,16 +187,20 @@ def _is_number(s):
         return False
 
 
-def build_value_space(cfg, basis):
-    if cfg:
-        seminorms = [
-            SeminormSpec(s["kind"], tuple(s["weights"]) if s.get("weights") else None)
-            for s in cfg.get("seminorms", [{"kind": "sup"}])
-        ]
-        return ValueSpace(_number(cfg.get("dimension", 1), "value_space dimension"),
-                          field=cfg.get("field", basis.field),
-                          seminorms=seminorms)
-    return ValueSpace(1, field=basis.field)
+def build_value_space(cfg, basis, f):
+    """The value space of ``cfg``; its dimension defaults to the width of
+    f's values at the basis's first sample point."""
+    cfg = cfg or {}
+    if "dimension" in cfg:
+        dimension = _number(cfg["dimension"], "value_space dimension")
+    else:
+        first = np.asarray(f(basis.sample_points()[:1]))
+        dimension = first.shape[1] if first.ndim == 2 else 1
+    seminorms = [
+        SeminormSpec(s["kind"], tuple(s["weights"]) if s.get("weights") else None)
+        for s in cfg.get("seminorms", [{"kind": "sup"}])
+    ]
+    return ValueSpace(dimension, field=cfg.get("field", basis.field), seminorms=seminorms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +331,7 @@ def _cmd_expand(args, cfg):
 def _cmd_converge(args, cfg):
     basis = build_basis(args.basis, cfg.get("basis_params"))
     f = resolve_function(args.fn, basis)
-    space = build_value_space(cfg.get("value_space"), basis)
+    space = build_value_space(cfg.get("value_space"), basis, f)
     mode = {"sup": ("sup", 1), "l1": ("lp", 1), "l2": ("lp", 2)}[args.mode]
     report = convergence_report(basis, f, args.ranks, space=space,
                                 mode=mode[0], p=mode[1])
@@ -349,7 +353,7 @@ def _cmd_converge(args, cfg):
 VERIFY_BASES = ("haar", "hat-dyadic", "ck-dyadic", "hermite", "fourier", "taylor")
 
 
-def _verify_basis(name, max_n, rng):
+def _verify_basis(name, max_n):
     basis = build_basis(name, {
         "hermite": {"n_max": max_n},
         "fourier": {"n_max": max_n},
@@ -429,7 +433,7 @@ def _cmd_verify(args, cfg):
     report = {"command": "verify", "seed": seed, "max_n": args.max_n,
               "bases": {}, "quadrature": {}}
     for name in names:
-        report["bases"][name] = _verify_basis(name, args.max_n, rng)
+        report["bases"][name] = _verify_basis(name, args.max_n)
     report["quadrature"]["integral_bound"] = _verify_integral_bound(rng)
     ok = all(
         chk["pass"]

@@ -246,21 +246,29 @@ def haar_constancy_intervals(n):
 
 def haar_eval(n, x):
     """The n-th Haar function on [0, 1] (half-open steps, h_n(1) = 0 for n >= 2)."""
+    return _haar_values(haar_constancy_intervals(n), x)
+
+
+def _haar_values(steps, x):
+    """The Haar function with constancy intervals ``steps`` at ``x``, in [0, 1]."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = x[None] if scalar else x
     if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
         raise InputError("Haar functions are defined on [0, 1]")
-    split = _haar_split(n)
-    if split is None:
+    if len(steps) == 1:
         vals = np.ones_like(pts)
     else:
-        (lo, mid, _), (_, hi, _) = haar_constancy_intervals(n)
+        (lo, mid, _), (_, hi, _) = steps
         vals = np.where(
             (lo <= pts) & (pts < mid), 1.0,
             np.where((mid <= pts) & (pts < hi), -1.0, 0.0),
         )
     return vals[0] if scalar else vals
+
+
+# Gauss-Legendre order of every Haar coefficient panel
+HAAR_ORDER = 8
 
 
 def _haar_piece_panels(lo, hi):
@@ -281,20 +289,17 @@ class HaarBasis(BasisFamily):
     name = "haar"
     field = "real"
     coefficient_tol = 1e-8
-    default_truncation = 64
 
-    def __init__(self, panels=None, order=8):
+    def __init__(self):
         self.index_set = IndexSet("linear", origin=1)
-        self.panels = panels
-        self.order = order
 
     def element(self, n):
         self.index_set.validate_member(int(n))
-
-        def h(x, n=int(n)):
-            return haar_eval(n, x)
-
         steps = haar_constancy_intervals(int(n))
+
+        def h(x, steps=steps):
+            return _haar_values(steps, x)
+
         h.support = steps[0][0], steps[-1][1]
         return h
 
@@ -313,14 +318,13 @@ class HaarBasis(BasisFamily):
             self.index_set.validate_member(n)
         pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
                   for lo, hi, sign in haar_constancy_intervals(n)]
-        counts = [self.panels if self.panels is not None else _haar_piece_panels(lo, hi)
-                  for _, lo, hi, _ in pieces]
+        counts = [_haar_piece_panels(lo, hi) for _, lo, hi, _ in pieces]
         lo = np.array([p[1] for p in pieces])
         hi = np.array([p[2] for p in pieces])
         groups = []
         for c in sorted(set(counts)):
             sel = [j for j, cj in enumerate(counts) if cj == c]
-            groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=self.order))
+            groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=HAAR_ORDER))
         samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
         sums, start = [None] * len(pieces), 0
         for sel, nodes, weights in groups:
@@ -408,7 +412,6 @@ class HatBasis(BasisFamily):
     name = "hat"
     field = "real"
     coefficient_tol = 1e-12
-    default_truncation = 64
 
     def __init__(self, seq=None):
         self.seq = seq if seq is not None else DenseSequence.dyadic()
@@ -502,7 +505,6 @@ class CkBasis(BasisFamily):
     name = "ck"
     field = "real"
     coefficient_tol = 1e-12
-    default_truncation = 64
 
     def __init__(self, k=2, seq=None):
         if k < 0:

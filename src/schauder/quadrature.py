@@ -53,9 +53,8 @@ def _hermgauss(m):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """An immutable node/weight table tagged with its construction kind."""
+    """An immutable node/weight table."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -158,7 +157,7 @@ def gauss_legendre_rule(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     positive.  Exact for polynomials of degree <= 2*order - 1 on each panel.
     """
     nodes, weights = segment_rules([a], [b], panels=panels, order=order)
-    return QuadratureRule("gauss-legendre-composite", nodes[0], weights[0])
+    return QuadratureRule(nodes[0], weights[0])
 
 
 def segment_rules(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
@@ -204,8 +203,7 @@ def tensor_rule(line_rule, d):
     weights = line_rule.weights
     for _ in range(d - 1):
         weights = np.multiply.outer(weights, line_rule.weights)
-    return QuadratureRule(line_rule.kind + "-tensor", tensor_grid(line_rule.nodes, d),
-                          weights.reshape(-1))
+    return QuadratureRule(tensor_grid(line_rule.nodes, d), weights.reshape(-1))
 
 
 def tensor_grid(axis, d):
@@ -224,7 +222,7 @@ def gauss_hermite_rule(m, d=1):
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InputError(f"Gauss-Hermite dimension must be a positive integer, got {d!r}")
     x, w = _hermgauss(m)
-    line = QuadratureRule("gauss-hermite", x, w)
+    line = QuadratureRule(x, w)
     if d == 1:
         return line
     return tensor_rule(line, d)
@@ -251,7 +249,7 @@ def periodic_rule(n, d=1):
         raise InputError(f"periodic rule supports d in 1..3, got {d!r}")
     x = -np.pi + 2.0 * np.pi * np.arange(n) / n
     w = np.full(n, 2.0 * np.pi / n)
-    line = QuadratureRule("trapezoid-periodic", x, w)
+    line = QuadratureRule(x, w)
     if d == 1:
         return line
     return tensor_rule(line, d)

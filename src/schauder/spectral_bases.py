@@ -25,12 +25,12 @@ from .quadrature import (
     require_finite,
     samples_of,
     tensor_grid,
+    tensor_rule,
     weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
 
 __all__ = [
-    "hermite_polynomial",
     "hermite_function",
     "HermiteBasis",
     "hermite_tail_bound_check",
@@ -48,33 +48,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and Hermite functions
+# Hermite functions
 # ---------------------------------------------------------------------------
 
 
-def hermite_polynomial(n, x):
-    """Physicists' Hermite polynomial H_n by the three-term recursion.
+def _hermite_rows(n, x):
+    """h_0(x), ..., h_n(x) as the rows of one (n + 1,) + x.shape table.
 
-    H_{n+1}(x) = 2 x H_n(x) - 2 n H_{n-1}(x).
+    h_0 = pi^(-1/4) e^(-x^2/2) and h_(j+1) = sqrt(2/(j+1)) x h_j -
+    sqrt(j/(j+1)) h_(j-1), the normalized three-term recurrence (Bunck,
+    BIT 49, 2009): no Hermite polynomial or norm constant is ever formed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InputError(f"Hermite degree must be a nonnegative integer, got {n!r}")
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = 2.0 * x
+    rows = np.empty((n + 1,) + x.shape)
+    rows[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n:
+        rows[1] = math.sqrt(2.0) * x * rows[0]
     for j in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * j * prev
-    return cur
-
-
-def _norm_constant(n):
-    # (2^n n! sqrt(pi))^(-1/2), built multiplicatively to avoid overflow
-    c = math.pi ** -0.25
-    for j in range(1, n + 1):
-        c /= math.sqrt(2.0 * j)
-    return c
+        rows[j + 1] = math.sqrt(2.0 / (j + 1)) * x * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
+    return rows
 
 
 def _as_multi(n, d):
@@ -94,9 +86,9 @@ def _as_multi(n, d):
 def hermite_function(n, x, d=1):
     """L^2-normalized Hermite function, tensorized over axes for d > 1.
 
-    h_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^(-x^2/2); for multi-indices
-    the product over coordinates.  ``x`` has shape (k,) for d = 1 and
-    (k, d) otherwise.
+    h_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^(-x^2/2), the last row of
+    ``_hermite_rows``; for multi-indices the product over coordinates, taken
+    from the left.  ``x`` has shape (k,) for d = 1 and (k, d) otherwise.
     """
     ns = _as_multi(n, d)
     x = np.asarray(x, dtype=float)
@@ -108,11 +100,9 @@ def hermite_function(n, x, d=1):
         if pts.ndim != 2 or pts.shape[1] != d:
             raise InputError(f"points must have shape (k, {d}), got {pts.shape}")
         cols = pts
-    vals = np.ones(cols.shape[0])
-    for axis, ni in enumerate(ns):
-        xi = cols[:, axis]
-        vals = vals * (_norm_constant(ni) * hermite_polynomial(ni, xi)
-                       * np.exp(-0.5 * xi * xi))
+    vals = _hermite_rows(ns[0], cols[:, 0])[ns[0]]
+    for axis, ni in enumerate(ns[1:], start=1):
+        vals = vals * _hermite_rows(ni, cols[:, axis])[ni]
     return vals[0] if scalar else vals
 
 
@@ -124,8 +114,8 @@ class HermiteBasis(BasisFamily):
     """Hermite-function expansions on R^d via Gauss-Hermite quadrature.
 
     The coefficient integral f_hat(n) = integral f h_n is evaluated against
-    the e^{-|x|^2} weight by writing the integrand as
-    f(x) c_n H_n(x) e^{+|x|^2/2}; the quadrature size defaults to
+    the e^{-|x|^2} weight by writing the integrand as f(x) times the product
+    over axes of h_(n_a)(x_a) e^{+x_a^2}; the quadrature size defaults to
     max(40, 2 n_max + 10) per axis, exact for the polynomial part through
     degree 2M - 1.  Sizes are capped at 300, so n_max <= 145 unless
     ``quad_size`` is given.
@@ -134,7 +124,6 @@ class HermiteBasis(BasisFamily):
     name = "hermite"
     field = "real"
     coefficient_tol = 1e-8
-    default_truncation = 32
 
     def __init__(self, d=1, n_max=64, quad_size=None):
         if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
@@ -155,7 +144,8 @@ class HermiteBasis(BasisFamily):
         self.index_set = (
             IndexSet("linear", origin=0) if d == 1 else IndexSet("multi", dim=d)
         )
-        self._rule = gauss_hermite_rule(self.quad_size, d=self.d)
+        self._line = gauss_hermite_rule(self.quad_size)
+        self._rule = self._line if d == 1 else tensor_rule(self._line, self.d)
 
     def element(self, n):
         ns = _as_multi(n, self.d)
@@ -168,19 +158,21 @@ class HermiteBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
+        """One evaluation of ``f`` on the tensor rule and one table of
+        h_0..h_N on the line nodes; index n reads its factor off the table
+        as the outer product of its axis rows, in the rule's node order."""
+        multis = [_as_multi(n, self.d) for n in idxs]
         nodes, weights = self._rule.nodes, self._rule.weights
-        cols = nodes[:, None] if self.d == 1 else nodes
         fv = samples_of(f, nodes)
-        sq = np.zeros(cols.shape[0])
-        for axis in range(self.d):
-            sq = sq + cols[:, axis] * cols[:, axis]
-        growth = np.exp(0.5 * sq)
+        x = self._line.nodes
+        # e^{x^2} per axis: one e^{|x|^2} factor overflows from d = 2 at Q = 300
+        table = _hermite_rows(max((max(ns) for ns in multis), default=0), x) * np.exp(x * x)
         out = []
-        for n in idxs:
-            factor = np.ones(cols.shape[0])
-            for axis, ni in enumerate(_as_multi(n, self.d)):
-                factor = factor * (_norm_constant(ni) * hermite_polynomial(ni, cols[:, axis]))
-            factor = factor * growth
+        for ns in multis:
+            factor = table[ns[0]]
+            for ni in ns[1:]:
+                factor = np.multiply.outer(factor, table[ni])
+            factor = factor.ravel()
             terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
             require_finite(nodes, terms)
             out.append(accumulate(weights, terms))
@@ -209,16 +201,17 @@ class TailBoundReport:
 
 
 def _abs_coeff_sum(n):
-    """Sum of absolute power-basis coefficients of H_n (exact small integers)."""
-    prev = np.array([1.0])
-    if n == 0:
-        return 1.0
-    cur = np.array([0.0, 2.0])
-    for j in range(1, n):
-        nxt = np.zeros(j + 2)
-        nxt[1:] += 2.0 * cur
-        nxt[: j] -= 2.0 * j * prev
-        prev, cur = cur, nxt
+    """Sum of the absolute power-basis coefficients of h_n(x) e^{x^2/2}.
+
+    The recurrence of ``_hermite_rows`` run on coefficient vectors (lowest
+    power first), so the sum carries the normalization constant.
+    """
+    prev, cur = np.zeros(n + 1), np.zeros(n + 1)
+    cur[0] = math.pi ** -0.25
+    for j in range(n):
+        nxt = np.zeros(n + 1)
+        nxt[1:] = math.sqrt(2.0 / (j + 1)) * cur[:-1]
+        prev, cur = cur, nxt - math.sqrt(j / (j + 1)) * prev
     return float(np.sum(np.abs(cur)))
 
 
@@ -228,10 +221,10 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     """Check |integral over box(outer) - integral over box(inner) of f h_n|
     against the closed-form tail bound.
 
-    The bound multiplies the polynomial-growth constant of H_n (sum of
-    absolute coefficients, growth exponent j = |n|), the normalization
-    constant, a weighted sup of f on a finite grid (an under-approximation,
-    which only tightens the check), and the difference of the box terms
+    The bound multiplies the polynomial-growth constant of h_n e^{|x|^2/2}
+    (sum of absolute coefficients, growth exponent j = |n|), a weighted sup
+    of f on a finite grid (an under-approximation, which only tightens the
+    check), and the difference of the box terms
     2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].
     """
     if not 0 < inner < outer:
@@ -274,14 +267,12 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
         table = space.seminorm_table(rows)
         fnorm = np.max(table * weight[:, None], axis=0)
 
-    cn = 1.0
     cgrow = 1.0
     for ni in ns:
-        cn *= _norm_constant(ni)
         cgrow *= _abs_coeff_sum(ni)
     boxes = (1.0 - math.exp(-0.5 * outer * outer)) ** d \
         - (1.0 - math.exp(-0.5 * inner * inner)) ** d
-    rhs = (2.0 ** d) * cn * cgrow * fnorm * boxes
+    rhs = (2.0 ** d) * cgrow * fnorm * boxes
     return TailBoundReport(lhs=lhs, rhs=np.asarray(rhs), inner=float(inner),
                            outer=float(outer))
 
@@ -373,7 +364,6 @@ class FourierBasis(BasisFamily):
     name = "fourier"
     field = "complex"
     coefficient_tol = 1e-8
-    default_truncation = 32
 
     def __init__(self, d=1, n_max=32, grid_size=None):
         self.ctx = PeriodicContext(
@@ -527,7 +517,6 @@ class TaylorBasis(BasisFamily):
     name = "taylor"
     field = "complex"
     coefficient_tol = 1e-10
-    default_truncation = 16
 
     def __init__(self, center=0.0, radius=math.inf, contour_radius=1.0,
                  n_max=16, contour_points=None):

@@ -114,6 +114,30 @@ def test_vector_lp_error_at_rank_zero(tmp_path, capsys):
     assert 0.0 < float(rows[1]["err_p0_sup"]) < 1.0
 
 
+def test_vector_fn_sets_the_value_space_dimension(capsys):
+    # no --config: the space is K^3 because one,x,x2 has three components
+    rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", "one,x,x2",
+                                 "--ranks", "1,3"])
+    assert rc == 0, err
+    got = [float(r["err_p0_sup"]) for r in csv.DictReader(out.splitlines())]
+    scalar = []
+    for fn in ("one", "x", "x2"):
+        rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", fn,
+                                     "--ranks", "1,3"])
+        assert rc == 0, err
+        scalar.append([float(r["err_p0_sup"]) for r in csv.DictReader(out.splitlines())])
+    assert got == list(np.max(scalar, axis=0))
+
+
+def test_config_dimension_still_wins(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"value_space": {"dimension": 2}}))
+    rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", "one,x,x2",
+                                 "--ranks", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert "space dimension is 2" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_expand_builds_only_the_emitted_format(capsys, monkeypatch, fmt):
     calls = []

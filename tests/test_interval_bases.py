@@ -138,6 +138,16 @@ def test_step_point_values():
     assert haar_eval(4, 0.75) == -1.0
 
 
+def test_step_element_is_haar_eval():
+    basis = HaarBasis()
+    xs = np.linspace(0.0, 1.0, 1025)
+    for n in range(1, 70):
+        assert np.array_equal(basis.element(n)(xs), haar_eval(n, xs))
+        assert basis.element(n)(0.5) == haar_eval(n, 0.5)
+        with pytest.raises(InputError, match=r"\[0, 1\]"):
+            basis.element(n)(np.array([0.5, 1.5]))
+
+
 def test_step_constancy_intervals():
     assert haar_constancy_intervals(3) == [(0.0, 0.25, 1), (0.25, 0.5, -1)]
     assert haar_constancy_intervals(1) == [(0.0, 1.0, 1)]

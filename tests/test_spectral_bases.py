@@ -1,8 +1,11 @@
 """Hermite, periodic exponential, and disc families plus their diagnostics."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermval
+from numpy.polynomial.hermite import herm2poly, hermval
 
 from schauder import (
     DiscContext,
@@ -15,7 +18,6 @@ from schauder import (
     cr_residual,
     fourier_coefficient,
     hermite_function,
-    hermite_polynomial,
     hermite_tail_bound_check,
     materialize,
     partial_sum,
@@ -25,6 +27,7 @@ from schauder import (
 )
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
+from schauder.spectral_bases import _abs_coeff_sum
 
 PI_Q = np.pi ** 0.25
 
@@ -32,19 +35,22 @@ PI_Q = np.pi ** 0.25
 # -- hermite -----------------------------------------------------------------
 
 
-def test_physicist_polynomials_match_numpy():
-    rng = np.random.default_rng(23)
-    xs = rng.uniform(-3.0, 3.0, 25)
-    for n in range(13):
-        want = hermval(xs, [0.0] * n + [1.0])
-        got = hermite_polynomial(n, xs)
-        scale = np.max(np.abs(want)) + 1.0
-        assert np.max(np.abs(got - want)) / scale <= 1e-12
+def _norm(n):
+    return 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
 
 
-def test_polynomial_frozen_values():
-    assert hermite_polynomial(1, np.array([3.0]))[0] == 6.0
-    assert hermite_polynomial(2, np.array([1.0]))[0] == 2.0
+def test_functions_match_numpy_hermval():
+    # h_n = (2^n n! sqrt(pi))^(-1/2) H_n e^(-x^2/2), H_n from numpy's Clenshaw sum
+    xs = np.linspace(-6.0, 6.0, 241)
+    for n in range(41):
+        want = _norm(n) * hermval(xs, [0.0] * n + [1.0]) * np.exp(-0.5 * xs * xs)
+        assert np.max(np.abs(hermite_function(n, xs) - want)) <= 1e-12, n
+
+
+def test_abs_coeff_sum_carries_the_norm_constant():
+    for n in range(21):
+        want = _norm(n) * float(np.sum(np.abs(herm2poly([0.0] * n + [1.0]))))
+        assert abs(_abs_coeff_sum(n) - want) <= 1e-13 * want, n
 
 
 def test_function_normalization():
@@ -79,6 +85,26 @@ def test_gaussian_is_the_ground_mode():
     basis = HermiteBasis(n_max=2, quad_size=40)
     assert abs(basis.coefficient(reg("gauss"), 0) - PI_Q) <= 1e-13
     assert abs(basis.coefficient(reg("gauss"), 2)) <= 1e-13
+    got = HermiteBasis(n_max=64).coefficients(reg("gauss"), list(range(65)))
+    assert abs(got[0] - PI_Q) <= 1e-13
+    assert np.max(np.abs(got[1:])) <= 1e-13
+
+
+def test_two_dim_coefficients_are_products_of_line_coefficients():
+    # the largest rule: its corner nodes have |x|^2 near 1180, past the
+    # overflow of e^{|x|^2} as a single factor, but not of e^{x^2} per axis
+    g = [lambda x: np.exp(-0.5 * (x - 0.3) ** 2), lambda x: np.exp(-0.4 * (x + 0.2) ** 2)]
+    f = lambda p: g[0](p[:, 0]) * g[1](p[:, 1])
+    line = HermiteBasis(n_max=4, quad_size=300)
+    c = [line.coefficients(gi, list(range(5))) for gi in g]
+    basis = HermiteBasis(d=2, n_max=4, quad_size=300)
+    idxs = basis.indices(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = basis.coefficients(f, idxs)
+    want = np.array([c[0][n1] * c[1][n2] for n1, n2 in idxs])
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.min(np.abs(want)) > 1e-4
 
 
 def test_two_dim_coefficient():

@@ -29,7 +29,6 @@ import numpy as np
 from . import registry
 from .basis_core import (
     biorthogonality_matrix,
-    coefficient_sweep,
     convergence_report,
     semigroup_discrepancies,
     vector_scalar_consistency,
@@ -44,17 +43,17 @@ from .value_space import SeminormSpec, ValueSpace
 BASIS_SCHEMAS = {
     "haar": {"params": {}, "doc": "Haar steps on [0,1], indexed from 1"},
     "hat-dyadic": {
-        "params": {"levels": "dyadic refinement depth (default 11)"},
+        "params": {"levels": "dyadic refinement depth (default 11, at most 20)"},
         "doc": "piecewise-linear hats over the dyadic point sequence",
     },
     "ck-dyadic": {
         "params": {"k": "smoothness order (default 2)",
-                   "levels": "dyadic refinement depth (default 11)"},
+                   "levels": "dyadic refinement depth (default 11, at most 20)"},
         "doc": "C^k family: jets at 0, then k-fold antiderivatives of hats",
     },
     "hermite": {
         "params": {"n_max": "largest degree (default 64, at most 145 without quad_size)",
-                   "quad_size": "Gauss-Hermite size override"},
+                   "quad_size": "Gauss-Hermite size override (n_max + 1 to 300)"},
         "doc": "normalized Hermite functions on the line",
     },
     "fourier": {
@@ -208,13 +207,6 @@ def build_value_space(cfg, basis, f):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v):
-    """Shortest round-trip decimal for floats; exact text for ints."""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 def _py(obj):
     """Recursively convert numpy scalars/arrays for JSON emission."""
     if isinstance(obj, dict):
@@ -234,51 +226,83 @@ def _py(obj):
     return obj
 
 
+_quote = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# exact type -> JSON text, for the values ``json.dumps`` writes as they are
+_SCALARS = {
+    float: _float_text,
+    int: int.__repr__,
+    str: _quote,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(obj, pad="\n"):
+    """The text of ``json.dumps(_py(obj), sort_keys=True, indent=2)``.
+
+    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
+    set.  This writer dispatches on the exact type and joins strings; any
+    other value (numpy scalars and arrays, complex numbers) is converted by
+    ``_py`` first.  Dict keys must be strings.
+    """
+    kind = type(obj)
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    plain = _py(obj)
+    if plain is obj:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _json(plain, pad)
+
+
 def _index_columns(idx):
     return list(idx) if isinstance(idx, tuple) else [idx]
 
 
-def _value_columns(value):
-    value = np.atleast_1d(np.asarray(value))
-    cols = []
-    for v in value:
-        if np.iscomplexobj(value):
-            cols.extend([v.real, v.imag])
-        else:
-            cols.append(v)
-    return cols
-
-
-def _coefficient_table(basis, rows_of):
-    """(header, rows) for a coefficient sweep."""
-    first_idx, first_val = rows_of[0]
-    dim = len(_index_columns(first_idx))
+def _coefficient_table(idxs, values):
+    """(header, rows) for a coefficient table; ``values`` has one row per
+    index and one column per component, complex columns split into re, im."""
+    dim = len(_index_columns(idxs[0]))
     head = ["n"] if dim == 1 else [f"n{i + 1}" for i in range(dim)]
-    val = np.atleast_1d(np.asarray(first_val))
-    width = val.shape[0]
-    complex_vals = np.iscomplexobj(val)
+    width = values.shape[1]
+    complex_vals = np.iscomplexobj(values)
     for i in range(width):
         tag = f"_{i}" if width > 1 else ""
-        if complex_vals:
-            head.extend([f"re{tag}", f"im{tag}"])
-        else:
-            head.append(f"value{tag}")
-    rows = []
-    for idx, value in rows_of:
-        rows.append(_index_columns(idx) + _value_columns(value))
-    return head, rows
+        head.extend([f"re{tag}", f"im{tag}"] if complex_vals else [f"value{tag}"])
+    if complex_vals:
+        values = np.stack([values.real, values.imag], axis=-1).reshape(len(idxs), -1)
+    return head, [_index_columns(i) + row for i, row in zip(idxs, values.tolist())]
 
 
 def _emit_csv(header, rows, stream):
+    """Rows of Python ints and floats: the csv module writes ints with
+    ``str`` and floats with ``repr``, the shortest round-trip decimal."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(c) for c in row])
+    writer.writerows(rows)
 
 
 def _emit(payload_json, csv_pair, fmt, output):
     if fmt == "json":
-        text = json.dumps(_py(payload_json), sort_keys=True, indent=2) + "\n"
+        text = _json(payload_json) + "\n"
     else:
         buf = io.StringIO()
         _emit_csv(csv_pair[0], csv_pair[1], buf)
@@ -307,9 +331,11 @@ def _cmd_bases(args):
 def _cmd_expand(args, cfg):
     basis = build_basis(args.basis, cfg.get("basis_params"))
     f = resolve_function(args.fn, basis)
-    sweep = coefficient_sweep(basis, f, args.max_n)
-    if not sweep:
+    idxs = basis.indices(args.max_n)
+    if not idxs:
         raise InputError(f"no indices of grade <= {args.max_n}")
+    # one row per index, one column per component
+    values = basis.coefficients(f, idxs).reshape(len(idxs), -1)
     # build only what the chosen format emits
     if args.format == "json":
         payload, table = {
@@ -318,12 +344,12 @@ def _cmd_expand(args, cfg):
             "fn": args.fn,
             "max_n": args.max_n,
             "coefficients": [
-                {"index": _index_columns(i), "value": np.atleast_1d(v)}
-                for i, v in sweep
+                {"index": _index_columns(i), "value": row}
+                for i, row in zip(idxs, values.tolist())
             ],
         }, None
     else:
-        payload, table = None, _coefficient_table(basis, sweep)
+        payload, table = None, _coefficient_table(idxs, values)
     _emit(payload, table, args.format, args.output)
     return 0
 
@@ -337,7 +363,7 @@ def _cmd_converge(args, cfg):
                                 mode=mode[0], p=mode[1])
     labels = space.seminorm_labels()
     header = ["k"] + [f"err_{lab}" for lab in labels]
-    rows = [[k] + list(errs) for k, errs in report]
+    rows = [[k] + errs.tolist() for k, errs in report]
     payload = {
         "command": "converge",
         "basis": args.basis,

@@ -11,7 +11,6 @@ and Haar jump locations are exactly representable, which is what makes the
 hat surpluses reproduce interpolation values without rounding noise.
 """
 
-import bisect
 import functools
 import math
 
@@ -153,6 +152,11 @@ class PiecewisePolynomial:
 # ---------------------------------------------------------------------------
 
 
+# at most 2^20 + 1 points, whose neighbour search holds 21 window-minimum
+# tables of 4-byte indices
+MAX_DYADIC_LEVELS = 20
+
+
 class DenseSequence:
     """A sequence of distinct points t_0 = a, t_1 = b, t_2, t_3, ... in [a, b].
 
@@ -179,18 +183,18 @@ class DenseSequence:
             raise InputError("points must be pairwise distinct")
         pts.flags.writeable = False
         self.points = pts
-        left, right = [-1, -1], [-1, -1]
-        values, order = pts[:2].tolist(), [0, 1]
-        for n, t in enumerate(pts[2:].tolist(), start=2):
-            pos = bisect.bisect(values, t)
-            left.append(order[pos - 1])
-            right.append(order[pos])
-            values.insert(pos, t)
-            order.insert(pos, n)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.left.flags.writeable = False
-        self.right.flags.writeable = False
+        left = np.full(pts.size, -1, dtype=np.intp)
+        right = np.full(pts.size, -1, dtype=np.intp)
+        # in sorted order, t_n's neighbours in T_{n-1} are the nearest
+        # positions on either side holding a smaller index; a is first and
+        # b is last, so every interior position has both
+        order = np.argsort(pts, kind="stable").astype(np.int32)
+        inner = order[1:-1]
+        left[inner], right[inner] = _nearest_smaller(order)
+        left.flags.writeable = False
+        right.flags.writeable = False
+        self.left = left
+        self.right = right
 
     @property
     def a(self):
@@ -205,15 +209,48 @@ class DenseSequence:
 
     @classmethod
     def dyadic(cls, levels=11, a=0.0, b=1.0):
-        """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... down to the given level, mapped to [a, b]."""
-        if levels < 1:
-            raise InputError("need at least one level")
-        pts = [0.0, 1.0]
+        """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... down to the given level, mapped to [a, b].
+
+        At most ``MAX_DYADIC_LEVELS`` levels: 2^levels + 1 points are built.
+        """
+        if not 1 <= levels <= MAX_DYADIC_LEVELS:
+            raise InputError(
+                f"dyadic levels must be in 1..{MAX_DYADIC_LEVELS}, got {levels}"
+            )
+        pts = [np.array([0.0, 1.0])]
         for lev in range(1, levels + 1):
-            scale = 2.0 ** lev
-            pts.extend((2 * j - 1) / scale for j in range(1, 2 ** (lev - 1) + 1))
-        pts = np.asarray(pts)
-        return cls(a + (b - a) * pts)
+            pts.append(np.arange(1, 2 ** lev, 2) / 2.0 ** lev)
+        return cls(a + (b - a) * np.concatenate(pts))
+
+
+def _nearest_smaller(order):
+    """For each interior position p of ``order``, a permutation of 0..N-1
+    with 0 first and 1 last, the values at the nearest positions q < p and
+    q > p with order[q] < order[p].
+
+    This is the all-nearest-smaller-values problem (Berkman, Schieber and
+    Vishkin, J. Algorithms 14, 1993), solved here by binary lifting over a
+    table of window minima, table[k][i] = min(order[i : i + 2^k]), in about
+    log2 N vectorized passes.
+    """
+    size = order.size
+    table, width = [order], 1
+    while 2 * width < size:
+        table.append(np.minimum(table[-1][:-width], table[-1][width:]))
+        width *= 2
+    value = order[1:-1]
+    # [lo, p) and (p, hi) hold no smaller value; pass k widens each by 2^k
+    # where the next window holds none.  A window clamped into range holds
+    # order[0] = 0 or order[-1] = 1, smaller than every interior value, so it
+    # stops the search just as a window past the end would.
+    lo = np.arange(1, size - 1, dtype=np.int32)
+    hi = lo + 1
+    for k in range(len(table) - 1, -1, -1):
+        mins, step = table[k], 1 << k
+        start = np.maximum(lo - step, 0)
+        lo = np.where(mins[start] > value, start, lo)
+        hi = np.where(mins[np.minimum(hi, mins.size - 1)] > value, hi + step, hi)
+    return order[lo - 1], order[hi]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ class HermiteBasis(BasisFamily):
     over axes of h_(n_a)(x_a) e^{+x_a^2}; the quadrature size defaults to
     max(40, 2 n_max + 10) per axis, exact for the polynomial part through
     degree 2M - 1.  Sizes are capped at 300, so n_max <= 145 unless
-    ``quad_size`` is given.
+    ``quad_size`` is given, which must be at least n_max + 1.  Coefficients
+    of order above n_max on any axis are refused.
     """
 
     name = "hermite"
@@ -136,8 +137,10 @@ class HermiteBasis(BasisFamily):
                 f"{2 * n_max + 10} > {_MAX_QUAD}; n_max must be in "
                 f"0..{(_MAX_QUAD - 10) // 2} unless quad_size is given"
             )
-        if quad_size is not None and not 1 <= quad_size <= _MAX_QUAD:
-            raise InputError(f"quad_size must be in 1..{_MAX_QUAD}")
+        if quad_size is not None and not n_max + 1 <= quad_size <= _MAX_QUAD:
+            # biorthogonality through n_max needs at least n_max + 1 nodes
+            raise InputError(f"quad_size must be in n_max + 1 = {n_max + 1}..{_MAX_QUAD}, "
+                             f"got {quad_size}")
         self.d = int(d)
         self.n_max = int(n_max)
         self.quad_size = int(quad_size) if quad_size else max(40, 2 * self.n_max + 10)
@@ -162,11 +165,16 @@ class HermiteBasis(BasisFamily):
         h_0..h_N on the line nodes; index n reads its factor off the table
         as the outer product of its axis rows, in the rule's node order."""
         multis = [_as_multi(n, self.d) for n in idxs]
+        top = max((max(ns) for ns in multis), default=0)
+        if top > self.n_max:
+            # past n_max the rule no longer integrates h_n f: refuse, do not guess
+            raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
+                             f"raise n_max (and quad_size) to expand that far")
         nodes, weights = self._rule.nodes, self._rule.weights
         fv = samples_of(f, nodes)
         x = self._line.nodes
         # e^{x^2} per axis: one e^{|x|^2} factor overflows from d = 2 at Q = 300
-        table = _hermite_rows(max((max(ns) for ns in multis), default=0), x) * np.exp(x * x)
+        table = _hermite_rows(top, x) * np.exp(x * x)
         out = []
         for ns in multis:
             factor = table[ns[0]]

@@ -339,3 +339,35 @@ def test_verify_small_run_is_deterministic(tmp_path, capsys):
     doc = json.loads(out1.read_text())
     assert doc["pass"] == 1
     assert doc["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--basis", "hermite", "--fn", "h5", "--ranks", "5,200,300,500"],
+    ["expand", "--basis", "hermite", "--fn", "h5", "--max-n", "600"],
+])
+def test_hermite_orders_past_n_max_are_usage_errors(capsys, argv):
+    # the default rule integrates h_n f only through n_max = 64
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "n_max = 64" in err
+
+
+def test_hermite_rule_below_n_max_plus_one_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": "hermite", "quad_size": 5}}))
+    rc, out, err = _run(capsys, ["converge", "--fn", "h5", "--ranks", "1,5,20",
+                                 "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "quad_size" in err
+
+
+@pytest.mark.parametrize("basis", ["hat-dyadic", "ck-dyadic"])
+def test_dyadic_levels_past_the_cap_are_usage_errors(tmp_path, capsys, basis):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": basis, "levels": 21}}))
+    rc, out, err = _run(capsys, ["expand", "--fn", "x", "--max-n", "4", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "1..20" in err

@@ -1,0 +1,125 @@
+"""The CLI's output writers: the indent-2 JSON text and the expand tables.
+
+``cli._json`` must write exactly what ``json.dumps(_py(x), sort_keys=True,
+indent=2)`` writes, and an expand table read back from either format must
+give the coefficient array bit for bit.
+"""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from schauder import cli
+from schauder.cli import build_basis, main, resolve_function
+
+PROPS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    FLOATS,
+    st.just(-0.0),
+    st.integers(-(2 ** 200), 2 ** 200),
+    st.text(),
+    st.text(alphabet='"\\\n\t\r\x00\x1f\x7f/é€😀 ab'),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.complex128, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+)
+
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@PROPS
+@given(PAYLOADS)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(cli._py(payload), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": {1, 2}}, [{(1, 2): 0}]])
+def test_json_writer_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(cli._py(payload))
+    with pytest.raises(TypeError):
+        cli._json(payload)
+
+
+def test_json_writer_takes_string_keys_only():
+    # every report the CLI writes has string keys; json.dumps would stringify
+    with pytest.raises(TypeError):
+        cli._json({"a": {2: "b"}})
+
+
+# -- expand tables read back ---------------------------------------------------
+
+FNS = {
+    "haar": ("cubic", "one,x,runge"),
+    "hat-dyadic": ("sin-pi", "x2,cos,gauss"),
+    "ck-dyadic": ("runge", "one,cubic,sin-pi"),
+    "hermite": ("xgauss", "gauss,h1,h4"),
+    "fourier": ("esin", "sin,cos2,invcos"),
+    "taylor": ("exp-z", "sin-z,gauss-z,inv2-z"),
+}
+
+COMPLEX = ("fourier", "taylor")
+CASES = [(fam, fn) for fam, fns in FNS.items() for fn in fns]
+
+
+def _expand(capsys, fam, fn, fmt, max_n=9):
+    rc = main(["expand", "--basis", fam, "--fn", fn, "--max-n", str(max_n),
+               "--format", fmt])
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    return out.out
+
+
+def _want(fam, fn, max_n=9):
+    """Indices and coefficient rows; a complex value is its (re, im) pair."""
+    basis = build_basis(fam)
+    idxs = basis.indices(max_n)
+    values = basis.coefficients(resolve_function(fn, basis), idxs)
+    return idxs, values.reshape(len(idxs), -1).view(np.float64)
+
+
+@pytest.mark.parametrize("fam, fn", CASES)
+def test_expand_csv_reads_back_bit_for_bit(capsys, fam, fn):
+    idxs, want = _want(fam, fn)
+    rows = list(csv.reader(_expand(capsys, fam, fn, "csv").splitlines()))
+    body = np.array([[float(c) for c in row[1:]] for row in rows[1:]])
+    assert [int(row[0]) for row in rows[1:]] == idxs
+    assert body.shape == want.shape
+    assert body.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam, fn", CASES)
+def test_expand_json_reads_back_bit_for_bit(capsys, fam, fn):
+    idxs, want = _want(fam, fn)
+    doc = json.loads(_expand(capsys, fam, fn, "json"))
+    assert [c["index"] for c in doc["coefficients"]] == [[n] for n in idxs]
+    if fam in COMPLEX:
+        got = np.array([[x for v in c["value"] for x in (v["re"], v["im"])]
+                        for c in doc["coefficients"]])
+    else:
+        got = np.array([c["value"] for c in doc["coefficients"]])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

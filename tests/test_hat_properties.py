@@ -5,7 +5,10 @@ insertion order, so chord weights round and cells are split off-center;
 the dyadic tests elsewhere see neither.
 """
 
+import bisect
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,3 +79,48 @@ def test_stacked_coefficients_equal_scalar_ones(seq):
     assert np.array_equal(vec, scalar)
     for m in range(n + 1):
         assert np.array_equal(HatBasis(seq).coefficient(stack, m), scalar[m])
+
+
+# -- insertion-time neighbours -------------------------------------------------
+
+
+def _neighbours_by_insertion(points):
+    """left/right by inserting the points one at a time into a sorted list."""
+    left, right = [-1, -1], [-1, -1]
+    values, order = [float(points[0]), float(points[1])], [0, 1]
+    for n, t in enumerate(points[2:], start=2):
+        pos = bisect.bisect(values, float(t))
+        left.append(order[pos - 1])
+        right.append(order[pos])
+        values.insert(pos, float(t))
+        order.insert(pos, n)
+    return left, right
+
+
+@st.composite
+def raw_sequences(draw):
+    """Distinct interior points of [0, 1] in random order, 0 to 200 of them."""
+    ks = draw(st.lists(st.integers(1, 99_999), max_size=200, unique=True))
+    return [0.0, 1.0] + [k / 100_000 for k in ks]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw_sequences())
+def test_neighbours_match_insertion_loop(points):
+    seq = DenseSequence(points)
+    left, right = _neighbours_by_insertion(points)
+    assert seq.left.tolist() == left
+    assert seq.right.tolist() == right
+
+
+@pytest.mark.parametrize("points", [[0.0, 1.0], [0.0, 1.0, 0.5], [-1.0, 2.0, 1.9],
+                                    [0.0, 1.0, 0.5, 0.25], [0.0, 1.0, 0.9, 0.1, 0.5]])
+def test_neighbours_of_short_sequences(points):
+    seq = DenseSequence(points)
+    assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(points)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 5, 11])
+def test_dyadic_neighbours_match_insertion_loop(levels):
+    seq = DenseSequence.dyadic(levels)
+    assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(seq.points)

@@ -91,6 +91,13 @@ def test_dyadic_sequence_head():
     assert list(pts[:9]) == [0.0, 1.0, 0.5, 0.25, 0.75, 0.125, 0.375, 0.625, 0.875]
 
 
+def test_dyadic_levels_are_capped():
+    assert len(DenseSequence.dyadic(1)) == 3
+    for bad in (0, 21):
+        with pytest.raises(InputError, match="1..20"):
+            DenseSequence.dyadic(bad)
+
+
 def test_dense_sequence_validation():
     with pytest.raises(InputError):
         DenseSequence([0.0, 0.5, 1.0])  # second point must be the right endpoint

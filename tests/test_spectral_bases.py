@@ -141,6 +141,25 @@ def test_n_max_is_validated_before_the_rule_is_built():
     assert HermiteBasis(n_max=181, quad_size=300).quad_size == 300
 
 
+def test_orders_past_n_max_are_refused():
+    basis = HermiteBasis(n_max=4)
+    assert basis.coefficients(reg("h4"), [4])[0] == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(InputError, match="n_max = 4"):
+        basis.coefficients(reg("h4"), [0, 5])
+    plane = HermiteBasis(d=2, n_max=3)
+    plane.coefficients(lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), [(3, 0), (0, 3)])
+    with pytest.raises(InputError, match="n_max = 3"):
+        plane.coefficients(lambda p: p[:, 0], [(0, 4)])
+
+
+def test_rule_needs_n_max_plus_one_nodes():
+    assert HermiteBasis(n_max=4, quad_size=5).quad_size == 5
+    with pytest.raises(InputError, match="quad_size"):
+        HermiteBasis(n_max=5, quad_size=5)
+    with pytest.raises(InputError, match="quad_size"):
+        HermiteBasis(n_max=0, quad_size=0)
+
+
 def test_tail_bound_examples_pass():
     rep = hermite_tail_bound_check(reg("h0"), 0, 2.0, 4.0)
     assert rep.passed()

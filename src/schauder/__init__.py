@@ -13,7 +13,6 @@ from .basis_core import (
     biorthogonality_matrix,
     coefficient_sweep,
     convergence_report,
-    distinctness_check,
     materialize,
     partial_sum,
     projection_algebra_check,
@@ -36,7 +35,6 @@ from .interval_bases import (
     PiecewisePolynomial,
     ck_basis_element,
     haar_constancy_intervals,
-    haar_eval,
     hat_coefficients,
     lp_error,
     schauder_hat,
@@ -56,12 +54,8 @@ from .quadrature import (
 from .sequence_spaces import (
     KotheMatrix,
     TruncatedSequence,
-    c0_seminorm,
-    en_seminorm,
     projection_error_profile,
     reassemble,
-    s_membership_diagnostic,
-    s_seminorm,
     unit_decomposition,
 )
 from .spectral_bases import (
@@ -71,11 +65,9 @@ from .spectral_bases import (
     PeriodicContext,
     TailBoundReport,
     TaylorBasis,
-    cr_residual,
     fourier_coefficient,
     hermite_function,
     hermite_tail_bound_check,
-    schwartz_seminorm,
     taylor_coefficients,
     to_s_space,
 )

@@ -37,7 +37,6 @@ __all__ = [
     "semigroup_discrepancies",
     "biorthogonality_matrix",
     "vector_scalar_consistency",
-    "distinctness_check",
     "convergence_report",
 ]
 
@@ -438,30 +437,6 @@ class _ComponentBundle:
             return self
         g = self.f.derivative(order)
         return lambda pts, g=g, i=self.i: np.asarray(g(pts))[:, i]
-
-
-def distinctness_check(basis, kmax, points=None):
-    """Smallest witness seminorm separating P_j from P_k for k < j <= kmax.
-
-    Witness for the pair (k, j): the j-th enumerated element f_j, for which
-    P_j f_j - P_k f_j = f_j up to coefficient tolerance.  Both sides are
-    honest expansions.  Returns the min over pairs of the sup residual;
-    anything comfortably above zero certifies that all P_k differ.
-    """
-    pts = basis.sample_points() if points is None else np.asarray(points)
-    idxs = basis.indices(kmax)
-    worst = np.inf
-    for pos in range(1, len(idxs)):
-        n = idxs[pos]
-        grade = basis.index_set.grade(n)
-        sweep = coefficient_sweep(basis, basis.element(n), grade)
-        prev_grade = basis.index_set.grade(idxs[pos - 1])
-        # indices are graded in order, so the lower rank's sweep is a prefix
-        cut = len(basis.indices(min(prev_grade, grade - 1)))
-        full, trunc = _element(basis, sweep), _element(basis, sweep[:cut])
-        rows = basis.value_rows(full, pts) - basis.value_rows(trunc, pts)
-        worst = min(worst, float(np.max(np.abs(rows))))
-    return worst
 
 
 def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1):

@@ -18,6 +18,7 @@ shortest round-trip float formatting, no timestamps.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import numbers
@@ -486,7 +487,12 @@ def _parse_ranks(text):
     return ranks
 
 
+_CHOICES = {"format": ("csv", "json"), "mode": ("sup", "l1", "l2")}
+
+
+@functools.cache
 def make_parser():
+    """The argument parser, built once: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="schauder",
         description="Basis expansions with verified projection algebra.",
@@ -502,13 +508,13 @@ def make_parser():
         p.add_argument("--fn",
                        help="registry name, comma list (vector), or sample file")
         p.add_argument("--config", help="JSON job configuration file")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=_CHOICES["format"])
         p.add_argument("--output")
         if cmd == "expand":
             p.add_argument("--max-n", type=int, dest="max_n")
         else:
             p.add_argument("--ranks")
-            p.add_argument("--mode", choices=("sup", "l1", "l2"))
+            p.add_argument("--mode", choices=_CHOICES["mode"])
 
     p = sub.add_parser("verify", help="run the module property suites")
     p.add_argument("--basis")
@@ -549,13 +555,19 @@ def _merge_config(args, parser):
     if getattr(args, "max_n", None) is None and "max_n" in cfg:
         args.max_n = _number(cfg["max_n"], "max_n")
     if getattr(args, "ranks", None) is None and "ranks" in cfg:
-        args.ranks = ",".join(str(r) for r in cfg["ranks"])
+        if not isinstance(cfg["ranks"], list):
+            raise InputError(f"ranks must be a list of integers, got {cfg['ranks']!r}")
+        args.ranks = ",".join(str(_number(r, "ranks entry")) for r in cfg["ranks"])
     if hasattr(args, "format") and args.format is None:
         args.format = _DEFAULTS["format"]
     if hasattr(args, "mode") and args.mode is None:
         args.mode = _DEFAULTS["mode"]
     if hasattr(args, "ranks") and args.ranks is None:
         args.ranks = _DEFAULTS["ranks"]
+    for key, allowed in _CHOICES.items():
+        # the parser checks flags; config values arrive unchecked
+        if getattr(args, key, allowed[0]) not in allowed:
+            raise InputError(f"{key} must be one of {', '.join(allowed)}, got {getattr(args, key)!r}")
     if getattr(args, "max_n", None) is None and hasattr(args, "max_n"):
         args.max_n = (_DEFAULTS["max_n_verify"] if args.command == "verify"
                       else _DEFAULTS["max_n_expand"])

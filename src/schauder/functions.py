@@ -7,8 +7,8 @@ Every function handle in this package is vectorized over evaluation points:
 * vector-valued handles map the same points to values of shape (k, m).
 
 ``FunctionBundle`` pairs a handle with its derivative handles so bases whose
-coefficient functionals differentiate (the C^k family, Schwartz seminorms)
-can ask for exact derivatives instead of finite differences.
+coefficient functionals differentiate (the C^k family) can ask for exact
+derivatives instead of finite differences.
 """
 
 import numpy as np

@@ -26,7 +26,6 @@ from .value_space import ValueSpace
 __all__ = [
     "PiecewisePolynomial",
     "DenseSequence",
-    "haar_eval",
     "haar_constancy_intervals",
     "schauder_hat",
     "hat_coefficients",
@@ -281,13 +280,10 @@ def haar_constancy_intervals(n):
     return [(lo, mid, 1), (mid, hi, -1)]
 
 
-def haar_eval(n, x):
-    """The n-th Haar function on [0, 1] (half-open steps, h_n(1) = 0 for n >= 2)."""
-    return _haar_values(haar_constancy_intervals(n), x)
-
-
 def _haar_values(steps, x):
-    """The Haar function with constancy intervals ``steps`` at ``x``, in [0, 1]."""
+    """The Haar function with constancy intervals ``steps`` at ``x``, in [0, 1].
+
+    The steps are half-open, so h_n(1) = 0 for n >= 2."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = x[None] if scalar else x
@@ -536,7 +532,7 @@ class CkBasis(BasisFamily):
     """C^k functions on an interval: jets at a, then smoothed hats.
 
     The family's own topology controls derivatives up to order k, so error
-    rows and distinctness witnesses stack derivative residuals.
+    rows stack derivative residuals.
     """
 
     name = "ck"

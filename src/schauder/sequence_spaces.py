@@ -2,9 +2,9 @@
 rapid-decay s(Omega, E), convergent sequences c(N, E), and the product E^N.
 
 All data is truncated: a ``TruncatedSequence`` holds finitely many indexed
-entries (plus a declared limit for c(N)).  Seminorms, unit-vector
-decompositions and projection-error profiles are computed by finite scans in
-a fixed index order, so results are deterministic and the c(N) reassembly
+entries (plus a declared limit for c(N)).  Unit-vector decompositions and
+projection-error profiles -- the weighted seminorms of the tails x - P_k x --
+are computed by finite scans in a fixed index order, so results are deterministic and the c(N) reassembly
 x_inf + (x_n - x_inf) performs exactly two IEEE additions per entry.
 """
 
@@ -19,13 +19,9 @@ from .value_space import ValueSpace
 __all__ = [
     "TruncatedSequence",
     "KotheMatrix",
-    "c0_seminorm",
-    "s_seminorm",
-    "en_seminorm",
     "unit_decomposition",
     "reassemble",
     "projection_error_profile",
-    "s_membership_diagnostic",
 ]
 
 SPACE_KINDS = ("c0", "c", "s", "en")
@@ -193,16 +189,8 @@ class KotheMatrix:
 
 
 # ---------------------------------------------------------------------------
-# seminorms
+# seminorm weights
 # ---------------------------------------------------------------------------
-
-
-def _weighted_sup(x, weights, space):
-    sp = _space_for(x, space)
-    table = sp.seminorm_table(x.rows())
-    w = np.asarray(weights, dtype=float)
-    vals = np.max(table * w[:, None], axis=0) if table.size else np.zeros(len(sp.seminorms))
-    return vals if space is not None else float(vals[0])
 
 
 def _weights(x, kind, matrix=None, j=None, l=None):
@@ -226,21 +214,6 @@ def _weights(x, kind, matrix=None, j=None, l=None):
     if kind == "c0":
         return [matrix.entry(int(idx), j) for idx in x.indices]
     return [1.0 if idx <= l else 0.0 for idx in x.indices]
-
-
-def c0_seminorm(x, matrix, j, space=None):
-    """|x|_j = sup_k p(x_k) a(k, j) for the Koethe space c_0(A, E)."""
-    return _weighted_sup(x, _weights(x, "c0", matrix=matrix, j=j), space)
-
-
-def s_seminorm(x, j, space=None):
-    """|x|_j = sup_k p(x_k) (1 + |k|^2)^{j/2} for the rapid-decay space."""
-    return _weighted_sup(x, _weights(x, "s", j=j), space)
-
-
-def en_seminorm(x, l, space=None):
-    """sup over k <= l of p(x_k): the coordinate seminorms of the product E^N."""
-    return _weighted_sup(x, _weights(x, "en", l=l), space)
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +319,3 @@ def projection_error_profile(x, kind, ranks, matrix=None, j=None, l=None,
                 else np.zeros(table.shape[1]))
         out.append((k, errs if space is not None else float(errs[0])))
     return out
-
-
-def s_membership_diagnostic(x, j_max, space=None):
-    """Finite heuristic for rapid decay: seminorm values and growth flags.
-
-    For each order j <= j_max the report carries the truncated seminorm and
-    a flag when the weighted entries still grow across the truncation tail
-    (sup over the last third exceeds the sup over the middle third), which
-    is the fingerprint of non-membership visible at finite range.
-    """
-    if j_max < 0:
-        raise InputError("j_max must be >= 0")
-    sp = _space_for(x, space)
-    order = sorted(range(len(x.indices)), key=lambda i: _sort_key(x.indices[i]))
-    table = sp.seminorm_table(x.rows())
-    base = np.max(table, axis=1)[order]
-    grades = np.array([_grade(x.indices[i]) for i in order])
-    seminorms = {}
-    flags = []
-    for j in range(j_max + 1):
-        weighted = base * (1.0 + grades ** 2) ** (0.5 * j)
-        seminorms[j] = float(np.max(weighted)) if weighted.size else 0.0
-        n = weighted.size
-        if n >= 3:
-            mid = np.max(weighted[n // 3: 2 * n // 3])
-            last = np.max(weighted[2 * n // 3:])
-            if last > mid * (1.0 + 1e-9) and last > 0.0:
-                flags.append(j)
-    return {"seminorms": seminorms, "suspect_orders": flags}

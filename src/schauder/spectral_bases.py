@@ -1,6 +1,6 @@
 """Spectral basis families: Hermite functions, Fourier exponentials, Taylor
-monomials, plus the analytic side checks (Cauchy-Riemann residual, weighted
-tail bound for Hermite integrals, Schwartz-type seminorms).
+monomials, plus the weighted tail bound for Hermite integrals and the bridge
+of Hermite/Fourier coefficients into the rapid-decay sequence space.
 
 Coefficients are quadrature-backed: Gauss-Hermite on the line, the uniform
 rectangle rule on the torus, and uniform contour averaging on a circle.  All
@@ -9,6 +9,7 @@ reproduce it literally (the contour average), so repeated runs are
 byte-stable and vector components match scalar runs bit for bit.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,14 +36,12 @@ __all__ = [
     "HermiteBasis",
     "hermite_tail_bound_check",
     "TailBoundReport",
-    "schwartz_seminorm",
     "PeriodicContext",
     "fourier_coefficient",
     "FourierBasis",
     "DiscContext",
     "taylor_coefficients",
     "TaylorBasis",
-    "cr_residual",
     "to_s_space",
 ]
 
@@ -285,41 +284,6 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
                            outer=float(outer))
 
 
-def schwartz_seminorm(f, l, derivative_handles=None, grid=None, space=None):
-    """Grid approximation of the decay seminorm
-    sup over |beta| <= l, x of p(d^beta f(x)) (1 + |x|^2)^{l/2}.
-
-    ``derivative_handles`` lists handles of orders 0..l on the line (order 0
-    defaults to ``f`` itself; a FunctionBundle's handles are picked up
-    automatically).  The sup over a finite grid under-approximates the true
-    seminorm; callers comparing against it must treat it as a lower bound.
-    """
-    if l < 0:
-        raise InputError("seminorm order must be >= 0")
-    if derivative_handles is None:
-        deriv = getattr(f, "derivative", None)
-        if l > 0 and deriv is None:
-            raise InputError("need derivative handles up to order l")
-        handles = [f] + [deriv(o) for o in range(1, l + 1)] if l else [f]
-    else:
-        handles = list(derivative_handles)
-        if len(handles) < l + 1:
-            raise InputError(f"need {l + 1} handles (orders 0..{l}), got {len(handles)}")
-        handles = handles[: l + 1]
-    pts = np.linspace(-10.0, 10.0, 2001) if grid is None else np.asarray(grid)
-    weight = (1.0 + pts * pts) ** (0.5 * l)
-    best = None
-    for h in handles:
-        rows = np.asarray(h(pts))
-        rows = rows[:, None] if rows.ndim == 1 else rows
-        if space is None:
-            vals = np.array([float(np.max(np.max(np.abs(rows), axis=1) * weight))])
-        else:
-            vals = np.max(space.seminorm_table(rows) * weight[:, None], axis=0)
-        best = vals if best is None else np.maximum(best, vals)
-    return best if space is not None else float(best[0])
-
-
 # ---------------------------------------------------------------------------
 # Fourier exponentials on the torus
 # ---------------------------------------------------------------------------
@@ -460,6 +424,8 @@ class DiscContext:
     contour_points: int = 64
 
     def __post_init__(self):
+        if not cmath.isfinite(self.center):
+            raise InputError(f"disc center must be finite, got {self.center}")
         if not 0.0 < self.contour_radius < self.radius:
             raise InputError(
                 "need 0 < contour_radius < radius "
@@ -555,29 +521,6 @@ class TaylorBasis(BasisFamily):
     def sample_points(self):
         angles = 2.0 * math.pi * np.arange(64) / 64
         return self.ctx.center + self.ctx.contour_radius * np.exp(1j * angles)
-
-
-# ---------------------------------------------------------------------------
-# Cauchy-Riemann residual
-# ---------------------------------------------------------------------------
-
-
-def cr_residual(f, z, h=1e-4):
-    """Central-difference d-bar operator (1/2)(d/dx + i d/dy) applied to f.
-
-    O(h^2) truncation; ~1e-12 and below for holomorphic handles at the
-    default step, order-one for genuinely non-holomorphic ones (conj(z)
-    gives exactly 1).
-    """
-    if not h > 0:
-        raise InputError("step h must be positive")
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    pts = z[None] if scalar else z
-    fx = (np.asarray(f(pts + h)) - np.asarray(f(pts - h))) / (2.0 * h)
-    fy = (np.asarray(f(pts + 1j * h)) - np.asarray(f(pts - 1j * h))) / (2.0 * h)
-    vals = 0.5 * (fx + 1j * fy)
-    return vals[0] if scalar else vals
 
 
 # ---------------------------------------------------------------------------

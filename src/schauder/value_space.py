@@ -99,38 +99,6 @@ class ValueSpace:
         self.seminorms = seminorms
         self._check_separation()
 
-    # -- construction helpers -------------------------------------------------
-
-    @property
-    def dtype(self):
-        return np.complex128 if self.field == "complex" else np.float64
-
-    def vector(self, coords):
-        """Coerce ``coords`` to a validated vector of this space."""
-        v = np.asarray(coords)
-        if v.shape != (self.dimension,):
-            raise InputError(
-                f"expected {self.dimension} coordinates, got shape {v.shape}"
-            )
-        if self.field == "real":
-            if np.iscomplexobj(v):
-                if np.any(v.imag != 0):
-                    raise InputError("complex coordinates in a real value space")
-                v = v.real
-            return v.astype(np.float64)
-        return v.astype(np.complex128)
-
-    def zero(self):
-        return np.zeros(self.dimension, dtype=self.dtype)
-
-    # -- seminorm evaluation --------------------------------------------------
-
-    def seminorm(self, alpha, v):
-        """Evaluate the alpha-th seminorm on vector ``v``."""
-        if not 0 <= alpha < len(self.seminorms):
-            raise InputError(f"seminorm index {alpha} out of range")
-        return float(self.seminorm_values(v)[alpha])
-
     def seminorm_values(self, v):
         """All seminorms of ``v`` as a float array of length len(seminorms)."""
         v = np.asarray(v)

@@ -13,7 +13,6 @@ from schauder import (
     biorthogonality_matrix,
     coefficient_sweep,
     convergence_report,
-    distinctness_check,
     materialize,
     partial_sum,
     projection_algebra_check,
@@ -93,11 +92,6 @@ def test_vector_scalar_consistency_fourier():
     stack = vector_stack([reg("cos"), reg("sin")])
     gap = vector_scalar_consistency(FourierBasis(n_max=8), stack, 1, 2)
     assert gap == 0.0
-
-
-def test_distinctness_separates_low_ranks():
-    assert distinctness_check(HatBasis(), 6) > 0.5
-    assert distinctness_check(HaarBasis(), 6) > 0.1
 
 
 def test_convergence_report_shape_and_monotonicity():

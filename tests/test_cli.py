@@ -330,6 +330,32 @@ def test_unknown_basis_parameter_is_rejected(tmp_path, capsys):
     assert "centre" in err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; no call may leave state in it
+    expand = ["expand", "--basis", "haar", "--fn", "x", "--max-n", "8", "--format", "csv"]
+    rc, first, _ = _run(capsys, expand)
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    rc, _, _ = _run(capsys, ["verify", "--max-n", "2"])
+    assert rc == 0
+    rc, again, _ = _run(capsys, expand)
+    assert rc == 0
+    assert again == first
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_config_mode_and_format_are_checked_like_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for command, key, value in (("converge", "mode", "l3"), ("expand", "format", "xml")):
+        cfg.write_text(json.dumps({"basis": "haar", "fn": "x", key: value}))
+        rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert f"{key} must be one of" in err
+
+
 def test_verify_small_run_is_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     rc1, _, _ = _run(capsys, ["verify", "--basis", "hat-dyadic", "--max-n", "6", "--output", str(out1)])

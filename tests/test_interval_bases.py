@@ -20,7 +20,6 @@ from schauder import (
     ValueSpace,
     ck_basis_element,
     haar_constancy_intervals,
-    haar_eval,
     hat_coefficients,
     lp_error,
     materialize,
@@ -132,25 +131,35 @@ def _exact_product_integral(n, m):
     return total
 
 
+def _step(n):
+    return HaarBasis().element(n)
+
+
 def test_step_point_values():
-    assert haar_eval(1, 0.0) == 1.0
-    assert haar_eval(1, 1.0) == 1.0
-    assert haar_eval(2, 0.25) == 1.0
-    assert haar_eval(2, 0.5) == -1.0
-    assert haar_eval(2, 1.0) == 0.0  # the right endpoint belongs to no half-open piece
-    assert haar_eval(3, 0.125) == 1.0
-    assert haar_eval(3, 0.25) == -1.0
-    assert haar_eval(3, 0.5) == 0.0
-    assert haar_eval(4, 0.5) == 1.0
-    assert haar_eval(4, 0.75) == -1.0
+    assert _step(1)(0.0) == 1.0
+    assert _step(1)(1.0) == 1.0
+    assert _step(2)(0.25) == 1.0
+    assert _step(2)(0.5) == -1.0
+    assert _step(2)(1.0) == 0.0  # the right endpoint belongs to no half-open piece
+    assert _step(3)(0.125) == 1.0
+    assert _step(3)(0.25) == -1.0
+    assert _step(3)(0.5) == 0.0
+    assert _step(4)(0.5) == 1.0
+    assert _step(4)(0.75) == -1.0
 
 
 def test_step_element_is_haar_eval():
+    # the element against a literal scan of its half-open constancy pieces
     basis = HaarBasis()
     xs = np.linspace(0.0, 1.0, 1025)
     for n in range(1, 70):
-        assert np.array_equal(basis.element(n)(xs), haar_eval(n, xs))
-        assert basis.element(n)(0.5) == haar_eval(n, 0.5)
+        want = np.zeros_like(xs)
+        for lo, hi, sign in haar_constancy_intervals(n):
+            want[(lo <= xs) & (xs < hi)] = sign
+        if n == 1:
+            want[-1] = 1.0  # the constant function covers the right endpoint too
+        assert np.array_equal(basis.element(n)(xs), want)
+        assert basis.element(n)(0.5) == want[512]
         with pytest.raises(InputError, match=r"\[0, 1\]"):
             basis.element(n)(np.array([0.5, 1.5]))
 
@@ -170,7 +179,7 @@ def test_step_raw_coefficients_match_exact_rational_oracle():
     for n in range(1, 13):
         for m in range(1, 13):
             want = float(_exact_product_integral(n, m))
-            got = _raw_step_integral(lambda x, m=m: haar_eval(m, x), n)
+            got = _raw_step_integral(_step(m), n)
             assert abs(got - want) <= 1e-14, (n, m)
 
 
@@ -183,7 +192,7 @@ def test_step_raw_coefficient_of_identity():
 def test_step_family_functional_is_normalized():
     basis = HaarBasis()
     for n in (1, 2, 3, 5, 8, 13):
-        val = basis.coefficient(lambda x, n=n: haar_eval(n, x), n)
+        val = basis.coefficient(basis.element(n), n)
         assert abs(val - 1.0) <= 1e-12
 
 

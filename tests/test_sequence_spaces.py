@@ -1,7 +1,5 @@
 """Weighted sequence spaces: seminorms, unit decompositions, tail profiles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,12 +9,8 @@ from schauder import (
     SeminormSpec,
     TruncatedSequence,
     ValueSpace,
-    c0_seminorm,
-    en_seminorm,
     projection_error_profile,
     reassemble,
-    s_membership_diagnostic,
-    s_seminorm,
     unit_decomposition,
 )
 
@@ -26,6 +20,11 @@ def _seq(values, indices=None, **kw):
     if indices is None:
         indices = tuple(range(1, len(values) + 1))
     return TruncatedSequence(tuple(indices), values, **kw)
+
+
+def _seminorm(x, kind, **kw):
+    # the rank-0 tail of a sequence with positive indices is all of it
+    return projection_error_profile(x, kind, [0], **kw)[0][1]
 
 
 # -- containers --------------------------------------------------------------
@@ -78,13 +77,13 @@ def test_null_sequence_seminorm_frozen():
     # weights k^j against x_k = 1/k: the j=1 row tops out at exactly 1
     km = KotheMatrix.from_function(lambda k, j: float(k) ** (j - 1), 30, 3)
     x = _seq([1.0 / k for k in range(1, 31)], space="c0")
-    assert c0_seminorm(x, km, 2) == 1.0
-    assert c0_seminorm(x, km, 1) == 1.0  # j=1 row is all ones, sup is x_1
+    assert _seminorm(x, "c0", matrix=km, j=2) == 1.0
+    assert _seminorm(x, "c0", matrix=km, j=1) == 1.0  # j=1 row is all ones, sup is x_1
 
 
 def test_rapid_decay_seminorm_matches_scan():
     x = _seq([2.0 ** (-k) for k in range(1, 41)], space="s")
-    got = s_seminorm(x, 2)
+    got = _seminorm(x, "s", j=2)
     want = max((1.0 + k * k) * abs(v) for k, v in zip(range(1, 41), x.values))
     assert got == want
     assert abs(got - 1.25) <= 0.0  # attained at k = 2 and k = 3
@@ -92,24 +91,24 @@ def test_rapid_decay_seminorm_matches_scan():
 
 def test_rapid_decay_seminorm_order_zero():
     x = _seq([2.0 ** (-k) for k in range(1, 11)], space="s")
-    assert s_seminorm(x, 0) == 0.5
+    assert _seminorm(x, "s", j=0) == 0.5
 
 
 def test_coordinate_seminorm():
     x = _seq([3.0, 1.0, 4.0, 1.0, 5.0], space="en")
-    assert en_seminorm(x, 3) == 4.0
-    assert en_seminorm(x, 1) == 3.0
+    assert _seminorm(x, "en", l=3) == 4.0
+    assert _seminorm(x, "en", l=1) == 3.0
     with pytest.raises(InputError):
-        en_seminorm(x, 0)
+        _seminorm(x, "en", l=0)
     with pytest.raises(InputError):
-        en_seminorm(_seq([1.0, 2.0], indices=(0, 1), space="en"), 1)
+        _seminorm(_seq([1.0, 2.0], indices=(0, 1), space="en"), "en", l=1)
 
 
 def test_vector_valued_seminorm_with_space():
     space = ValueSpace(2, seminorms=(SeminormSpec("sup"), SeminormSpec("euclidean")))
     vals = np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
     x = TruncatedSequence((1, 2, 3), vals, space="s")
-    got = s_seminorm(x, 0, space=space)
+    got = _seminorm(x, "s", j=0, space=space)
     assert got.shape == (2,)
     assert got[0] == 2.0
 
@@ -194,7 +193,7 @@ def test_c0_profile_rejects_multi_indices_as_the_seminorm_does():
     km = KotheMatrix.from_function(lambda k, j: float(k) ** (j - 1), 4, 2)
     multi = _seq([1.0, 2.0], indices=((1, 0), (0, 1)), space="c0")
     with pytest.raises(InputError):
-        c0_seminorm(multi, km, 2)
+        _seminorm(multi, "c0", matrix=km, j=2)
     with pytest.raises(InputError):
         projection_error_profile(multi, "c0", [0, 1], matrix=km, j=2)
 
@@ -202,7 +201,7 @@ def test_c0_profile_rejects_multi_indices_as_the_seminorm_does():
 def test_en_profile_rejects_what_the_seminorm_rejects():
     negative = _seq([1.0, 2.0, 3.0], indices=(-1, 1, 2), space="en")
     with pytest.raises(InputError):
-        en_seminorm(negative, 2)
+        _seminorm(negative, "en", l=2)
     with pytest.raises(InputError):
         projection_error_profile(negative, "en", [0, 1], l=2)
     with pytest.raises(InputError):
@@ -216,19 +215,3 @@ def test_convergent_profile_uses_distance_to_limit():
     assert prof[0][1] == pytest.approx(1.0)
     assert prof[1][1] == pytest.approx(1.0 / 6.0)
     assert prof[2][1] == 0.0
-
-
-# -- membership diagnostic ---------------------------------------------------
-
-
-def test_diagnostic_accepts_rapid_decay():
-    x = _seq(np.exp(-np.arange(1.0, 31.0)), space="s")
-    rep = s_membership_diagnostic(x, 4)
-    assert rep["suspect_orders"] == []
-    assert rep["seminorms"][0] == pytest.approx(np.exp(-1.0))
-
-
-def test_diagnostic_flags_slow_orders():
-    x = _seq(np.ones(30), space="s")
-    rep = s_membership_diagnostic(x, 4)
-    assert rep["suspect_orders"] == [1, 2, 3, 4]

@@ -15,13 +15,11 @@ from schauder import (
     NumericError,
     PeriodicContext,
     TaylorBasis,
-    cr_residual,
     fourier_coefficient,
     hermite_function,
     hermite_tail_bound_check,
     materialize,
     partial_sum,
-    schwartz_seminorm,
     taylor_coefficients,
     to_s_space,
 )
@@ -178,20 +176,6 @@ def test_tail_bound_two_dim():
 def test_tail_bound_validates_radii():
     with pytest.raises(InputError):
         hermite_tail_bound_check(reg("h0"), 0, 3.0, 2.0)
-
-
-def test_schwartz_seminorm_gaussian():
-    g = reg("gauss")
-    assert schwartz_seminorm(g, 0) == 1.0
-    grid = np.linspace(-10.0, 10.0, 2001)
-    got = schwartz_seminorm(g, 2, grid=grid)
-    # independent scan over the same grid and derivative orders
-    want = 0.0
-    for beta in range(3):
-        vals = np.abs(g.derivative(beta)(grid)) * (1.0 + grid * grid)
-        want = max(want, float(np.max(vals)))
-    assert abs(got - want) <= 1e-12
-    assert schwartz_seminorm(g, 1) <= got + 1e-12
 
 
 # -- periodic exponentials ---------------------------------------------------
@@ -363,13 +347,9 @@ def test_context_validation():
         DiscContext(0.0, 1.0, 2.0, 64)  # contour outside the disc
     with pytest.raises(InputError):
         DiscContext(0.0, 1.0, 0.5, 60)  # not a power of two
-
-
-def test_cauchy_riemann_residuals():
-    assert abs(cr_residual(lambda z: z * z, 0.3 + 0.2j)) <= 1e-10
-    assert abs(cr_residual(np.conj, 0.3 + 0.2j) - 1.0) <= 1e-10
-    got = cr_residual(lambda z: z * np.conj(z), 2.0 + 0.0j)
-    assert abs(got - 2.0) <= 1e-8
+    for center in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(InputError, match="center must be finite"):
+            DiscContext(center, np.inf, 1.0, 64)
 
 
 def test_taylor_basis_monomial_elements():

@@ -53,8 +53,8 @@ BASIS_SCHEMAS = {
         "doc": "C^k family: jets at 0, then k-fold antiderivatives of hats",
     },
     "hermite": {
-        "params": {"n_max": "largest degree (default 64, at most 145 without quad_size)",
-                   "quad_size": "Gauss-Hermite size override (n_max + 1 to 300)"},
+        "params": {"n_max": "largest degree (default 64, at most 495)",
+                   "quad_size": "Gauss-Hermite size override (n_max + 1 to 1000)"},
         "doc": "normalized Hermite functions on the line",
     },
     "fourier": {
@@ -525,6 +525,9 @@ def make_parser():
     return parser
 
 
+# config keys the parser would take as text; format and mode are checked as choices
+_TEXT = {"basis": "a string or an object with a string name",
+         "fn": "a string or a list of strings", "output": "a string"}
 _DEFAULTS = {"format": "csv", "max_n_expand": 8, "max_n_verify": 16,
              "ranks": "1,2,4,8,16", "mode": "sup"}
 
@@ -550,7 +553,12 @@ def _merge_config(args, parser):
     for key, value in (("basis", basis_cfg), ("fn", cfg.get("fn")),
                        ("format", cfg.get("format")), ("mode", cfg.get("mode")),
                        ("output", cfg.get("output"))):
-        if getattr(args, key, None) is None and value is not None:
+        if value is None:
+            continue
+        if key in _TEXT and not (isinstance(value, str) or key == "fn" and isinstance(
+                value, list) and all(isinstance(v, str) for v in value)):
+            raise InputError(f"config {key} must be {_TEXT[key]}, got {value!r}")
+        if getattr(args, key, None) is None:
             setattr(args, key, value)
     if getattr(args, "max_n", None) is None and "max_n" in cfg:
         args.max_n = _number(cfg["max_n"], "max_n")
@@ -558,12 +566,9 @@ def _merge_config(args, parser):
         if not isinstance(cfg["ranks"], list):
             raise InputError(f"ranks must be a list of integers, got {cfg['ranks']!r}")
         args.ranks = ",".join(str(_number(r, "ranks entry")) for r in cfg["ranks"])
-    if hasattr(args, "format") and args.format is None:
-        args.format = _DEFAULTS["format"]
-    if hasattr(args, "mode") and args.mode is None:
-        args.mode = _DEFAULTS["mode"]
-    if hasattr(args, "ranks") and args.ranks is None:
-        args.ranks = _DEFAULTS["ranks"]
+    for key in ("format", "mode", "ranks"):
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, _DEFAULTS[key])
     for key, allowed in _CHOICES.items():
         # the parser checks flags; config values arrive unchecked
         if getattr(args, key, allowed[0]) not in allowed:

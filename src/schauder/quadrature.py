@@ -13,17 +13,18 @@ the rest of the package:
   accumulation of that component performs;
 * repeated runs produce identical bytes (no pairwise/BLAS reassociation).
 
-Node/weight tables come from numpy's Gauss-Legendre and Gauss-Hermite rules;
-composition into panels, tensorization, and the bound checks are local.  A
-d-dimensional tensor rule lists its nodes in lexicographic order (last
-coordinate fastest) as one C-contiguous (N, d) array, and the weight of node
-(i_1, ..., i_d) is the product w_i1 * w_i2 * ... * w_id taken from the left.
+Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
+from ``psi_weighted_rule``; composition into panels, tensorization, and the
+bound checks are local.  A d-dimensional tensor rule lists its nodes in
+lexicographic order (last coordinate fastest) as one C-contiguous (N, d)
+array; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the left.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericError
@@ -31,24 +32,12 @@ from .errors import InputError, NumericError
 DEFAULT_PANELS = 64
 DEFAULT_ORDER = 8
 
-_leggauss_cache = {}
-_hermgauss_cache = {}
 
-
+@functools.cache
 def _leggauss(order):
-    if order not in _leggauss_cache:
-        if not isinstance(order, (int, np.integer)) or order < 1:
-            raise InputError(f"quadrature order must be a positive integer, got {order!r}")
-        _leggauss_cache[order] = leggauss(order)
-    return _leggauss_cache[order]
-
-
-def _hermgauss(m):
-    if m not in _hermgauss_cache:
-        if not isinstance(m, (int, np.integer)) or m < 1:
-            raise InputError(f"Gauss-Hermite size must be a positive integer, got {m!r}")
-        _hermgauss_cache[m] = hermgauss(m)
-    return _hermgauss_cache[m]
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise InputError(f"quadrature order must be a positive integer, got {order!r}")
+    return leggauss(order)
 
 
 @dataclass(frozen=True)
@@ -214,15 +203,60 @@ def tensor_grid(axis, d):
     return grid.reshape(-1, d)
 
 
-# -- Gauss-Hermite (weight e^{-|x|^2}) ---------------------------------------
+# -- Hermite functions and the Gauss-Hermite rule ---------------------------
+
+# the default rule of n_max = 495; higher orders lose accuracy at this size
+HERMITE_MAX_SIZE = 1000
+
+
+def _hermite_rows(n, x):
+    """h_0(x), ..., h_n(x) as the rows of one (n + 1,) + x.shape table.
+
+    h_0 = pi^(-1/4) e^(-x^2/2) and h_(j+1) = sqrt(2/(j+1)) x h_j -
+    sqrt(j/(j+1)) h_(j-1), the normalized three-term recurrence (Bunck,
+    BIT 49, 2009): no Hermite polynomial or norm constant is ever formed.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((n + 1,) + x.shape)
+    rows[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n:
+        rows[1] = math.sqrt(2.0) * x * rows[0]
+    for j in range(1, n):
+        rows[j + 1] = math.sqrt(2.0 / (j + 1)) * x * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
+    return rows
+
+
+# the table holds m^2 floats, 8 MB at m = 1000
+@functools.lru_cache(maxsize=8)
+def psi_weighted_rule(m):
+    """Read-only (nodes, weights, table) of the size-m Gauss rule for dx on the line.
+
+    The nodes are the eigenvalues of the Jacobi matrix, off-diagonal sqrt(k/2)
+    (Golub-Welsch, Math. Comp. 23, 1969), ``table[k]`` is h_k on them, and node
+    x weighs 1 / sum_k h_k(x)^2, the Gauss-Hermite weight times e^{x^2}, or 0
+    where every h_k underflows.  So sum_i w_i g(x_i) is exact when g e^{x^2}
+    is a polynomial of degree below 2m.  Entries are at most pi^(-1/4) but
+    where h_0 is subnormal (outer nodes, m >= 729): there the rounding of h_0,
+    a factor below 2, cancels in w_i h_j(x_i) h_k(x_i).
+    """
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= HERMITE_MAX_SIZE:
+        raise InputError(f"Gauss-Hermite size must be an integer in 1..{HERMITE_MAX_SIZE}, got {m!r}")
+    nodes = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, m)), -1))
+    table = _hermite_rows(m - 1, nodes)
+    total = np.einsum("ki,ki->i", table, table)
+    weights = np.divide(1.0, total, out=np.zeros(m), where=total > 0)
+    for a in (nodes, weights, table):
+        a.flags.writeable = False
+    return nodes, weights, table
 
 
 def gauss_hermite_rule(m, d=1):
-    """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}."""
+    """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}, with
+    the weights of ``psi_weighted_rule(m)`` times e^{-x_i^2}."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InputError(f"Gauss-Hermite dimension must be a positive integer, got {d!r}")
-    x, w = _hermgauss(m)
-    line = QuadratureRule(x, w)
+    x, w, _ = psi_weighted_rule(m)
+    line = QuadratureRule(x, w * np.exp(-x * x))
     if d == 1:
         return line
     return tensor_rule(line, d)

@@ -2,14 +2,15 @@
 monomials, plus the weighted tail bound for Hermite integrals and the bridge
 of Hermite/Fourier coefficients into the rapid-decay sequence space.
 
-Coefficients are quadrature-backed: Gauss-Hermite on the line, the uniform
-rectangle rule on the torus, and uniform contour averaging on a circle.  All
-three inherit the fixed accumulation order of ``quadrature.accumulate`` or
-reproduce it literally (the contour average), so repeated runs are
-byte-stable and vector components match scalar runs bit for bit.
+Coefficients are quadrature-backed: the rule of ``psi_weighted_rule`` on the
+line, the uniform rectangle rule on the torus, and uniform contour averaging
+on a circle.  All three inherit the fixed accumulation order of
+``quadrature.accumulate`` or reproduce it literally (the contour average), so
+repeated runs are byte-stable and vector components match scalar runs bit for bit.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +20,13 @@ from .basis_core import BasisFamily
 from .errors import InputError
 from .indexing import IndexSet
 from .quadrature import (
+    HERMITE_MAX_SIZE,
+    QuadratureRule,
+    _hermite_rows,
     accumulate,
     box_rule,
-    gauss_hermite_rule,
     periodic_rule,
+    psi_weighted_rule,
     require_finite,
     samples_of,
     tensor_grid,
@@ -51,24 +55,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _hermite_rows(n, x):
-    """h_0(x), ..., h_n(x) as the rows of one (n + 1,) + x.shape table.
-
-    h_0 = pi^(-1/4) e^(-x^2/2) and h_(j+1) = sqrt(2/(j+1)) x h_j -
-    sqrt(j/(j+1)) h_(j-1), the normalized three-term recurrence (Bunck,
-    BIT 49, 2009): no Hermite polynomial or norm constant is ever formed.
-    """
-    x = np.asarray(x, dtype=float)
-    rows = np.empty((n + 1,) + x.shape)
-    rows[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n:
-        rows[1] = math.sqrt(2.0) * x * rows[0]
-    for j in range(1, n):
-        rows[j + 1] = math.sqrt(2.0 / (j + 1)) * x * rows[j] - math.sqrt(j / (j + 1)) * rows[j - 1]
-    return rows
+def _n_max(n_max, top=math.inf):
+    """``n_max`` as an int, refused unless it is an integer in 0..top."""
+    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= top:
+        raise InputError(f"n_max must be an integer in 0..{top}, got {n_max!r}")
+    return int(n_max)
 
 
-def _as_multi(n, d):
+def _as_multi(n, d, signed=False):
+    """Index ``n`` as a d-tuple of ints; negative entries only if ``signed``."""
     if isinstance(n, (int, np.integer)):
         if d != 1:
             raise InputError(f"scalar index {n} for a {d}-dimensional family")
@@ -77,7 +72,7 @@ def _as_multi(n, d):
         ns = tuple(int(c) for c in n)
         if len(ns) != d:
             raise InputError(f"index {n!r} has length {len(ns)}, expected {d}")
-    if any(c < 0 for c in ns):
+    if not signed and any(c < 0 for c in ns):
         raise InputError(f"Hermite indices must be nonnegative, got {n!r}")
     return ns
 
@@ -105,20 +100,14 @@ def hermite_function(n, x, d=1):
     return vals[0] if scalar else vals
 
 
-# numpy's hermgauss returns non-finite weights from size 372 on
-_MAX_QUAD = 300
-
-
 class HermiteBasis(BasisFamily):
-    """Hermite-function expansions on R^d via Gauss-Hermite quadrature.
+    """Hermite-function expansions on R^d by the rule of ``psi_weighted_rule``.
 
-    The coefficient integral f_hat(n) = integral f h_n is evaluated against
-    the e^{-|x|^2} weight by writing the integrand as f(x) times the product
-    over axes of h_(n_a)(x_a) e^{+x_a^2}; the quadrature size defaults to
-    max(40, 2 n_max + 10) per axis, exact for the polynomial part through
-    degree 2M - 1.  Sizes are capped at 300, so n_max <= 145 unless
-    ``quad_size`` is given, which must be at least n_max + 1.  Coefficients
-    of order above n_max on any axis are refused.
+    f_hat(n) = integral f h_n is the rule's sum of f(x) times the product over
+    axes of h_(n_a)(x_a), read off the rule's own table.  The rule size Q
+    defaults to max(40, 2 n_max + 10) per axis, exact for h_j h_k with
+    j + k < 2Q; n_max is at most 495, and ``quad_size`` may set Q in
+    n_max + 1..1000.  Orders above n_max on any axis are refused.
     """
 
     name = "hermite"
@@ -128,61 +117,46 @@ class HermiteBasis(BasisFamily):
     def __init__(self, d=1, n_max=64, quad_size=None):
         if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
             raise InputError(f"Hermite family supports d in 1..3, got {d!r}")
-        if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-            raise InputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-        if quad_size is None and 2 * n_max + 10 > _MAX_QUAD:
-            raise InputError(
-                f"n_max {n_max} needs a Gauss-Hermite rule of size 2*n_max+10 = "
-                f"{2 * n_max + 10} > {_MAX_QUAD}; n_max must be in "
-                f"0..{(_MAX_QUAD - 10) // 2} unless quad_size is given"
-            )
-        if quad_size is not None and not n_max + 1 <= quad_size <= _MAX_QUAD:
+        self.n_max = _n_max(n_max, (HERMITE_MAX_SIZE - 10) // 2)
+        if quad_size is None:
+            quad_size = max(40, 2 * self.n_max + 10)
+        elif not self.n_max < quad_size <= HERMITE_MAX_SIZE:
             # biorthogonality through n_max needs at least n_max + 1 nodes
-            raise InputError(f"quad_size must be in n_max + 1 = {n_max + 1}..{_MAX_QUAD}, "
-                             f"got {quad_size}")
+            raise InputError(f"quad_size must be in n_max + 1 = {self.n_max + 1}.."
+                             f"{HERMITE_MAX_SIZE}, got {quad_size}")
         self.d = int(d)
-        self.n_max = int(n_max)
-        self.quad_size = int(quad_size) if quad_size else max(40, 2 * self.n_max + 10)
-        self.index_set = (
-            IndexSet("linear", origin=0) if d == 1 else IndexSet("multi", dim=d)
-        )
-        self._line = gauss_hermite_rule(self.quad_size)
-        self._rule = self._line if d == 1 else tensor_rule(self._line, self.d)
+        self.quad_size = int(quad_size)
+        self.index_set = IndexSet("linear", origin=0) if d == 1 else IndexSet("multi", dim=d)
+        nodes, weights, table = psi_weighted_rule(self.quad_size)
+        line = QuadratureRule(nodes, weights)
+        self._rule = line if d == 1 else tensor_rule(line, self.d)
+        self._table = table[:self.n_max + 1]
 
     def element(self, n):
         ns = _as_multi(n, self.d)
-
-        def h(x, ns=ns, d=self.d):
-            return hermite_function(ns if d > 1 else ns[0], x, d=d)
-
-        return h
+        return functools.partial(hermite_function, ns if self.d > 1 else ns[0], d=self.d)
 
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        """One evaluation of ``f`` on the tensor rule and one table of
-        h_0..h_N on the line nodes; index n reads its factor off the table
-        as the outer product of its axis rows, in the rule's node order."""
+        """One evaluation of ``f`` on the tensor rule; index n reads its
+        factor off the rule's table as the outer product of its axis rows,
+        in the rule's node order."""
         multis = [_as_multi(n, self.d) for n in idxs]
         top = max((max(ns) for ns in multis), default=0)
         if top > self.n_max:
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
             raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
                              f"raise n_max (and quad_size) to expand that far")
-        nodes, weights = self._rule.nodes, self._rule.weights
-        fv = samples_of(f, nodes)
-        x = self._line.nodes
-        # e^{x^2} per axis: one e^{|x|^2} factor overflows from d = 2 at Q = 300
-        table = _hermite_rows(top, x) * np.exp(x * x)
+        fv = samples_of(f, self._rule.nodes)
         out = []
         for ns in multis:
-            factor = table[ns[0]]
+            factor = self._table[ns[0]]
             for ni in ns[1:]:
-                factor = np.multiply.outer(factor, table[ni])
+                factor = np.multiply.outer(factor, self._table[ni])
             factor = factor.ravel()
             terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
-            require_finite(nodes, terms)
-            out.append(accumulate(weights, terms))
+            out.append(accumulate(self._rule.weights, terms))
         return np.array(out)
 
     def sample_points(self):
@@ -307,17 +281,6 @@ class PeriodicContext:
         return (self.grid_size - 1) // 2
 
 
-def _as_lattice(n, d):
-    if isinstance(n, (int, np.integer)):
-        if d != 1:
-            raise InputError(f"scalar mode {n} for a {d}-dimensional torus")
-        return (int(n),)
-    ns = tuple(int(c) for c in n)
-    if len(ns) != d:
-        raise InputError(f"mode {n!r} has length {len(ns)}, expected {d}")
-    return ns
-
-
 def fourier_coefficient(f, n, ctx=None):
     """f_hat(n) on the torus of ``ctx`` (see ``FourierBasis``)."""
     ctx = ctx or PeriodicContext()
@@ -338,10 +301,8 @@ class FourierBasis(BasisFamily):
     coefficient_tol = 1e-8
 
     def __init__(self, d=1, n_max=32, grid_size=None):
-        self.ctx = PeriodicContext(
-            d=d, grid_size=grid_size or max(64, 4 * int(n_max) + 1)
-        )
-        self.n_max = int(n_max)
+        self.n_max = _n_max(n_max)
+        self.ctx = PeriodicContext(d=d, grid_size=grid_size or max(64, 4 * self.n_max + 1))
         self.index_set = IndexSet("lattice", dim=d)
         self._rule = None
 
@@ -357,7 +318,7 @@ class FourierBasis(BasisFamily):
         return self._rule
 
     def element(self, n):
-        ns = _as_lattice(n, self.d)
+        ns = _as_multi(n, self.d, signed=True)
 
         def e(x, ns=ns, d=self.d):
             x = np.asarray(x, dtype=float)
@@ -372,7 +333,7 @@ class FourierBasis(BasisFamily):
         """One evaluation of ``f`` on the rectangle rule, then one integrand
         and one accumulation per mode."""
         ctx = self.ctx
-        modes = [_as_lattice(n, ctx.d) for n in idxs]
+        modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
         for n, ns in zip(idxs, modes):
             if max(abs(c) for c in ns) > ctx.max_mode:
                 raise InputError(
@@ -494,10 +455,10 @@ class TaylorBasis(BasisFamily):
 
     def __init__(self, center=0.0, radius=math.inf, contour_radius=1.0,
                  n_max=16, contour_points=None):
-        npts = contour_points or max(64, _next_pow2(4 * max(int(n_max), 1)))
+        self.n_max = _n_max(n_max)
+        npts = contour_points or max(64, _next_pow2(4 * max(self.n_max, 1)))
         self.ctx = DiscContext(complex(center), float(radius),
                                float(contour_radius), int(npts))
-        self.n_max = int(n_max)
         self.index_set = IndexSet("linear", origin=0)
 
     def element(self, n):

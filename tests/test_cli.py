@@ -208,10 +208,10 @@ def test_ck_dyadic_rejects_sampled_input(tmp_path, capsys):
 
 
 def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
-    rc, out, err = _run(capsys, ["verify", "--basis", "hermite", "--max-n", "181"])
+    rc, out, err = _run(capsys, ["verify", "--basis", "hermite", "--max-n", "496"])
     assert rc == 2
     assert out == ""
-    assert "n_max" in err and "145" in err
+    assert "n_max" in err and "495" in err
 
 
 @pytest.mark.parametrize("max_n", ["0", "-1"])
@@ -320,6 +320,30 @@ def test_config_numbers_are_not_coerced(tmp_path, capsys, command, config, key):
     assert rc == 2
     assert out == ""
     assert f"{key} must be" in err
+
+
+@pytest.mark.parametrize("config,key", [
+    ({"basis": "haar", "fn": "x", "max_n": 2, "output": 1}, "output"),
+    ({"basis": "haar", "fn": {"a": 1}, "max_n": 2}, "fn"),
+    ({"basis": "haar", "fn": ["x", 2], "max_n": 2}, "fn"),
+    ({"basis": {"name": 3}, "fn": "x", "max_n": 2}, "basis"),
+])
+def test_config_text_values_are_type_checked(tmp_path, capsys, config, key):
+    # an integer output would be opened as a file descriptor and closed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = _run(capsys, ["expand", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert f"config {key} must be" in err
+
+
+@pytest.mark.parametrize("basis,fn", [("fourier", "cos"), ("taylor", "poly-z"), ("hermite", "h0")])
+def test_negative_n_max_is_a_usage_error(tmp_path, capsys, basis, fn):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": basis, "n_max": -7}, "fn": fn, "max_n": 1}))
+    rc, out, err = _run(capsys, ["expand", "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert "n_max must be" in err
 
 
 def test_unknown_basis_parameter_is_rejected(tmp_path, capsys):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import herm2poly, hermval
+from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
 
 from schauder import (
     DiscContext,
@@ -15,6 +15,7 @@ from schauder import (
     NumericError,
     PeriodicContext,
     TaylorBasis,
+    biorthogonality_matrix,
     fourier_coefficient,
     hermite_function,
     hermite_tail_bound_check,
@@ -89,8 +90,8 @@ def test_gaussian_is_the_ground_mode():
 
 
 def test_two_dim_coefficients_are_products_of_line_coefficients():
-    # the largest rule: its corner nodes have |x|^2 near 1180, past the
-    # overflow of e^{|x|^2} as a single factor, but not of e^{x^2} per axis
+    # a large rule: its corner nodes have |x|^2 near 1140, where the weight
+    # e^{-|x|^2} underflows but the dx-weights and the h_n table do not
     g = [lambda x: np.exp(-0.5 * (x - 0.3) ** 2), lambda x: np.exp(-0.4 * (x + 0.2) ** 2)]
     f = lambda p: g[0](p[:, 0]) * g[1](p[:, 1])
     line = HermiteBasis(n_max=4, quad_size=300)
@@ -130,13 +131,45 @@ def test_basis_round_trip_small_span():
 
 
 def test_n_max_is_validated_before_the_rule_is_built():
-    # the default rule size is 2 n_max + 10, capped at 300 like quad_size
-    assert HermiteBasis(n_max=145).quad_size == 300
+    # the default rule size is 2 n_max + 10, capped at 1000 like quad_size
+    assert HermiteBasis(n_max=495).quad_size == 1000
     assert HermiteBasis(n_max=0).quad_size == 40
-    for bad in (146, 181, -1):
+    for bad in (496, 600, -1):
         with pytest.raises(InputError, match="n_max"):
             HermiteBasis(n_max=bad)
     assert HermiteBasis(n_max=181, quad_size=300).quad_size == 300
+    with pytest.raises(InputError, match="quad_size"):
+        HermiteBasis(n_max=181, quad_size=1001)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_two_dim_high_order_coefficient_is_finite():
+    # no factor of the coefficient exceeds pi^(-1/4), so no product overflows
+    f = lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1))
+    got = HermiteBasis(d=2, n_max=145).coefficients(f, [(0, 0), (100, 100)])
+    assert np.all(np.isfinite(got))
+    assert abs(got[0] - np.sqrt(np.pi)) <= 1e-12
+    assert abs(got[1]) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_high_order_rule_is_biorthogonal():
+    basis = HermiteBasis(n_max=400)
+    gap = np.max(np.abs(biorthogonality_matrix(basis, 401) - np.eye(401)))
+    assert gap <= basis.coefficient_tol
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corpus_coefficients_match_the_rescaled_gauss_hermite_path():
+    # the former formula: numpy's e^{-x^2} Gauss-Hermite weights, each h_n
+    # rescaled by e^{x^2}, at the default rule size 2 n_max + 10 = 138
+    x, w = hermgauss(138)
+    basis = HermiteBasis(n_max=64)
+    for name, f in corpus("hermite"):
+        fx = f(x)
+        old = [math.fsum(w * fx * hermite_function(n, x) * np.exp(x * x)) for n in range(65)]
+        new = basis.coefficients(f, range(65))
+        assert np.max(np.abs(new - old)) <= 1e-13, name
 
 
 def test_orders_past_n_max_are_refused():

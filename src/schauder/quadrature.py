@@ -16,8 +16,12 @@ the rest of the package:
 Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
 from ``psi_weighted_rule``; composition into panels, tensorization, and the
 bound checks are local.  A d-dimensional tensor rule lists its nodes in
-lexicographic order (last coordinate fastest) as one C-contiguous (N, d)
-array; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the left.
+lexicographic order (last coordinate fastest) as one column-major (N, d)
+array, so each coordinate column ``x[:, a]`` an integrand reads is
+contiguous; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the
+left.  No node array goes through BLAS: the Fourier phase <n, x> is folded
+from the left over the columns, ((n_1 x_1 + n_2 x_2) + n_3 x_3), so its bits
+do not depend on the layout.
 """
 
 import functools
@@ -108,7 +112,8 @@ def accumulate(weights, terms):
     most ``ACCUMULATE_BLOCK`` rows and, past one row, at most
     ``ACCUMULATE_ENTRIES`` entries, and the running sum is carried across
     blocks into the first row of the next one.  A 0-d result is returned as
-    a numpy scalar.
+    a numpy scalar.  A non-finite result, from finite terms whose products
+    or sum overflow, raises ``NumericError`` instead of a numpy warning.
     """
     weights = np.asarray(weights, dtype=float)
     terms = np.asarray(terms)
@@ -117,11 +122,16 @@ def accumulate(weights, terms):
     col = (slice(None),) * weights.ndim + (None,) * (terms.ndim - weights.ndim)
     acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
     step = min(ACCUMULATE_BLOCK, max(1, ACCUMULATE_ENTRIES // max(acc.size, 1)))
-    for start in range(0, terms.shape[0], step):
-        block = weights[start:start + step][col] * terms[start:start + step]
-        block[0] = acc + block[0]
-        # in place, and only the last row kept: no table of running sums outlives the call
-        acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+    try:
+        # finite terms give a non-finite sum only through an overflow
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, terms.shape[0], step):
+                block = weights[start:start + step][col] * terms[start:start + step]
+                block[0] = acc + block[0]
+                # in place, and only the last row kept: no table of running sums outlives the call
+                acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+    except FloatingPointError as exc:
+        raise NumericError(f"weighted sum of {terms.shape[0]} finite terms overflows") from exc
     return acc[()] if acc.ndim == 0 else acc
 
 
@@ -196,11 +206,13 @@ def tensor_rule(line_rule, d):
 
 
 def tensor_grid(axis, d):
-    """The (q**d, d) grid of ``axis`` in lexicographic order, last coordinate fastest."""
-    grid = np.empty((len(axis),) * d + (d,), dtype=axis.dtype)
+    """The (q**d, d) grid of ``axis`` in lexicographic order, last coordinate
+    fastest, column-major: each coordinate column is one contiguous row of
+    the (d, q**d) array it transposes."""
+    cols = np.empty((d,) + (len(axis),) * d, dtype=axis.dtype)
     for i in range(d):
-        grid[..., i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
-    return grid.reshape(-1, d)
+        cols[i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
+    return cols.reshape(d, -1).T
 
 
 # -- Hermite functions and the Gauss-Hermite rule ---------------------------

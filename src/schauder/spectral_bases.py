@@ -287,6 +287,17 @@ def fourier_coefficient(f, n, ctx=None):
     return FourierBasis(d=ctx.d, grid_size=ctx.grid_size).coefficient(f, n)
 
 
+def _phase(x, ns):
+    """<n, x> per point: x * n_0 for d = 1, else sum_a n_a x[..., a] folded
+    from the left over the coordinate columns, the same bits in any layout."""
+    if len(ns) == 1:
+        return x * ns[0]
+    phase = x[..., 0] * ns[0]
+    for a in range(1, len(ns)):
+        phase = phase + x[..., a] * ns[a]
+    return phase
+
+
 class FourierBasis(BasisFamily):
     """Exponential modes e^{i<n, x>} on [-pi, pi]^d, Euclidean-graded.
 
@@ -320,10 +331,8 @@ class FourierBasis(BasisFamily):
     def element(self, n):
         ns = _as_multi(n, self.d, signed=True)
 
-        def e(x, ns=ns, d=self.d):
-            x = np.asarray(x, dtype=float)
-            phase = x * ns[0] if d == 1 else x @ np.asarray(ns, dtype=float)
-            return np.exp(1j * phase)
+        def e(x, ns=ns):
+            return np.exp(1j * _phase(np.asarray(x, dtype=float), ns))
 
         return e
 
@@ -344,8 +353,7 @@ class FourierBasis(BasisFamily):
         fv = samples_of(f, rule.nodes)
         out = []
         for ns in modes:
-            phase = rule.nodes * ns[0] if ctx.d == 1 else rule.nodes @ np.asarray(ns, dtype=float)
-            ph = np.exp(-1j * phase)
+            ph = np.exp(-1j * _phase(rule.nodes, ns))
             terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
             require_finite(rule.nodes, terms)
             out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)

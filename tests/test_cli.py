@@ -196,6 +196,19 @@ def test_non_finite_samples_produce_diagnostic(tmp_path, capsys):
     assert doc["node"] == 0.5  # the hat surplus samples the dyadic points
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("basis", ["hermite", "fourier"])
+def test_overflowing_sum_produces_diagnostic(tmp_path, capsys, basis):
+    # every sample is finite; the weighted sum of them overflows
+    path = tmp_path / "huge.csv"
+    path.write_text("".join(f"{float(x)!r},1e308\n" for x in range(-30, 31)))
+    rc, out, _ = _run(capsys, ["expand", "--basis", basis, "--fn", str(path), "--max-n", "2"])
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["error"] == "numeric"
+    assert "overflows" in doc["message"]
+
+
 def test_ck_dyadic_rejects_sampled_input(tmp_path, capsys):
     # a chord interpolant has no f'' to read C^k coefficients from
     path = tmp_path / "line.csv"

@@ -60,12 +60,12 @@ LEVELS = _ints(-1, 12, 21)
 
 @st.composite
 def _hermite_params(draw):
-    params = draw(st.fixed_dictionaries({}, optional={"n_max": _ints(-1, 12, 145, 146)}))
+    params = draw(st.fixed_dictionaries({}, optional={"n_max": _ints(-1, 12, 495, 496)}))
     if draw(st.booleans()):
         n = params.get("n_max", 64)
         n = n if type(n) is int else 64
-        # a rule needs n_max + 1 to 300 nodes
-        params["quad_size"] = draw(_ints(n - 1, n + 2, 0, 299, 300, 301))
+        # a rule needs n_max + 1 to 1000 nodes
+        params["quad_size"] = draw(_ints(n - 1, n + 2, 0, 999, 1000, 1001))
     return params
 
 
@@ -115,7 +115,9 @@ def _edges(family, params):
         "taylor": (num("contour_points", 0)
                    or max(64, 1 << (4 * max(num("n_max", 16), 1) - 1).bit_length())) // 4,
     }.get(family, 0)
-    return [n for n in (top - 1, top, top + 1) if 0 <= n <= 150]
+    # Hermite up to its n_max cap and one past it; the other families stay small
+    cap = 496 if family == "hermite" else 150
+    return [n for n in (top - 1, top, top + 1) if 0 <= n <= cap]
 
 
 def _grades(family, params):
@@ -190,15 +192,39 @@ def test_expand_parameters_are_honoured_or_refused(cfg_path, family, data):
     cfg = _config(family, params, extra)
     code, out, err = _call(argv, cfg_path, cfg)
     _check_exit(code, out, err, argv, cfg)
-    if code != 0 or max_n < cover:
-        return
+    if code == 0 and max_n >= cover:
+        _check_reproduced(family, params, fn, out, fmt, (argv, cfg))
+
+
+def _check_reproduced(family, params, fn, out, fmt, context):
+    """The expand table ``out`` sums back to ``fn`` on the sample points."""
     basis = build_basis(family, params)
     f = resolve_function(fn, basis)
     pts = basis.sample_points()
     want = np.asarray(f(pts)).reshape(len(pts), -1)
     got = sum(np.multiply.outer(np.asarray(basis.element(n)(pts)), c)
               for n, c in _expand_table(out, fmt).items())
-    assert np.max(np.abs(got - want)) <= basis.coefficient_tol, (argv, cfg)
+    assert np.max(np.abs(got - want)) <= basis.coefficient_tol, context
+
+
+# the drawn Hermite edges, each run once: n_max is at most 495, a rule has
+# n_max + 1 to 1000 nodes, and no order past n_max is expanded
+@pytest.mark.parametrize("params, max_n, want", [
+    ({"n_max": 495, "quad_size": 1000}, 495, 0),
+    ({"n_max": 495, "quad_size": 999}, 3, 0),
+    ({"n_max": 495}, 496, 2),
+    ({"n_max": 496}, 3, 2),
+    ({"n_max": 495, "quad_size": 495}, 3, 2),
+    ({"quad_size": 1001}, 3, 2),
+])
+def test_hermite_edges_are_honoured_or_refused(cfg_path, params, max_n, want):
+    argv = ["expand", "--fn", "h3", "--format", "csv", "--max-n", str(max_n)]
+    cfg = _config("hermite", params, {})
+    code, out, err = _call(argv, cfg_path, cfg)
+    _check_exit(code, out, err, argv, cfg)
+    assert code == want, (argv, cfg, err)
+    if code == 0:
+        _check_reproduced("hermite", params, "h3", out, "csv", (argv, cfg))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -203,9 +203,41 @@ def test_tensor_rule_matches_meshgrid_construction(line, d):
     rule = tensor_rule(line, d)
     nodes, weights = _meshgrid_rule(line, d)
     assert rule.nodes.shape == (len(line) ** d, d)
-    assert rule.nodes.flags.c_contiguous
+    # column-major: each coordinate column is contiguous
+    assert rule.nodes.flags.f_contiguous
     assert np.array_equal(rule.nodes, nodes)
     assert np.array_equal(rule.weights, weights)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_rule_sums_keep_their_bits_in_either_layout(d, m):
+    rule = tensor_rule(gauss_hermite_rule(20), d)
+
+    def f(x):
+        base = np.exp(-0.2 * np.sum(x * x, axis=1))
+        first = base * np.cos(1.5 * x[:, 0])
+        if m == 1:
+            return first
+        return np.stack([first, base * np.sin(x[:, 1]) ** 2, base * x[:, 0] * x[:, d - 1]], axis=-1)
+
+    c_nodes = np.ascontiguousarray(rule.nodes)
+    assert c_nodes.flags.c_contiguous and not rule.nodes.flags.c_contiguous
+    got = np.atleast_1d(weighted_sum(rule.nodes, rule.weights, f))
+    want = np.atleast_1d(weighted_sum(c_nodes, rule.weights, f))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_accumulate_refuses_an_overflowing_sum():
+    # every term finite, the products or the running sum overflow
+    with pytest.raises(NumericError, match="overflows"):
+        accumulate(np.full(4, 2.0), np.full(4, 1e308))
+    with pytest.raises(NumericError, match="overflows"):
+        accumulate(np.ones(3), np.array([1e308, 1e308, -1e308]))
+    with pytest.raises(NumericError, match="overflows"):
+        accumulate(np.ones(2), np.full((2, 3), 1e308 + 1e308j))
+    # a running sum that reaches 1e308 and cancels stays finite
+    assert accumulate(np.ones(2), np.array([1e308, -1e308])) == 0.0
 
 
 def test_integral_bound_positive_rules_property():

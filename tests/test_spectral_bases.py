@@ -24,6 +24,7 @@ from schauder import (
     taylor_coefficients,
     to_s_space,
 )
+from schauder.quadrature import accumulate
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 from schauder.spectral_bases import _abs_coeff_sum
@@ -280,6 +281,25 @@ def test_fourier_rule_is_built_once_per_basis(monkeypatch):
     again = basis.coefficients(reg("cos"), basis.indices(3))
     assert calls == [(basis.ctx.grid_size, 2)]
     assert np.array_equal(again[: len(first)], first)
+
+
+def test_three_dim_phase_fold_is_close_to_the_matmul_phase():
+    basis = FourierBasis(d=3, n_max=2, grid_size=32)
+    f = lambda p: np.exp(np.cos(p[:, 0]) + 0.5 * np.sin(p[:, 1] - p[:, 2]))
+    idxs = basis.indices(2)
+    got = basis.coefficients(f, idxs)
+    rule = basis.rule
+    fv = f(rule.nodes)
+    want = [accumulate(rule.weights, fv * np.exp(-1j * (rule.nodes @ np.asarray(n, dtype=float))))
+            / (2.0 * np.pi) ** 3 for n in idxs]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+
+def test_two_dim_basis_stays_biorthogonal():
+    basis = FourierBasis(d=2, n_max=3)
+    count = len(basis.indices(3))
+    bio = biorthogonality_matrix(basis, count)
+    assert np.max(np.abs(bio - np.eye(count))) <= 1e-13
 
 
 def test_basis_indices_are_graded_ints():

@@ -21,11 +21,7 @@ from .basis_core import (
     vector_scalar_consistency,
 )
 from .errors import InputError, NumericError
-from .functions import (
-    FunctionBundle,
-    SampledFunction,
-    as_bundle,
-)
+from .functions import FunctionBundle, SampledFunction
 from .indexing import IndexSet
 from .interval_bases import (
     CkBasis,

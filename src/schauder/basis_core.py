@@ -97,7 +97,7 @@ class BasisFamily(ABC):
     def segment_breakpoints(self, k):
         """Breakpoints splitting the domain into smooth pieces of rank-k sums.
 
-        ``None`` means the domain needs no special splitting.  Families with
+        ``None`` means the family has no L^p error mode.  Families with
         discontinuous or kinked elements override this so that L^p error
         quadrature can place panel edges on the kinks.
         """
@@ -113,7 +113,13 @@ class BasisFamily(ABC):
         return _rows(f(pts))
 
     def lp_error(self, f, g, p, rank, space=None):
-        raise InputError(f"basis family {self.name!r} has no L^p error mode")
+        """``interval_bases.lp_error`` of ``g`` against ``f``, panel edges on
+        ``segment_breakpoints(rank)``; without breakpoints there is no L^p mode."""
+        breakpoints = self.segment_breakpoints(rank)
+        if breakpoints is None:
+            raise InputError(f"basis family {self.name!r} has no L^p error mode")
+        from . import interval_bases  # imports this module; read at call time
+        return interval_bases.lp_error(f, g, p, breakpoints, space=space)
 
     def scalar_space(self):
         return ValueSpace(1, field=self.field)
@@ -413,13 +419,9 @@ def vector_scalar_consistency(basis, f, n, components):
 
 
 def _component_handle(f, i):
-    def fi(pts, f=f, i=i):
-        return np.asarray(f(pts))[:, i]
-
-    deriv = getattr(f, "derivative", None)
-    if deriv is not None:
-        fi = _ComponentBundle(f, i)
-    return fi
+    if hasattr(f, "derivative"):
+        return _ComponentBundle(f, i)
+    return lambda pts: np.asarray(f(pts))[:, i]
 
 
 class _ComponentBundle:

@@ -24,6 +24,7 @@ import json
 import numbers
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,37 +42,6 @@ from .quadrature import integral_bound_check
 from .spectral_bases import FourierBasis, HermiteBasis, TaylorBasis
 from .value_space import SeminormSpec, ValueSpace
 
-BASIS_SCHEMAS = {
-    "haar": {"params": {}, "doc": "Haar steps on [0,1], indexed from 1"},
-    "hat-dyadic": {
-        "params": {"levels": "dyadic refinement depth (default 11, at most 20)"},
-        "doc": "piecewise-linear hats over the dyadic point sequence",
-    },
-    "ck-dyadic": {
-        "params": {"k": "smoothness order (default 2)",
-                   "levels": "dyadic refinement depth (default 11, at most 20)"},
-        "doc": "C^k family: jets at 0, then k-fold antiderivatives of hats",
-    },
-    "hermite": {
-        "params": {"n_max": "largest degree (default 64, at most 495)",
-                   "quad_size": "Gauss-Hermite size override (n_max + 1 to 1000)"},
-        "doc": "normalized Hermite functions on the line",
-    },
-    "fourier": {
-        "params": {"n_max": "largest mode (default 32)",
-                   "grid_size": "rectangle-rule size override"},
-        "doc": "exponential modes on [-pi, pi]",
-    },
-    "taylor": {
-        "params": {"center": "expansion point (re or [re, im], default 0)",
-                   "radius": "disc radius (default inf)",
-                   "contour_radius": "averaging circle radius (default 1)",
-                   "n_max": "largest order (default 16)",
-                   "contour_points": "contour size override (power of 2)"},
-        "doc": "Taylor monomials with contour-average coefficients",
-    },
-}
-
 
 def _number(value, key, kind=int, minimum=None):
     """``kind(value)`` for a config value; bools, strings and, for ``int``, floats are refused."""
@@ -84,59 +54,76 @@ def _number(value, key, kind=int, minimum=None):
     return kind(value)
 
 
-def _param(params, key, default, kind=int, minimum=None):
-    """Pop a basis parameter, checked by ``_number``."""
-    value = params.pop(key, default)
-    return None if value is None else _number(value, f"basis parameter {key}", kind, minimum)
+def _complex(value, key):
+    """A config complex: a real, an ``[re, im]`` pair, or ``{"re": ..., "im": ...}``
+    as the JSON emitter writes complex values."""
+    if isinstance(value, dict):
+        value = [value.get("re", 0.0), value.get("im", 0.0)]
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise InputError(f"{key} must be a pair [re, im], got {value!r}")
+        return complex(*value)
+    return value
 
 
-def _build_basis_inner(name, params):
-    if name == "haar":
-        return HaarBasis()
-    if name == "hat-dyadic":
-        return HatBasis(DenseSequence.dyadic(_param(params, "levels", 11)))
-    if name == "ck-dyadic":
-        return CkBasis(k=_param(params, "k", 2),
-                       seq=DenseSequence.dyadic(_param(params, "levels", 11)))
-    if name == "hermite":
-        return HermiteBasis(n_max=_param(params, "n_max", 64),
-                            quad_size=_param(params, "quad_size", None, minimum=1))
-    if name == "fourier":
-        return FourierBasis(n_max=_param(params, "n_max", 32),
-                            grid_size=_param(params, "grid_size", None, minimum=1))
-    if name == "taylor":
-        center = params.pop("center", 0.0)
-        if isinstance(center, (list, tuple)):
-            if len(center) != 2:
-                raise InputError(f"basis parameter center must be a pair [re, im], got {center!r}")
-            center = complex(center[0], center[1])
-        elif isinstance(center, dict):
-            # same shape the JSON emitter uses for complex values
-            center = complex(center.get("re", 0.0), center.get("im", 0.0))
-        return TaylorBasis(center=center,
-                           radius=_param(params, "radius", np.inf, float),
-                           contour_radius=_param(params, "contour_radius", 1.0, float),
-                           n_max=_param(params, "n_max", 16),
-                           contour_points=_param(params, "contour_points", None, minimum=1))
-    return None
+def _dyadic(family, **params):
+    """``family`` over the dyadic sequence, at the config's ``levels`` if it sets them."""
+    levels = {"levels": params.pop("levels")} if "levels" in params else {}
+    return family(seq=DenseSequence.dyadic(**levels), **params)
+
+
+# a --config basis parameter: its doc, JSON kind and least value
+Param = namedtuple("Param", "doc kind minimum", defaults=(int, None))
+# the constructor owns every default: a parameter the config leaves out is
+# not passed, and an explicit null is passed as None
+Family = namedtuple("Family", "build doc params")
+_LEVELS = Param("dyadic refinement depth (default 11, at most 20)")
+
+FAMILIES = {
+    "haar": Family(HaarBasis, "Haar steps on [0,1], indexed from 1", {}),
+    "hat-dyadic": Family(functools.partial(_dyadic, HatBasis),
+                         "piecewise-linear hats over the dyadic point sequence",
+                         {"levels": _LEVELS}),
+    "ck-dyadic": Family(functools.partial(_dyadic, CkBasis),
+                        "C^k family: jets at 0, then k-fold antiderivatives of hats",
+                        {"k": Param("smoothness order (default 2)"), "levels": _LEVELS}),
+    "hermite": Family(HermiteBasis, "normalized Hermite functions on the line", {
+        "n_max": Param("largest degree (default 64, at most 495)"),
+        "quad_size": Param("Gauss-Hermite size override (n_max + 1 to 1000)", minimum=1)}),
+    "fourier": Family(FourierBasis, "exponential modes on [-pi, pi]", {
+        "n_max": Param("largest mode (default 32)"),
+        "grid_size": Param("rectangle-rule size override", minimum=1)}),
+    "taylor": Family(TaylorBasis, "Taylor monomials with contour-average coefficients", {
+        "center": Param("expansion point (re or [re, im], default 0)", complex),
+        "radius": Param("disc radius (default inf)", float),
+        "contour_radius": Param("averaging circle radius (default 1)", float),
+        "n_max": Param("largest order (default 16)"),
+        "contour_points": Param("contour size override (power of 2)", minimum=1)}),
+}
 
 
 def build_basis(name, params=None):
-    """Construct a registered basis family from a parameter mapping."""
+    """Construct a registered basis family from a parameter mapping; a bad
+    value is reported before an unknown key."""
     params = dict(params or {})
+    family = FAMILIES.get(name)
+    if family is None:
+        raise InputError(f"unknown basis {name!r}; known: {', '.join(sorted(FAMILIES))}")
+    given = {key: params.pop(key) for key in family.params if key in params}
     try:
-        basis = _build_basis_inner(name, params)
+        for key, value in given.items():
+            param, label = family.params[key], f"basis parameter {key}"
+            if value is not None:
+                given[key] = (_complex(value, label) if param.kind is complex
+                              else _number(value, label, param.kind, param.minimum))
+        basis = family.build(**given)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad parameters for basis {name!r}: {exc}")
-    if basis is None:
-        raise InputError(
-            f"unknown basis {name!r}; known: {', '.join(sorted(BASIS_SCHEMAS))}"
-        )
     if params:
         # a typo here would otherwise change the math silently
         raise InputError(
             f"unknown parameter(s) for basis {name!r}: {', '.join(sorted(params))}; "
-            f"known: {', '.join(sorted(BASIS_SCHEMAS[name]['params'])) or 'none'}"
+            f"known: {', '.join(sorted(family.params)) or 'none'}"
         )
     return basis
 
@@ -321,11 +308,9 @@ def _emit(payload_json, csv_pair, fmt, output):
 
 
 def _cmd_bases(args):
-    payload = {
-        "bases": BASIS_SCHEMAS,
-        "functions": registry.describe(),
-    }
-    _emit(payload, None, "json", args.output)
+    bases = {name: {"doc": family.doc, "params": {k: p.doc for k, p in family.params.items()}}
+             for name, family in FAMILIES.items()}
+    _emit({"bases": bases, "functions": registry.describe()}, None, "json", args.output)
     return 0
 
 
@@ -377,15 +362,11 @@ def _cmd_converge(args, cfg):
     return 0
 
 
-VERIFY_BASES = ("haar", "hat-dyadic", "ck-dyadic", "hermite", "fourier", "taylor")
+VERIFY_BASES = tuple(FAMILIES)
 
 
 def _verify_basis(name, max_n):
-    basis = build_basis(name, {
-        "hermite": {"n_max": max_n},
-        "fourier": {"n_max": max_n},
-        "taylor": {"n_max": max_n},
-    }.get(name))
+    basis = build_basis(name, {"n_max": max_n} if "n_max" in FAMILIES[name].params else None)
     corpus = registry.corpus(basis.name)
     tol_semigroup = 1e-10
     # the corpus is one K^8-valued function; component i is function i
@@ -455,7 +436,7 @@ def _cmd_verify(args, cfg):
     rng = np.random.default_rng(seed)
     names = [args.basis] if args.basis else list(VERIFY_BASES)
     for n in names:
-        if n not in BASIS_SCHEMAS:
+        if n not in FAMILIES:
             raise InputError(f"unknown basis {n!r}")
     report = {"command": "verify", "seed": seed, "max_n": args.max_n,
               "bases": {}, "quadrature": {}}

@@ -30,10 +30,6 @@ class FunctionBundle:
     def __call__(self, x):
         return self.func(x)
 
-    @property
-    def max_order(self):
-        return len(self.derivatives)
-
     def derivative(self, order=1):
         """Handle for the derivative of the given order (0 returns func)."""
         if order == 0:
@@ -47,32 +43,7 @@ class FunctionBundle:
 
     def __repr__(self):
         tag = self.name or "<anonymous>"
-        return f"FunctionBundle({tag}, orders<= {self.max_order})"
-
-
-def as_bundle(f, max_order=0):
-    """Coerce ``f`` to a FunctionBundle with derivatives up to ``max_order``.
-
-    Accepts an existing bundle, any object exposing ``derivative(order)``
-    returning callables (piecewise polynomials, materialized partial sums of
-    piecewise-polynomial terms), or a bare callable when no derivatives are
-    required.
-    """
-    if isinstance(f, FunctionBundle):
-        if f.max_order < max_order:
-            raise InputError(
-                f"bundle provides derivatives up to {f.max_order}, need {max_order}"
-            )
-        return f
-    if max_order == 0:
-        return FunctionBundle(f)
-    deriv = getattr(f, "derivative", None)
-    if deriv is None:
-        raise InputError(
-            "this operation needs derivative handles; pass a FunctionBundle "
-            f"with derivatives up to order {max_order}"
-        )
-    return FunctionBundle(f, tuple(deriv(j) for j in range(1, max_order + 1)))
+        return f"FunctionBundle({tag}, orders<= {len(self.derivatives)})"
 
 
 class SampledFunction:

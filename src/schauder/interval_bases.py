@@ -18,7 +18,6 @@ import numpy as np
 
 from .basis_core import BasisFamily
 from .errors import InputError
-from .functions import as_bundle
 from .indexing import IndexSet
 from .quadrature import accumulate, samples_of, segment_rules
 from .value_space import ValueSpace
@@ -383,9 +382,6 @@ class HaarBasis(BasisFamily):
         m = 2 ** (level + 2)
         return np.arange(m + 1) / m
 
-    def lp_error(self, f, g, p, rank, space=None):
-        return lp_error(f, g, p, self.segment_breakpoints(rank), space=space)
-
 
 # ---------------------------------------------------------------------------
 # Faber-Schauder hats
@@ -497,9 +493,6 @@ class HatBasis(BasisFamily):
         # h_0 already spans [a, b], so rank 0 needs both ends too
         return np.sort(self.seq.points[: max(int(k), 1) + 1])
 
-    def lp_error(self, f, g, p, rank, space=None):
-        return lp_error(f, g, p, self.segment_breakpoints(rank), space=space)
-
 
 # ---------------------------------------------------------------------------
 # C^k interval basis: polynomials then k-fold antiderivatives of hats
@@ -526,6 +519,17 @@ def ck_basis_element(seq, k, n):
     for _ in range(k):
         pp = pp.antiderivative()
     return pp
+
+
+def _derivatives(f, top):
+    """[f, f', ..., f^(top)] from ``f.derivative(j)``, every handle fetched
+    before any is evaluated, so a missing order is refused before f runs."""
+    if top and not hasattr(f, "derivative"):
+        raise InputError(
+            "this operation needs derivative handles; pass a FunctionBundle "
+            f"with derivatives up to order {top}"
+        )
+    return [f] + [f.derivative(j) for j in range(1, top + 1)]
 
 
 class CkBasis(BasisFamily):
@@ -558,21 +562,22 @@ class CkBasis(BasisFamily):
 
     def coefficients(self, f, idxs):
         """mu_n(f) = f^(n)(a) for n < k, and the hat coefficient
-        lambda_{n-k}(f^(k)) otherwise.  ``f`` must provide exact derivative
-        handles up to order k (a FunctionBundle, a PiecewisePolynomial, or a
-        materialized sum of such terms).  Each jet f^(n)(a) is read once,
-        and f^(k) is evaluated once for all the hat coefficients."""
+        lambda_{n-k}(f^(k)) otherwise.  The derivatives come from
+        ``f.derivative(j)`` (a FunctionBundle, a PiecewisePolynomial, or a
+        materialized sum of such terms); a bare callable serves index 0
+        only.  Each jet f^(n)(a) is read once, and f^(k) is evaluated once
+        for all the hat coefficients."""
         idx = np.asarray([int(n) for n in idxs], dtype=np.intp)
         if (idx < 0).any():
             raise InputError("coefficient index must be >= 0")
         k = self.k
-        bundle = as_bundle(f, max_order=min(int(idx.max()), k))
+        derivs = _derivatives(f, min(int(idx.max()), k))
         out = [None] * idx.size
         for pos in np.flatnonzero(idx < k):
-            out[pos] = np.asarray(bundle.derivative(int(idx[pos]))(np.array([self.seq.a])))[0]
+            out[pos] = np.asarray(derivs[idx[pos]](np.array([self.seq.a])))[0]
         smooth = np.flatnonzero(idx >= k)
         if smooth.size:
-            for pos, value in zip(smooth, self._hats.coefficients(bundle.derivative(k), idx[smooth] - k)):
+            for pos, value in zip(smooth, self._hats.coefficients(derivs[k], idx[smooth] - k)):
                 out[pos] = value
         return np.array(out)
 
@@ -581,8 +586,7 @@ class CkBasis(BasisFamily):
 
     def value_rows(self, f, pts):
         """Value rows of f, f', ..., f^(k), stacked in that order."""
-        fb = as_bundle(f, max_order=self.k)
-        rows = [np.asarray(fb.derivative(order)(pts)) for order in range(self.k + 1)]
+        rows = [np.asarray(h(pts)) for h in _derivatives(f, self.k)]
         return np.concatenate([v[:, None] if v.ndim == 1 else v for v in rows], axis=0)
 
 

@@ -119,20 +119,30 @@ def accumulate(weights, terms):
     terms = np.asarray(terms)
     if terms.shape[:weights.ndim] != weights.shape:
         raise InputError(f"weights of shape {weights.shape} for terms of shape {terms.shape}")
+    acc = _overflow_checked(terms.shape[0], _accumulate_blocks, weights, terms)
+    return acc[()] if acc.ndim == 0 else acc
+
+
+def _accumulate_blocks(weights, terms):
     col = (slice(None),) * weights.ndim + (None,) * (terms.ndim - weights.ndim)
     acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
     step = min(ACCUMULATE_BLOCK, max(1, ACCUMULATE_ENTRIES // max(acc.size, 1)))
+    for start in range(0, terms.shape[0], step):
+        block = weights[start:start + step][col] * terms[start:start + step]
+        block[0] = acc + block[0]
+        # in place, and only the last row kept: no table of running sums outlives the call
+        acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+    return acc
+
+
+def _overflow_checked(count, kernel, *args):
+    """``kernel(*args)``, a numpy overflow or invalid operation raised as ``NumericError``:
+    a sum of ``count`` finite terms turns non-finite only through an overflow."""
     try:
-        # finite terms give a non-finite sum only through an overflow
         with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, terms.shape[0], step):
-                block = weights[start:start + step][col] * terms[start:start + step]
-                block[0] = acc + block[0]
-                # in place, and only the last row kept: no table of running sums outlives the call
-                acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+            return kernel(*args)
     except FloatingPointError as exc:
-        raise NumericError(f"weighted sum of {terms.shape[0]} finite terms overflows") from exc
-    return acc[()] if acc.ndim == 0 else acc
+        raise NumericError(f"weighted sum of {count} finite terms overflows") from exc
 
 
 def require_finite(nodes, samples):

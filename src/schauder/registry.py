@@ -17,11 +17,16 @@ from .spectral_bases import hermite_function
 __all__ = ["get", "names", "describe", "corpus", "vector_stack"]
 
 
+_REGISTRY = {}
+
+
 def _bundle(name, f, d1=None, d2=None, domains=(), doc=""):
+    """Register the FunctionBundle of f and its derivatives under ``name``."""
     derivs = tuple(h for h in (d1, d2) if h is not None)
     b = FunctionBundle(f, derivs, name=name)
     b.domains = frozenset(domains)
     b.doc = doc
+    _REGISTRY[name] = b
     return b
 
 
@@ -44,68 +49,58 @@ def _hermite_entry(n):
                    doc=f"normalized Hermite function of degree {n}")
 
 
-_REGISTRY = {}
+def _zeros(x):
+    return np.zeros(np.shape(np.asarray(x))[0])
 
 
-def _register(b):
-    _REGISTRY[b.name] = b
-
-
-_register(_bundle("zero", lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  domains=("interval", "line", "periodic"),
-                  doc="the zero function"))
-_register(_bundle("one", lambda x: np.ones(np.shape(np.asarray(x))[0]),
-                  lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  domains=("interval", "periodic"),
-                  doc="the constant 1"))
-_register(_bundle("x", lambda x: np.asarray(x, dtype=float),
-                  lambda x: np.ones(np.shape(np.asarray(x))[0]),
-                  lambda x: np.zeros(np.shape(np.asarray(x))[0]),
-                  domains=("interval",), doc="identity x"))
-_register(_bundle("x2", lambda x: np.asarray(x, dtype=float) ** 2,
-                  lambda x: 2.0 * np.asarray(x, dtype=float),
-                  lambda x: np.full(np.shape(np.asarray(x))[0], 2.0),
-                  domains=("interval",), doc="x squared"))
-_register(_bundle("cubic", lambda x: np.asarray(x, dtype=float) ** 3
-                  - np.asarray(x, dtype=float),
-                  lambda x: 3.0 * np.asarray(x, dtype=float) ** 2 - 1.0,
-                  lambda x: 6.0 * np.asarray(x, dtype=float),
-                  domains=("interval",), doc="x^3 - x"))
-_register(_bundle("sin-pi", lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
-                  lambda x: np.pi * np.cos(np.pi * np.asarray(x, dtype=float)),
-                  lambda x: -np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float)),
-                  domains=("interval",), doc="sin(pi x)"))
-_register(_bundle("sin", np.sin, np.cos, lambda x: -np.sin(np.asarray(x)),
-                  domains=("interval", "periodic"), doc="sin x"))
-_register(_bundle("cos", np.cos, lambda x: -np.sin(np.asarray(x)),
-                  lambda x: -np.cos(np.asarray(x)),
-                  domains=("interval", "periodic"), doc="cos x"))
-_register(_bundle("sin2", lambda x: np.sin(2.0 * np.asarray(x, dtype=float)),
-                  lambda x: 2.0 * np.cos(2.0 * np.asarray(x, dtype=float)),
-                  lambda x: -4.0 * np.sin(2.0 * np.asarray(x, dtype=float)),
-                  domains=("periodic",), doc="sin 2x"))
-_register(_bundle("cos2", lambda x: np.cos(2.0 * np.asarray(x, dtype=float)),
-                  lambda x: -2.0 * np.sin(2.0 * np.asarray(x, dtype=float)),
-                  lambda x: -4.0 * np.cos(2.0 * np.asarray(x, dtype=float)),
-                  domains=("periodic",), doc="cos 2x"))
-_register(_bundle("trig3",
-                  lambda x: np.cos(np.asarray(x, dtype=float))
-                  + 0.5 * np.sin(2.0 * np.asarray(x, dtype=float))
-                  - 0.25 * np.cos(3.0 * np.asarray(x, dtype=float)),
-                  domains=("periodic",),
-                  doc="cos x + sin(2x)/2 - cos(3x)/4"))
-_register(_bundle("esin", lambda x: np.exp(np.sin(np.asarray(x, dtype=float))),
-                  lambda x: np.cos(np.asarray(x, dtype=float))
-                  * np.exp(np.sin(np.asarray(x, dtype=float))),
-                  lambda x: (np.cos(np.asarray(x, dtype=float)) ** 2
-                             - np.sin(np.asarray(x, dtype=float)))
-                  * np.exp(np.sin(np.asarray(x, dtype=float))),
-                  domains=("periodic",), doc="e^{sin x}"))
-_register(_bundle("invcos", lambda x: 1.0 / (2.0 + np.cos(np.asarray(x, dtype=float))),
-                  domains=("periodic",), doc="1 / (2 + cos x)"))
+_bundle("zero", _zeros, _zeros, _zeros, domains=("interval", "line", "periodic"),
+        doc="the zero function")
+_bundle("one", lambda x: np.ones(np.shape(np.asarray(x))[0]), _zeros, _zeros,
+        domains=("interval", "periodic"), doc="the constant 1")
+_bundle("x", lambda x: np.asarray(x, dtype=float),
+        lambda x: np.ones(np.shape(np.asarray(x))[0]), _zeros,
+        domains=("interval",), doc="identity x")
+_bundle("x2", lambda x: np.asarray(x, dtype=float) ** 2,
+        lambda x: 2.0 * np.asarray(x, dtype=float),
+        lambda x: np.full(np.shape(np.asarray(x))[0], 2.0),
+        domains=("interval",), doc="x squared")
+_bundle("cubic", lambda x: np.asarray(x, dtype=float) ** 3
+        - np.asarray(x, dtype=float),
+        lambda x: 3.0 * np.asarray(x, dtype=float) ** 2 - 1.0,
+        lambda x: 6.0 * np.asarray(x, dtype=float),
+        domains=("interval",), doc="x^3 - x")
+_bundle("sin-pi", lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+        lambda x: np.pi * np.cos(np.pi * np.asarray(x, dtype=float)),
+        lambda x: -np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float)),
+        domains=("interval",), doc="sin(pi x)")
+_bundle("sin", np.sin, np.cos, lambda x: -np.sin(np.asarray(x)),
+        domains=("interval", "periodic"), doc="sin x")
+_bundle("cos", np.cos, lambda x: -np.sin(np.asarray(x)),
+        lambda x: -np.cos(np.asarray(x)),
+        domains=("interval", "periodic"), doc="cos x")
+_bundle("sin2", lambda x: np.sin(2.0 * np.asarray(x, dtype=float)),
+        lambda x: 2.0 * np.cos(2.0 * np.asarray(x, dtype=float)),
+        lambda x: -4.0 * np.sin(2.0 * np.asarray(x, dtype=float)),
+        domains=("periodic",), doc="sin 2x")
+_bundle("cos2", lambda x: np.cos(2.0 * np.asarray(x, dtype=float)),
+        lambda x: -2.0 * np.sin(2.0 * np.asarray(x, dtype=float)),
+        lambda x: -4.0 * np.cos(2.0 * np.asarray(x, dtype=float)),
+        domains=("periodic",), doc="cos 2x")
+_bundle("trig3",
+        lambda x: np.cos(np.asarray(x, dtype=float))
+        + 0.5 * np.sin(2.0 * np.asarray(x, dtype=float))
+        - 0.25 * np.cos(3.0 * np.asarray(x, dtype=float)),
+        domains=("periodic",),
+        doc="cos x + sin(2x)/2 - cos(3x)/4")
+_bundle("esin", lambda x: np.exp(np.sin(np.asarray(x, dtype=float))),
+        lambda x: np.cos(np.asarray(x, dtype=float))
+        * np.exp(np.sin(np.asarray(x, dtype=float))),
+        lambda x: (np.cos(np.asarray(x, dtype=float)) ** 2
+                   - np.sin(np.asarray(x, dtype=float)))
+        * np.exp(np.sin(np.asarray(x, dtype=float))),
+        domains=("periodic",), doc="e^{sin x}")
+_bundle("invcos", lambda x: 1.0 / (2.0 + np.cos(np.asarray(x, dtype=float))),
+        domains=("periodic",), doc="1 / (2 + cos x)")
 
 
 def _runge(x):
@@ -124,8 +119,8 @@ def _runge2(x):
     return -50.0 * r ** 2 + 5000.0 * x * x * r ** 3
 
 
-_register(_bundle("runge", _runge, _runge1, _runge2,
-                  domains=("interval",), doc="1 / (1 + 25 x^2)"))
+_bundle("runge", _runge, _runge1, _runge2,
+        domains=("interval",), doc="1 / (1 + 25 x^2)")
 
 
 def _gauss(x):
@@ -133,37 +128,37 @@ def _gauss(x):
     return np.exp(-0.5 * x * x)
 
 
-_register(_bundle("gauss", _gauss,
-                  lambda x: -np.asarray(x, dtype=float) * _gauss(x),
-                  lambda x: (np.asarray(x, dtype=float) ** 2 - 1.0) * _gauss(x),
-                  domains=("interval", "line"), doc="e^{-x^2/2}"))
-_register(_bundle("xgauss", lambda x: np.asarray(x, dtype=float) * _gauss(x),
-                  lambda x: (1.0 - np.asarray(x, dtype=float) ** 2) * _gauss(x),
-                  lambda x: (np.asarray(x, dtype=float) ** 3
-                             - 3.0 * np.asarray(x, dtype=float)) * _gauss(x),
-                  domains=("line",), doc="x e^{-x^2/2}"))
+_bundle("gauss", _gauss,
+        lambda x: -np.asarray(x, dtype=float) * _gauss(x),
+        lambda x: (np.asarray(x, dtype=float) ** 2 - 1.0) * _gauss(x),
+        domains=("interval", "line"), doc="e^{-x^2/2}")
+_bundle("xgauss", lambda x: np.asarray(x, dtype=float) * _gauss(x),
+        lambda x: (1.0 - np.asarray(x, dtype=float) ** 2) * _gauss(x),
+        lambda x: (np.asarray(x, dtype=float) ** 3
+                   - 3.0 * np.asarray(x, dtype=float)) * _gauss(x),
+        domains=("line",), doc="x e^{-x^2/2}")
 
 for _n in range(6):
-    _register(_hermite_entry(_n))
+    _hermite_entry(_n)
 
-_register(_bundle("exp-z", lambda z: np.exp(np.asarray(z, dtype=complex)),
-                  domains=("disc",), doc="e^z (entire)"))
-_register(_bundle("geo-z", lambda z: 1.0 / (1.0 - np.asarray(z, dtype=complex)),
-                  domains=("disc-unit",), doc="1 / (1 - z), radius 1"))
-_register(_bundle("sin-z", lambda z: np.sin(np.asarray(z, dtype=complex)),
-                  domains=("disc",), doc="sin z (entire)"))
-_register(_bundle("cos-z", lambda z: np.cos(np.asarray(z, dtype=complex)),
-                  domains=("disc",), doc="cos z (entire)"))
-_register(_bundle("poly-z", lambda z: np.asarray(z, dtype=complex) ** 3
-                  + 2.0 * np.asarray(z, dtype=complex) + 1.0,
-                  domains=("disc",), doc="z^3 + 2z + 1"))
-_register(_bundle("zexp-z", lambda z: np.asarray(z, dtype=complex)
-                  * np.exp(np.asarray(z, dtype=complex)),
-                  domains=("disc",), doc="z e^z (entire)"))
-_register(_bundle("gauss-z", lambda z: np.exp(-0.5 * np.asarray(z, dtype=complex) ** 2),
-                  domains=("disc",), doc="e^{-z^2/2} (entire)"))
-_register(_bundle("inv2-z", lambda z: 1.0 / (2.0 - np.asarray(z, dtype=complex)),
-                  domains=("disc",), doc="1 / (2 - z), radius 2"))
+_bundle("exp-z", lambda z: np.exp(np.asarray(z, dtype=complex)),
+        domains=("disc",), doc="e^z (entire)")
+_bundle("geo-z", lambda z: 1.0 / (1.0 - np.asarray(z, dtype=complex)),
+        domains=("disc-unit",), doc="1 / (1 - z), radius 1")
+_bundle("sin-z", lambda z: np.sin(np.asarray(z, dtype=complex)),
+        domains=("disc",), doc="sin z (entire)")
+_bundle("cos-z", lambda z: np.cos(np.asarray(z, dtype=complex)),
+        domains=("disc",), doc="cos z (entire)")
+_bundle("poly-z", lambda z: np.asarray(z, dtype=complex) ** 3
+        + 2.0 * np.asarray(z, dtype=complex) + 1.0,
+        domains=("disc",), doc="z^3 + 2z + 1")
+_bundle("zexp-z", lambda z: np.asarray(z, dtype=complex)
+        * np.exp(np.asarray(z, dtype=complex)),
+        domains=("disc",), doc="z e^z (entire)")
+_bundle("gauss-z", lambda z: np.exp(-0.5 * np.asarray(z, dtype=complex) ** 2),
+        domains=("disc",), doc="e^{-z^2/2} (entire)")
+_bundle("inv2-z", lambda z: 1.0 / (2.0 - np.asarray(z, dtype=complex)),
+        domains=("disc",), doc="1 / (2 - z), radius 2")
 
 
 def get(name):
@@ -184,19 +179,18 @@ def describe():
     return {n: _REGISTRY[n].doc for n in sorted(_REGISTRY)}
 
 
+_INTERVAL_CORPUS = ["one", "x", "x2", "cubic", "sin-pi", "cos", "runge", "gauss"]
 _CORPUS = {
-    "haar": ["one", "x", "x2", "cubic", "sin-pi", "cos", "runge", "gauss"],
-    "hat": ["one", "x", "x2", "cubic", "sin-pi", "cos", "runge", "gauss"],
-    "ck": ["one", "x", "x2", "cubic", "sin-pi", "cos", "runge", "gauss"],
+    "haar": _INTERVAL_CORPUS, "hat": _INTERVAL_CORPUS, "ck": _INTERVAL_CORPUS,
     "hermite": ["gauss", "xgauss", "h0", "h1", "h2", "h3", "h4", "h5"],
     "fourier": ["one", "sin", "cos", "sin2", "cos2", "trig3", "esin", "invcos"],
     "taylor": ["exp-z", "sin-z", "cos-z", "poly-z", "zexp-z", "gauss-z",
                "inv2-z", "one-z"],
 }
 
-_register(_bundle("one-z", lambda z: np.ones(np.shape(np.asarray(z))[0],
-                                             dtype=complex),
-                  domains=("disc",), doc="the constant 1 on the disc"))
+_bundle("one-z", lambda z: np.ones(np.shape(np.asarray(z))[0],
+                                   dtype=complex),
+        domains=("disc",), doc="the constant 1 on the disc")
 
 
 def corpus(basis_name):
@@ -216,10 +210,6 @@ class vector_stack:
 
     def __call__(self, pts):
         return np.stack([np.asarray(b(pts)) for b in self.bundles], axis=-1)
-
-    @property
-    def max_order(self):
-        return min(getattr(b, "max_order", 0) for b in self.bundles)
 
     def derivative(self, order=1):
         if order == 0:

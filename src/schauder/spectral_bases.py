@@ -23,6 +23,7 @@ from .quadrature import (
     HERMITE_MAX_SIZE,
     QuadratureRule,
     _hermite_rows,
+    _overflow_checked,
     accumulate,
     box_rule,
     periodic_rule,
@@ -127,10 +128,14 @@ class HermiteBasis(BasisFamily):
         self.d = int(d)
         self.quad_size = int(quad_size)
         self.index_set = IndexSet("linear", origin=0) if d == 1 else IndexSet("multi", dim=d)
-        nodes, weights, table = psi_weighted_rule(self.quad_size)
+        self._table = psi_weighted_rule(self.quad_size)[2][:self.n_max + 1]
+
+    @functools.cached_property
+    def _rule(self):
+        """The tensor rule of the coefficients, built on first use."""
+        nodes, weights, _ = psi_weighted_rule(self.quad_size)
         line = QuadratureRule(nodes, weights)
-        self._rule = line if d == 1 else tensor_rule(line, self.d)
-        self._table = table[:self.n_max + 1]
+        return line if self.d == 1 else tensor_rule(line, self.d)
 
     def element(self, n):
         ns = _as_multi(n, self.d)
@@ -148,7 +153,8 @@ class HermiteBasis(BasisFamily):
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
             raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
                              f"raise n_max (and quad_size) to expand that far")
-        fv = samples_of(f, self._rule.nodes)
+        rule = self._rule
+        fv = samples_of(f, rule.nodes)
         out = []
         for ns in multis:
             factor = self._table[ns[0]]
@@ -156,7 +162,7 @@ class HermiteBasis(BasisFamily):
                 factor = np.multiply.outer(factor, self._table[ni])
             factor = factor.ravel()
             terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
-            out.append(accumulate(self._rule.weights, terms))
+            out.append(accumulate(rule.weights, terms))
         return np.array(out)
 
     def sample_points(self):
@@ -315,18 +321,15 @@ class FourierBasis(BasisFamily):
         self.n_max = _n_max(n_max)
         self.ctx = PeriodicContext(d=d, grid_size=grid_size or max(64, 4 * self.n_max + 1))
         self.index_set = IndexSet("lattice", dim=d)
-        self._rule = None
 
     @property
     def d(self):
         return self.ctx.d
 
-    @property
+    @functools.cached_property
     def rule(self):
         """The rectangle rule of the coefficients, built on first use."""
-        if self._rule is None:
-            self._rule = periodic_rule(self.ctx.grid_size, d=self.ctx.d)
-        return self._rule
+        return periodic_rule(self.ctx.grid_size, d=self.ctx.d)
 
     def element(self, n):
         ns = _as_multi(n, self.d, signed=True)
@@ -376,13 +379,6 @@ class FourierBasis(BasisFamily):
 # ---------------------------------------------------------------------------
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 @dataclass(frozen=True)
 class DiscContext:
     """Expansion disc |z - center| < radius with an averaging contour inside it."""
@@ -421,7 +417,9 @@ def taylor_coefficients(f, n_max, ctx=None):
     pi sr), as the scalar complex product does (numpy's array complex
     multiply may fuse multiply-adds), so each column of a vector-valued
     handle gets the bits of its scalar component.  Orders are done in
-    blocks of about ``TAYLOR_BLOCK`` products.
+    blocks of about ``TAYLOR_BLOCK`` products.  An order whose 1 / (N rho^n) is
+    not a finite nonzero float is refused before f runs; products and sums
+    that overflow raise ``NumericError``, as in ``quadrature.accumulate``.
     """
     ctx = ctx or DiscContext()
     if n_max < 0:
@@ -432,16 +430,35 @@ def taylor_coefficients(f, n_max, ctx=None):
             f"{n_max}; need at least {max(4, 4 * n_max)}"
         )
     npts = ctx.contour_points
+    scales = _contour_scales(ctx, n_max)
     angles = 2.0 * math.pi * np.arange(npts) / npts
-    ring = np.exp(1j * angles)
-    zs = ctx.center + ctx.contour_radius * ring
-    samples = samples_of(f, zs)
+    zs = ctx.center + ctx.contour_radius * np.exp(1j * angles)
+    return _overflow_checked(npts, _contour_sums, samples_of(f, zs), angles, scales)
+
+
+def _contour_scales(ctx, n_max):
+    """1 / (N rho^n) for n = 0..n_max, each a finite nonzero float or refused."""
+    rho, npts, scales = ctx.contour_radius, ctx.contour_points, []
+    for n in range(n_max + 1):
+        try:
+            scales.append(1.0 / (npts * rho ** n))
+        except (OverflowError, ZeroDivisionError):  # rho^n overflows, or underflows to 0
+            scales.append(0.0)
+        if not 0.0 < scales[-1] < math.inf:
+            raise InputError(f"contour_radius {rho!r} is out of range for order {n}: "
+                             f"1 / ({npts} rho^{n}) is not a finite nonzero number")
+    return scales
+
+
+def _contour_sums(samples, angles, scales):
+    """scales[n] times the ascending-j sum of samples[j] w^(-jn), per order n."""
+    npts = len(angles)
     col = (slice(None), slice(None)) + (None,) * (samples.ndim - 1)
     sr, si = samples.real[None], samples.imag[None]
     step = max(1, TAYLOR_BLOCK // max(samples.size, 1))
     out = []
-    for start in range(0, n_max + 1, step):
-        orders = np.arange(start, min(start + step, n_max + 1))
+    for start in range(0, len(scales), step):
+        orders = np.arange(start, min(start + step, len(scales)))
         phase = np.exp(-1j * (orders[:, None] * angles[None, :]))
         pr, pi = phase.real[col], phase.imag[col]
         terms = np.zeros((len(orders), npts + 1) + samples.shape[1:], dtype=complex)
@@ -449,7 +466,7 @@ def taylor_coefficients(f, n_max, ctx=None):
         terms.imag[:, 1:] = pr * si + pi * sr
         acc = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
         for i, n in enumerate(orders):
-            row = acc[i, ...] * (1.0 / (npts * ctx.contour_radius ** int(n)))
+            row = acc[i, ...] * scales[n]
             out.append(row[()] if row.ndim == 0 else row)
     return out
 
@@ -464,7 +481,8 @@ class TaylorBasis(BasisFamily):
     def __init__(self, center=0.0, radius=math.inf, contour_radius=1.0,
                  n_max=16, contour_points=None):
         self.n_max = _n_max(n_max)
-        npts = contour_points or max(64, _next_pow2(4 * max(self.n_max, 1)))
+        # the least power of two at or above 4 n_max, and at least 64
+        npts = contour_points or max(64, 1 << (4 * max(self.n_max, 1) - 1).bit_length())
         self.ctx = DiscContext(complex(center), float(radius),
                                float(contour_radius), int(npts))
         self.index_set = IndexSet("linear", origin=0)

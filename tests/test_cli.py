@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from schauder import (
+    CkBasis,
     DiscContext,
     FourierBasis,
+    HaarBasis,
+    HatBasis,
+    HermiteBasis,
+    TaylorBasis,
     hat_coefficients,
     semigroup_max_discrepancy,
     taylor_coefficients,
@@ -252,6 +257,29 @@ def test_verify_worst_function_matches_a_per_function_loop(capsys):
         assert (check["worst_function"], check["max_discrepancy"]) == (worst_name, worst), name
 
 
+def _same(a, b):
+    """Equal state: arrays by value, containers item by item, objects attribute by attribute."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dict__"):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
+@pytest.mark.parametrize("name, family", [
+    ("haar", HaarBasis), ("hat-dyadic", HatBasis), ("ck-dyadic", CkBasis),
+    ("hermite", HermiteBasis), ("fourier", FourierBasis), ("taylor", TaylorBasis),
+])
+def test_build_basis_without_parameters_is_the_constructor_default(name, family):
+    assert _same(build_basis(name), family())
+
+
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"basis": "fourier", "fn": "cos", "max_n": 1}))
@@ -434,3 +462,29 @@ def test_dyadic_levels_past_the_cap_are_usage_errors(tmp_path, capsys, basis):
     assert rc == 2
     assert out == ""
     assert "1..20" in err
+
+
+@pytest.mark.parametrize("radius, max_n", [(1e100, 4), (1e-200, 4), (1e-160, 2)])
+def test_taylor_contour_scale_out_of_range_is_a_usage_error(tmp_path, capsys, radius, max_n):
+    # 1 / (N rho^n) overflows or underflows for some requested order n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": "taylor", "contour_radius": radius}}))
+    rc, out, err = _run(capsys, ["expand", "--fn", "poly-z", "--max-n", str(max_n),
+                                 "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "contour_radius" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_taylor_sum_produces_diagnostic(tmp_path, capsys):
+    # every contour sample is finite (|z^3| about 6.4e307); their sum overflows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": "taylor", "contour_radius": 4e102}}))
+    rc, out, err = _run(capsys, ["expand", "--fn", "poly-z", "--max-n", "2",
+                                 "--config", str(cfg)])
+    assert rc == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["error"] == "numeric"
+    assert "overflows" in doc["message"]

@@ -227,6 +227,21 @@ def test_hermite_edges_are_honoured_or_refused(cfg_path, params, max_n, want):
         _check_reproduced("hermite", params, "h3", out, "csv", (argv, cfg))
 
 
+# contour radii whose factor 1 / (N rho^n) leaves the float range: from order
+# 4 at 1e100 (overflow) and from order 2 at 1e-200 (underflow), each run at
+# the first refused order and past it
+@pytest.mark.parametrize("radius, grades", [(1e100, (4, 16)), (1e-200, (2, 4))])
+@pytest.mark.parametrize("command", ["expand", "converge"])
+def test_taylor_contour_radius_out_of_range_is_refused(cfg_path, radius, grades, command):
+    for grade in grades:
+        argv = [command, "--fn", "poly-z", "--format", "csv"]
+        argv += ["--max-n", str(grade)] if command == "expand" else ["--ranks", f"0,{grade}"]
+        cfg = _config("taylor", {"contour_radius": radius}, {})
+        code, out, err = _call(argv, cfg_path, cfg)
+        _check_exit(code, out, err, argv, cfg)
+        assert code == 2 and "contour_radius" in err, (argv, cfg, err)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @PROPS
 @given(data=st.data())

@@ -192,6 +192,28 @@ def test_rule_needs_n_max_plus_one_nodes():
         HermiteBasis(n_max=0, quad_size=0)
 
 
+def test_hermite_tensor_rule_is_built_on_first_coefficient(monkeypatch):
+    import schauder.spectral_bases as sb
+
+    calls = []
+    original = sb.tensor_rule
+
+    def counted(line, d):
+        calls.append((len(line), d))
+        return original(line, d)
+
+    monkeypatch.setattr(sb, "tensor_rule", counted)
+    HermiteBasis(d=3)  # the 138^3-node rule of the default n_max is never built
+    basis = HermiteBasis(d=3, n_max=2)
+    assert calls == []
+    f = lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1))
+    first = basis.coefficients(f, [(0, 0, 0)])
+    again = basis.coefficients(f, [(0, 0, 0), (2, 0, 0)])
+    assert calls == [(basis.quad_size, 3)]
+    assert again[0] == first[0]
+    assert abs(first[0] - np.sqrt(np.pi) ** 1.5) <= 1e-12
+
+
 def test_tail_bound_examples_pass():
     rep = hermite_tail_bound_check(reg("h0"), 0, 2.0, 4.0)
     assert rep.passed()
@@ -384,6 +406,25 @@ def test_contour_must_resolve_requested_order():
     ctx = DiscContext(0.0, np.inf, 1.0, 16)
     with pytest.raises(InputError):
         taylor_coefficients(reg("exp-z"), 8, ctx)
+
+
+@pytest.mark.parametrize("rho, n_max, bad", [(1e100, 4, 4), (1e-200, 4, 2), (1e-160, 2, 2)])
+def test_contour_scale_out_of_range_is_refused_before_f_runs(rho, n_max, bad):
+    # 1 / (N rho^n) overflows, underflows or is inf at order ``bad``
+    calls = []
+    f = lambda z: calls.append(z) or z
+    with pytest.raises(InputError, match=f"contour_radius .* order {bad}"):
+        taylor_coefficients(f, n_max, DiscContext(0.0, np.inf, rho, 64))
+    assert calls == []
+    # the orders below it stay within range
+    assert len(taylor_coefficients(f, bad - 1, DiscContext(0.0, np.inf, rho, 64))) == bad
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_contour_sum_raises_numeric_error():
+    # each sample of z^3 + 2z + 1 is finite on the contour; their sum is not
+    with pytest.raises(NumericError, match="overflows"):
+        taylor_coefficients(reg("poly-z"), 2, DiscContext(0.0, np.inf, 4e102, 64))
 
 
 def test_non_finite_contour_sample_carries_its_node():

@@ -19,6 +19,7 @@ from .basis_core import (
     semigroup_discrepancies,
     semigroup_max_discrepancy,
     vector_scalar_consistency,
+    vector_scalar_gap,
 )
 from .errors import InputError, NumericError
 from .functions import FunctionBundle, SampledFunction

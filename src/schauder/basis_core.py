@@ -37,6 +37,7 @@ __all__ = [
     "semigroup_discrepancies",
     "biorthogonality_matrix",
     "vector_scalar_consistency",
+    "vector_scalar_gap",
     "convergence_report",
 ]
 
@@ -400,22 +401,30 @@ def _first_indices(basis, count):
 
 
 def vector_scalar_consistency(basis, f, n, components):
+    """Max gap between the vector coefficient n of ``f`` and its componentwise
+    scalar ones: ``vector_scalar_gap`` of the one index n."""
+    return vector_scalar_gap(basis, f, [n], components)
+
+
+def vector_scalar_gap(basis, f, idxs, components):
     """Max gap between vector coefficients and componentwise scalar ones.
 
-    ``f`` is a vector-valued handle with the given component count.  Shared
-    evaluation points and accumulation order make the two routes agree to
-    the bit; the check still computes both honestly.
+    ``f`` is a vector-valued handle with the given component count.  One
+    batched call gives the vector coefficients of every index and one call
+    per component the scalar ones; by the batch contract of ``coefficients``
+    each row has the bits it has alone.  Shared evaluation points and
+    accumulation order make the two routes agree to the bit; the check
+    still computes both honestly.
     """
-    vec = np.asarray(basis.coefficients(f, [n])[0])
-    if vec.shape != (components,):
+    idxs = list(idxs)
+    vec = np.asarray(basis.coefficients(f, idxs))
+    if vec.shape[1:] != (components,):
         raise InputError(
-            f"vector coefficient has shape {vec.shape}, expected ({components},)"
+            f"vector coefficient has shape {vec.shape[1:]}, expected ({components},)"
         )
-    gaps = []
-    for i in range(components):
-        fi = _component_handle(f, i)
-        gaps.append(abs(basis.coefficients(fi, [n])[0] - vec[i]))
-    return float(max(gaps))
+    scalar = np.stack([basis.coefficients(_component_handle(f, i), idxs)
+                       for i in range(components)], axis=1)
+    return float(np.max(np.abs(scalar - vec)))
 
 
 def _component_handle(f, i):

@@ -33,12 +33,12 @@ from .basis_core import (
     biorthogonality_matrix,
     convergence_report,
     semigroup_discrepancies,
-    vector_scalar_consistency,
+    vector_scalar_gap,
 )
 from .errors import InputError, NumericError
 from .functions import SampledFunction
 from .interval_bases import CkBasis, DenseSequence, HaarBasis, HatBasis
-from .quadrature import integral_bound_check
+from .quadrature import _bound_sides, accumulate, samples_of
 from .spectral_bases import FourierBasis, HermiteBasis, TaylorBasis
 from .value_space import SeminormSpec, ValueSpace
 
@@ -56,14 +56,15 @@ def _number(value, key, kind=int, minimum=None):
 
 def _complex(value, key):
     """A config complex: a real, an ``[re, im]`` pair, or ``{"re": ..., "im": ...}``
-    as the JSON emitter writes complex values."""
+    as the JSON emitter writes complex values; each part a number, as ``_number``
+    takes it."""
     if isinstance(value, dict):
         value = [value.get("re", 0.0), value.get("im", 0.0)]
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise InputError(f"{key} must be a pair [re, im], got {value!r}")
-        return complex(*value)
-    return value
+        return complex(*(_number(v, key, float) for v in value))
+    return _number(value, key, float)
 
 
 def _dyadic(family, **params):
@@ -314,8 +315,8 @@ def _cmd_bases(args):
     return 0
 
 
-def _cmd_expand(args, cfg):
-    basis = build_basis(args.basis, cfg.get("basis_params"))
+def _cmd_expand(args, basis_params):
+    basis = build_basis(args.basis, basis_params)
     f = resolve_function(args.fn, basis)
     idxs = basis.indices(args.max_n)
     if not idxs:
@@ -340,8 +341,8 @@ def _cmd_expand(args, cfg):
     return 0
 
 
-def _cmd_converge(args, cfg):
-    basis = build_basis(args.basis, cfg.get("basis_params"))
+def _cmd_converge(args, cfg, basis_params):
+    basis = build_basis(args.basis, basis_params)
     f = resolve_function(args.fn, basis)
     space = build_value_space(cfg.get("value_space"), basis, f)
     mode = {"sup": ("sup", 1), "l1": ("lp", 1), "l2": ("lp", 2)}[args.mode]
@@ -383,9 +384,7 @@ def _verify_basis(name, max_n):
     bio_gap = float(np.max(np.abs(bio - np.eye(count))))
     bio_tol = max(basis.coefficient_tol, 1e-12)
     stack = registry.vector_stack([f for _, f in corpus[:3]])
-    vs_worst = 0.0
-    for n in basis.indices(min(max_n, 8)):
-        vs_worst = max(vs_worst, vector_scalar_consistency(basis, stack, n, 3))
+    vs_worst = vector_scalar_gap(basis, stack, basis.indices(min(max_n, 8)), 3)
     checks = {
         "projection_algebra": {
             "max_discrepancy": worst, "worst_function": worst_name,
@@ -404,30 +403,44 @@ def _verify_basis(name, max_n):
 
 
 def _verify_integral_bound(rng, trials=25):
+    """The bound of ``trials`` random positive rules, each with its own
+    integrand, checked in one pass: the integrands run once on the
+    concatenated nodes, and rule t is column t of one zero-padded block
+    (padding adds exact zeros, and the seminorms take |.|)."""
     space = ValueSpace(2, seminorms=(
         SeminormSpec("sup"), SeminormSpec("euclidean"),
         SeminormSpec("weighted-sup", (2.0, 1.0)),
     ))
-    worst = -np.inf
+    draws = []
     for _ in range(trials):
         npts = int(rng.integers(3, 40))
         nodes = np.sort(rng.uniform(-1.0, 2.0, npts))
         weights = rng.uniform(0.01, 1.0, npts)
-        a, b, c = rng.uniform(-2.0, 2.0, 3)
-
-        def f(x, a=a, b=b, c=c):
-            x = np.asarray(x)
-            return np.stack([a * np.sin(x) + b * x, c * np.cos(2 * x)], axis=-1)
-
-        rep = integral_bound_check(f, nodes, weights, space)
-        worst = max(worst, float(np.max(rep.lhs - rep.rhs)))
+        draws.append((nodes, weights, rng.uniform(-2.0, 2.0, 3)))
+    nodes, weights, abc = zip(*draws)
+    counts = np.array([len(w) for w in weights])
+    starts = np.cumsum(counts) - counts
+    a, b, c = np.repeat(abc, counts, axis=0).T
+    samples = samples_of(
+        lambda x: np.stack([a * np.sin(x) + b * x, c * np.cos(2 * x)], axis=-1),
+        np.concatenate(nodes))
+    col = np.repeat(np.arange(trials), counts)
+    row = np.arange(len(col)) - starts[col]
+    block_w = np.zeros((counts.max(), trials))
+    block_w[row, col] = np.concatenate(weights)
+    block = np.zeros((counts.max(), trials, 2))
+    block[row, col] = samples
+    lhs, rhs = _bound_sides(space, accumulate(block_w, block),
+                           np.maximum.reduceat(space.seminorm_table(samples), starts),
+                           [float(np.sum(w)) for w in weights])
+    worst = float(np.max(lhs - rhs))
     return {
         "trials": trials, "max_violation": worst, "slack": 1e-12,
         "pass": worst <= 1e-12,
     }
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     seed = args.seed if args.seed is not None else int(
         os.environ.get("SCHAUDER_SEED", "0")
     )
@@ -514,8 +527,11 @@ _DEFAULTS = {"format": "csv", "max_n_expand": 8, "max_n_verify": 16,
 
 
 def _merge_config(args, parser):
-    """Layer values: explicit flag > config file > built-in default."""
-    cfg = {}
+    """Layer values: explicit flag > config file > built-in default.
+
+    Returns the config and, beside it, the basis parameters its ``"basis"``
+    object carries (empty for a plain name)."""
+    cfg, basis_params = {}, {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -525,11 +541,10 @@ def _merge_config(args, parser):
     if isinstance(basis_cfg, dict):
         # both inline ({"name": ..., "center": ...}) and nested
         # ({"name": ..., "params": {...}}) spellings are accepted
-        extra = {k: v for k, v in basis_cfg.items() if k != "name"}
-        nested = extra.pop("params", None)
+        basis_params = {k: v for k, v in basis_cfg.items() if k != "name"}
+        nested = basis_params.pop("params", None)
         if isinstance(nested, dict):
-            extra.update(nested)
-        cfg.setdefault("basis_params", extra)
+            basis_params.update(nested)
         basis_cfg = basis_cfg.get("name")
     for key, value in (("basis", basis_cfg), ("fn", cfg.get("fn")),
                        ("format", cfg.get("format")), ("mode", cfg.get("mode")),
@@ -562,23 +577,23 @@ def _merge_config(args, parser):
             raise InputError("--basis is required (flag or config)")
         if not getattr(args, "fn", None):
             raise InputError("--fn is required (flag or config)")
-    return cfg
+    return cfg, basis_params
 
 
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, parser)
+        cfg, basis_params = _merge_config(args, parser)
         if args.command == "bases":
             return _cmd_bases(args)
         if args.command == "expand":
-            return _cmd_expand(args, cfg)
+            return _cmd_expand(args, basis_params)
         if args.command == "converge":
             args.ranks = _parse_ranks(args.ranks)
-            return _cmd_converge(args, cfg)
+            return _cmd_converge(args, cfg, basis_params)
         if args.command == "verify":
-            return _cmd_verify(args, cfg)
+            return _cmd_verify(args)
         parser.error(f"unknown command {args.command!r}")
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

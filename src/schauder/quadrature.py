@@ -352,9 +352,15 @@ def integral_bound_check(f, nodes, weights, space, slack=1e-12):
         raise InputError("bound check requires finite nonnegative weights")
     samples = samples_of(f, nodes)
     integral = accumulate(weights, samples)
-    table = space.seminorm_table(samples)
-    sup = np.max(table, axis=0)
+    sup = np.max(space.seminorm_table(samples), axis=0)
     total = float(np.sum(weights))
-    lhs = space.seminorm_values(np.atleast_1d(integral))
-    return IntegralBoundReport(lhs=lhs, rhs=total * sup, total_weight=total,
+    lhs, rhs = _bound_sides(space, np.reshape(integral, (1, -1)), sup[None], [total])
+    return IntegralBoundReport(lhs=lhs[0], rhs=rhs[0], total_weight=total,
                                slack=float(slack))
+
+
+def _bound_sides(space, integrals, sups, totals):
+    """Both sides of p(sum_i w_i f(x_i)) <= (sum_i w_i) * max_i p(f(x_i)) for
+    many rules at once: from (r, m) integrals, (r, A) sups of the seminorm
+    table and r total weights, the (r, A) tables lhs and rhs."""
+    return space.seminorm_table(integrals), np.asarray(totals)[:, None] * sups

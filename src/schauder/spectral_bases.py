@@ -95,7 +95,8 @@ def hermite_function(n, x, d=1):
         if pts.ndim != 2 or pts.shape[1] != d:
             raise InputError(f"points must have shape (k, {d}), got {pts.shape}")
         cols = pts
-    vals = _hermite_rows(ns[0], cols[:, 0])[ns[0]]
+    # an owned row: a view would keep the whole (n + 1, k) table alive
+    vals = _hermite_rows(ns[0], cols[:, 0])[ns[0]].copy()
     for axis, ni in enumerate(ns[1:], start=1):
         vals = vals * _hermite_rows(ni, cols[:, axis])[ni]
     return vals[0] if scalar else vals

@@ -15,13 +15,18 @@ from schauder import (
     HermiteBasis,
     TaylorBasis,
     hat_coefficients,
+    SeminormSpec,
+    ValueSpace,
+    integral_bound_check,
     semigroup_max_discrepancy,
     taylor_coefficients,
+    vector_scalar_consistency,
+    vector_scalar_gap,
 )
 from schauder import cli
 from schauder.cli import VERIFY_BASES, build_basis, main
 from schauder.interval_bases import DenseSequence
-from schauder.registry import corpus
+from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 
 
@@ -257,6 +262,49 @@ def test_verify_worst_function_matches_a_per_function_loop(capsys):
         assert (check["worst_function"], check["max_discrepancy"]) == (worst_name, worst), name
 
 
+@pytest.mark.parametrize("max_n", [8, 16])
+@pytest.mark.parametrize("name", VERIFY_BASES)
+def test_verify_vector_scalar_gap_matches_a_per_index_loop(name, max_n):
+    basis = build_basis(name, {"n_max": max_n} if name in ("hermite", "fourier", "taylor") else None)
+    stack = vector_stack([f for _, f in corpus(basis.name)[:3]])
+    idxs = basis.indices(min(max_n, 8))
+    want = 0.0
+    for n in idxs:
+        want = max(want, vector_scalar_consistency(basis, stack, n, 3))
+    got = vector_scalar_gap(basis, stack, idxs, 3)
+    assert type(got) is float
+    assert got == want, name
+
+
+def _integral_bound_loop(rng, trials=25):
+    """The integral-bound check one rule at a time through ``integral_bound_check``."""
+    space = ValueSpace(2, seminorms=(
+        SeminormSpec("sup"), SeminormSpec("euclidean"),
+        SeminormSpec("weighted-sup", (2.0, 1.0)),
+    ))
+    worst = -np.inf
+    for _ in range(trials):
+        npts = int(rng.integers(3, 40))
+        nodes = np.sort(rng.uniform(-1.0, 2.0, npts))
+        weights = rng.uniform(0.01, 1.0, npts)
+        a, b, c = rng.uniform(-2.0, 2.0, 3)
+
+        def f(x, a=a, b=b, c=c):
+            return np.stack([a * np.sin(x) + b * x, c * np.cos(2 * x)], axis=-1)
+
+        rep = integral_bound_check(f, nodes, weights, space)
+        worst = max(worst, float(np.max(rep.lhs - rep.rhs)))
+    return {"trials": trials, "max_violation": worst, "slack": 1e-12,
+            "pass": worst <= 1e-12}
+
+
+def test_verify_integral_bound_matches_a_per_trial_loop():
+    for seed in range(256):
+        got = cli._verify_integral_bound(np.random.default_rng(seed))
+        want = _integral_bound_loop(np.random.default_rng(seed))
+        assert repr(got) == repr(want), seed
+
+
 def _same(a, b):
     """Equal state: arrays by value, containers item by item, objects attribute by attribute."""
     if type(a) is not type(b):
@@ -322,6 +370,28 @@ def test_complex_center_that_is_not_a_pair_is_a_usage_error(tmp_path, capsys, ce
     assert rc == 2
     assert out == ""
     assert "center" in err
+
+
+def test_top_level_basis_params_key_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    runs = []
+    for extra in ({}, {"basis_params": {}}):
+        cfg.write_text(json.dumps({"basis": {"name": "taylor", "center": 1.0},
+                                   "fn": "poly-z", "max_n": 1, **extra}))
+        runs.append(_run(capsys, ["expand", "--config", str(cfg)]))
+    assert runs[0] == runs[1]
+    rc, out, _ = runs[1]
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert abs(float(rows[0]["re"]) - 4.0) <= 1e-12  # z^3 + 2z + 1 at the center 1
+
+
+def test_top_level_basis_params_of_any_type_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": "haar", "basis_params": 5, "fn": "x"}))
+    got = _run(capsys, ["expand", "--config", str(cfg)])
+    assert got == _run(capsys, ["expand", "--basis", "haar", "--fn", "x"])
+    assert got[0] == 0
 
 
 @pytest.mark.parametrize("basis,key,value", [

@@ -71,6 +71,14 @@ def test_function_values():
     assert abs(got - 1.0 / np.sqrt(np.pi)) <= 1e-15
 
 
+def test_hermite_function_owns_its_values():
+    # a view of the last row would keep the whole (n + 1, k) recurrence table alive
+    for n, x, d in ((40, np.linspace(-3.0, 3.0, 7), 1), (0, np.array([0.5]), 1),
+                    ((3, 2), np.full((5, 2), 0.25), 2)):
+        vals = hermite_function(n, x, d=d)
+        assert vals.base is None and vals.flags.owndata
+
+
 def test_coefficient_picks_out_own_function():
     basis = HermiteBasis(n_max=4, quad_size=40)
     for n in (0, 2, 3):

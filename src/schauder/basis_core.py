@@ -69,14 +69,15 @@ class BasisFamily(ABC):
 
     @abstractmethod
     def coefficients(self, f, idxs):
-        """The coefficient functionals of a nonempty index list applied to ``f``.
+        """The coefficient functionals of an index list applied to ``f``.
 
-        Returns an array whose row i is lambda_{idxs[i]}(f): a scalar for
-        scalar-valued ``f`` and a length-m vector for vector-valued ``f``;
-        components of the vector result are computed by exactly the scalar
-        component computations.  ``f`` is evaluated once on the union of the
-        nodes the indices need, and each row is accumulated in the same order
-        whatever else is in the batch, so every batch gives the same bits.
+        Returns an array whose row i is lambda_{idxs[i]}(f) (no rows for an
+        empty list): a scalar for scalar-valued ``f`` and a length-m vector
+        for vector-valued ``f``; components of the vector result are computed
+        by exactly the scalar component computations.  ``f`` is evaluated
+        once on the union of the nodes the indices need, and each row is
+        accumulated in the same order whatever else is in the batch, so every
+        batch gives the same bits.
         """
 
     def coefficient(self, f, n):
@@ -346,7 +347,7 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     coeffs = basis.coefficients(f, idxs)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
-    counts = [sum(1 for g in grades if g <= r) for r in ranks]
+    counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
     sums = _element(basis, zip(idxs, coeffs)).partial_sums(counts)
     lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
     coeffs = coeffs.reshape(len(idxs), 1, -1)

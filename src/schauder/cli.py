@@ -542,8 +542,10 @@ def _merge_config(args, parser):
         # both inline ({"name": ..., "center": ...}) and nested
         # ({"name": ..., "params": {...}}) spellings are accepted
         basis_params = {k: v for k, v in basis_cfg.items() if k != "name"}
-        nested = basis_params.pop("params", None)
-        if isinstance(nested, dict):
+        if "params" in basis_params:
+            nested = basis_params.pop("params")
+            if not isinstance(nested, dict):
+                raise InputError(f"basis params must be a JSON object, got {nested!r}")
             basis_params.update(nested)
         basis_cfg = basis_cfg.get("name")
     for key, value in (("basis", basis_cfg), ("fn", cfg.get("fn")),

@@ -266,6 +266,28 @@ def _haar_split(n):
     return k, j
 
 
+def _haar_indices(index_set, idxs):
+    """``idxs`` as one int64 array, checked once: the first index outside
+    ``index_set``, or past the int64 range, is refused."""
+    idxs = [int(v) for v in idxs]
+    try:
+        n = np.array(idxs, dtype=np.int64)
+        bad = np.flatnonzero(n < 1)
+    except OverflowError:
+        n, bad = None, [i for i, v in enumerate(idxs) if not 1 <= v < 2 ** 63]
+    if len(bad):
+        index_set.validate_member(idxs[bad[0]])
+        raise InputError(f"Haar index {idxs[bad[0]]} is past the int64 range")
+    return n
+
+
+def _floor_log2(m):
+    """floor(log2 m) for a positive int64 array, exact also where float(m)
+    rounds up to a power of two."""
+    e = np.minimum(np.frexp(m.astype(float))[1] - 1, 62).astype(np.int64)
+    return e - ((1 << e) > m)
+
+
 def haar_constancy_intervals(n):
     """[(lo, hi, sign)] where the n-th Haar function is constant and nonzero."""
     split = _haar_split(n)
@@ -303,12 +325,6 @@ def _haar_values(steps, x):
 HAAR_ORDER = 8
 
 
-def _haar_piece_panels(lo, hi):
-    # panel edges align with dyadic jumps down to level 6 (enough for rank 64)
-    level = int(round(-math.log2(hi - lo))) if hi - lo < 1.0 else 0
-    return max(4, 2 ** max(0, 6 - level))
-
-
 class HaarBasis(BasisFamily):
     """The Haar system, enumerated from 1 in the classical level order.
 
@@ -341,36 +357,45 @@ class HaarBasis(BasisFamily):
         """2^k times the raw integral of f h_n, ``f`` evaluated once.
 
         Each constancy interval gets its own composite rule, so jump
-        locations never sit inside a quadrature panel; intervals with the
-        same panel count are built and accumulated together, then each index
-        adds its signed interval sums in interval order.
+        locations never sit inside a quadrature panel.  The intervals, signs,
+        panel counts and scales of all indices come from one index array, by
+        the float operations of ``haar_constancy_intervals``; intervals with
+        the same panel count are built and accumulated together, then each
+        index adds its signed interval sums, (+1 p0) + (-1 p1).
         """
-        idxs = [int(n) for n in idxs]
-        for n in idxs:
-            self.index_set.validate_member(n)
-        pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
-                  for lo, hi, sign in haar_constancy_intervals(n)]
-        counts = [_haar_piece_panels(lo, hi) for _, lo, hi, _ in pieces]
-        lo = np.array([p[1] for p in pieces])
-        hi = np.array([p[2] for p in pieces])
+        n = _haar_indices(self.index_set, idxs)
+        if not n.size:
+            return np.zeros(0)
+        two = n > 1  # n = 2^k + j has two pieces; n = 1 one, [0, 1]
+        k = _floor_log2(np.maximum(n - 1, 1))
+        j = n - (1 << k)
+        denom = np.ldexp(1.0, k + 1)
+        lo, mid, hi = (2 * j - 2) / denom, (2 * j - 1) / denom, (2 * j) / denom
+        keep = np.stack([np.ones_like(two), two], axis=1)  # pieces in index order
+        starts = np.stack([np.where(two, lo, 0.0), mid], axis=1)[keep]
+        ends = np.stack([np.where(two, mid, 1.0), hi], axis=1)[keep]
+        signs = np.broadcast_to([1.0, -1.0], keep.shape)[keep]
+        # panel edges align with dyadic jumps down to level 6 (enough for rank 64)
+        width = ends - starts
+        level = np.where(width < 1.0, np.rint(-np.log2(width)), 0.0).astype(np.int64)
+        counts = np.maximum(4, 1 << np.maximum(0, 6 - level))
         groups = []
-        for c in sorted(set(counts)):
-            sel = [j for j, cj in enumerate(counts) if cj == c]
-            groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=HAAR_ORDER))
+        for c in np.unique(counts):
+            sel = np.flatnonzero(counts == c)
+            groups.append((sel,) + segment_rules(starts[sel], ends[sel], panels=int(c), order=HAAR_ORDER))
         samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
-        sums, start = [None] * len(pieces), 0
+        sums = np.empty((len(starts),) + samples.shape[1:], dtype=np.result_type(float, samples))
+        start = 0
         for sel, nodes, weights in groups:
             block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
             start += nodes.size
-            for j, piece in zip(sel, accumulate(weights.T, block.swapaxes(0, 1))):
-                sums[j] = piece
-        acc = [None] * len(idxs)
-        for (i, _, _, sign), piece in zip(pieces, sums):
-            contrib = sign * piece
-            acc[i] = contrib if acc[i] is None else acc[i] + contrib
-        raw = np.array(acc)
-        scale = np.array([float(2 ** _haar_split(n)[0]) if n > 1 else 1.0 for n in idxs])
-        return raw * scale.reshape(scale.shape + (1,) * (raw.ndim - 1))
+            sums[sel] = accumulate(weights.T, block.swapaxes(0, 1))
+        col = (slice(None),) + (None,) * (sums.ndim - 1)
+        signed = signs[col] * sums
+        first = np.cumsum(1 + two) - (1 + two)
+        raw = signed[first]
+        raw[two] = raw[two] + signed[first[two] + 1]
+        return raw * np.where(two, np.ldexp(1.0, k), 1.0)[col]
 
     def sample_points(self):
         return np.linspace(0.0, 1.0, 1001)
@@ -571,7 +596,7 @@ class CkBasis(BasisFamily):
         if (idx < 0).any():
             raise InputError("coefficient index must be >= 0")
         k = self.k
-        derivs = _derivatives(f, min(int(idx.max()), k))
+        derivs = _derivatives(f, min(int(idx.max(initial=0)), k))
         out = [None] * idx.size
         for pos in np.flatnonzero(idx < k):
             out[pos] = np.asarray(derivs[idx[pos]](np.array([self.seq.a])))[0]

@@ -13,6 +13,15 @@ the rest of the package:
   accumulation of that component performs;
 * repeated runs produce identical bytes (no pairwise/BLAS reassociation).
 
+A coefficient sweep, many functionals against one sample table, runs the
+same sums through ``node_major``, the loop interchange of ``accumulate``:
+for node i in ascending order, ``acc[k] = acc[k] + w_i * (f(x_i) *
+table[k, i])`` for every requested row k at once, over tiles of rows and
+columns whose running sums stay in cache.  Each entry is still its own
+sequential sum from zero, of the same products in the same operand order,
+so row k has the bits of ``accumulate(w, f(x) * table[k])`` and a column of
+a vector sample table equals the scalar run of that column.
+
 Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
 from ``psi_weighted_rule``; composition into panels, tensorization, and the
 bound checks are local.  A d-dimensional tensor rule lists its nodes in
@@ -133,6 +142,66 @@ def _accumulate_blocks(weights, terms):
         # in place, and only the last row kept: no table of running sums outlives the call
         acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
     return acc
+
+
+# node_major tiles: accumulator entries per index and column tile, products
+# per node block, and the tile width from which each node's products are
+# added as one row instead of by a running sum along the node axis
+NODE_MAJOR_INDICES = 128
+NODE_MAJOR_COLUMNS = 512
+NODE_MAJOR_ENTRIES = 1 << 16
+NODE_MAJOR_ROW_WIDTH = 512
+
+
+def node_major(weights, samples, rows, count, dtype=float):
+    """The ``count`` rows sum_i weights[i] * (samples[i] * table[k, i]), each
+    added left to right from zero.
+
+    Bit for bit, row k is ``accumulate(weights, samples * table[k])``, with
+    table[k] broadcast over the columns of (n, m) samples: every entry is
+    its own sequential sum, so a column of vector samples equals the scalar
+    run of that column.  The (count, n) table of ``dtype`` is never formed
+    whole: for an index slice ``ks``, ``rows(ks)`` returns a function
+    ``block(start, stop)`` giving table[ks, start:stop].T, the (stop -
+    start, len(ks)) block of a node range.
+
+    The loops run over tiles of at most ``NODE_MAJOR_INDICES`` indices by
+    ``NODE_MAJOR_COLUMNS`` columns, whose running sums stay in cache, and
+    within a tile over blocks of at most ``NODE_MAJOR_ENTRIES`` products,
+    formed into one buffer per tile and added to the running sum in node
+    order.  An overflow raises ``NumericError``, as in ``accumulate``.
+    """
+    weights = np.asarray(weights, dtype=float)
+    samples = np.asarray(samples)
+    cols = samples.reshape(len(samples), -1)
+    out = np.empty((count, cols.shape[1]), dtype=np.result_type(weights, samples, dtype))
+    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out)
+    return out.reshape((count,) + samples.shape[1:])
+
+
+def _node_major_tiles(weights, samples, rows, out):
+    n, width = samples.shape
+    for k0 in range(0, len(out), NODE_MAJOR_INDICES):
+        ks = slice(k0, min(k0 + NODE_MAJOR_INDICES, len(out)))
+        block_rows = rows(ks)
+        for c0 in range(0, width, NODE_MAJOR_COLUMNS):
+            cs = slice(c0, min(c0 + NODE_MAJOR_COLUMNS, width))
+            tile = (cs.stop - c0, ks.stop - k0)  # acc[c, k] sums column c of index k
+            step = max(1, min(n, NODE_MAJOR_ENTRIES // (tile[0] * tile[1])))
+            buf = np.empty(step * tile[0] * tile[1], dtype=out.dtype)
+            acc = np.zeros(tile, dtype=out.dtype)
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                block = buf[:(stop - start) * acc.size].reshape((stop - start,) + tile)
+                np.multiply(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
+                np.multiply(weights[start:stop, None, None], block, out=block)
+                if acc.size < NODE_MAJOR_ROW_WIDTH:
+                    np.add(acc, block[0], out=block[0])
+                    acc[...] = np.add.accumulate(block, axis=0, out=block)[-1]
+                else:
+                    for row in block:
+                        np.add(acc, row, out=acc)
+            out[ks, cs] = acc.T
 
 
 def _overflow_checked(count, kernel, *args):

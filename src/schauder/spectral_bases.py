@@ -24,11 +24,10 @@ from .quadrature import (
     QuadratureRule,
     _hermite_rows,
     _overflow_checked,
-    accumulate,
     box_rule,
+    node_major,
     periodic_rule,
     psi_weighted_rule,
-    require_finite,
     samples_of,
     tensor_grid,
     tensor_rule,
@@ -145,26 +144,35 @@ class HermiteBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        """One evaluation of ``f`` on the tensor rule; index n reads its
-        factor off the rule's table as the outer product of its axis rows,
-        in the rule's node order."""
+        """One evaluation of ``f`` on the tensor rule, then one ``node_major``
+        pass; the factor of index n at a node is the product, from the left,
+        of its axis rows of the rule's table, formed a block at a time."""
         multis = [_as_multi(n, self.d) for n in idxs]
         top = max((max(ns) for ns in multis), default=0)
         if top > self.n_max:
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
             raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
                              f"raise n_max (and quad_size) to expand that far")
-        rule = self._rule
-        fv = samples_of(f, rule.nodes)
-        out = []
-        for ns in multis:
-            factor = self._table[ns[0]]
-            for ni in ns[1:]:
-                factor = np.multiply.outer(factor, self._table[ni])
-            factor = factor.ravel()
-            terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
-            out.append(accumulate(rule.weights, terms))
-        return np.array(out)
+        rule, q = self._rule, self.quad_size
+        orders = np.array(multis, dtype=np.intp).reshape(-1, self.d)
+
+        def rows(ks):
+            # (q, len(ks)) axis rows; node i sits at i // q on the first d - 1
+            # axes, whose products are ``head``, and at i % q on the last
+            axis = [np.ascontiguousarray(self._table[orders[ks, a]].T) for a in range(self.d)]
+            if self.d == 1:
+                return lambda start, stop: axis[0][start:stop]
+            head = axis[0]
+            for a in range(1, self.d - 1):
+                head = (head[:, None, :] * axis[a][None, :, :]).reshape(-1, head.shape[1])
+
+            def block(start, stop):
+                node = np.arange(start, stop)
+                return head[node // q] * axis[-1][node % q]
+
+            return block
+
+        return node_major(rule.weights, samples_of(f, rule.nodes), rows, len(orders))
 
     def sample_points(self):
         if self.d == 1:
@@ -343,8 +351,8 @@ class FourierBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        """One evaluation of ``f`` on the rectangle rule, then one integrand
-        and one accumulation per mode."""
+        """One evaluation of ``f`` on the rectangle rule, then one ``node_major``
+        pass over the phases e^{-i<n, x>}, formed a block at a time."""
         ctx = self.ctx
         modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
         for n, ns in zip(idxs, modes):
@@ -354,14 +362,14 @@ class FourierBasis(BasisFamily):
                     f"of a size-{ctx.grid_size} grid"
                 )
         rule = self.rule
-        fv = samples_of(f, rule.nodes)
-        out = []
-        for ns in modes:
-            ph = np.exp(-1j * _phase(rule.nodes, ns))
-            terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
-            require_finite(rule.nodes, terms)
-            out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
-        return np.array(out)
+        axes = np.array(modes, dtype=float).reshape(-1, ctx.d).T  # row a: n_a of every mode
+
+        def rows(ks):
+            # one row of phases per mode, along the nodes, as the exponential runs fastest
+            return lambda start, stop: np.exp(-1j * _phase(rule.nodes[start:stop], axes[:, ks, None])).T
+
+        sums = node_major(rule.weights, samples_of(f, rule.nodes), rows, len(modes), complex)
+        return sums / (2.0 * math.pi) ** ctx.d
 
     def indices(self, k):
         idxs = self.index_set.up_to(k)
@@ -503,7 +511,7 @@ class TaylorBasis(BasisFamily):
         idxs = [int(n) for n in idxs]
         for n in idxs:
             self.index_set.validate_member(n)
-        coeffs = taylor_coefficients(f, max(idxs), self.ctx)
+        coeffs = taylor_coefficients(f, max(idxs, default=0), self.ctx)
         return np.array([coeffs[n] for n in idxs])
 
     def sample_points(self):

@@ -38,8 +38,11 @@ def test_batch_equals_single_index_calls(basis):
     # any order, with repeats: a row never depends on the rest of the batch
     mixed = idxs[::-1] + idxs[: len(idxs) // 2]
     for f in _handles(basis):
-        for batch in (idxs, mixed):
+        for batch in (idxs, mixed, []):
             got = basis.coefficients(f, batch)
+            if not batch:
+                assert got.shape[0] == 0  # an empty list gives an empty array
+                continue
             want = np.array([basis.coefficients(f, [n])[0] for n in batch])
             assert got.shape == want.shape
             assert np.array_equal(got, want)

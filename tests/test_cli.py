@@ -349,6 +349,17 @@ def test_basis_params_through_config(tmp_path, capsys):
     assert abs(float(rows[1]["re"]) - 5.0) <= 1e-12  # derivative of z^3 + 2z + 1 at 1
 
 
+@pytest.mark.parametrize("params", [5, [1.0], "center", None])
+def test_nested_basis_params_that_are_not_an_object_are_a_usage_error(tmp_path, capsys, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"basis": {"name": "taylor", "params": params, "center": 1.0},
+                               "fn": "poly-z", "max_n": 1}))
+    rc, out, err = _run(capsys, ["expand", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "params" in err
+
+
 def test_complex_center_spellings_agree(tmp_path, capsys):
     outs = []
     for center in (1.0, [1.0, 0.0], {"re": 1.0, "im": 0.0}):

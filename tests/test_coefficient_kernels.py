@@ -1,0 +1,212 @@
+"""The array coefficient kernels against the per-index loops they replaced.
+
+Each reference below restates, literally, the loop an earlier version ran:
+one ``accumulate(w, fv * factor)`` per Hermite index, one ``fv * ph`` per
+Fourier mode, and one composite rule per Haar piece added index by index.
+The kernels must reproduce them bit for bit (``np.array_equal`` and dtype).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import schauder.quadrature as quadrature
+from schauder import FourierBasis, HaarBasis, HermiteBasis, InputError, NumericError
+from schauder.interval_bases import HAAR_ORDER, _haar_split, haar_constancy_intervals
+from schauder.quadrature import accumulate, node_major, require_finite, samples_of, segment_rules
+from schauder.registry import corpus, vector_stack
+from schauder.spectral_bases import _as_multi, _phase
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# -- the replaced loops ------------------------------------------------------
+
+
+def _hermite_loop(basis, f, idxs):
+    multis = [_as_multi(n, basis.d) for n in idxs]
+    rule = basis._rule
+    fv = samples_of(f, rule.nodes)
+    out = []
+    for ns in multis:
+        factor = basis._table[ns[0]]
+        for ni in ns[1:]:
+            factor = np.multiply.outer(factor, basis._table[ni])
+        factor = factor.ravel()
+        terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
+        out.append(accumulate(rule.weights, terms))
+    return np.array(out)
+
+
+def _fourier_loop(basis, f, idxs):
+    ctx = basis.ctx
+    modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
+    rule = basis.rule
+    fv = samples_of(f, rule.nodes)
+    out = []
+    for ns in modes:
+        ph = np.exp(-1j * _phase(rule.nodes, ns))
+        terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
+        require_finite(rule.nodes, terms)
+        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
+    return np.array(out)
+
+
+def _haar_piece_panels(lo, hi):
+    level = int(round(-math.log2(hi - lo))) if hi - lo < 1.0 else 0
+    return max(4, 2 ** max(0, 6 - level))
+
+
+def _haar_loop(basis, f, idxs):
+    idxs = [int(n) for n in idxs]
+    for n in idxs:
+        basis.index_set.validate_member(n)
+    pieces = [(i, lo, hi, sign) for i, n in enumerate(idxs)
+              for lo, hi, sign in haar_constancy_intervals(n)]
+    counts = [_haar_piece_panels(lo, hi) for _, lo, hi, _ in pieces]
+    lo = np.array([p[1] for p in pieces])
+    hi = np.array([p[2] for p in pieces])
+    groups = []
+    for c in sorted(set(counts)):
+        sel = [j for j, cj in enumerate(counts) if cj == c]
+        groups.append((sel,) + segment_rules(lo[sel], hi[sel], panels=c, order=HAAR_ORDER))
+    samples = samples_of(f, np.concatenate([nodes.ravel() for _, nodes, _ in groups]))
+    sums, start = [None] * len(pieces), 0
+    for sel, nodes, weights in groups:
+        block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
+        start += nodes.size
+        for j, piece in zip(sel, accumulate(weights.T, block.swapaxes(0, 1))):
+            sums[j] = piece
+    acc = [None] * len(idxs)
+    for (i, _, _, sign), piece in zip(pieces, sums):
+        contrib = sign * piece
+        acc[i] = contrib if acc[i] is None else acc[i] + contrib
+    raw = np.array(acc)
+    scale = np.array([float(2 ** _haar_split(n)[0]) if n > 1 else 1.0 for n in idxs])
+    return raw * scale.reshape(scale.shape + (1,) * (raw.ndim - 1))
+
+
+# -- handles -------------------------------------------------------------------
+
+
+def _line_handles(name):
+    funcs = [f for _, f in corpus(name)]
+    return [funcs[1], funcs[4], vector_stack(funcs[:3])]
+
+
+def _wide(x):
+    # more columns than one column tile, complex in half of them
+    cols = quadrature.NODE_MAJOR_COLUMNS + 37
+    freq = np.linspace(0.1, 3.0, cols)
+    vals = np.cos(np.multiply.outer(np.asarray(x, dtype=float), freq)) / (1.0 + x[:, None] ** 2)
+    return vals + 1j * np.where(np.arange(cols) % 2, vals, 0.0)
+
+
+def _box_handles(d):
+    def g(x):
+        return np.exp(-0.5 * np.sum(x * x, axis=1)) * (1.0 + x[:, 0] - 0.3 * x[:, -1] ** 2)
+
+    def h(x):
+        return np.cos(x[:, 0]) * np.sin(2.0 * x[:, -1]) + 0.1
+
+    return [g, lambda x: np.stack([g(x), h(x), np.exp(1j * x[:, 0]) * g(x)], axis=1)]
+
+
+# -- the kernel itself ---------------------------------------------------------
+
+
+def _kernel_case(rng, count, n, width, dtype):
+    weights = rng.uniform(0.0, 1.0, n)
+    samples = rng.standard_normal((n, width)) if width else rng.standard_normal(n)
+    table = rng.standard_normal((count, n)).astype(dtype)
+    if np.iscomplexobj(table):
+        table += 1j * rng.standard_normal((count, n))
+    want = [accumulate(weights, samples * (table[k] if samples.ndim == 1 else table[k][:, None]))
+            for k in range(count)]
+    return weights, samples, table, np.array(want)
+
+
+def _table_rows(table):
+    return lambda ks: (lambda start, stop: np.ascontiguousarray(table[ks, start:stop].T))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("width", [0, 1, 3, quadrature.NODE_MAJOR_COLUMNS + 5])
+def test_node_major_equals_the_per_index_accumulate(width, dtype):
+    rng = np.random.default_rng(width)
+    count = quadrature.NODE_MAJOR_INDICES + 3  # two index tiles
+    weights, samples, table, want = _kernel_case(rng, count, 23, width, dtype)
+    _same(node_major(weights, samples, _table_rows(table), count, table.dtype), want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_node_major_tiles_and_blocks_do_not_move_bits(monkeypatch, width, dtype):
+    # tiny tiles: ragged index and column tiles, node blocks of a few rows,
+    # and both the running-sum and the row-by-row additions
+    rng = np.random.default_rng(7 + width)
+    weights, samples, table, want = _kernel_case(rng, 11, 41, width, dtype)
+    for entries, row_width in ((7, 4), (40, 100), (1, 1)):
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_INDICES", 4)
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_COLUMNS", 2)
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_ENTRIES", entries)
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_ROW_WIDTH", row_width)
+        _same(node_major(weights, samples, _table_rows(table), 11, table.dtype), want)
+
+
+def test_node_major_refuses_an_overflowing_sum():
+    samples = np.full(8, 1e308)
+    table = np.ones((2, 8))
+    with pytest.raises(NumericError, match="overflows"):
+        node_major(np.ones(8), samples, _table_rows(table), 2)
+
+
+# -- the families ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,n_max,grade", [(1, 200, 200), (2, 10, 8), (3, 4, 4)])
+def test_hermite_coefficients_equal_the_per_index_loop(d, n_max, grade):
+    basis = HermiteBasis(d=d, n_max=n_max)
+    idxs = basis.indices(grade)
+    handles = _line_handles("hermite") + [_wide] if d == 1 else _box_handles(d)
+    if d == 1:
+        assert len(idxs) > quadrature.NODE_MAJOR_INDICES
+    for f in handles:
+        _same(basis.coefficients(f, idxs), _hermite_loop(basis, f, idxs))
+
+
+@pytest.mark.parametrize("d,n_max,grid", [(1, 80, None), (2, 4, 16), (3, 2, 10)])
+def test_fourier_coefficients_equal_the_per_mode_loop(d, n_max, grid):
+    basis = FourierBasis(d=d, n_max=n_max, grid_size=grid)
+    idxs = basis.indices(n_max)
+    handles = _line_handles("fourier") + [_wide] if d == 1 else _box_handles(d)
+    if d == 1:
+        assert len(idxs) > quadrature.NODE_MAJOR_INDICES
+    for f in handles:
+        _same(basis.coefficients(f, idxs), _fourier_loop(basis, f, idxs))
+
+
+def test_haar_coefficients_equal_the_per_piece_loop():
+    basis = HaarBasis()
+    rng = np.random.default_rng(4096)
+    batches = [list(range(1, 4097)),
+               [int(n) for n in rng.permutation(4096)[:700] + 1] + [1, 1, 2, 4096, 2, 3]]
+    for f in _line_handles("haar"):
+        for idxs in batches:
+            _same(basis.coefficients(f, idxs), _haar_loop(basis, f, idxs))
+
+
+def test_haar_refuses_the_first_bad_index():
+    basis = HaarBasis()
+    f = corpus("haar")[1][1]
+    with pytest.raises(InputError, match="index 0 not in linear"):
+        basis.coefficients(f, [3, 0, -2])
+    with pytest.raises(InputError, match="index -2 not in linear"):
+        basis.coefficients(f, [3, -2, 2 ** 70])
+    with pytest.raises(InputError, match="past the int64 range"):
+        basis.coefficients(f, [3, 2 ** 70])

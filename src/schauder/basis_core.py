@@ -10,14 +10,18 @@ Accumulation order is part of the contract: partial sums and finite-rank
 applications always run in the family's enumeration order (grade, then
 lexicographic), so results are reproducible to the bit and component i of a
 vector computation matches the scalar computation of component i exactly.
-An element handle may report a closed ``support`` interval outside which it
-is exactly zero (Haar steps, hats and the C^k elements do; Hermite, Fourier
-and Taylor elements are global).  Each term is then added, in enumeration
-order, at every point where it can be nonzero and skipped elsewhere; a
-skipped term would only have added an exact zero, so only the sign of a zero
-result can differ from adding every term everywhere.
+Synthesis reads element values from one ``element_table`` per call: each
+element's values on the points of its closed support (Haar steps, hats and
+the C^k elements are local; Hermite, Fourier and Taylor elements are
+global), term-major.  The products with the coefficients are then added by
+``np.add.at``, which applies repeated indices one after another in index
+order, so every entry gets its own sequential sum over the terms, in term
+order.  A term is added only where it can be nonzero; a skipped term would
+only have added an exact zero, so only the sign of a zero result can differ
+from adding every term everywhere.
 """
 
+import copy
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -66,6 +70,21 @@ class BasisFamily(ABC):
     @abstractmethod
     def element(self, n):
         """Vectorized handle for the n-th basis element."""
+
+    def element_table(self, idxs, pts, order=0):
+        """Elements ``idxs`` (their ``order``-th derivatives) on ``pts``, term-major.
+
+        Returns ``(lo, hi, values)``: element i is exactly zero on ``pts``
+        outside ``pts[lo[i]:hi[i]]``, and its values there are the next
+        ``hi[i] - lo[i]`` entries of ``values``, after those of the elements
+        before it.  When ``pts`` are finite 1-D reals they must ascend, and
+        the ranges are the points in each element's closed support;
+        otherwise every element gets every point.  The default evaluates
+        each handle once; families override it with the same float
+        operations as their handles.  A term without the derivative is
+        refused, and so is a point outside the domain.
+        """
+        return _handle_table([self.element(n) for n in idxs], pts, order)
 
     @abstractmethod
     def coefficients(self, f, idxs):
@@ -130,32 +149,54 @@ class BasisFamily(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _layout(handles, pts):
-    """Where each handle needs evaluating: ``(order, spts, bounds)``.
+def _ascending(pts):
+    """``(order, spts)``: 1-D real ``pts`` sorted stably, ``spts = pts[order]``;
+    ``order`` is None, and ``spts`` is ``pts``, when they already ascend or
+    are not 1-D reals."""
+    if pts.ndim != 1 or np.iscomplexobj(pts) or np.all(pts[1:] >= pts[:-1]):
+        return None, pts
+    order = np.argsort(pts, kind="stable")
+    return order, pts[order]
 
-    ``spts`` is ``pts`` in ascending order (``pts[order]``, sorted stably;
-    ``order`` is None when ``pts`` already ascends), and handle i is evaluated
-    on ``spts[lo:hi]`` for ``(lo, hi) = bounds[i]``, the points in its closed
-    ``support``.  A handle without one gets every point, and so does every
-    handle when the points are not finite 1-D reals.  Points outside every
-    support go to the first handle, which rejects them if they lie outside
-    its domain, as evaluating it everywhere would.
+
+def _on_line(pts):
+    """Whether ``pts`` are finite 1-D reals (ascending ones: only the ends are read)."""
+    return pts.ndim == 1 and not np.iscomplexobj(pts) and (
+        not len(pts) or bool(np.isfinite(pts[0]) and np.isfinite(pts[-1])))
+
+
+def _handle_table(handles, pts, order=0):
+    """``BasisFamily.element_table`` of explicit handles: each handle (or its
+    ``order``-th derivative) evaluated once, on the points ``_layout`` gives it."""
+    if order:
+        if not all(hasattr(handle, "derivative") for handle in handles):
+            raise InputError("finite-rank element has a term without derivative support")
+        handles = [handle.derivative(order) for handle in handles]
+    lo, hi = _layout(handles, pts)
+    values = [np.asarray(handle(pts[a:b]))
+              for handle, a, b in zip(handles, lo.tolist(), hi.tolist()) if a < b]
+    return lo, hi, np.concatenate(values) if values else np.zeros(0)
+
+
+def _layout(handles, pts):
+    """Where each handle needs evaluating: the points ``pts[lo[i]:hi[i]]``.
+
+    On ascending finite 1-D reals these are the points in handle i's closed
+    ``support``; a handle without one gets every point, and so does every
+    handle on other points.  Points outside every support go to the first
+    handle, which rejects them if they lie outside its domain, as evaluating
+    it everywhere would.
     """
     n = len(pts)
     supports = [getattr(handle, "support", None) for handle in handles]
-    dense = None, pts, [(0, n)] * len(handles)
-    if pts.ndim != 1 or n == 0 or np.iscomplexobj(pts) or all(s is None for s in supports):
-        return dense
-    order = None if np.all(pts[1:] >= pts[:-1]) else np.argsort(pts, kind="stable")
-    spts = pts if order is None else pts[order]
-    if not (np.isfinite(spts[0]) and np.isfinite(spts[-1])):
-        return dense
-    lo = np.searchsorted(spts, [-np.inf if s is None else s[0] for s in supports], side="left")
-    hi = np.searchsorted(spts, [np.inf if s is None else s[1] for s in supports], side="right")
+    if not n or not _on_line(pts) or all(s is None for s in supports):
+        return np.zeros(len(handles), dtype=np.intp), np.full(len(handles), n, dtype=np.intp)
+    lo = np.searchsorted(pts, [-np.inf if s is None else s[0] for s in supports], side="left")
+    hi = np.searchsorted(pts, [np.inf if s is None else s[1] for s in supports], side="right")
     first, last = lo.min(), hi.max()
     if first > 0 or last < n:
-        handles[0](np.concatenate([spts[:first], spts[last:]]))
-    return order, spts, list(zip(lo.tolist(), hi.tolist()))
+        handles[0](np.concatenate([pts[:first], pts[last:]]))
+    return lo, hi
 
 
 def _rows(values):
@@ -168,40 +209,62 @@ def _rows(values):
     raise InputError(f"handle output has shape {values.shape}; expected (k,) or (k, m)")
 
 
+# table entries (term-points times coefficient columns) per np.add.at call
+SCATTER_ENTRIES = 1 << 13
+
+
 class FiniteRankElement:
     """A finite sum of simple tensors sum_n f_n (x) e_n.
 
-    ``terms`` is an ordered list of ``(handle, coefficient)`` pairs;
-    coefficients are scalars or equal-length vectors.  Called at x, the
-    element is sum_n f_n(x) * e_n, added in term order: the action of the
-    point evaluation at x.
+    The element is ``(basis, idxs, coeffs)``: row i of ``coeffs`` (a scalar
+    or a vector, the same length for every row) multiplies element
+    ``idxs[i]`` of ``basis``.  ``FiniteRankElement(terms)`` takes an ordered
+    list of ``(handle, coefficient)`` pairs instead, and ``terms`` lists the
+    pairs of any element, each handle made when it is read.  Called at x,
+    the element is sum_n f_n(x) * e_n, added in term order: the action of
+    the point evaluation at x.
 
     With ``counts`` the element is instead the K^(R*m)-valued element whose
     block r (columns r*m .. r*m + m - 1, m the coefficient length, 1 for
     scalars) is the partial sum of the first ``counts[r]`` terms; see
-    ``partial_sums``.
+    ``partial_sums``.  With ``order`` > 0 every f_n is replaced by its
+    ``order``-th derivative; see ``derivative``.
     """
 
     def __init__(self, terms, counts=None):
-        self.terms = list(terms)
+        terms = list(terms)
+        self.basis = _Handles([handle for handle, _ in terms])
+        self.idxs = list(range(len(terms)))
+        self.coeffs = np.asarray([coeff for _, coeff in terms])
         self.counts = None if counts is None else [int(c) for c in counts]
+        self.order = 0
+
+    @property
+    def terms(self):
+        """The ``(handle, coefficient)`` pairs, in term order."""
+        return _Terms(self)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.idxs)
+
+    def _with(self, **changes):
+        out = copy.copy(self)
+        vars(out).update(changes)
+        return out
 
     def partial_sums(self, counts):
         """The partial sums of the first ``counts[r]`` terms, side by side.
 
         Evaluating the result takes one running sum over the terms, each
-        handle evaluated once; block r is the running sum as it stands after
-        ``counts[r]`` terms (zero for a count of 0).  Since the functionals
-        act componentwise, one coefficient call on it gives the coefficients
-        of every partial sum.
+        element tabulated once; block r is the running sum as it stands
+        after ``counts[r]`` terms (zero for a count of 0).  Since the
+        functionals act componentwise, one coefficient call on it gives the
+        coefficients of every partial sum.
         """
         counts = [int(c) for c in counts]
-        if any(not 0 <= c <= len(self.terms) for c in counts):
-            raise InputError(f"partial-sum counts must lie in 0..{len(self.terms)}")
-        return FiniteRankElement(self.terms, counts)
+        if any(not 0 <= c <= len(self.idxs) for c in counts):
+            raise InputError(f"partial-sum counts must lie in 0..{len(self.idxs)}")
+        return self._with(counts=counts)
 
     def __call__(self, x):
         x = np.asarray(x)
@@ -213,40 +276,50 @@ class FiniteRankElement:
     def _sums(self, pts):
         """One running sum over the terms on ``pts``, in term order.
 
-        Term i is added only on the points of its support (see ``_layout``).
-        Without ``counts`` the result is the sum of all terms; with them,
-        block r is the sum as it stands after ``counts[r]`` terms.
+        The values of every term come from one ``element_table`` call on the
+        ascending points, and its products with the coefficient rows are
+        added by ``_Products``.  Without
+        ``counts`` the result is the sum of all terms; with them, block r is
+        the sum as it stands after ``counts[r]`` terms (zero while no term
+        has been added).
         """
         counts = self.counts
-        terms = self.terms if counts is None else self.terms[:max(counts, default=0)]
-        order, spts, bounds = _layout([handle for handle, _ in terms], pts)
+        total = len(self.idxs) if counts is None else max(counts, default=0)
         n = len(pts)
-        width = np.size(self.terms[0][1]) if self.terms else 1
-        blocks = {}
-        for r, c in enumerate(counts or ()):
-            blocks.setdefault(c, []).append(r)
-        out = None if counts is None else np.zeros((n, len(counts) * width))
+        order, spts = _ascending(pts)
+        lo = hi = np.zeros(0, dtype=np.intp)
+        values = np.zeros(0)
+        if total:
+            lo, hi, values = self.basis.element_table(self.idxs[:total], spts, self.order)
+        terms = _Products(values, self.coeffs[:total], lo, hi, n)
+        width = terms.width
+        live = np.flatnonzero(hi > lo)
+        first = int(live[0]) if live.size else total
         acc = None
-        for i, ((handle, coeff), (lo, hi)) in enumerate(zip(terms, bounds)):
-            if lo < hi:
-                vals = np.asarray(handle(spts[lo:hi]))
-                coeff = np.asarray(coeff)
-                contrib = vals * coeff if coeff.ndim == 0 else vals[:, None] * coeff[None, :]
-                if acc is None and hi - lo == n:
-                    acc = contrib  # as the sum over global terms always began
-                else:
-                    if acc is None:
-                        acc = np.zeros((n,) + contrib.shape[1:], dtype=contrib.dtype)
-                    elif np.result_type(acc, contrib) != acc.dtype:
-                        acc = acc.astype(np.result_type(acc, contrib))
-                    acc[lo:hi] += contrib
-            if acc is not None and i + 1 in blocks:
+        if first < total:
+            acc = np.zeros((n, width), dtype=terms.dtype)
+            if hi[first] - lo[first] == n:
+                # -0 is the additive identity: the first term's bits start the
+                # sum, as the sum over global terms always began
+                acc = -acc
+        out = None if counts is None else np.zeros((n, len(counts) * width))
+        blocks = {}
+        for r, c in enumerate(counts if counts is not None else [total]):
+            blocks.setdefault(c, []).append(r)
+        done = first
+        for c in sorted(blocks):
+            if c <= first:
+                continue
+            terms.add(acc, done, c)
+            done = c
+            if out is not None:
                 if out.dtype != acc.dtype:
                     out = out.astype(np.result_type(out, acc))
-                for r in blocks[i + 1]:
-                    out[:, r * width:(r + 1) * width] = acc.reshape(n, -1)
+                for r in blocks[c]:
+                    out[:, r * width:(r + 1) * width] = acc
         if out is None:
-            out = acc if acc is not None else np.zeros((n,) + np.shape(terms[0][1] if terms else 0))
+            out = np.zeros((n,) + self.coeffs.shape[1:]) if acc is None \
+                else acc.reshape((n,) + self.coeffs.shape[1:])
         if order is None:
             return out
         unsorted = np.empty_like(out)
@@ -254,18 +327,100 @@ class FiniteRankElement:
         return unsorted
 
     def derivative(self, order=1):
-        """Termwise derivative handle, when every term handle supports one."""
+        """The termwise ``order``-th derivative, read off the family's
+        derivative tables; a term without that derivative is refused here,
+        before anything is evaluated."""
         if order == 0:
             return self
-        handles = []
-        for handle, coeff in self.terms:
-            deriv = getattr(handle, "derivative", None)
-            if deriv is None:
-                raise InputError(
-                    "finite-rank element has a term without derivative support"
-                )
-            handles.append((deriv(order), coeff))
-        return FiniteRankElement(handles, self.counts)
+        order += self.order
+        self.basis.element_table(self.idxs, np.zeros(0), order)
+        return self._with(order=order)
+
+
+class _Products:
+    """Table values times coefficient rows, added into running sums.
+
+    Term i's values cover the points ``lo[i]:hi[i]``.  Products are formed
+    for a chunk of terms at a time, at most ``SCATTER_ENTRIES`` entries
+    (a longer term alone), and added by ``np.add.at`` over flattened
+    (point, column) indices in term order: it applies repeated indices one
+    after another, so each entry is its own sequential sum over the terms.
+    """
+
+    def __init__(self, values, coeffs, lo, hi, n):
+        self.values, self.lo, self.n = values, lo, n
+        self.lens = hi - lo
+        self.start = np.concatenate(([0], np.cumsum(self.lens)))
+        self.offsets = self.start.tolist()
+        self.width = int(np.prod(coeffs.shape[1:]))
+        self.scalar = coeffs.ndim == 1
+        self.coeffs = coeffs.reshape(len(coeffs), self.width)
+        self.dtype = np.result_type(values, coeffs)
+        self.dense = bool(np.all(self.lens == n))
+        self.chunk = 0, 0, None, None  # terms s..e-1, flat indices, products
+
+    def _form(self, s):
+        """Products and flat indices of the chunk of terms starting at s."""
+        start, width = self.start, self.width
+        limit = start[s] + max(1, SCATTER_ENTRIES // width)
+        e = min(len(self.lens), max(s + 1, int(np.searchsorted(start, limit, "right")) - 1))
+        lo, lens = self.lo[s:e], self.lens[s:e]
+        vals = self.values[start[s]:start[e]]
+        rows = self.coeffs[s:e]
+        if self.dense:
+            # each term's values times its own coefficient row, broadcast as
+            # for a term alone: numpy's complex loops may fuse multiply-adds
+            # differently for contiguous and broadcast operands
+            vals = vals.reshape(e - s, self.n)
+            prod = vals * rows[:, 0, None] if self.scalar else vals[:, :, None] * rows[:, None, :]
+        else:
+            rows = np.repeat(rows, lens, axis=0)
+            prod = vals * rows[:, 0] if self.scalar else vals[:, None] * rows
+        # term i's (point, column) entries are the flat range [lo_i, hi_i) * width
+        flat = np.arange(start[s] * width, start[e] * width) \
+            - np.repeat((start[s:e] - lo) * width, lens * width)
+        self.chunk = s, e, flat, prod.reshape(-1)
+
+    def add(self, acc, s, e):
+        """Add terms s..e-1 into ``acc``, (points, width), in term order."""
+        while s < e:
+            if not self.chunk[0] <= s < self.chunk[1]:
+                self._form(s)
+            first, stop, flat, prod = self.chunk
+            stop = min(e, stop)
+            a, b = ((self.offsets[i] - self.offsets[first]) * self.width for i in (s, stop))
+            np.add.at(acc.reshape(-1), flat[a:b], prod[a:b])
+            s = stop
+
+
+class _Terms:
+    """The ``(handle, coefficient)`` pairs of an element, a sequence whose
+    handles are made when read."""
+
+    def __init__(self, element):
+        self.element = element
+
+    def __len__(self):
+        return len(self.element.idxs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        el = self.element
+        handle = el.basis.element(el.idxs[i])
+        return (handle.derivative(el.order) if el.order else handle), el.coeffs[i]
+
+
+class _Handles:
+    """Explicit handles as a family of elements: element i is ``handles[i]``."""
+
+    def __init__(self, handles):
+        self.handles = handles
+
+    def element(self, i):
+        return self.handles[i]
+
+    element_table = BasisFamily.element_table
 
 
 class ExpansionOperator:
@@ -286,17 +441,25 @@ class ExpansionOperator:
 
 def coefficient_sweep(basis, f, k):
     """[(n, coefficient)] for every index of grade <= k, in order."""
+    return list(zip(*_sweep(basis, f, k)))
+
+
+def _sweep(basis, f, k):
+    """The indices of grade <= k and their coefficient array."""
     idxs = basis.indices(k)
-    return list(zip(idxs, basis.coefficients(f, idxs))) if idxs else []
+    return idxs, basis.coefficients(f, idxs) if idxs else np.zeros(0)
 
 
 def materialize(basis, f, k):
-    """P_k f as a finite-rank element (element handles paired with coefficients)."""
-    return _element(basis, coefficient_sweep(basis, f, k))
+    """P_k f as a finite-rank element over ``basis`` (indices and coefficients)."""
+    return _element(basis, *_sweep(basis, f, k))
 
 
-def _element(basis, sweep):
-    return FiniteRankElement([(basis.element(n), c) for n, c in sweep])
+def _element(basis, idxs, coeffs):
+    """sum_i coeffs[i] f_(idxs[i]), synthesised from ``basis.element_table``."""
+    out = FiniteRankElement(())
+    out.basis, out.idxs, out.coeffs = basis, list(idxs), np.asarray(coeffs)
+    return out
 
 
 def partial_sum(basis, f, k, x):
@@ -348,14 +511,16 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
     counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
-    sums = _element(basis, zip(idxs, coeffs)).partial_sums(counts)
+    sums = _element(basis, idxs, coeffs).partial_sums(counts)
     lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
     coeffs = coeffs.reshape(len(idxs), 1, -1)
-    handles = [basis.element(n) for n in idxs]
-    _, spts, bounds = _layout(handles, pts)
-    values = [_rows(h(spts[lo:hi]))[:, :, None] if lo < hi else None  # (hi - lo, 1, 1)
-              for h, (lo, hi) in zip(handles, bounds)]
-    dtype = np.result_type(lifted, coeffs, *{v.dtype for v in values if v is not None})
+    _, spts = _ascending(pts)
+    lo, hi, table = basis.element_table(idxs, spts)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    values = [table[s:s + b - a, None, None] if a < b else None  # (hi - lo, 1, 1)
+              for s, (a, b) in zip(starts.tolist(), bounds)]
+    dtype = np.result_type(lifted, coeffs, table)
     outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
     direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
     target = np.zeros_like(outer)  # P_min(k,j) f, all j
@@ -387,7 +552,7 @@ def biorthogonality_matrix(basis, count):
     dtype = np.complex128 if basis.field == "complex" else float
     out = np.zeros((count, count), dtype=dtype)
     if count:
-        out[:] = basis.coefficients(_element(basis, zip(enum, np.eye(count))), enum)
+        out[:] = basis.coefficients(_element(basis, enum, np.eye(count)), enum)
     return out
 
 
@@ -474,13 +639,13 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
         raise InputError(f"unknown convergence mode {mode!r}")
     sp = space if space is not None else basis.scalar_space()
     # one sweep to the largest rank; each rank's indices are a prefix of it
-    sweep = coefficient_sweep(basis, f, max(ranks)) if ranks else []
+    idxs, coeffs = _sweep(basis, f, max(ranks)) if ranks else ([], np.zeros(0))
     counts = [len(basis.indices(k)) for k in ranks]
     if mode == "sup" and ranks:
         # f once, and every P_k f read off one running sum as block r
         pts = basis.sample_points() if points is None else np.asarray(points)
         frows = basis.value_rows(f, pts)
-        sums = basis.value_rows(_element(basis, sweep).partial_sums(counts), pts)
+        sums = basis.value_rows(_element(basis, idxs, coeffs).partial_sums(counts), pts)
         width = sums.shape[1] // len(ranks)
     out = []
     for r, k in enumerate(ranks):
@@ -488,6 +653,7 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
             rows = frows - sums[:, r * width:(r + 1) * width]
             errs = np.max(sp.seminorm_table(rows), axis=0) if rows.size else np.zeros(len(sp.seminorms))
         else:
-            errs = basis.lp_error(f, _element(basis, sweep[:counts[r]]), p, k, space=sp)
+            partial = _element(basis, idxs[:counts[r]], coeffs[:counts[r]])
+            errs = basis.lp_error(f, partial, p, k, space=sp)
         out.append((k, np.asarray(errs, dtype=float)))
     return out

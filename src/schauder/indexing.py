@@ -20,6 +20,11 @@ import numpy as np
 from .errors import InputError
 
 
+def _is_int(n):
+    """An integer index entry: a Python or numpy integer, not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     kind: str  # 'linear' | 'multi' | 'lattice'
@@ -35,19 +40,19 @@ class IndexSet:
             raise InputError("linear index origin must be 0 or 1")
 
     def _tuplize(self, n):
-        if isinstance(n, (int, np.integer)) and self.dim == 1:
+        if _is_int(n) and self.dim == 1:
             return (int(n),)
         return n
 
     def contains(self, n):
         if self.kind == "linear":
-            return isinstance(n, (int, np.integer)) and n >= self.origin
+            return _is_int(n) and n >= self.origin
         n = self._tuplize(n)
         if not (isinstance(n, tuple) and len(n) == self.dim):
             return False
         if self.kind == "multi":
-            return all(isinstance(c, (int, np.integer)) and c >= 0 for c in n)
-        return all(isinstance(c, (int, np.integer)) for c in n)
+            return all(_is_int(c) and c >= 0 for c in n)
+        return all(_is_int(c) for c in n)
 
     def grade(self, n):
         """The grading |n| used for truncation thresholds."""
@@ -85,3 +90,30 @@ class IndexSet:
         if not self.contains(n):
             raise InputError(f"index {n!r} not in {self.kind} index set (dim {self.dim})")
         return n
+
+    def check(self, idxs):
+        """``idxs`` as a list, refusing the first entry that is not a member
+        with an ``InputError`` naming it.  Entries are integers (tuples of
+        them for multi-indices); a bool, a float or a string never is one,
+        even where ``int()`` would take it."""
+        idxs = list(idxs)
+        if not self._plain_members(idxs):
+            for n in idxs:
+                self.validate_member(n)
+        return idxs
+
+    def _plain_members(self, idxs):
+        """Whether ``idxs`` are members by a few whole-list passes: Python
+        ints for a one-dimensional set, tuples of them otherwise.  False
+        leaves the verdict to ``validate_member``, index by index."""
+        kinds = set(map(type, idxs))
+        if kinds <= {int} and (self.kind == "linear" or self.dim == 1):
+            entries = idxs
+        elif self.kind != "linear" and kinds <= {tuple} and set(map(len, idxs)) <= {self.dim}:
+            entries = list(itertools.chain.from_iterable(idxs))
+            if not set(map(type, entries)) <= {int}:
+                return False
+        else:
+            return False
+        low = {"linear": self.origin, "multi": 0}.get(self.kind)
+        return low is None or min(entries, default=low) >= low

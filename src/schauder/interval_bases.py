@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .basis_core import BasisFamily
+from .basis_core import BasisFamily, _on_line
 from .errors import InputError
 from .indexing import IndexSet
 from .quadrature import accumulate, samples_of, segment_rules
@@ -108,34 +108,16 @@ class PiecewisePolynomial:
     def derivative(self, order=1):
         if order < 0:
             raise InputError("derivative order must be >= 0")
-        out = self
-        for _ in range(order):
-            co = out.coefficients
-            if co.shape[1] == 1:
-                dco = np.zeros((out.npieces, 1))
-            else:
-                powers = np.arange(1, co.shape[1])
-                dco = co[:, 1:] * powers[None, :]
-            out = PiecewisePolynomial(out.breakpoints, dco)
-        return out
+        if not order:
+            return self
+        return PiecewisePolynomial(self.breakpoints, _derivative_columns(self.coefficients, order))
 
     def antiderivative(self):
         """The antiderivative vanishing at the left end, pieced continuously."""
-        co = self.coefficients
-        powers = np.arange(1, co.shape[1] + 1, dtype=float)
-        body = co / powers[None, :]
-        newco = np.zeros((self.npieces, co.shape[1] + 1))
-        newco[:, 1:] = body
-        widths = np.diff(self.breakpoints)
-        running = 0.0
-        for i in range(self.npieces):
-            newco[i, 0] = running
-            u = widths[i]
-            v = newco[i, newco.shape[1] - 1]
-            for p in range(newco.shape[1] - 2, -1, -1):
-                v = v * u + newco[i, p]
-            running = v
-        return PiecewisePolynomial(self.breakpoints, newco)
+        widths = np.diff(self.breakpoints)[None]
+        present = np.ones(widths.shape, dtype=bool)
+        co = _antiderivative_columns(widths, present, self.coefficients[None])
+        return PiecewisePolynomial(self.breakpoints, co[0])
 
     def __repr__(self):
         lo, hi = self.domain
@@ -143,6 +125,87 @@ class PiecewisePolynomial:
             f"PiecewisePolynomial([{lo}, {hi}], pieces={self.npieces}, "
             f"degree={self.degree})"
         )
+
+
+def _derivative_columns(co, order):
+    """Local coefficients (last axis) of the ``order``-th derivative of every piece."""
+    for _ in range(order):
+        last = co.shape[-1] - 1
+        co = co[..., 1:] * np.arange(1, last + 1) if last else np.zeros(co.shape)
+    return co
+
+
+def _antiderivative_columns(widths, present, co):
+    """Local coefficients of the antiderivatives, vanishing at the left end
+    and pieced continuously, of piecewise polynomials given piece by piece:
+    element i's piece in slot s, where ``present[i, s]``, has width
+    ``widths[i, s]`` and coefficients ``co[i, s]``.  Absent pieces stay
+    zero.  Slots run left to right, each carrying the value at the end of
+    the piece before it, for every element at once."""
+    powers = np.arange(1, co.shape[-1] + 1, dtype=float)
+    new = np.zeros(co.shape[:-1] + (co.shape[-1] + 1,))
+    new[..., 1:] = co / powers
+    running = np.zeros(len(co))
+    for s in range(co.shape[1]):
+        new[:, s, 0] = np.where(present[:, s], running, 0.0)
+        v = new[:, s, -1]
+        for p in range(new.shape[-1] - 2, -1, -1):
+            v = v * widths[:, s] + new[:, s, p]
+        running = np.where(present[:, s], v, running)
+    return new
+
+
+def _slot_ends(starts, present, b):
+    """Where each piece slot ends: at the next present slot's start, the last at b."""
+    ends, nxt = np.empty_like(starts), np.full(len(starts), b)
+    for s in range(starts.shape[1] - 1, -1, -1):
+        ends[:, s] = nxt
+        nxt = np.where(present[:, s], starts[:, s], nxt)
+    return ends
+
+
+def _piece_table(starts, present, co, b, pts):
+    """``element_table`` of piecewise polynomials on [a, b] given piece by piece.
+
+    Element i's piece in slot s, where ``present[i, s]``, starts at
+    ``starts[i, s]`` and has local coefficients ``co[i, s]``; slots run left
+    to right and the first present one starts at a.  Values follow
+    ``PiecewisePolynomial.__call__`` operation for operation: x lies in the
+    last piece starting at or before it, and Horner's rule runs in u = x -
+    start.  Element i's range is the hull of its pieces that are not
+    identically zero, its ``support``; an element without one is zero and
+    gets every point.  On the ascending points each piece holds one run of
+    the range, so the coefficients are repeated run by run.
+    """
+    nslots = present.shape[1]
+    ends = _slot_ends(starts, present, b)
+    live = present & co.any(axis=2)
+    rows = np.arange(len(starts))
+    first_live, last_live = np.argmax(live, axis=1), nslots - 1 - np.argmax(live[:, ::-1], axis=1)
+    lo = np.searchsorted(pts, starts[rows, first_live], side="left")
+    hi = np.searchsorted(pts, ends[rows, last_live], side="right")
+    zero = ~live.any(axis=1)
+    lo[zero], hi[zero] = 0, len(pts)
+    # run of slot s: from its first point to the next present slot's (the last to hi)
+    first = np.searchsorted(pts, starts, side="left")
+    runs, nxt = np.empty_like(first), hi
+    for s in range(nslots - 1, -1, -1):
+        begin = np.where(present[:, s], first[:, s], nxt)
+        runs[:, s] = np.clip(nxt, lo, hi) - np.clip(begin, lo, hi)
+        nxt = begin
+    runs = runs.reshape(-1)
+    u = _table_points(lo, hi, pts) - np.repeat(starts.reshape(-1), runs)
+    vals = np.repeat(co[:, :, -1].reshape(-1), runs)
+    for p in range(co.shape[2] - 2, -1, -1):
+        vals = vals * u + np.repeat(co[:, :, p].reshape(-1), runs)
+    return lo, hi, vals
+
+
+def _table_points(lo, hi, pts):
+    """The points of every entry of a table whose term i covers
+    ``pts[lo[i]:hi[i]]``, term-major."""
+    lens = hi - lo
+    return pts[np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - lo, lens)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +332,12 @@ def _haar_split(n):
 def _haar_indices(index_set, idxs):
     """``idxs`` as one int64 array, checked once: the first index outside
     ``index_set``, or past the int64 range, is refused."""
-    idxs = [int(v) for v in idxs]
+    idxs = index_set.check(idxs)
     try:
-        n = np.array(idxs, dtype=np.int64)
-        bad = np.flatnonzero(n < 1)
+        return np.array(idxs, dtype=np.int64)
     except OverflowError:
-        n, bad = None, [i for i, v in enumerate(idxs) if not 1 <= v < 2 ** 63]
-    if len(bad):
-        index_set.validate_member(idxs[bad[0]])
-        raise InputError(f"Haar index {idxs[bad[0]]} is past the int64 range")
-    return n
+        bad = next(v for v in idxs if v >= 2 ** 63)
+        raise InputError(f"Haar index {bad} is past the int64 range") from None
 
 
 def _floor_log2(m):
@@ -286,6 +345,18 @@ def _floor_log2(m):
     rounds up to a power of two."""
     e = np.minimum(np.frexp(m.astype(float))[1] - 1, 62).astype(np.int64)
     return e - ((1 << e) > m)
+
+
+def _haar_steps(n):
+    """``(two, k, lo, mid, hi)`` of the int64 Haar indices ``n``, by the float
+    operations of ``haar_constancy_intervals``: h_n is +1 on [lo, mid) and -1
+    on [mid, hi) where ``two`` (n = 2^k + j), and h_1 is 1 on [lo, hi] = [0, 1]."""
+    two = n > 1
+    k = _floor_log2(np.maximum(n - 1, 1))
+    j = n - (1 << k)
+    denom = np.ldexp(1.0, k + 1)
+    lo, mid, hi = (2 * j - 2) / denom, (2 * j - 1) / denom, (2 * j) / denom
+    return two, k, np.where(two, lo, 0.0), mid, np.where(two, hi, 1.0)
 
 
 def haar_constancy_intervals(n):
@@ -342,8 +413,7 @@ class HaarBasis(BasisFamily):
         self.index_set = IndexSet("linear", origin=1)
 
     def element(self, n):
-        self.index_set.validate_member(int(n))
-        steps = haar_constancy_intervals(int(n))
+        steps = haar_constancy_intervals(self.index_set.validate_member(n))
 
         def h(x, steps=steps):
             return _haar_values(steps, x)
@@ -366,14 +436,10 @@ class HaarBasis(BasisFamily):
         n = _haar_indices(self.index_set, idxs)
         if not n.size:
             return np.zeros(0)
-        two = n > 1  # n = 2^k + j has two pieces; n = 1 one, [0, 1]
-        k = _floor_log2(np.maximum(n - 1, 1))
-        j = n - (1 << k)
-        denom = np.ldexp(1.0, k + 1)
-        lo, mid, hi = (2 * j - 2) / denom, (2 * j - 1) / denom, (2 * j) / denom
+        two, k, lo, mid, hi = _haar_steps(n)  # n = 2^k + j has two pieces; n = 1 one, [0, 1]
         keep = np.stack([np.ones_like(two), two], axis=1)  # pieces in index order
-        starts = np.stack([np.where(two, lo, 0.0), mid], axis=1)[keep]
-        ends = np.stack([np.where(two, mid, 1.0), hi], axis=1)[keep]
+        starts = np.stack([lo, mid], axis=1)[keep]
+        ends = np.stack([np.where(two, mid, hi), hi], axis=1)[keep]
         signs = np.broadcast_to([1.0, -1.0], keep.shape)[keep]
         # panel edges align with dyadic jumps down to level 6 (enough for rank 64)
         width = ends - starts
@@ -397,6 +463,22 @@ class HaarBasis(BasisFamily):
         raw[two] = raw[two] + signed[first[two] + 1]
         return raw * np.where(two, np.ldexp(1.0, k), 1.0)[col]
 
+    def element_table(self, idxs, pts, order=0):
+        """The steps of ``_haar_steps`` on the ascending points of [lo, hi]:
+        a run of 1 below mid, of -1 below hi and of 0 at hi, the values the
+        handles give there."""
+        if order or not _on_line(pts):
+            return super().element_table(idxs, pts, order)
+        n = _haar_indices(self.index_set, idxs)
+        if n.size and len(pts) and (pts[0] < 0.0 or pts[-1] > 1.0):
+            raise InputError("Haar functions are defined on [0, 1]")
+        two, _, start, mid, end = _haar_steps(n)
+        lo, hi = np.searchsorted(pts, start, side="left"), np.searchsorted(pts, end, side="right")
+        cuts = np.stack([lo, np.where(two, np.searchsorted(pts, mid, side="left"), hi),
+                         np.where(two, np.searchsorted(pts, end, side="left"), hi), hi], axis=1)
+        values = np.repeat(np.tile([1.0, -1.0, 0.0], len(n)), np.diff(cuts, axis=1).reshape(-1))
+        return lo, hi, values
+
     def sample_points(self):
         return np.linspace(0.0, 1.0, 1001)
 
@@ -418,37 +500,60 @@ def schauder_hat(seq, n):
 
     n = 0 and n = 1 are the one-sided boundary hats of the coarsest
     partition {a, b}.  The result is compact: zero pieces outside the hat's
-    support instead of one piece per partition cell.
+    support instead of one piece per partition cell (see ``_hat_pieces``).
     """
     if not isinstance(seq, DenseSequence):
         raise InputError("schauder_hat expects a DenseSequence")
     if not 0 <= n < len(seq):
         raise InputError(f"hat index {n} out of range for this sequence")
+    starts, present, co = _hat_pieces(seq, np.array([n]))
+    keep = present[0]
+    return PiecewisePolynomial(np.append(starts[0, keep], seq.b), co[0, keep])
+
+
+def _hat_pieces(seq, idx):
+    """Hats ``idx`` of ``seq`` in four piece slots: ``(starts, present, co)``.
+
+    Hat n >= 2 is zero on [a, left] (a piece only when left > a), rises
+    from 0 to 1 on [left, peak], falls back on [peak, right] and is zero on
+    [right, b] (a piece only when right < b); hats 0 and 1 are one line on
+    [a, b], in the rising slot.
+    """
     a, b = seq.a, seq.b
-    if n == 0:
-        return PiecewisePolynomial([a, b], [[1.0, -1.0 / (b - a)]])
-    if n == 1:
-        return PiecewisePolynomial([a, b], [[0.0, 1.0 / (b - a)]])
-    peak = float(seq.points[n])
-    left, right = float(seq.points[seq.left[n]]), float(seq.points[seq.right[n]])
-    bps = [a]
-    rows = []
-    if left > a:
-        bps.append(left)
-        rows.append((0.0, 0.0))
-    bps.append(peak)
-    rows.append((0.0, 1.0 / (peak - left)))
-    bps.append(right)
-    rows.append((1.0, -1.0 / (right - peak)))
-    if right < b:
-        bps.append(b)
-        rows.append((0.0, 0.0))
-    return PiecewisePolynomial(bps, rows)
+    inner = idx >= 2
+    peak = seq.points[idx]
+    left = np.where(inner, seq.points[seq.left[idx]], a)
+    right = np.where(inner, seq.points[seq.right[idx]], b)
+    starts = np.stack([np.full(len(idx), a), left, peak, right], axis=1)
+    present = np.stack([inner & (left > a), np.ones_like(inner), inner, inner & (right < b)],
+                       axis=1)
+    co = np.zeros((len(idx), 4, 2))
+    co[idx == 0, 1] = 1.0, -1.0 / (b - a)
+    co[idx == 1, 1, 1] = 1.0 / (b - a)
+    co[inner, 1, 1] = 1.0 / (peak[inner] - left[inner])
+    co[inner, 2, 0] = 1.0
+    co[inner, 2, 1] = -1.0 / (right[inner] - peak[inner])
+    return starts, present, co
+
+
+def _sequence_indices(index_set, idxs, size):
+    """``idxs`` checked by ``index_set`` and refused from ``size`` on, as an intp array."""
+    idxs = index_set.check(idxs)
+    if max(idxs, default=0) >= size:
+        bad = next(n for n in idxs if n >= size)
+        raise InputError(f"coefficient index {bad} out of range for this sequence")
+    return np.asarray(idxs, dtype=np.intp)
+
+
+def _check_domain(seq, pts):
+    """Refuse ascending points outside [a, b], as each element handle would."""
+    if len(pts) and (pts[0] < seq.a or pts[-1] > seq.b):
+        raise InputError(f"evaluation outside domain [{seq.a}, {seq.b}]")
 
 
 def hat_coefficients(seq, f, n):
     """The full coefficient prefix lambda_0(f), ..., lambda_n(f) (see ``HatBasis``)."""
-    # a negative n is passed on alone, to be reported as out of range
+    # a negative n is passed on alone, to be refused
     return list(HatBasis(seq).coefficients(f, np.arange(n + 1) if n >= 0 else [n]))
 
 
@@ -475,10 +580,21 @@ class HatBasis(BasisFamily):
         self._elements = {}
 
     def element(self, n):
-        n = int(n)
+        n = int(self.index_set.validate_member(n))
         if n not in self._elements:
             self._elements[n] = schauder_hat(self.seq, n)
         return self._elements[n]
+
+    def element_table(self, idxs, pts, order=0):
+        """All requested hats at once, piece by piece (``_hat_pieces``), with
+        the float operations of their ``PiecewisePolynomial`` handles."""
+        if not _on_line(pts):
+            return super().element_table(idxs, pts, order)
+        idx = _sequence_indices(self.index_set, idxs, len(self.seq))
+        if idx.size:
+            _check_domain(self.seq, pts)
+        starts, present, co = _hat_pieces(self.seq, idx)
+        return _piece_table(starts, present, _derivative_columns(co, order), self.seq.b, pts)
 
     coefficient = BasisFamily.coefficient
 
@@ -488,12 +604,7 @@ class HatBasis(BasisFamily):
         then one vectorized step.  Vector-valued handles get componentwise
         identical arithmetic."""
         seq = self.seq
-        idx = np.asarray(idxs, dtype=np.intp)
-        outside = (idx < 0) | (idx >= len(seq))
-        if outside.any():
-            raise InputError(
-                f"coefficient index {int(idx[outside][0])} out of range for this sequence"
-            )
+        idx = _sequence_indices(self.index_set, idxs, len(seq))
         interior = idx >= 2
         inner = idx[interior]
         lft, rgt = seq.left[inner], seq.right[inner]
@@ -578,10 +689,31 @@ class CkBasis(BasisFamily):
         self._elements = {}
 
     def element(self, n):
-        n = int(n)
+        n = int(self.index_set.validate_member(n))
         if n not in self._elements:
             self._elements[n] = ck_basis_element(self.seq, self.k, n)
         return self._elements[n]
+
+    def element_table(self, idxs, pts, order=0):
+        """The hats of ``_hat_pieces`` lifted by k antiderivative passes, all
+        at once, and the jet monomials (x - a)^n / n! as one piece on [a, b]:
+        the float operations of ``ck_basis_element`` and its handles.  The
+        monomials' coefficients are padded with leading zeros to degree
+        k + 1, which Horner's rule passes through exactly."""
+        if not _on_line(pts):
+            return super().element_table(idxs, pts, order)
+        k, seq = self.k, self.seq
+        idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
+        if idx.size:
+            _check_domain(seq, pts)
+        jets = np.flatnonzero(idx < k)
+        starts, present, co = _hat_pieces(seq, np.maximum(idx - k, 0))  # hat 0's pattern for jets
+        widths = _slot_ends(starts, present, seq.b) - starts
+        for _ in range(k):
+            co = _antiderivative_columns(widths, present, co)
+        co[jets] = 0.0
+        co[jets, 1, idx[jets]] = [1.0 / math.factorial(n) for n in idx[jets].tolist()]
+        return _piece_table(starts, present, _derivative_columns(co, order), seq.b, pts)
 
     coefficient = BasisFamily.coefficient
 
@@ -592,9 +724,7 @@ class CkBasis(BasisFamily):
         materialized sum of such terms); a bare callable serves index 0
         only.  Each jet f^(n)(a) is read once, and f^(k) is evaluated once
         for all the hat coefficients."""
-        idx = np.asarray([int(n) for n in idxs], dtype=np.intp)
-        if (idx < 0).any():
-            raise InputError("coefficient index must be >= 0")
+        idx = _sequence_indices(self.index_set, idxs, len(self.seq) + self.k)
         k = self.k
         derivs = _derivatives(f, min(int(idx.max(initial=0)), k))
         out = [None] * idx.size

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis_core import BasisFamily
-from .errors import InputError
+from .errors import InputError, NumericError
 from .indexing import IndexSet
 from .quadrature import (
     HERMITE_MAX_SIZE,
@@ -138,8 +138,18 @@ class HermiteBasis(BasisFamily):
         return line if self.d == 1 else tensor_rule(line, self.d)
 
     def element(self, n):
-        ns = _as_multi(n, self.d)
+        ns = _as_multi(self.index_set.validate_member(n), self.d)
         return functools.partial(hermite_function, ns if self.d > 1 else ns[0], d=self.d)
+
+    def element_table(self, idxs, pts, order=0):
+        """For d = 1 on 1-D real points, the rows of one ``_hermite_rows``
+        table up to the largest order: row n is what handle n computes."""
+        if order or self.d > 1 or pts.ndim != 1 or np.iscomplexobj(pts):
+            return super().element_table(idxs, pts, order)
+        ns = self.index_set.check(idxs)
+        table = _hermite_rows(max(ns, default=0), pts)[ns]
+        lo = np.zeros(len(ns), dtype=np.intp)
+        return lo, lo + len(pts), table.reshape(-1)
 
     coefficient = BasisFamily.coefficient
 
@@ -147,7 +157,7 @@ class HermiteBasis(BasisFamily):
         """One evaluation of ``f`` on the tensor rule, then one ``node_major``
         pass; the factor of index n at a node is the product, from the left,
         of its axis rows of the rule's table, formed a block at a time."""
-        multis = [_as_multi(n, self.d) for n in idxs]
+        multis = [_as_multi(n, self.d) for n in self.index_set.check(idxs)]
         top = max((max(ns) for ns in multis), default=0)
         if top > self.n_max:
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
@@ -341,7 +351,7 @@ class FourierBasis(BasisFamily):
         return periodic_rule(self.ctx.grid_size, d=self.ctx.d)
 
     def element(self, n):
-        ns = _as_multi(n, self.d, signed=True)
+        ns = _as_multi(self.index_set.validate_member(n), self.d, signed=True)
 
         def e(x, ns=ns):
             return np.exp(1j * _phase(np.asarray(x, dtype=float), ns))
@@ -354,6 +364,7 @@ class FourierBasis(BasisFamily):
         """One evaluation of ``f`` on the rectangle rule, then one ``node_major``
         pass over the phases e^{-i<n, x>}, formed a block at a time."""
         ctx = self.ctx
+        idxs = self.index_set.check(idxs)
         modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
         for n, ns in zip(idxs, modes):
             if max(abs(c) for c in ns) > ctx.max_mode:
@@ -413,7 +424,7 @@ class DiscContext:
 TAYLOR_BLOCK = 4096
 
 
-def taylor_coefficients(f, n_max, ctx=None):
+def taylor_coefficients(f, n_max, ctx=None, tol=None):
     """Derivative coefficients c_0..c_{n_max} at the disc center.
 
     c_n = (N rho^n)^{-1} sum_j f(z_0 + rho w^j) w^{-jn} with w the primitive
@@ -429,6 +440,9 @@ def taylor_coefficients(f, n_max, ctx=None):
     blocks of about ``TAYLOR_BLOCK`` products.  An order whose 1 / (N rho^n) is
     not a finite nonzero float is refused before f runs; products and sums
     that overflow raise ``NumericError``, as in ``quadrature.accumulate``.
+    With ``tol``, an order whose rounding error may exceed it raises
+    ``NumericError`` too (``_check_rounding``); ``TaylorBasis`` passes its
+    ``coefficient_tol``.
     """
     ctx = ctx or DiscContext()
     if n_max < 0:
@@ -442,7 +456,34 @@ def taylor_coefficients(f, n_max, ctx=None):
     scales = _contour_scales(ctx, n_max)
     angles = 2.0 * math.pi * np.arange(npts) / npts
     zs = ctx.center + ctx.contour_radius * np.exp(1j * angles)
-    return _overflow_checked(npts, _contour_sums, samples_of(f, zs), angles, scales)
+    samples = samples_of(f, zs)
+    coeffs = _overflow_checked(npts, _contour_sums, samples, angles, scales)
+    if tol is not None:
+        _check_rounding(ctx, samples, scales, tol)
+    return coeffs
+
+
+def _check_rounding(ctx, samples, scales, tol):
+    """Refuse the first order n whose contour average may lose more than
+    ``tol`` to rounding, with a ``NumericError`` naming it.
+
+    The estimate is sqrt(N) eps max_j |f(z_j)| / rho^n: the sum of N samples
+    of size up to M rounds with an error of about sqrt(N) eps M (Higham and
+    Mary, SIAM J. Sci. Comput. 41, 2019), and the average divides it by
+    rho^n, so a large contour whose samples cancel to a small coefficient
+    is caught (the condition number of Bornemann, Found. Comput. Math. 11,
+    2011).  ``scales[n]`` is 1 / (N rho^n).
+    """
+    npts = ctx.contour_points
+    with np.errstate(over="ignore"):  # |re + i im| past the float range is inf: refused
+        top = float(np.max(np.abs(samples)))
+    rounding = math.sqrt(npts) * float(np.finfo(float).eps) * top * npts
+    for n, scale in enumerate(scales):
+        est = rounding * scale
+        if est > tol:
+            raise NumericError(
+                f"contour_radius {ctx.contour_radius!r}: the order-{n} contour average "
+                f"may be off by {est:.1e} from rounding, above the tolerance {tol:g}")
 
 
 def _contour_scales(ctx, n_max):
@@ -497,8 +538,7 @@ class TaylorBasis(BasisFamily):
         self.index_set = IndexSet("linear", origin=0)
 
     def element(self, n):
-        n = int(n)
-        self.index_set.validate_member(n)
+        n = int(self.index_set.validate_member(n))
 
         def mono(z, n=n, z0=self.ctx.center):
             return (np.asarray(z) - z0) ** n
@@ -508,10 +548,10 @@ class TaylorBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        idxs = [int(n) for n in idxs]
-        for n in idxs:
-            self.index_set.validate_member(n)
-        coeffs = taylor_coefficients(f, max(idxs, default=0), self.ctx)
+        idxs = [int(n) for n in self.index_set.check(idxs)]
+        if not idxs:
+            return np.zeros(0)
+        coeffs = taylor_coefficients(f, max(idxs), self.ctx, tol=self.coefficient_tol)
         return np.array([coeffs[n] for n in idxs])
 
     def sample_points(self):

@@ -1,0 +1,299 @@
+"""Element tables: synthesis from ``BasisFamily.element_table`` and one
+ordered ``np.add.at`` per partial-sum block, against the term loop it
+replaced.
+
+The reference ``term_loop`` is that loop, kept literally: every element
+handle evaluated on the points of its support, each term's products added
+by ``acc[lo:hi] += contrib`` in term order, a first term covering every
+point starting the sum.  Results are compared by ``tobytes()``, so the sign
+of every zero counts too.
+"""
+
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schauder import (
+    CkBasis,
+    DenseSequence,
+    FourierBasis,
+    HaarBasis,
+    HatBasis,
+    HermiteBasis,
+    InputError,
+    NumericError,
+    TaylorBasis,
+    materialize,
+)
+from schauder.basis_core import _element
+from schauder.cli import main
+from schauder.registry import get as reg
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _layout(handles, pts):
+    """The support layout of the term loop (see the module docstring)."""
+    n = len(pts)
+    supports = [getattr(handle, "support", None) for handle in handles]
+    dense = None, pts, [(0, n)] * len(handles)
+    if pts.ndim != 1 or n == 0 or np.iscomplexobj(pts) or all(s is None for s in supports):
+        return dense
+    order = None if np.all(pts[1:] >= pts[:-1]) else np.argsort(pts, kind="stable")
+    spts = pts if order is None else pts[order]
+    if not (np.isfinite(spts[0]) and np.isfinite(spts[-1])):
+        return dense
+    lo = np.searchsorted(spts, [-np.inf if s is None else s[0] for s in supports], side="left")
+    hi = np.searchsorted(spts, [np.inf if s is None else s[1] for s in supports], side="right")
+    first, last = lo.min(), hi.max()
+    if first > 0 or last < n:
+        handles[0](np.concatenate([spts[:first], spts[last:]]))
+    return order, spts, list(zip(lo.tolist(), hi.tolist()))
+
+
+def term_loop(terms, counts, pts):
+    """The partial sums of ``terms`` (``(handle, coefficient)`` pairs) by the term loop."""
+    terms = terms if counts is None else terms[:max(counts, default=0)]
+    order, spts, bounds = _layout([handle for handle, _ in terms], pts)
+    n = len(pts)
+    width = np.size(terms[0][1]) if terms else 1
+    blocks = {}
+    for r, c in enumerate(counts or ()):
+        blocks.setdefault(c, []).append(r)
+    out = None if counts is None else np.zeros((n, len(counts) * width))
+    acc = None
+    for i, ((handle, coeff), (lo, hi)) in enumerate(zip(terms, bounds)):
+        if lo < hi:
+            vals = np.asarray(handle(spts[lo:hi]))
+            coeff = np.asarray(coeff)
+            contrib = vals * coeff if coeff.ndim == 0 else vals[:, None] * coeff[None, :]
+            if acc is None and hi - lo == n:
+                acc = contrib
+            else:
+                if acc is None:
+                    acc = np.zeros((n,) + contrib.shape[1:], dtype=contrib.dtype)
+                elif np.result_type(acc, contrib) != acc.dtype:
+                    acc = acc.astype(np.result_type(acc, contrib))
+                acc[lo:hi] += contrib
+        if acc is not None and i + 1 in blocks:
+            if out.dtype != acc.dtype:
+                out = out.astype(np.result_type(out, acc))
+            for r in blocks[i + 1]:
+                out[:, r * width:(r + 1) * width] = acc.reshape(n, -1)
+    if out is None:
+        out = acc if acc is not None else np.zeros((n,) + np.shape(terms[0][1] if terms else 0))
+    if order is None:
+        return out
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+unit = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def sequences(draw):
+    """The dyadic sequence on [0, 1], or random distinct points on a random [a, b]."""
+    if draw(st.booleans()):
+        return DenseSequence.dyadic(6)
+    a = draw(st.sampled_from([0.0, -1.5, 0.25]))
+    b = a + draw(st.sampled_from([1.0, 3.0, 0.7]))
+    points = [a, b]
+    for t in draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)):
+        x = a + (b - a) * t
+        if a < x < b and x not in points:
+            points.append(x)
+    return DenseSequence(points)
+
+
+@st.composite
+def cases(draw):
+    """(basis, derivative order, points): a local family and a point layout."""
+    family = draw(st.sampled_from(["haar", "hat", "ck"]))
+    if family == "haar":
+        basis, order = HaarBasis(), 0
+    elif family == "hat":
+        basis = HatBasis(draw(sequences()))
+        order = draw(st.integers(0, 2))
+    else:
+        k = draw(st.integers(0, 3))
+        basis = CkBasis(k, draw(sequences()))
+        order = draw(st.integers(0, k + 2))
+    lo, hi = (0.0, 1.0) if family == "haar" else (basis.seq.a, basis.seq.b)
+    nodes = [lo, hi] + ([j / 64 for j in range(65)] if family == "haar"
+                        else basis.seq.points.tolist())
+    pts = draw(st.lists(st.one_of(st.sampled_from(nodes), st.floats(lo, hi)),
+                        min_size=1, max_size=50))
+    pts = pts + draw(st.lists(st.sampled_from(pts), max_size=10))  # duplicates
+    if draw(st.booleans()):
+        pts = pts + [lo, hi]
+    if draw(st.booleans()):
+        pts = sorted(pts)
+    return basis, order, np.array(pts)
+
+
+@st.composite
+def coefficients(draw, count):
+    """A scalar, vector, complex scalar or complex vector coefficient per term."""
+    width = draw(st.sampled_from([None, 1, 3]))
+    shape = (count,) if width is None else (count, width)
+    size = int(np.prod(shape))
+    coeffs = np.array(draw(st.lists(unit, min_size=size, max_size=size))).reshape(shape)
+    if draw(st.booleans()):
+        imag = np.array(draw(st.lists(unit, min_size=size, max_size=size))).reshape(shape)
+        coeffs = coeffs + 1j * imag
+    return coeffs
+
+
+def _terms(basis, idxs, coeffs, order):
+    handles = [basis.element(n) for n in idxs]
+    return [(h.derivative(order) if order else h, c) for h, c in zip(handles, coeffs)]
+
+
+@PROPS
+@given(cases(), st.data())
+def test_table_synthesis_equals_the_term_loop(case, data):
+    basis, order, pts = case
+    top = basis.indices(len(basis.seq) - 1 + basis.k if isinstance(basis, CkBasis)
+                        else 80 if isinstance(basis, HaarBasis) else len(basis.seq) - 1)
+    idxs = data.draw(st.lists(st.sampled_from(top), min_size=1, max_size=30), label="idxs")
+    coeffs = data.draw(coefficients(len(idxs)), label="coeffs")
+    counts = data.draw(st.none() | st.lists(st.integers(0, len(idxs)), min_size=1, max_size=6),
+                       label="counts")
+    elem = _element(basis, idxs, coeffs)
+    elem = elem if counts is None else elem.partial_sums(counts)
+    got = elem.derivative(order)(pts)
+    _same(got, term_loop(_terms(basis, idxs, coeffs, order), counts, pts))
+    # a 0-d point gives the value at that point
+    _same(elem.derivative(order)(pts[0]), term_loop(_terms(basis, idxs, coeffs, order),
+                                                    counts, pts[:1])[0])
+
+
+GLOBAL = {"hermite": HermiteBasis(n_max=24), "fourier": FourierBasis(n_max=24),
+          "taylor": TaylorBasis(n_max=24)}
+
+
+@PROPS
+@given(st.sampled_from(sorted(GLOBAL)), st.data())
+def test_global_tables_equal_the_term_loop(name, data):
+    basis = GLOBAL[name]
+    top = basis.indices(24)
+    idxs = data.draw(st.lists(st.sampled_from(top), min_size=1, max_size=30), label="idxs")
+    coeffs = data.draw(coefficients(len(idxs)), label="coeffs")
+    counts = data.draw(st.none() | st.lists(st.integers(0, len(idxs)), min_size=1, max_size=6),
+                       label="counts")
+    pts = basis.sample_points()
+    pts = pts[data.draw(st.permutations(range(len(pts))), label="order")][:60]
+    elem = _element(basis, idxs, coeffs)
+    elem = elem if counts is None else elem.partial_sums(counts)
+    _same(elem(pts), term_loop(_terms(basis, idxs, coeffs, 0), counts, pts))
+
+
+def test_scatter_adds_repeated_points_in_term_order():
+    # (1e16 + 1) - 1e16 is 0 in order, 1 if the big terms met first
+    acc = np.zeros(1)
+    np.add.at(acc, [0, 0, 0], [1e16, 1.0, -1e16])
+    assert acc[0] == 0.0
+    pts = np.array([0.5, 0.5, 0.25])
+    for basis in (HatBasis(), HaarBasis(), CkBasis(k=0)):
+        n = 1 if isinstance(basis, HaarBasis) else 2  # h_1 is 1 everywhere, hat 2 at 0.5
+        elem = _element(basis, [n, n, n], [1e16, 1.0, -1e16])
+        assert elem(pts)[0] == 0.0 and elem(pts)[1] == 0.0
+        assert elem.partial_sums([2, 3, 1])(pts)[0].tolist() == [1e16, 0.0, 1e16]
+
+
+@pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), CkBasis(k=2),
+                                   HatBasis(DenseSequence([-1.0, 2.0, 0.3, 1.7]))])
+def test_points_outside_the_domain_raise(basis):
+    elem = materialize(basis, reg("x"), 3)
+    a, b = (0.0, 1.0) if isinstance(basis, HaarBasis) else (basis.seq.a, basis.seq.b)
+    for bad in ([b + 0.5], [a - 0.1, a], [a, b, b + 1e-9], b + 1.0):
+        with pytest.raises(InputError):
+            elem(np.array(bad))
+        with pytest.raises(InputError):
+            elem.partial_sums([1, 3])(np.array(bad))
+        if not isinstance(basis, HaarBasis):
+            with pytest.raises(InputError):
+                elem.derivative(1)(np.array(bad))
+
+
+def test_haar_and_hermite_elements_have_no_derivative():
+    for basis in (HaarBasis(), GLOBAL["hermite"]):
+        with pytest.raises(InputError, match="derivative support"):
+            materialize(basis, reg("x") if isinstance(basis, HaarBasis) else reg("gauss"),
+                        4).derivative(1)
+
+
+def test_synthesis_makes_no_element_handles():
+    basis = HatBasis()
+    elem = materialize(basis, reg("sin-pi"), 256)
+    pts = np.linspace(0.0, 1.0, 1001)
+    elem.partial_sums([16, 256]).derivative(1)(pts)
+    elem(pts)
+    assert len(elem.terms) == 257 and basis._elements == {}
+    handle, coeff = elem.terms[3]
+    assert handle is basis.element(3) and coeff == elem.coeffs[3]
+
+
+# -- index checks ----------------------------------------------------------
+
+FAMILIES = {
+    "haar": (HaarBasis(), "x"), "hat": (HatBasis(), "x"), "ck": (CkBasis(k=2), "x"),
+    "hermite": (GLOBAL["hermite"], "gauss"), "fourier": (GLOBAL["fourier"], "cos"),
+    "taylor": (GLOBAL["taylor"], "exp-z"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), "3", True, np.bool_(True), None])
+def test_non_integer_indices_are_refused(name, bad):
+    basis, fn = FAMILIES[name]
+    named = re.escape(f"index {bad!r}")
+    with pytest.raises(InputError, match=named):
+        basis.coefficients(reg(fn), [3, bad])
+    with pytest.raises(InputError, match=named):
+        basis.element(bad)
+    with pytest.raises(InputError, match=named):
+        basis.element_table([3, bad], np.linspace(0.0, 1.0, 5) if name != "taylor"
+                            else np.exp(1j * np.linspace(0.0, 1.0, 5)))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_numpy_integer_indices_are_members(name):
+    basis, fn = FAMILIES[name]
+    idxs = basis.indices(3)
+    assert np.array_equal(basis.coefficients(reg(fn), [np.int64(n) for n in idxs]),
+                          basis.coefficients(reg(fn), idxs))
+
+
+# -- Taylor contour rounding ----------------------------------------------------
+
+
+@pytest.mark.parametrize("rho", [100.0, 1000.0])
+def test_taylor_contour_lost_to_rounding_is_refused(tmp_path, capsys, rho):
+    cfg = tmp_path / "rho.json"
+    cfg.write_text(f'{{"basis": {{"name": "taylor", "contour_radius": {rho}}}}}')
+    assert main(["expand", "--fn", "poly-z", "--max-n", "4", "--config", str(cfg)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "numeric"
+    assert f"contour_radius {rho!r}" in doc["message"] and "order-0" in doc["message"]
+    with pytest.raises(NumericError, match="order-0"):
+        TaylorBasis(contour_radius=rho).coefficients(reg("poly-z"), range(5))
+
+
+def test_taylor_contour_within_tolerance_is_kept():
+    # the radius 1 estimate is 8 eps max|f| = 7.1e-15 for poly-z
+    basis = TaylorBasis(contour_radius=1.0)
+    coeffs = basis.coefficients(reg("poly-z"), range(5))
+    assert np.max(np.abs(coeffs - [1.0, 2.0, 0.0, 1.0, 0.0])) < 1e-14
+

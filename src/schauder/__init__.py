@@ -11,7 +11,6 @@ from .basis_core import (
     ExpansionOperator,
     FiniteRankElement,
     biorthogonality_matrix,
-    coefficient_sweep,
     convergence_report,
     materialize,
     partial_sum,
@@ -59,7 +58,6 @@ from .spectral_bases import (
     DiscContext,
     FourierBasis,
     HermiteBasis,
-    PeriodicContext,
     TailBoundReport,
     TaylorBasis,
     fourier_coefficient,

@@ -33,7 +33,6 @@ __all__ = [
     "BasisFamily",
     "FiniteRankElement",
     "ExpansionOperator",
-    "coefficient_sweep",
     "materialize",
     "partial_sum",
     "projection_algebra_check",
@@ -224,19 +223,18 @@ class FiniteRankElement:
     the element is sum_n f_n(x) * e_n, added in term order: the action of
     the point evaluation at x.
 
-    With ``counts`` the element is instead the K^(R*m)-valued element whose
-    block r (columns r*m .. r*m + m - 1, m the coefficient length, 1 for
-    scalars) is the partial sum of the first ``counts[r]`` terms; see
-    ``partial_sums``.  With ``order`` > 0 every f_n is replaced by its
-    ``order``-th derivative; see ``derivative``.
+    ``partial_sums`` makes the K^(R*m)-valued element whose block r
+    (columns r*m .. r*m + m - 1, m the coefficient length, 1 for scalars)
+    is the partial sum of the first ``counts[r]`` terms, and ``derivative``
+    the element whose every f_n is replaced by its ``order``-th derivative.
     """
 
-    def __init__(self, terms, counts=None):
+    def __init__(self, terms):
         terms = list(terms)
         self.basis = _Handles([handle for handle, _ in terms])
         self.idxs = list(range(len(terms)))
         self.coeffs = np.asarray([coeff for _, coeff in terms])
-        self.counts = None if counts is None else [int(c) for c in counts]
+        self.counts = None
         self.order = 0
 
     @property
@@ -439,11 +437,6 @@ class ExpansionOperator:
         return f"ExpansionOperator({self.basis.name}, k={self.k})"
 
 
-def coefficient_sweep(basis, f, k):
-    """[(n, coefficient)] for every index of grade <= k, in order."""
-    return list(zip(*_sweep(basis, f, k)))
-
-
 def _sweep(basis, f, k):
     """The indices of grade <= k and their coefficient array."""
     idxs = basis.indices(k)
@@ -467,21 +460,20 @@ def partial_sum(basis, f, k, x):
     return materialize(basis, f, k)(x)
 
 
-def projection_algebra_check(basis, f, k, j, points=None, space=None):
-    """Max discrepancy of P_k(P_j f) against P_min(k,j) f on a point grid.
+def projection_algebra_check(basis, f, k, j):
+    """Max discrepancy of P_k(P_j f) against P_min(k,j) f on the family's
+    sample points.
 
     Each partial sum is an honest expansion: P_j f is materialized, then fed
     back through the coefficient functionals.  Returns the sup over the grid
-    of all seminorms of the residual.
+    and the components of the residual.
     """
-    pts = basis.sample_points() if points is None else np.asarray(points)
+    pts = basis.sample_points()
     inner = materialize(basis, f, j)
     outer = materialize(basis, inner, k)
     direct = materialize(basis, f, min(k, j))
     rows = _rows(outer(pts)) - _rows(direct(pts))
-    if space is None:
-        return float(np.max(np.abs(rows))) if rows.size else 0.0
-    return float(np.max(space.seminorm_table(rows))) if rows.size else 0.0
+    return float(np.max(np.abs(rows))) if rows.size else 0.0
 
 
 def semigroup_max_discrepancy(basis, f, kmax, points=None):
@@ -616,7 +608,7 @@ class _ComponentBundle:
         return lambda pts, g=g, i=self.i: np.asarray(g(pts))[:, i]
 
 
-def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1):
+def convergence_report(basis, f, ranks, space=None, mode="sup", p=1):
     """Error of P_k f against f for each rank k, one row per rank.
 
     Parameters
@@ -624,9 +616,10 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
     ranks : sequence of int
         Truncation thresholds, reported in the given order.
     mode : str
-        ``"sup"`` for grid sup of the residual rows (derivative-aware for
-        families that override ``value_rows``), ``"lp"`` for the family's
-        L^p error with panel edges on element kinks.
+        ``"sup"`` for the sup of the residual rows over ``sample_points()``
+        (derivative-aware for families that override ``value_rows``),
+        ``"lp"`` for the family's L^p error with panel edges on element
+        kinks.
     space : ValueSpace, optional
         Seminorm family for vector-valued f; defaults to the scalar space.
 
@@ -643,7 +636,7 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", points=None, p=1
     counts = [len(basis.indices(k)) for k in ranks]
     if mode == "sup" and ranks:
         # f once, and every P_k f read off one running sum as block r
-        pts = basis.sample_points() if points is None else np.asarray(points)
+        pts = basis.sample_points()
         frows = basis.value_rows(f, pts)
         sums = basis.value_rows(_element(basis, idxs, coeffs).partial_sums(counts), pts)
         width = sums.shape[1] // len(ranks)

@@ -25,6 +25,13 @@ def _is_int(n):
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _int_in(name, value, low, high=math.inf):
+    """``value`` as an int, refused unless it is an integer in low..high."""
+    if not _is_int(value) or not low <= value <= high:
+        raise InputError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     kind: str  # 'linear' | 'multi' | 'lattice'
@@ -43,16 +50,6 @@ class IndexSet:
         if _is_int(n) and self.dim == 1:
             return (int(n),)
         return n
-
-    def contains(self, n):
-        if self.kind == "linear":
-            return _is_int(n) and n >= self.origin
-        n = self._tuplize(n)
-        if not (isinstance(n, tuple) and len(n) == self.dim):
-            return False
-        if self.kind == "multi":
-            return all(_is_int(c) and c >= 0 for c in n)
-        return all(_is_int(c) for c in n)
 
     def grade(self, n):
         """The grading |n| used for truncation thresholds."""
@@ -87,7 +84,14 @@ class IndexSet:
         return out
 
     def validate_member(self, n):
-        if not self.contains(n):
+        """``n`` itself if it is a member, else an ``InputError`` naming it."""
+        if self.kind == "linear":
+            ok = _is_int(n) and n >= self.origin
+        else:
+            m = self._tuplize(n)
+            ok = isinstance(m, tuple) and len(m) == self.dim and all(
+                _is_int(c) and (self.kind == "lattice" or c >= 0) for c in m)
+        if not ok:
             raise InputError(f"index {n!r} not in {self.kind} index set (dim {self.dim})")
         return n
 

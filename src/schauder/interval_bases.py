@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis_core import BasisFamily, _on_line
 from .errors import InputError
-from .indexing import IndexSet
+from .indexing import IndexSet, _int_in
 from .quadrature import accumulate, samples_of, segment_rules
 from .value_space import ValueSpace
 
@@ -504,8 +504,7 @@ def schauder_hat(seq, n):
     """
     if not isinstance(seq, DenseSequence):
         raise InputError("schauder_hat expects a DenseSequence")
-    if not 0 <= n < len(seq):
-        raise InputError(f"hat index {n} out of range for this sequence")
+    _int_in("hat index", n, 0, len(seq) - 1)
     starts, present, co = _hat_pieces(seq, np.array([n]))
     keep = present[0]
     return PiecewisePolynomial(np.append(starts[0, keep], seq.b), co[0, keep])
@@ -642,10 +641,8 @@ def ck_basis_element(seq, k, n):
     antiderivative (from a) of hat number n - k, an exact piecewise
     polynomial of degree k + 1.
     """
-    if k < 0:
-        raise InputError("smoothness order k must be >= 0")
-    if n < 0:
-        raise InputError("element index must be >= 0")
+    k = _int_in("smoothness order k", k, 0)
+    _int_in("element index", n, 0)
     a, b = seq.a, seq.b
     if n < k:
         co = np.zeros(n + 1)
@@ -680,9 +677,7 @@ class CkBasis(BasisFamily):
     coefficient_tol = 1e-12
 
     def __init__(self, k=2, seq=None):
-        if k < 0:
-            raise InputError("smoothness order k must be >= 0")
-        self.k = int(k)
+        self.k = _int_in("smoothness order k", k, 0)
         self._hats = HatBasis(seq)
         self.seq = self._hats.seq
         self.index_set = IndexSet("linear", origin=0)
@@ -750,15 +745,15 @@ class CkBasis(BasisFamily):
 # ---------------------------------------------------------------------------
 
 
-def lp_error(f, g, p, breakpoints, panels=2, order=8, space=None):
+def lp_error(f, g, p, breakpoints, space=None):
     """(integral of p_alpha(f - g)^p over each segment, summed)^(1/p).
 
     ``breakpoints`` split the domain so that the integrand is smooth on each
     segment (place them on jumps and kinks); within a segment a small
-    composite Gauss-Legendre rule is exact for piecewise-polynomial
-    residuals.  ``f`` and ``g`` are evaluated once on the nodes of every
-    segment; each segment's integral is accumulated in node order, then the
-    segments in ascending order.  Returns a scalar for scalar handles
+    composite Gauss-Legendre rule (2 panels of order 8) is exact for
+    piecewise-polynomial residuals.  ``f`` and ``g`` are evaluated once on
+    the nodes of every segment; each segment's integral is accumulated in
+    node order, then the segments in ascending order.  Returns a scalar for scalar handles
     without a space, else one value per seminorm of ``space``.
     """
     if p < 1:
@@ -774,7 +769,7 @@ def lp_error(f, g, p, breakpoints, panels=2, order=8, space=None):
         rows = (fv[:, None] if fv.ndim == 1 else fv) - (gv[:, None] if gv.ndim == 1 else gv)
         return sp.seminorm_table(rows) ** p
 
-    nodes, weights = segment_rules(bps[:-1], bps[1:], panels=panels, order=order)
+    nodes, weights = segment_rules(bps[:-1], bps[1:], panels=2, order=8)
     table = samples_of(integrand, nodes.ravel())
     pieces = accumulate(weights.T, table.reshape(nodes.shape + table.shape[1:]).swapaxes(0, 1))
     acc = accumulate(np.ones(len(pieces)), pieces)

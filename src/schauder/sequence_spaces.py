@@ -72,44 +72,6 @@ class TruncatedSequence:
         v = self.values
         return v[:, None] if v.ndim == 1 else v
 
-    def to_json(self):
-        def enc(v):
-            v = np.asarray(v)
-            if np.iscomplexobj(v):
-                return np.stack([v.real, v.imag], axis=-1).tolist()
-            return v.tolist()
-
-        payload = {
-            "space": self.space,
-            "indices": [list(i) if isinstance(i, tuple) else int(i)
-                        for i in self.indices],
-            "values": enc(self.values),
-        }
-        if np.iscomplexobj(self.values):
-            payload["field"] = "complex"
-        if self.limit is not None:
-            payload["limit"] = enc(self.limit)
-        return payload
-
-    @classmethod
-    def from_json(cls, data):
-        try:
-            idx = tuple(
-                tuple(i) if isinstance(i, list) else int(i) for i in data["indices"]
-            )
-            values = np.asarray(data["values"], dtype=float)
-            limit = data.get("limit")
-            if data.get("field") == "complex":
-                # complex payloads store trailing [re, im] pairs
-                values = values[..., 0] + 1j * values[..., 1]
-                if limit is not None:
-                    lim = np.asarray(limit, dtype=float)
-                    limit = (lim[..., 0] + 1j * lim[..., 1]).tolist() \
-                        if lim.ndim > 1 else complex(lim[0], lim[1])
-            return cls(idx, values, limit=limit, space=data.get("space", ""))
-        except (KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"malformed sequence payload: {exc}")
-
 
 def _grade(idx):
     """Euclidean grade of an index (|n| for ints, |n|_2 for tuples)."""
@@ -141,9 +103,9 @@ def _space_for(x, space):
 class KotheMatrix:
     """A nonnegative weight table a(k, j), k = 1..K rows, j = 1..J columns.
 
-    Echelon conditions -- every row has a positive entry, and rows are
-    nondecreasing in j -- are *reported* by ``validate`` rather than
-    enforced, so ill-formed tables can be examined.
+    The echelon conditions (every row has a positive entry, rows are
+    nondecreasing in j) are not enforced, so ill-formed tables can be
+    examined.
     """
 
     def __init__(self, table):
@@ -174,18 +136,6 @@ class KotheMatrix:
         if not 1 <= j <= self.cols:
             raise InputError(f"column index {j} out of range 1..{self.cols}")
         return float(self.table[k - 1, j - 1])
-
-    def validate(self):
-        """List of echelon-condition violations (empty means well formed)."""
-        out = []
-        for k in range(1, self.rows + 1):
-            if not np.any(self.table[k - 1] > 0):
-                out.append({"condition": "positive-row", "k": k})
-        for k in range(1, self.rows + 1):
-            for j in range(2, self.cols + 1):
-                if self.table[k - 1, j - 1] < self.table[k - 1, j - 2]:
-                    out.append({"condition": "monotone-in-j", "k": k, "j": j})
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis_core import BasisFamily
 from .errors import InputError, NumericError
-from .indexing import IndexSet
+from .indexing import IndexSet, _int_in
 from .quadrature import (
     HERMITE_MAX_SIZE,
     QuadratureRule,
@@ -40,7 +40,6 @@ __all__ = [
     "HermiteBasis",
     "hermite_tail_bound_check",
     "TailBoundReport",
-    "PeriodicContext",
     "fourier_coefficient",
     "FourierBasis",
     "DiscContext",
@@ -53,13 +52,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Hermite functions
 # ---------------------------------------------------------------------------
-
-
-def _n_max(n_max, top=math.inf):
-    """``n_max`` as an int, refused unless it is an integer in 0..top."""
-    if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= top:
-        raise InputError(f"n_max must be an integer in 0..{top}, got {n_max!r}")
-    return int(n_max)
 
 
 def _as_multi(n, d, signed=False):
@@ -116,18 +108,12 @@ class HermiteBasis(BasisFamily):
     coefficient_tol = 1e-8
 
     def __init__(self, d=1, n_max=64, quad_size=None):
-        if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
-            raise InputError(f"Hermite family supports d in 1..3, got {d!r}")
-        self.n_max = _n_max(n_max, (HERMITE_MAX_SIZE - 10) // 2)
-        if quad_size is None:
-            quad_size = max(40, 2 * self.n_max + 10)
-        elif not self.n_max < quad_size <= HERMITE_MAX_SIZE:
-            # biorthogonality through n_max needs at least n_max + 1 nodes
-            raise InputError(f"quad_size must be in n_max + 1 = {self.n_max + 1}.."
-                             f"{HERMITE_MAX_SIZE}, got {quad_size}")
-        self.d = int(d)
-        self.quad_size = int(quad_size)
-        self.index_set = IndexSet("linear", origin=0) if d == 1 else IndexSet("multi", dim=d)
+        self.d = _int_in("dimension d", d, 1, 3)
+        self.n_max = _int_in("n_max", n_max, 0, (HERMITE_MAX_SIZE - 10) // 2)
+        # biorthogonality through n_max needs at least n_max + 1 nodes
+        self.quad_size = max(40, 2 * self.n_max + 10) if quad_size is None \
+            else _int_in("quad_size", quad_size, self.n_max + 1, HERMITE_MAX_SIZE)
+        self.index_set = IndexSet("linear", origin=0) if self.d == 1 else IndexSet("multi", dim=self.d)
         self._table = psi_weighted_rule(self.quad_size)[2][:self.n_max + 1]
 
     @functools.cached_property
@@ -202,8 +188,9 @@ class TailBoundReport:
     inner: float
     outer: float
 
-    def passed(self, rel_slack=1e-6):
-        return bool(np.all(self.lhs <= self.rhs * (1.0 + rel_slack)))
+    def passed(self):
+        """Whether every gap is within its bound, up to a relative 1e-6."""
+        return bool(np.all(self.lhs <= self.rhs * (1.0 + 1e-6)))
 
 
 def _abs_coeff_sum(n):
@@ -222,15 +209,14 @@ def _abs_coeff_sum(n):
 
 
 def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
-                             grid_half_width=10.0, grid_points=None,
-                             order=8, panels_per_unit=4):
+                             grid_points=None, order=8, panels_per_unit=4):
     """Check |integral over box(outer) - integral over box(inner) of f h_n|
     against the closed-form tail bound.
 
     The bound multiplies the polynomial-growth constant of h_n e^{|x|^2/2}
     (sum of absolute coefficients, growth exponent j = |n|), a weighted sup
-    of f on a finite grid (an under-approximation, which only tightens the
-    check), and the difference of the box terms
+    of f on a grid over [-10, 10]^d (an under-approximation, which only
+    tightens the check), and the difference of the box terms
     2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].
     """
     if not 0 < inner < outer:
@@ -256,7 +242,7 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
 
     if grid_points is None:
         grid_points = 2001 if d == 1 else 201
-    axis = np.linspace(-grid_half_width, grid_half_width, grid_points)
+    axis = np.linspace(-10.0, 10.0, grid_points)
     if d == 1:
         pts = axis
         sq = axis * axis
@@ -288,28 +274,9 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicContext:
-    """Dimension and rectangle-rule size for torus expansions."""
-
-    d: int = 1
-    grid_size: int = 64
-
-    def __post_init__(self):
-        if not 1 <= self.d <= 3:
-            raise InputError(f"periodic dimension must be 1..3, got {self.d}")
-        if self.grid_size < 1:
-            raise InputError("grid size must be >= 1")
-
-    @property
-    def max_mode(self):
-        return (self.grid_size - 1) // 2
-
-
-def fourier_coefficient(f, n, ctx=None):
-    """f_hat(n) on the torus of ``ctx`` (see ``FourierBasis``)."""
-    ctx = ctx or PeriodicContext()
-    return FourierBasis(d=ctx.d, grid_size=ctx.grid_size).coefficient(f, n)
+def fourier_coefficient(f, n):
+    """f_hat(n) on [-pi, pi] by the 64-point rectangle rule (see ``FourierBasis``)."""
+    return FourierBasis(grid_size=64).coefficient(f, n)
 
 
 def _phase(x, ns):
@@ -327,9 +294,10 @@ class FourierBasis(BasisFamily):
     """Exponential modes e^{i<n, x>} on [-pi, pi]^d, Euclidean-graded.
 
     f_hat(n) = (2 pi)^{-d} integral over [-pi, pi]^d of f(x) e^{-i<n, x>}
-    by the rectangle rule, which is exact for trigonometric polynomials
-    with every mode gap below the grid size; modes beyond
-    (grid_size - 1) / 2 alias and are rejected.
+    by the rectangle rule of ``grid_size`` points per axis (default
+    max(64, 4 n_max + 1)), which is exact for trigonometric polynomials
+    with every mode gap below the grid size; modes beyond ``max_mode`` =
+    (grid_size - 1) // 2 alias and are rejected.
     """
 
     name = "fourier"
@@ -337,18 +305,17 @@ class FourierBasis(BasisFamily):
     coefficient_tol = 1e-8
 
     def __init__(self, d=1, n_max=32, grid_size=None):
-        self.n_max = _n_max(n_max)
-        self.ctx = PeriodicContext(d=d, grid_size=grid_size or max(64, 4 * self.n_max + 1))
-        self.index_set = IndexSet("lattice", dim=d)
-
-    @property
-    def d(self):
-        return self.ctx.d
+        self.n_max = _int_in("n_max", n_max, 0)
+        self.d = _int_in("dimension d", d, 1, 3)
+        self.grid_size = max(64, 4 * self.n_max + 1) if grid_size is None \
+            else _int_in("grid_size", grid_size, 1)
+        self.max_mode = (self.grid_size - 1) // 2
+        self.index_set = IndexSet("lattice", dim=self.d)
 
     @functools.cached_property
     def rule(self):
         """The rectangle rule of the coefficients, built on first use."""
-        return periodic_rule(self.ctx.grid_size, d=self.ctx.d)
+        return periodic_rule(self.grid_size, d=self.d)
 
     def element(self, n):
         ns = _as_multi(self.index_set.validate_member(n), self.d, signed=True)
@@ -363,24 +330,23 @@ class FourierBasis(BasisFamily):
     def coefficients(self, f, idxs):
         """One evaluation of ``f`` on the rectangle rule, then one ``node_major``
         pass over the phases e^{-i<n, x>}, formed a block at a time."""
-        ctx = self.ctx
         idxs = self.index_set.check(idxs)
-        modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
+        modes = [_as_multi(n, self.d, signed=True) for n in idxs]
         for n, ns in zip(idxs, modes):
-            if max(abs(c) for c in ns) > ctx.max_mode:
+            if max(abs(c) for c in ns) > self.max_mode:
                 raise InputError(
-                    f"mode {n!r} exceeds the aliasing guard {ctx.max_mode} "
-                    f"of a size-{ctx.grid_size} grid"
+                    f"mode {n!r} exceeds the aliasing guard {self.max_mode} "
+                    f"of a size-{self.grid_size} grid"
                 )
         rule = self.rule
-        axes = np.array(modes, dtype=float).reshape(-1, ctx.d).T  # row a: n_a of every mode
+        axes = np.array(modes, dtype=float).reshape(-1, self.d).T  # row a: n_a of every mode
 
         def rows(ks):
             # one row of phases per mode, along the nodes, as the exponential runs fastest
             return lambda start, stop: np.exp(-1j * _phase(rule.nodes[start:stop], axes[:, ks, None])).T
 
         sums = node_major(rule.weights, samples_of(f, rule.nodes), rows, len(modes), complex)
-        return sums / (2.0 * math.pi) ** ctx.d
+        return sums / (2.0 * math.pi) ** self.d
 
     def indices(self, k):
         idxs = self.index_set.up_to(k)
@@ -530,11 +496,11 @@ class TaylorBasis(BasisFamily):
 
     def __init__(self, center=0.0, radius=math.inf, contour_radius=1.0,
                  n_max=16, contour_points=None):
-        self.n_max = _n_max(n_max)
+        self.n_max = _int_in("n_max", n_max, 0)
         # the least power of two at or above 4 n_max, and at least 64
-        npts = contour_points or max(64, 1 << (4 * max(self.n_max, 1) - 1).bit_length())
-        self.ctx = DiscContext(complex(center), float(radius),
-                               float(contour_radius), int(npts))
+        npts = max(64, 1 << (4 * max(self.n_max, 1) - 1).bit_length()) \
+            if contour_points is None else _int_in("contour_points", contour_points, 1)
+        self.ctx = DiscContext(complex(center), float(radius), float(contour_radius), npts)
         self.index_set = IndexSet("linear", origin=0)
 
     def element(self, n):

@@ -11,7 +11,6 @@ from schauder import (
     InputError,
     TaylorBasis,
     biorthogonality_matrix,
-    coefficient_sweep,
     convergence_report,
     materialize,
     partial_sum,
@@ -23,16 +22,17 @@ from schauder.registry import get as reg, vector_stack
 
 
 def test_coefficient_sweep_layout():
-    sweep = coefficient_sweep(HatBasis(), reg("x2"), 4)
-    assert [n for n, _ in sweep] == [0, 1, 2, 3, 4]
-    assert [v for _, v in sweep] == [0.0, 1.0, -0.25, -0.0625, -0.0625]
+    basis = HatBasis()
+    idxs = basis.indices(4)
+    assert idxs == [0, 1, 2, 3, 4]
+    assert basis.coefficients(reg("x2"), idxs).tolist() == [0.0, 1.0, -0.25, -0.0625, -0.0625]
 
 
 def test_materialized_element_matches_manual_sum():
     basis = HatBasis()
     f = reg("sin-pi")
     el = materialize(basis, f, 10)
-    lam = [v for _, v in coefficient_sweep(basis, f, 10)]
+    lam = basis.coefficients(f, basis.indices(10))
     for x in np.linspace(0.0, 1.0, 29):
         acc = 0.0
         for n in range(11):
@@ -55,9 +55,8 @@ def test_expansion_is_linear_in_the_function():
     for _ in range(10):
         a, b = rng.uniform(-2.0, 2.0, 2)
         combo = lambda x, a=a, b=b: a * f(x) + b * g(x)
-        lam = np.array([v for _, v in coefficient_sweep(basis, combo, 8)])
-        laf = np.array([v for _, v in coefficient_sweep(basis, f, 8)])
-        lag = np.array([v for _, v in coefficient_sweep(basis, g, 8)])
+        idxs = basis.indices(8)
+        lam, laf, lag = (basis.coefficients(h, idxs) for h in (combo, f, g))
         assert np.max(np.abs(lam - (a * laf + b * lag))) <= 1e-10
 
 

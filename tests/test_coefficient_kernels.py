@@ -44,8 +44,7 @@ def _hermite_loop(basis, f, idxs):
 
 
 def _fourier_loop(basis, f, idxs):
-    ctx = basis.ctx
-    modes = [_as_multi(n, ctx.d, signed=True) for n in idxs]
+    modes = [_as_multi(n, basis.d, signed=True) for n in idxs]
     rule = basis.rule
     fv = samples_of(f, rule.nodes)
     out = []
@@ -53,7 +52,7 @@ def _fourier_loop(basis, f, idxs):
         ph = np.exp(-1j * _phase(rule.nodes, ns))
         terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
         require_finite(rule.nodes, terms)
-        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** ctx.d)
+        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** basis.d)
     return np.array(out)
 
 

@@ -7,7 +7,9 @@ def test_linear_grades_and_enumeration():
     s = IndexSet("linear", origin=1)
     assert s.grade(7) == 7
     assert s.up_to(4) == [1, 2, 3, 4]
-    assert s.contains(1) and not s.contains(0)
+    assert s.validate_member(1) == 1
+    with pytest.raises(InputError):
+        s.validate_member(0)
 
 
 def test_multi_index_l1_grade():
@@ -28,7 +30,7 @@ def test_lattice_one_dim_accepts_bare_ints():
     s = IndexSet("lattice", dim=1)
     assert s.grade(-3) == 3.0
     assert s.up_to(2) == [(0,), (-1,), (1,), (-2,), (2,)]
-    assert s.contains(-2)
+    assert s.validate_member(-2) == -2
 
 
 def test_validate_member_errors():

@@ -265,6 +265,27 @@ def test_hat_coefficient_out_of_range_is_an_input_error():
         HatBasis([0.0, 1.0, 0.5])
 
 
+@pytest.mark.parametrize("make", [
+    lambda T: schauder_hat(T, 2.5),
+    lambda T: schauder_hat(T, "3"),
+    lambda T: schauder_hat(T, True),
+    lambda T: schauder_hat(T, len(T)),
+    lambda T: ck_basis_element(T, 2, 2.5),
+    lambda T: ck_basis_element(T, 2, "3"),
+    lambda T: ck_basis_element(T, 2, True),
+    lambda T: ck_basis_element(T, 2.5, 3),
+    lambda T: ck_basis_element(T, True, 3),
+    lambda T: CkBasis(k=2.5, seq=T),
+    lambda T: CkBasis(k=True, seq=T),
+    lambda T: CkBasis(k=-1, seq=T),
+], ids=["hat-float", "hat-str", "hat-bool", "hat-past-end", "ck-n-float", "ck-n-str",
+        "ck-n-bool", "ck-k-float", "ck-k-bool", "ckbasis-k-float", "ckbasis-k-bool",
+        "ckbasis-k-negative"])
+def test_non_integer_hat_and_ck_indices_are_input_errors(make):
+    with pytest.raises(InputError):
+        make(DenseSequence.dyadic(3))
+
+
 def test_hat_coefficient_evaluates_at_most_three_points():
     seen = []
 

@@ -13,7 +13,6 @@ from schauder import (
     HermiteBasis,
     InputError,
     NumericError,
-    PeriodicContext,
     TaylorBasis,
     biorthogonality_matrix,
     fourier_coefficient,
@@ -246,12 +245,30 @@ def test_tail_bound_validates_radii():
 
 
 def test_periodic_context_max_mode():
-    assert PeriodicContext(1, 64).max_mode == 31
-    assert PeriodicContext(1, 3).max_mode == 1
+    basis = FourierBasis(d=2, grid_size=64)
+    assert (basis.d, basis.grid_size, basis.max_mode) == (2, 64, 31)
+    assert FourierBasis(grid_size=3).max_mode == 1
+    assert FourierBasis(n_max=40).grid_size == 161
     with pytest.raises(InputError):
-        PeriodicContext(4, 64)
+        FourierBasis(d=4, grid_size=64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FourierBasis(grid_size=0),
+    lambda: FourierBasis(grid_size=True),
+    lambda: FourierBasis(grid_size=2.5),
+    lambda: FourierBasis(grid_size="64"),
+    lambda: FourierBasis(d=True),
+    lambda: TaylorBasis(contour_points=0),
+    lambda: TaylorBasis(contour_points=64.0),
+    lambda: HermiteBasis(quad_size=80.5),
+], ids=["fourier-grid-0", "fourier-grid-true", "fourier-grid-float",
+        "fourier-grid-str", "fourier-d-true", "taylor-contour-0", "taylor-contour-float",
+        "hermite-quad-float"])
+def test_explicit_sizes_are_refused_at_construction(make):
+    # an explicit 0 is a value, not a request for the default
     with pytest.raises(InputError):
-        PeriodicContext(1, 0)
+        make()
 
 
 def test_cosine_coefficients():
@@ -279,15 +296,13 @@ def test_trig_polynomial_recovery_property():
             acc = acc + c * np.exp(1j * n * x)
         return acc
 
-    ctx = PeriodicContext(1, 64)
     for n in range(-deg, deg + 1):
-        assert abs(fourier_coefficient(f, n, ctx) - coeffs[n]) <= 1e-12
+        assert abs(fourier_coefficient(f, n) - coeffs[n]) <= 1e-12
 
 
 def test_aliasing_guard():
-    ctx = PeriodicContext(1, 64)
     with pytest.raises(InputError):
-        fourier_coefficient(reg("cos"), 40, ctx)
+        fourier_coefficient(reg("cos"), 40)
 
 
 def test_partial_sum_reconstructs_cosine():
@@ -309,7 +324,7 @@ def test_fourier_rule_is_built_once_per_basis(monkeypatch):
     basis = FourierBasis(d=2, n_max=3)
     first = basis.coefficients(reg("cos"), basis.indices(2))
     again = basis.coefficients(reg("cos"), basis.indices(3))
-    assert calls == [(basis.ctx.grid_size, 2)]
+    assert calls == [(basis.grid_size, 2)]
     assert np.array_equal(again[: len(first)], first)
 
 
@@ -338,10 +353,10 @@ def test_basis_indices_are_graded_ints():
 
 
 def test_two_dim_mode_recovery():
-    ctx = PeriodicContext(2, 32)
+    basis = FourierBasis(d=2, grid_size=32)
     f = lambda p: np.exp(1j * (np.asarray(p)[..., 0] - 2.0 * np.asarray(p)[..., 1]))
-    assert abs(fourier_coefficient(f, (1, -2), ctx) - 1.0) <= 1e-12
-    assert abs(fourier_coefficient(f, (0, 0), ctx)) <= 1e-12
+    assert abs(basis.coefficient(f, (1, -2)) - 1.0) <= 1e-12
+    assert abs(basis.coefficient(f, (0, 0))) <= 1e-12
 
 
 # -- disc family -------------------------------------------------------------

@@ -13,12 +13,14 @@ vector computation matches the scalar computation of component i exactly.
 Synthesis reads element values from one ``element_table`` per call: each
 element's values on the points of its closed support (Haar steps, hats and
 the C^k elements are local; Hermite, Fourier and Taylor elements are
-global), term-major.  The products with the coefficients are then added by
-``np.add.at``, which applies repeated indices one after another in index
-order, so every entry gets its own sequential sum over the terms, in term
-order.  A term is added only where it can be nonzero; a skipped term would
-only have added an exact zero, so only the sign of a zero result can differ
-from adding every term everywhere.
+global), term-major.  One running sum, ``_running``, then adds the products
+with the coefficients term by term in enumeration order, each on its own
+points (recursive summation; Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., section 4.2), so every entry is its own sequential sum
+over the terms.  Finite-rank elements, their partial sums and the semigroup
+check all read it.  A term is added only where it can be nonzero; a skipped
+term would only have added an exact zero, so only the sign of a zero result
+can differ from adding every term everywhere.
 """
 
 import copy
@@ -208,10 +210,6 @@ def _rows(values):
     raise InputError(f"handle output has shape {values.shape}; expected (k,) or (k, m)")
 
 
-# table entries (term-points times coefficient columns) per np.add.at call
-SCATTER_ENTRIES = 1 << 13
-
-
 class FiniteRankElement:
     """A finite sum of simple tensors sum_n f_n (x) e_n.
 
@@ -220,8 +218,10 @@ class FiniteRankElement:
     ``idxs[i]`` of ``basis``.  ``FiniteRankElement(terms)`` takes an ordered
     list of ``(handle, coefficient)`` pairs instead, and ``terms`` lists the
     pairs of any element, each handle made when it is read.  Called at x,
-    the element is sum_n f_n(x) * e_n, added in term order: the action of
-    the point evaluation at x.
+    the element is sum_n f_n(x) * e_n: the action of the point evaluation
+    at x.  Its values come from one ``element_table`` call on the sorted
+    points, and ``_running`` adds the terms in term order, each on the
+    points of its support.
 
     ``partial_sums`` makes the K^(R*m)-valued element whose block r
     (columns r*m .. r*m + m - 1, m the coefficient length, 1 for scalars)
@@ -268,61 +268,32 @@ class FiniteRankElement:
         x = np.asarray(x)
         scalar_input = x.ndim == 0
         pts = x[None] if scalar_input else x
-        acc = self._sums(pts)
+        order, spts = _ascending(pts)
+        acc = self._sums(spts)
+        if order is not None:
+            acc[order] = acc.copy()
         return acc[0] if scalar_input else acc
 
     def _sums(self, pts):
-        """One running sum over the terms on ``pts``, in term order.
-
-        The values of every term come from one ``element_table`` call on the
-        ascending points, and its products with the coefficient rows are
-        added by ``_Products``.  Without
-        ``counts`` the result is the sum of all terms; with them, block r is
-        the sum as it stands after ``counts[r]`` terms (zero while no term
-        has been added).
-        """
-        counts = self.counts
-        total = len(self.idxs) if counts is None else max(counts, default=0)
-        n = len(pts)
-        order, spts = _ascending(pts)
-        lo = hi = np.zeros(0, dtype=np.intp)
-        values = np.zeros(0)
-        if total:
-            lo, hi, values = self.basis.element_table(self.idxs[:total], spts, self.order)
-        terms = _Products(values, self.coeffs[:total], lo, hi, n)
-        width = terms.width
-        live = np.flatnonzero(hi > lo)
-        first = int(live[0]) if live.size else total
-        acc = None
-        if first < total:
-            acc = np.zeros((n, width), dtype=terms.dtype)
-            if hi[first] - lo[first] == n:
-                # -0 is the additive identity: the first term's bits start the
-                # sum, as the sum over global terms always began
-                acc = -acc
-        out = None if counts is None else np.zeros((n, len(counts) * width))
-        blocks = {}
-        for r, c in enumerate(counts if counts is not None else [total]):
-            blocks.setdefault(c, []).append(r)
-        done = first
-        for c in sorted(blocks):
-            if c <= first:
-                continue
-            terms.add(acc, done, c)
-            done = c
-            if out is not None:
-                if out.dtype != acc.dtype:
-                    out = out.astype(np.result_type(out, acc))
-                for r in blocks[c]:
-                    out[:, r * width:(r + 1) * width] = acc
-        if out is None:
-            out = np.zeros((n,) + self.coeffs.shape[1:]) if acc is None \
-                else acc.reshape((n,) + self.coeffs.shape[1:])
-        if order is None:
+        """The sum of all terms on ascending ``pts``; with ``counts``, block r
+        is the running sum as it stands after ``counts[r]`` terms (zero while
+        no term has been added)."""
+        counts, n = self.counts, len(pts)
+        stops = [len(self.idxs)] if counts is None else counts
+        total = max(stops, default=0)
+        width = int(np.prod(self.coeffs.shape[1:]))
+        out = np.zeros((n,) + self.coeffs.shape[1:] if counts is None else (n, len(counts) * width))
+        if not total:
             return out
-        unsorted = np.empty_like(out)
-        unsorted[order] = out
-        return unsorted
+        table = self.basis.element_table(self.idxs[:total], pts, self.order)
+        for c, acc, _ in _running(table, n, self.coeffs[:total], stops):
+            if counts is None:
+                return acc
+            out = out.astype(np.result_type(out, acc), copy=False)
+            for r, k in enumerate(counts):
+                if k == c:
+                    out[:, r * width:(r + 1) * width] = acc.reshape(n, width)
+        return out
 
     def derivative(self, order=1):
         """The termwise ``order``-th derivative, read off the family's
@@ -335,60 +306,34 @@ class FiniteRankElement:
         return self._with(order=order)
 
 
-class _Products:
-    """Table values times coefficient rows, added into running sums.
+def _running(table, n, coeffs, stops):
+    """The running sum over the terms of an ``element_table`` result on n
+    points, added term by term in term order.
 
-    Term i's values cover the points ``lo[i]:hi[i]``.  Products are formed
-    for a chunk of terms at a time, at most ``SCATTER_ENTRIES`` entries
-    (a longer term alone), and added by ``np.add.at`` over flattened
-    (point, column) indices in term order: it applies repeated indices one
-    after another, so each entry is its own sequential sum over the terms.
+    Row i of ``coeffs`` multiplies term i, whose products are added only on
+    its own points: ``acc[lo:hi] += values * coeffs[i]``.  A first term
+    covering every point starts the sum.  At each count of ``stops``, in
+    ascending order, yields ``(count, acc, rows)``: the sum of the first
+    ``count`` terms, updated in place by later terms, and the slice of the
+    points changed since the last yield.  Counts reached before any term has
+    been added are skipped, as the sum is zero there.
     """
-
-    def __init__(self, values, coeffs, lo, hi, n):
-        self.values, self.lo, self.n = values, lo, n
-        self.lens = hi - lo
-        self.start = np.concatenate(([0], np.cumsum(self.lens)))
-        self.offsets = self.start.tolist()
-        self.width = int(np.prod(coeffs.shape[1:]))
-        self.scalar = coeffs.ndim == 1
-        self.coeffs = coeffs.reshape(len(coeffs), self.width)
-        self.dtype = np.result_type(values, coeffs)
-        self.dense = bool(np.all(self.lens == n))
-        self.chunk = 0, 0, None, None  # terms s..e-1, flat indices, products
-
-    def _form(self, s):
-        """Products and flat indices of the chunk of terms starting at s."""
-        start, width = self.start, self.width
-        limit = start[s] + max(1, SCATTER_ENTRIES // width)
-        e = min(len(self.lens), max(s + 1, int(np.searchsorted(start, limit, "right")) - 1))
-        lo, lens = self.lo[s:e], self.lens[s:e]
-        vals = self.values[start[s]:start[e]]
-        rows = self.coeffs[s:e]
-        if self.dense:
-            # each term's values times its own coefficient row, broadcast as
-            # for a term alone: numpy's complex loops may fuse multiply-adds
-            # differently for contiguous and broadcast operands
-            vals = vals.reshape(e - s, self.n)
-            prod = vals * rows[:, 0, None] if self.scalar else vals[:, :, None] * rows[:, None, :]
-        else:
-            rows = np.repeat(rows, lens, axis=0)
-            prod = vals * rows[:, 0] if self.scalar else vals[:, None] * rows
-        # term i's (point, column) entries are the flat range [lo_i, hi_i) * width
-        flat = np.arange(start[s] * width, start[e] * width) \
-            - np.repeat((start[s:e] - lo) * width, lens * width)
-        self.chunk = s, e, flat, prod.reshape(-1)
-
-    def add(self, acc, s, e):
-        """Add terms s..e-1 into ``acc``, (points, width), in term order."""
-        while s < e:
-            if not self.chunk[0] <= s < self.chunk[1]:
-                self._form(s)
-            first, stop, flat, prod = self.chunk
-            stop = min(e, stop)
-            a, b = ((self.offsets[i] - self.offsets[first]) * self.width for i in (s, stop))
-            np.add.at(acc.reshape(-1), flat[a:b], prod[a:b])
-            s = stop
+    lo, hi, values = table
+    stops = set(stops)
+    acc, changed, start = None, (n, 0), 0
+    for i, a, b in zip(range(max(stops, default=0)), lo.tolist(), hi.tolist()):
+        if a < b:
+            vals, coeff = values[start:start + b - a], coeffs[i]
+            start += b - a
+            if acc is None:
+                acc = np.zeros((n,) + coeff.shape, dtype=np.result_type(vals, coeff))
+                if b - a == n:
+                    acc = -acc  # -0 is the additive identity: the term's bits start the sum
+            acc[a:b] += vals * coeff if coeff.ndim == 0 else vals[:, None] * coeff[None, :]
+            changed = min(changed[0], a), max(changed[1], b)
+        if i + 1 in stops and acc is not None:
+            yield i + 1, acc, slice(*changed)
+            changed = n, 0
 
 
 class _Terms:
@@ -489,11 +434,12 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     partial sums of that series at the rank counts
     (``FiniteRankElement.partial_sums``) form one vector-valued element,
     and one batched coefficient call on it gives every lambda_n(P_j f).
-    On the grid, one running sum over the terms, from zero and in
-    enumeration order, then builds P_k P_j f for every j at once; each time
-    it reaches the term count of a rank k it is compared with P_min(k,j) f,
-    read off a running sum of the terms of f.  Functionals and sums act
-    componentwise, so entry i is the scalar result for component i of f.
+    On the grid, two running sums over one element table (``_running``),
+    term by term in enumeration order, then build P_k P_j f for every j at
+    once and P_k f; each time they reach the term count of a rank k, the
+    points the terms since the last count changed are compared with
+    P_min(k,j) f.  Functionals and sums act componentwise, so entry i is
+    the scalar result for component i of f.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
@@ -504,33 +450,21 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
     counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
     sums = _element(basis, idxs, coeffs).partial_sums(counts)
-    lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
-    coeffs = coeffs.reshape(len(idxs), 1, -1)
+    lifted = basis.coefficients(sums, idxs).reshape(len(idxs), -1)  # lambda_n(P_j f), all j
     _, spts = _ascending(pts)
-    lo, hi, table = basis.element_table(idxs, spts)
-    bounds = list(zip(lo.tolist(), hi.tolist()))
-    starts = np.cumsum(hi - lo) - (hi - lo)
-    values = [table[s:s + b - a, None, None] if a < b else None  # (hi - lo, 1, 1)
-              for s, (a, b) in zip(starts.tolist(), bounds)]
-    dtype = np.result_type(lifted, coeffs, table)
-    outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
-    direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
-    target = np.zeros_like(outer)  # P_min(k,j) f, all j
-    worst = np.zeros(outer.shape)  # entrywise max over the ranks k reached
-    hull = len(pts), 0  # rows changed since the last comparison
-    for i, (vals, (lo, hi)) in enumerate(zip(values, bounds)):
-        if vals is not None:
-            outer[lo:hi] += vals * lifted[i]
-            direct[lo:hi] += vals * coeffs[i]
-            hull = min(hull[0], lo), max(hull[1], hi)
-        if i + 1 in counts:
-            # ranks j whose count is not below this one: P_min(k,j) f = P_k f;
-            # rows outside the hull already hold that, and their max
-            rows = slice(*hull)
-            target[rows, counts.index(i + 1):] = direct[rows]
-            np.maximum(worst[rows], np.abs(outer[rows] - target[rows]), out=worst[rows])
-            hull = len(pts), 0
-    return worst.reshape(-1, worst.shape[2]).max(axis=0)
+    table = basis.element_table(idxs, spts)
+    n, width = len(pts), lifted.shape[1] // len(ranks)
+    target = np.zeros((n, len(ranks), width), dtype=np.result_type(lifted, coeffs, table[2]))
+    worst = np.zeros(target.shape)  # entrywise max over the ranks k reached
+    outer = _running(table, n, lifted, counts)  # P_k P_j f, all j
+    direct = _running(table, n, coeffs, counts)  # P_k f
+    for (c, outer_k, rows), (_, direct_k, _) in zip(outer, direct):
+        # ranks j whose count is not below c: P_min(k,j) f = P_k f; rows
+        # outside ``rows`` already hold that, and their max
+        target[rows, counts.index(c):] = direct_k.reshape(n, 1, width)[rows]
+        outer_k = outer_k.reshape(n, len(ranks), width)
+        np.maximum(worst[rows], np.abs(outer_k[rows] - target[rows]), out=worst[rows])
+    return worst.reshape(-1, width).max(axis=0)
 
 
 def biorthogonality_matrix(basis, count):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis_core import BasisFamily
 from .errors import InputError, NumericError
-from .indexing import IndexSet, _int_in
+from .indexing import IndexSet, _int_in, _is_int
 from .quadrature import (
     HERMITE_MAX_SIZE,
     QuadratureRule,
@@ -55,15 +55,15 @@ __all__ = [
 
 
 def _as_multi(n, d, signed=False):
-    """Index ``n`` as a d-tuple of ints; negative entries only if ``signed``."""
-    if isinstance(n, (int, np.integer)):
-        if d != 1:
-            raise InputError(f"scalar index {n} for a {d}-dimensional family")
-        ns = (int(n),)
-    else:
-        ns = tuple(int(c) for c in n)
-        if len(ns) != d:
-            raise InputError(f"index {n!r} has length {len(ns)}, expected {d}")
+    """Index ``n`` as a d-tuple of ints; negative entries only if ``signed``.
+    Entries must be integers, as for ``indexing._int_in``: a bool, a float
+    or a string is refused."""
+    entries = n if isinstance(n, tuple) else (n,) if np.ndim(n) == 0 else tuple(n)
+    if len(entries) != d:
+        raise InputError(f"index {n!r} has length {len(entries)}, expected {d}")
+    if not all(map(_is_int, entries)):
+        raise InputError(f"index {n!r} has a non-integer entry")
+    ns = tuple(map(int, entries))
     if not signed and any(c < 0 for c in ns):
         raise InputError(f"Hermite indices must be nonnegative, got {n!r}")
     return ns
@@ -383,14 +383,14 @@ class DiscContext:
                 f"(got {self.contour_radius}, {self.radius})"
             )
         npts = self.contour_points
-        if npts < 4 or npts & (npts - 1):
-            raise InputError("contour_points must be a power of two, >= 4")
+        if not _is_int(npts) or npts < 4 or npts & (npts - 1):
+            raise InputError(f"contour_points must be a power of two, >= 4, got {npts!r}")
 
 
 TAYLOR_BLOCK = 4096
 
 
-def taylor_coefficients(f, n_max, ctx=None, tol=None):
+def taylor_coefficients(f, n_max, ctx=None):
     """Derivative coefficients c_0..c_{n_max} at the disc center.
 
     c_n = (N rho^n)^{-1} sum_j f(z_0 + rho w^j) w^{-jn} with w the primitive
@@ -403,16 +403,18 @@ def taylor_coefficients(f, n_max, ctx=None, tol=None):
     pi sr), as the scalar complex product does (numpy's array complex
     multiply may fuse multiply-adds), so each column of a vector-valued
     handle gets the bits of its scalar component.  Orders are done in
-    blocks of about ``TAYLOR_BLOCK`` products.  An order whose 1 / (N rho^n) is
-    not a finite nonzero float is refused before f runs; products and sums
-    that overflow raise ``NumericError``, as in ``quadrature.accumulate``.
-    With ``tol``, an order whose rounding error may exceed it raises
-    ``NumericError`` too (``_check_rounding``); ``TaylorBasis`` passes its
-    ``coefficient_tol``.
+    blocks of about ``TAYLOR_BLOCK`` products.  A non-integer ``n_max``, and
+    an order whose 1 / (N rho^n) is not a finite nonzero float, are refused
+    before f runs; products and sums that overflow raise ``NumericError``,
+    as in ``quadrature.accumulate``.
     """
-    ctx = ctx or DiscContext()
-    if n_max < 0:
-        raise InputError("n_max must be >= 0")
+    return _contour_average(f, n_max, ctx or DiscContext())[0]
+
+
+def _contour_average(f, n_max, ctx):
+    """``taylor_coefficients``, with the contour samples and the scales
+    1 / (N rho^n) it read."""
+    n_max = _int_in("n_max", n_max, 0)
     if ctx.contour_points < max(4, 4 * n_max):
         raise InputError(
             f"contour of {ctx.contour_points} points is too small for order "
@@ -423,15 +425,12 @@ def taylor_coefficients(f, n_max, ctx=None, tol=None):
     angles = 2.0 * math.pi * np.arange(npts) / npts
     zs = ctx.center + ctx.contour_radius * np.exp(1j * angles)
     samples = samples_of(f, zs)
-    coeffs = _overflow_checked(npts, _contour_sums, samples, angles, scales)
-    if tol is not None:
-        _check_rounding(ctx, samples, scales, tol)
-    return coeffs
+    return _overflow_checked(npts, _contour_sums, samples, angles, scales), samples, scales
 
 
-def _check_rounding(ctx, samples, scales, tol):
-    """Refuse the first order n whose contour average may lose more than
-    ``tol`` to rounding, with a ``NumericError`` naming it.
+def _check_rounding(ctx, samples, scales, orders, tol):
+    """Refuse the lowest of ``orders`` whose contour average may lose more
+    than ``tol`` to rounding, with a ``NumericError`` naming it.
 
     The estimate is sqrt(N) eps max_j |f(z_j)| / rho^n: the sum of N samples
     of size up to M rounds with an error of about sqrt(N) eps M (Higham and
@@ -444,8 +443,8 @@ def _check_rounding(ctx, samples, scales, tol):
     with np.errstate(over="ignore"):  # |re + i im| past the float range is inf: refused
         top = float(np.max(np.abs(samples)))
     rounding = math.sqrt(npts) * float(np.finfo(float).eps) * top * npts
-    for n, scale in enumerate(scales):
-        est = rounding * scale
+    for n in sorted(set(orders)):
+        est = rounding * scales[n]
         if est > tol:
             raise NumericError(
                 f"contour_radius {ctx.contour_radius!r}: the order-{n} contour average "
@@ -517,7 +516,8 @@ class TaylorBasis(BasisFamily):
         idxs = [int(n) for n in self.index_set.check(idxs)]
         if not idxs:
             return np.zeros(0)
-        coeffs = taylor_coefficients(f, max(idxs), self.ctx, tol=self.coefficient_tol)
+        coeffs, samples, scales = _contour_average(f, max(idxs), self.ctx)
+        _check_rounding(self.ctx, samples, scales, idxs, self.coefficient_tol)
         return np.array([coeffs[n] for n in idxs])
 
     def sample_points(self):

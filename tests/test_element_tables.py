@@ -1,12 +1,13 @@
 """Element tables: synthesis from ``BasisFamily.element_table`` and one
-ordered ``np.add.at`` per partial-sum block, against the term loop it
-replaced.
+running sum over its terms, against the term loops it replaced.
 
-The reference ``term_loop`` is that loop, kept literally: every element
-handle evaluated on the points of its support, each term's products added
-by ``acc[lo:hi] += contrib`` in term order, a first term covering every
-point starting the sum.  Results are compared by ``tobytes()``, so the sign
-of every zero counts too.
+The reference ``term_loop`` is the synthesis loop, kept literally: every
+element handle evaluated on the points of its support, each term's products
+added by ``acc[lo:hi] += contrib`` in term order, a first term covering
+every point starting the sum.  ``semigroup_loop`` is the semigroup check's
+own per-term loop, kept literally too.  Both orders are recursive summation
+in enumeration order, as in ``basis_core._running``.  Results are compared
+by ``tobytes()``, so the sign of every zero counts too.
 """
 
 import json
@@ -29,8 +30,10 @@ from schauder import (
     TaylorBasis,
     materialize,
 )
-from schauder.basis_core import _element
-from schauder.cli import main
+from schauder.basis_core import _ascending, _element, _rows, semigroup_discrepancies
+from schauder.cli import FAMILIES as CLI_FAMILIES
+from schauder.cli import build_basis, main
+from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -201,15 +204,66 @@ def test_global_tables_equal_the_term_loop(name, data):
 
 def test_scatter_adds_repeated_points_in_term_order():
     # (1e16 + 1) - 1e16 is 0 in order, 1 if the big terms met first
-    acc = np.zeros(1)
-    np.add.at(acc, [0, 0, 0], [1e16, 1.0, -1e16])
-    assert acc[0] == 0.0
     pts = np.array([0.5, 0.5, 0.25])
     for basis in (HatBasis(), HaarBasis(), CkBasis(k=0)):
         n = 1 if isinstance(basis, HaarBasis) else 2  # h_1 is 1 everywhere, hat 2 at 0.5
         elem = _element(basis, [n, n, n], [1e16, 1.0, -1e16])
         assert elem(pts)[0] == 0.0 and elem(pts)[1] == 0.0
         assert elem.partial_sums([2, 3, 1])(pts)[0].tolist() == [1e16, 0.0, 1e16]
+
+
+def semigroup_loop(basis, f, kmax, points=None):
+    """``semigroup_discrepancies`` by its own term loop (see the module docstring)."""
+    pts = basis.sample_points() if points is None else np.asarray(points)
+    idxs = basis.indices(kmax)
+    if not idxs:
+        return np.zeros(_rows(f(pts)).shape[1])
+    coeffs = basis.coefficients(f, idxs)
+    grades = [basis.index_set.grade(n) for n in idxs]
+    ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
+    counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
+    sums = _element(basis, idxs, coeffs).partial_sums(counts)
+    lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
+    coeffs = coeffs.reshape(len(idxs), 1, -1)
+    _, spts = _ascending(pts)
+    lo, hi, table = basis.element_table(idxs, spts)
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    values = [table[s:s + b - a, None, None] if a < b else None  # (hi - lo, 1, 1)
+              for s, (a, b) in zip(starts.tolist(), bounds)]
+    dtype = np.result_type(lifted, coeffs, table)
+    outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
+    direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
+    target = np.zeros_like(outer)  # P_min(k,j) f, all j
+    worst = np.zeros(outer.shape)  # entrywise max over the ranks k reached
+    hull = len(pts), 0  # rows changed since the last comparison
+    for i, (vals, (lo, hi)) in enumerate(zip(values, bounds)):
+        if vals is not None:
+            outer[lo:hi] += vals * lifted[i]
+            direct[lo:hi] += vals * coeffs[i]
+            hull = min(hull[0], lo), max(hull[1], hi)
+        if i + 1 in counts:
+            # ranks j whose count is not below this one: P_min(k,j) f = P_k f;
+            # rows outside the hull already hold that, and their max
+            rows = slice(*hull)
+            target[rows, counts.index(i + 1):] = direct[rows]
+            np.maximum(worst[rows], np.abs(outer[rows] - target[rows]), out=worst[rows])
+            hull = len(pts), 0
+    return worst.reshape(-1, worst.shape[2]).max(axis=0)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("name", ["haar", "hat-dyadic", "ck-dyadic", "hermite", "fourier",
+                                  "taylor"])
+def test_semigroup_equals_its_term_loop(name, shuffled):
+    basis = build_basis(name, {"n_max": 16} if "n_max" in CLI_FAMILIES[name].params else None)
+    f = vector_stack([fn for _, fn in corpus(basis.name)])
+    pts = basis.sample_points()
+    if shuffled:
+        pts = pts[np.random.default_rng(0).permutation(len(pts))]
+    got = semigroup_discrepancies(basis, f, 16, pts)
+    _same(got, semigroup_loop(basis, f, 16, pts))
+    assert got.shape == (8,)
 
 
 @pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), CkBasis(k=2),
@@ -289,6 +343,14 @@ def test_taylor_contour_lost_to_rounding_is_refused(tmp_path, capsys, rho):
     assert f"contour_radius {rho!r}" in doc["message"] and "order-0" in doc["message"]
     with pytest.raises(NumericError, match="order-0"):
         TaylorBasis(contour_radius=rho).coefficients(reg("poly-z"), range(5))
+
+
+def test_taylor_rounding_gate_reads_the_requested_orders():
+    # at rho = 1000 order 0 may lose 1.8e-6 to rounding, order 4 only 1.8e-18
+    basis = TaylorBasis(contour_radius=1000.0)
+    assert abs(basis.coefficients(reg("poly-z"), [4])[0]) < 1e-15
+    with pytest.raises(NumericError, match="order-0"):
+        basis.coefficients(reg("poly-z"), [4, 0])
 
 
 def test_taylor_contour_within_tolerance_is_kept():

@@ -70,6 +70,16 @@ def test_function_values():
     assert abs(got - 1.0 / np.sqrt(np.pi)) <= 1e-15
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 2.5, 2.0, np.float64(2.0), "3", None])
+def test_hermite_function_refuses_non_integer_orders(bad):
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(InputError, match="non-integer"):
+        hermite_function(bad, x)
+    with pytest.raises(InputError, match="non-integer"):
+        hermite_function((1, bad), np.zeros((5, 2)), d=2)
+    assert np.array_equal(hermite_function(np.int64(2), x), hermite_function(2, x))
+
+
 def test_hermite_function_owns_its_values():
     # a view of the last row would keep the whole (n + 1, k) recurrence table alive
     for n, x, d in ((40, np.linspace(-3.0, 3.0, 7), 1), (0, np.array([0.5]), 1),
@@ -464,9 +474,21 @@ def test_context_validation():
         DiscContext(0.0, 1.0, 2.0, 64)  # contour outside the disc
     with pytest.raises(InputError):
         DiscContext(0.0, 1.0, 0.5, 60)  # not a power of two
+    for bad in (64.0, np.float64(64.0), "64"):  # not an integer
+        with pytest.raises(InputError, match="contour_points"):
+            DiscContext(0.0, 1.0, 0.5, bad)
     for center in (complex(np.nan, 0.0), complex(0.0, np.inf)):
         with pytest.raises(InputError, match="center must be finite"):
             DiscContext(center, np.inf, 1.0, 64)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_non_integer_taylor_order_is_refused_before_f_runs(bad):
+    calls = []
+    f = lambda z: calls.append(z) or z
+    with pytest.raises(InputError, match="n_max"):
+        taylor_coefficients(f, bad)
+    assert calls == []
 
 
 def test_taylor_basis_monomial_elements():

@@ -441,7 +441,7 @@ class HaarBasis(BasisFamily):
         starts = np.stack([lo, mid], axis=1)[keep]
         ends = np.stack([np.where(two, mid, hi), hi], axis=1)[keep]
         signs = np.broadcast_to([1.0, -1.0], keep.shape)[keep]
-        # panel edges align with dyadic jumps down to level 6 (enough for rank 64)
+        # panel edges align with dyadic jumps down to level 6 (enough for rank 128)
         width = ends - starts
         level = np.where(width < 1.0, np.rint(-np.log2(width)), 0.0).astype(np.int64)
         counts = np.maximum(4, 1 << np.maximum(0, 6 - level))

@@ -20,7 +20,9 @@ table[k, i])`` for every requested row k at once, over tiles of rows and
 columns whose running sums stay in cache.  Each entry is still its own
 sequential sum from zero, of the same products in the same operand order,
 so row k has the bits of ``accumulate(w, f(x) * table[k])`` and a column of
-a vector sample table equals the scalar run of that column.
+a vector sample table equals the scalar run of that column.  The caller
+supplies the sample-times-table product: numpy's ``multiply`` for Hermite
+and Fourier, real arithmetic for the Taylor contour (see ``spectral_bases``).
 
 Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
 from ``psi_weighted_rule``; composition into panels, tensorization, and the
@@ -153,7 +155,7 @@ NODE_MAJOR_ENTRIES = 1 << 16
 NODE_MAJOR_ROW_WIDTH = 512
 
 
-def node_major(weights, samples, rows, count, dtype=float):
+def node_major(weights, samples, rows, count, dtype=float, product=np.multiply):
     """The ``count`` rows sum_i weights[i] * (samples[i] * table[k, i]), each
     added left to right from zero.
 
@@ -163,7 +165,8 @@ def node_major(weights, samples, rows, count, dtype=float):
     run of that column.  The (count, n) table of ``dtype`` is never formed
     whole: for an index slice ``ks``, ``rows(ks)`` returns a function
     ``block(start, stop)`` giving table[ks, start:stop].T, the (stop -
-    start, len(ks)) block of a node range.
+    start, len(ks)) block of a node range.  The products are formed by
+    ``product(sample_block, table_block, out=buffer)``, numpy's by default.
 
     The loops run over tiles of at most ``NODE_MAJOR_INDICES`` indices by
     ``NODE_MAJOR_COLUMNS`` columns, whose running sums stay in cache, and
@@ -175,11 +178,11 @@ def node_major(weights, samples, rows, count, dtype=float):
     samples = np.asarray(samples)
     cols = samples.reshape(len(samples), -1)
     out = np.empty((count, cols.shape[1]), dtype=np.result_type(weights, samples, dtype))
-    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out)
+    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out, product)
     return out.reshape((count,) + samples.shape[1:])
 
 
-def _node_major_tiles(weights, samples, rows, out):
+def _node_major_tiles(weights, samples, rows, out, product):
     n, width = samples.shape
     for k0 in range(0, len(out), NODE_MAJOR_INDICES):
         ks = slice(k0, min(k0 + NODE_MAJOR_INDICES, len(out)))
@@ -193,7 +196,7 @@ def _node_major_tiles(weights, samples, rows, out):
             for start in range(0, n, step):
                 stop = min(start + step, n)
                 block = buf[:(stop - start) * acc.size].reshape((stop - start,) + tile)
-                np.multiply(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
+                product(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
                 np.multiply(weights[start:stop, None, None], block, out=block)
                 if acc.size < NODE_MAJOR_ROW_WIDTH:
                     np.add(acc, block[0], out=block[0])

@@ -5,8 +5,8 @@ of Hermite/Fourier coefficients into the rapid-decay sequence space.
 Coefficients are quadrature-backed: the rule of ``psi_weighted_rule`` on the
 line, the uniform rectangle rule on the torus, and uniform contour averaging
 on a circle.  All three inherit the fixed accumulation order of
-``quadrature.accumulate`` or reproduce it literally (the contour average), so
-repeated runs are byte-stable and vector components match scalar runs bit for bit.
+``quadrature.accumulate``, so repeated runs are byte-stable and vector
+components match scalar runs bit for bit.
 """
 
 import cmath
@@ -387,9 +387,6 @@ class DiscContext:
             raise InputError(f"contour_points must be a power of two, >= 4, got {npts!r}")
 
 
-TAYLOR_BLOCK = 4096
-
-
 def taylor_coefficients(f, n_max, ctx=None):
     """Derivative coefficients c_0..c_{n_max} at the disc center.
 
@@ -402,30 +399,27 @@ def taylor_coefficients(f, n_max, ctx=None):
     Products are formed in real arithmetic, (pr sr - pi si) + i (pr si +
     pi sr), as the scalar complex product does (numpy's array complex
     multiply may fuse multiply-adds), so each column of a vector-valued
-    handle gets the bits of its scalar component.  Orders are done in
-    blocks of about ``TAYLOR_BLOCK`` products.  A non-integer ``n_max``, and
-    an order whose 1 / (N rho^n) is not a finite nonzero float, are refused
-    before f runs; products and sums that overflow raise ``NumericError``,
-    as in ``quadrature.accumulate``.
+    handle gets the bits of its scalar component.  A non-integer ``n_max``,
+    and an order whose 1 / (N rho^n) is not a finite nonzero float, are
+    refused before f runs; products and sums that overflow raise
+    ``NumericError``, as in ``quadrature.accumulate``.
     """
-    return _contour_average(f, n_max, ctx or DiscContext())[0]
-
-
-def _contour_average(f, n_max, ctx):
-    """``taylor_coefficients``, with the contour samples and the scales
-    1 / (N rho^n) it read."""
     n_max = _int_in("n_max", n_max, 0)
-    if ctx.contour_points < max(4, 4 * n_max):
-        raise InputError(
-            f"contour of {ctx.contour_points} points is too small for order "
-            f"{n_max}; need at least {max(4, 4 * n_max)}"
-        )
-    npts = ctx.contour_points
+    return list(_contour_average(f, range(n_max + 1), ctx or DiscContext())[0])
+
+
+def _contour_average(f, orders, ctx):
+    """The contour averages of the nonempty integer ``orders``, with the
+    contour samples and the scales 1 / (N rho^n), n = 0..max(orders), it read."""
+    npts, n_max = ctx.contour_points, max(orders)
+    if npts < max(4, 4 * n_max):
+        raise InputError(f"contour of {npts} points is too small for order {n_max}; "
+                         f"need at least {max(4, 4 * n_max)}")
     scales = _contour_scales(ctx, n_max)
     angles = 2.0 * math.pi * np.arange(npts) / npts
     zs = ctx.center + ctx.contour_radius * np.exp(1j * angles)
     samples = samples_of(f, zs)
-    return _overflow_checked(npts, _contour_sums, samples, angles, scales), samples, scales
+    return _contour_sums(samples, angles, orders, scales), samples, scales
 
 
 def _check_rounding(ctx, samples, scales, orders, tol):
@@ -465,25 +459,23 @@ def _contour_scales(ctx, n_max):
     return scales
 
 
-def _contour_sums(samples, angles, scales):
-    """scales[n] times the ascending-j sum of samples[j] w^(-jn), per order n."""
-    npts = len(angles)
-    col = (slice(None), slice(None)) + (None,) * (samples.ndim - 1)
-    sr, si = samples.real[None], samples.imag[None]
-    step = max(1, TAYLOR_BLOCK // max(samples.size, 1))
-    out = []
-    for start in range(0, len(scales), step):
-        orders = np.arange(start, min(start + step, len(scales)))
-        phase = np.exp(-1j * (orders[:, None] * angles[None, :]))
-        pr, pi = phase.real[col], phase.imag[col]
-        terms = np.zeros((len(orders), npts + 1) + samples.shape[1:], dtype=complex)
-        terms.real[:, 1:] = pr * sr - pi * si
-        terms.imag[:, 1:] = pr * si + pi * sr
-        acc = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-        for i, n in enumerate(orders):
-            row = acc[i, ...] * scales[n]
-            out.append(row[()] if row.ndim == 0 else row)
-    return out
+def _contour_sums(samples, angles, orders, scales):
+    """scales[n] times the ascending-j sum of samples[j] w^(-jn), per order n of
+    ``orders``: one unit-weight ``node_major`` pass, phase rows formed a block at a time."""
+    ns = np.asarray(orders, dtype=np.intp)
+
+    def rows(ks):
+        return lambda start, stop: np.exp(-1j * (angles[start:stop, None] * ns[ks]))
+
+    sums = node_major(np.ones(len(angles)), samples, rows, len(ns), complex, _real_product)
+    scale = np.asarray(scales)[ns].reshape((-1,) + (1,) * (samples.ndim - 1))
+    return _overflow_checked(len(angles), np.multiply, sums, scale)
+
+
+def _real_product(s, p, out):
+    """s * p into ``out`` in real arithmetic, (pr sr - pi si) + i (pr si + pi sr)."""
+    np.subtract(p.real * s.real, p.imag * s.imag, out=out.real)
+    np.add(p.real * s.imag, p.imag * s.real, out=out.imag)
 
 
 class TaylorBasis(BasisFamily):
@@ -516,9 +508,9 @@ class TaylorBasis(BasisFamily):
         idxs = [int(n) for n in self.index_set.check(idxs)]
         if not idxs:
             return np.zeros(0)
-        coeffs, samples, scales = _contour_average(f, max(idxs), self.ctx)
+        coeffs, samples, scales = _contour_average(f, idxs, self.ctx)
         _check_rounding(self.ctx, samples, scales, idxs, self.coefficient_tol)
-        return np.array([coeffs[n] for n in idxs])
+        return coeffs
 
     def sample_points(self):
         angles = 2.0 * math.pi * np.arange(64) / 64

@@ -245,6 +245,15 @@ def test_verify_rejects_max_n_below_one(capsys, max_n):
     assert "--max-n" in err
 
 
+def test_haar_verify_passes_the_projection_algebra_at_rank_128(capsys):
+    # the panel edges align with the dyadic jumps down to level 6, which
+    # holds P_k P_j = P_min(k,j) through rank 128 (rank 129 reads 2.1e-4)
+    rc, out, _ = _run(capsys, ["verify", "--seed", "0", "--basis", "haar", "--max-n", "128"])
+    assert rc == 0
+    check = json.loads(out)["bases"]["haar"]["projection_algebra"]
+    assert check["pass"] and check["max_discrepancy"] <= check["tol"]
+
+
 def test_verify_worst_function_matches_a_per_function_loop(capsys):
     max_n = 8
     rc, out, _ = _run(capsys, ["verify", "--seed", "0", "--max-n", str(max_n)])

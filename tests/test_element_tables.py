@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schauder import (
@@ -60,10 +60,10 @@ def _layout(handles, pts):
 
 def term_loop(terms, counts, pts):
     """The partial sums of ``terms`` (``(handle, coefficient)`` pairs) by the term loop."""
+    width = np.size(terms[0][1]) if terms else 1  # of the coefficients, kept or not
     terms = terms if counts is None else terms[:max(counts, default=0)]
     order, spts, bounds = _layout([handle for handle, _ in terms], pts)
     n = len(pts)
-    width = np.size(terms[0][1]) if terms else 1
     blocks = {}
     for r, c in enumerate(counts or ()):
         blocks.setdefault(c, []).append(r)
@@ -163,16 +163,24 @@ def _terms(basis, idxs, coeffs, order):
     return [(h.derivative(order) if order else h, c) for h, c in zip(handles, coeffs)]
 
 
-@PROPS
-@given(cases(), st.data())
-def test_table_synthesis_equals_the_term_loop(case, data):
-    basis, order, pts = case
+@st.composite
+def syntheses(draw):
+    """A case of ``cases`` with term indices, coefficients and partial-sum counts."""
+    basis, order, pts = draw(cases())
     top = basis.indices(len(basis.seq) - 1 + basis.k if isinstance(basis, CkBasis)
                         else 80 if isinstance(basis, HaarBasis) else len(basis.seq) - 1)
-    idxs = data.draw(st.lists(st.sampled_from(top), min_size=1, max_size=30), label="idxs")
-    coeffs = data.draw(coefficients(len(idxs)), label="coeffs")
-    counts = data.draw(st.none() | st.lists(st.integers(0, len(idxs)), min_size=1, max_size=6),
-                       label="counts")
+    idxs = draw(st.lists(st.sampled_from(top), min_size=1, max_size=30))
+    coeffs = draw(coefficients(len(idxs)))
+    counts = draw(st.none() | st.lists(st.integers(0, len(idxs)), min_size=1, max_size=6))
+    return basis, order, pts, idxs, coeffs, counts
+
+
+@PROPS
+@given(syntheses())
+# rank 0 alone with vector coefficients: one all-zero block of width 3
+@example((HaarBasis(), 0, np.linspace(0.0, 1.0, 5), [1, 2], np.ones((2, 3)), [0]))
+def test_table_synthesis_equals_the_term_loop(case):
+    basis, order, pts, idxs, coeffs, counts = case
     elem = _element(basis, idxs, coeffs)
     elem = elem if counts is None else elem.partial_sums(counts)
     got = elem.derivative(order)(pts)

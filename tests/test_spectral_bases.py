@@ -23,6 +23,7 @@ from schauder import (
     taylor_coefficients,
     to_s_space,
 )
+from schauder import quadrature
 from schauder.quadrature import accumulate
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
@@ -433,6 +434,32 @@ def test_taylor_coefficients_equal_scalar_contour_loop(ctx):
     assert stack.shape == (n_max + 1, 3)
     for i, f in enumerate(funcs[:3]):
         assert np.array_equal(stack[:, i], taylor_coefficients(f, n_max, ctx))
+
+
+@pytest.mark.parametrize("tiles", [None, (7, 4), (40, 100), (1, 1)],
+                         ids=["wide", "tiny-blocks", "tiny-sums", "tiny-rows"])
+def test_taylor_node_major_tiles_do_not_move_bits(monkeypatch, tiles):
+    # default tiles with more columns than one column tile, so one tile adds
+    # row by row and the other by a running sum; or tiny tiles: ragged index
+    # and column tiles, node blocks of a few rows and both kinds of addition
+    ctx = DiscContext(0.3 + 0.1j, 5.0, 0.7, 64)
+    n_max = 16
+    funcs = [f for _, f in corpus("taylor")]
+    if tiles is None:
+        cols = funcs * (quadrature.NODE_MAJOR_COLUMNS // len(funcs) + 1)
+    else:
+        cols = funcs[:5]
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_INDICES", 4)
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_COLUMNS", 2)
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_ENTRIES", tiles[0])
+        monkeypatch.setattr(quadrature, "NODE_MAJOR_ROW_WIDTH", tiles[1])
+    stack = np.array(taylor_coefficients(vector_stack(cols), n_max, ctx))
+    assert stack.shape == (n_max + 1, len(cols))
+    for f in funcs:
+        want = _contour_loop(f, n_max, ctx)
+        assert np.array_equal(taylor_coefficients(f, n_max, ctx), want)
+        for i in [i for i, g in enumerate(cols) if g is f]:
+            assert np.array_equal(stack[:, i], want)
 
 
 def test_contour_must_resolve_requested_order():

@@ -29,6 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import InputError
+from .indexing import _int_in
 from .value_space import ValueSpace
 
 __all__ = [
@@ -259,9 +260,7 @@ class FiniteRankElement:
         functionals act componentwise, one coefficient call on it gives the
         coefficients of every partial sum.
         """
-        counts = [int(c) for c in counts]
-        if any(not 0 <= c <= len(self.idxs) for c in counts):
-            raise InputError(f"partial-sum counts must lie in 0..{len(self.idxs)}")
+        counts = [_int_in("partial-sum counts", c, 0, len(self.idxs)) for c in counts]
         return self._with(counts=counts)
 
     def __call__(self, x):
@@ -474,6 +473,7 @@ def biorthogonality_matrix(basis, count):
     whose term a carries row a of the identity, so column a is f_{n_a}
     exactly and one batched coefficient call gives the whole matrix.
     """
+    count = _int_in("biorthogonality count", count, 0)
     enum = _first_indices(basis, count)
     dtype = np.complex128 if basis.field == "complex" else float
     out = np.zeros((count, count), dtype=dtype)

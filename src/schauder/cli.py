@@ -134,7 +134,7 @@ def resolve_function(spec_value, basis=None):
     if isinstance(spec_value, (list, tuple)):
         return registry.vector_stack([resolve_function(s) for s in spec_value])
     if isinstance(spec_value, str) and os.path.exists(spec_value):
-        if isinstance(basis, CkBasis):
+        if isinstance(basis, CkBasis) and basis.k:
             # a chord interpolant has no meaningful derivatives to read jets from
             raise InputError(
                 f"ck-dyadic needs exact derivatives, which the sampled data in "

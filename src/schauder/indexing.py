@@ -62,8 +62,8 @@ class IndexSet:
 
     def up_to(self, k):
         """All indices of grade <= k, sorted by (grade, lex)."""
-        if k < 0:
-            raise InputError("truncation threshold must be >= 0")
+        if not k >= 0 or k == math.inf:
+            raise InputError(f"truncation threshold must be finite and >= 0, got {k!r}")
         if self.kind == "linear":
             return list(range(self.origin, int(math.floor(k)) + 1))
         bound = int(math.floor(k))

@@ -1,9 +1,11 @@
-"""Interval basis families: Haar system, Faber-Schauder hats, C^k iterated hats.
+"""Interval basis families: Haar system, C^k iterated hats, Faber-Schauder hats.
 
 All three live on a compact interval and share the ``PiecewisePolynomial``
-representation: hats are piecewise degree-1, the C^k elements are k-fold
-exact antiderivatives of hats, and Haar partial sums report their dyadic
-breakpoints so that L^p quadrature can split on the jumps.
+representation: the C^k elements are jets at a and then k-fold exact
+antiderivatives of hats, the hats are the C^k family at k = 0 (piecewise
+degree 1, one implementation: ``HatBasis`` subclasses ``CkBasis``), and
+Haar partial sums report their dyadic breakpoints so that L^p quadrature
+can split on the jumps.
 
 Dyadic arithmetic note: the default dense point sequence is the dyadic one
 (0, 1, 1/2, 1/4, 3/4, 1/8, ...).  All its points, hat slopes at those points,
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .basis_core import BasisFamily, _on_line
+from .basis_core import BasisFamily, _on_line, _rows
 from .errors import InputError
 from .indexing import IndexSet, _int_in
 from .quadrature import accumulate, samples_of, segment_rules
@@ -228,7 +230,7 @@ class DenseSequence:
     t_n lies strictly between points[left[n]] and points[right[n]] (entries
     0 and 1 are -1: the endpoints have no neighbours).  The neighbours are
     the support of hat n and the chord ends of its hierarchical surplus (see
-    ``HatBasis``).  Instances are immutable.
+    ``_hat_surpluses``).  Instances are immutable.
     """
 
     def __init__(self, points):
@@ -274,10 +276,7 @@ class DenseSequence:
 
         At most ``MAX_DYADIC_LEVELS`` levels: 2^levels + 1 points are built.
         """
-        if not 1 <= levels <= MAX_DYADIC_LEVELS:
-            raise InputError(
-                f"dyadic levels must be in 1..{MAX_DYADIC_LEVELS}, got {levels}"
-            )
+        levels = _int_in("dyadic levels", levels, 1, MAX_DYADIC_LEVELS)
         pts = [np.array([0.0, 1.0])]
         for lev in range(1, levels + 1):
             pts.append(np.arange(1, 2 ** lev, 2) / 2.0 ** lev)
@@ -320,12 +319,11 @@ def _nearest_smaller(order):
 
 
 def _haar_split(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError(f"Haar index must be a positive integer, got {n!r}")
+    n = _int_in("Haar index", n, 1)
     if n == 1:
         return None
-    k = int(n - 1).bit_length() - 1
-    j = int(n) - (1 << k)
+    k = (n - 1).bit_length() - 1
+    j = n - (1 << k)
     return k, j
 
 
@@ -550,83 +548,40 @@ def _check_domain(seq, pts):
         raise InputError(f"evaluation outside domain [{seq.a}, {seq.b}]")
 
 
+def _hat_surpluses(seq, f, idx):
+    """The hat coefficients ``idx`` (checked indices) of ``f``: lambda_0 = f(a),
+    lambda_1 = f(b), and for n >= 2 the hierarchical surplus lambda_n =
+    f(t_n) - (w_l f(t_left) + w_r f(t_right)), f at the new point minus the
+    chord through its flanking neighbours, which is P_{n-1} f(t_n) because
+    the rank n-1 interpolant is affine on the cell that t_n splits.  Chord
+    weights w_l = (t_right - t_n) / (t_right - t_left) and w_r = (t_n -
+    t_left) / (t_right - t_left).
+
+    ``f`` is evaluated once, in ascending index order, on just the points
+    the requested coefficients read: each t_n and its flanking neighbours;
+    then one vectorized step.  Vector-valued handles get componentwise
+    identical arithmetic."""
+    interior = idx >= 2
+    inner = idx[interior]
+    lft, rgt = seq.left[inner], seq.right[inner]
+    need = np.unique(np.concatenate([idx, lft, rgt]))
+    fv = samples_of(f, seq.points[need])
+    t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
+    col = (slice(None),) + (None,) * (fv.ndim - 1)
+    wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
+
+    def at(i):
+        return fv[np.searchsorted(need, i)]
+
+    out = at(idx)
+    out[interior] = at(inner) - (wl * at(lft) + wr * at(rgt))
+    return out
+
+
 def hat_coefficients(seq, f, n):
     """The full coefficient prefix lambda_0(f), ..., lambda_n(f) (see ``HatBasis``)."""
     # a negative n is passed on alone, to be refused
     return list(HatBasis(seq).coefficients(f, np.arange(n + 1) if n >= 0 else [n]))
-
-
-class HatBasis(BasisFamily):
-    """Piecewise-linear interpolation system over a dense point sequence.
-
-    lambda_0 = f(a), lambda_1 = f(b), and for n >= 2 the hierarchical
-    surplus lambda_n = f(t_n) - (w_l f(t_left) + w_r f(t_right)): f at the
-    new point minus the chord through its flanking neighbours, which is
-    P_{n-1} f(t_n) because the rank n-1 interpolant is affine on the cell
-    that t_n splits.  Chord weights w_l = (t_right - t_n) / (t_right -
-    t_left) and w_r = (t_n - t_left) / (t_right - t_left).
-    """
-
-    name = "hat"
-    field = "real"
-    coefficient_tol = 1e-12
-
-    def __init__(self, seq=None):
-        self.seq = seq if seq is not None else DenseSequence.dyadic()
-        if not isinstance(self.seq, DenseSequence):
-            raise InputError("hat coefficients need a DenseSequence")
-        self.index_set = IndexSet("linear", origin=0)
-        self._elements = {}
-
-    def element(self, n):
-        n = int(self.index_set.validate_member(n))
-        if n not in self._elements:
-            self._elements[n] = schauder_hat(self.seq, n)
-        return self._elements[n]
-
-    def element_table(self, idxs, pts, order=0):
-        """All requested hats at once, piece by piece (``_hat_pieces``), with
-        the float operations of their ``PiecewisePolynomial`` handles."""
-        if not _on_line(pts):
-            return super().element_table(idxs, pts, order)
-        idx = _sequence_indices(self.index_set, idxs, len(self.seq))
-        if idx.size:
-            _check_domain(self.seq, pts)
-        starts, present, co = _hat_pieces(self.seq, idx)
-        return _piece_table(starts, present, _derivative_columns(co, order), self.seq.b, pts)
-
-    coefficient = BasisFamily.coefficient
-
-    def coefficients(self, f, idxs):
-        """``f`` is evaluated once, in ascending index order, on just the points
-        the requested coefficients read: each t_n and its flanking neighbours;
-        then one vectorized step.  Vector-valued handles get componentwise
-        identical arithmetic."""
-        seq = self.seq
-        idx = _sequence_indices(self.index_set, idxs, len(seq))
-        interior = idx >= 2
-        inner = idx[interior]
-        lft, rgt = seq.left[inner], seq.right[inner]
-        need = np.unique(np.concatenate([idx, lft, rgt]))
-        fv = samples_of(f, seq.points[need])
-        t, tl, tr = seq.points[inner], seq.points[lft], seq.points[rgt]
-        col = (slice(None),) + (None,) * (fv.ndim - 1)
-        wl, wr = ((tr - t) / (tr - tl))[col], ((t - tl) / (tr - tl))[col]
-
-        def at(i):
-            return fv[np.searchsorted(need, i)]
-
-        out = at(idx)
-        out[interior] = at(inner) - (wl * at(lft) + wr * at(rgt))
-        return out
-
-    def sample_points(self):
-        a, b = self.seq.a, self.seq.b
-        return np.linspace(a, b, 1001)
-
-    def segment_breakpoints(self, k):
-        # h_0 already spans [a, b], so rank 0 needs both ends too
-        return np.sort(self.seq.points[: max(int(k), 1) + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +621,17 @@ def _derivatives(f, top):
 
 
 class CkBasis(BasisFamily):
-    """C^k functions on an interval: jets at a, then smoothed hats.
+    """C^k functions on an interval over a dense point sequence: jets at a,
+    then smoothed hats.
 
-    The family's own topology controls derivatives up to order k, so error
-    rows stack derivative residuals.
+    Elements 0..k-1 are the monomials (x - a)^n / n!, with functionals
+    mu_n(f) = f^(n)(a); element n >= k is the k-fold antiderivative of hat
+    n - k, with functional lambda_{n-k}(f^(k)), the hat coefficient of the
+    k-th derivative (``_hat_surpluses``).  At k = 0 there are no jets and
+    no antiderivatives: the family is the hat system, ``HatBasis``.  The
+    family's own topology controls derivatives up to order k, so error rows
+    stack derivative residuals.  Elements are made when asked for, never
+    kept.
     """
 
     name = "ck"
@@ -678,16 +640,13 @@ class CkBasis(BasisFamily):
 
     def __init__(self, k=2, seq=None):
         self.k = _int_in("smoothness order k", k, 0)
-        self._hats = HatBasis(seq)
-        self.seq = self._hats.seq
+        self.seq = seq if seq is not None else DenseSequence.dyadic()
+        if not isinstance(self.seq, DenseSequence):
+            raise InputError("hat and C^k bases need a DenseSequence")
         self.index_set = IndexSet("linear", origin=0)
-        self._elements = {}
 
     def element(self, n):
-        n = int(self.index_set.validate_member(n))
-        if n not in self._elements:
-            self._elements[n] = ck_basis_element(self.seq, self.k, n)
-        return self._elements[n]
+        return ck_basis_element(self.seq, self.k, int(self.index_set.validate_member(n)))
 
     def element_table(self, idxs, pts, order=0):
         """The hats of ``_hat_pieces`` lifted by k antiderivative passes, all
@@ -717,27 +676,51 @@ class CkBasis(BasisFamily):
         lambda_{n-k}(f^(k)) otherwise.  The derivatives come from
         ``f.derivative(j)`` (a FunctionBundle, a PiecewisePolynomial, or a
         materialized sum of such terms); a bare callable serves index 0
-        only.  Each jet f^(n)(a) is read once, and f^(k) is evaluated once
-        for all the hat coefficients."""
-        idx = _sequence_indices(self.index_set, idxs, len(self.seq) + self.k)
-        k = self.k
+        only.  Each requested jet order is read once at a, and f^(k) is
+        evaluated once for all the hat coefficients; the rows are then
+        picked in request order from the jet rows and the hat rows."""
+        k, seq = self.k, self.seq
+        idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
         derivs = _derivatives(f, min(int(idx.max(initial=0)), k))
-        out = [None] * idx.size
-        for pos in np.flatnonzero(idx < k):
-            out[pos] = np.asarray(derivs[idx[pos]](np.array([self.seq.a])))[0]
-        smooth = np.flatnonzero(idx >= k)
-        if smooth.size:
-            for pos, value in zip(smooth, self._hats.coefficients(derivs[k], idx[smooth] - k)):
-                out[pos] = value
-        return np.array(out)
+        orders, hats = np.unique(idx[idx < k]), idx >= k
+        blocks = [derivs[n](np.array([seq.a])) for n in orders.tolist()]
+        if hats.any():
+            blocks.append(_hat_surpluses(seq, derivs[k], idx[hats] - k))
+        rows = np.searchsorted(orders, idx)
+        rows[hats] = len(orders) + np.arange(np.count_nonzero(hats))
+        return np.concatenate(blocks)[rows] if blocks else np.zeros(0)
 
     def sample_points(self):
         return np.linspace(self.seq.a, self.seq.b, 513)
 
     def value_rows(self, f, pts):
         """Value rows of f, f', ..., f^(k), stacked in that order."""
-        rows = [np.asarray(h(pts)) for h in _derivatives(f, self.k)]
-        return np.concatenate([v[:, None] if v.ndim == 1 else v for v in rows], axis=0)
+        return np.concatenate([_rows(h(pts)) for h in _derivatives(f, self.k)], axis=0)
+
+
+class HatBasis(CkBasis):
+    """The Faber-Schauder hats of a dense point sequence: ``CkBasis`` at k = 0.
+
+    Element n is hat n (``schauder_hat``) and its functional the
+    hierarchical surplus lambda_n (``_hat_surpluses``), so the rank-n partial
+    sum is the piecewise-linear interpolant of f at t_0, ..., t_n.  Only the
+    name, the denser sup-norm grid and the L^p mode differ from the C^k
+    family.
+    """
+
+    name = "hat"
+
+    def __init__(self, seq=None):
+        super().__init__(0, seq)
+
+    coefficient = BasisFamily.coefficient
+
+    def sample_points(self):
+        return np.linspace(self.seq.a, self.seq.b, 1001)
+
+    def segment_breakpoints(self, k):
+        # h_0 already spans [a, b], so rank 0 needs both ends too
+        return np.sort(self.seq.points[: max(int(k), 1) + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericError
+from .indexing import _int_in
 
 DEFAULT_PANELS = 64
 DEFAULT_ORDER = 8
 
 
-@functools.cache
+# typed: True and 2.0 are keys of their own, refused instead of hitting 1 and 2
+@functools.lru_cache(maxsize=None, typed=True)
 def _leggauss(order):
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise InputError(f"quadrature order must be a positive integer, got {order!r}")
-    return leggauss(order)
+    return leggauss(_int_in("quadrature order", order, 1))
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,7 @@ def segment_rules(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     if bad.any():
         i = int(np.argmax(bad))
         raise InputError(f"bad interval [{float(a[i])!r}, {float(b[i])!r}]")
-    if not isinstance(panels, (int, np.integer)) or panels < 1:
-        raise InputError(f"panels must be a positive integer, got {panels!r}")
+    panels = _int_in("panels", panels, 1)
     base_x, base_w = _leggauss(order)
     width = ((b - a) / panels)[:, None]
     half = 0.5 * width
@@ -271,8 +270,7 @@ def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     For d == 1 nodes have shape (k,); otherwise (k, d) with lexicographic
     node order (last axis fastest).
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InputError(f"box dimension must be a positive integer, got {d!r}")
+    d = _int_in("box dimension", d, 1)
     line = gauss_legendre_rule(-float(c), float(c), panels=panels, order=order)
     if d == 1:
         return line
@@ -321,7 +319,7 @@ def _hermite_rows(n, x):
 
 
 # the table holds m^2 floats, 8 MB at m = 1000
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def psi_weighted_rule(m):
     """Read-only (nodes, weights, table) of the size-m Gauss rule for dx on the line.
 
@@ -333,8 +331,7 @@ def psi_weighted_rule(m):
     where h_0 is subnormal (outer nodes, m >= 729): there the rounding of h_0,
     a factor below 2, cancels in w_i h_j(x_i) h_k(x_i).
     """
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= HERMITE_MAX_SIZE:
-        raise InputError(f"Gauss-Hermite size must be an integer in 1..{HERMITE_MAX_SIZE}, got {m!r}")
+    m = _int_in("Gauss-Hermite size", m, 1, HERMITE_MAX_SIZE)
     nodes = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, m)), -1))
     table = _hermite_rows(m - 1, nodes)
     total = np.einsum("ki,ki->i", table, table)
@@ -347,8 +344,7 @@ def psi_weighted_rule(m):
 def gauss_hermite_rule(m, d=1):
     """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}, with
     the weights of ``psi_weighted_rule(m)`` times e^{-x_i^2}."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InputError(f"Gauss-Hermite dimension must be a positive integer, got {d!r}")
+    d = _int_in("Gauss-Hermite dimension", d, 1)
     x, w, _ = psi_weighted_rule(m)
     line = QuadratureRule(x, w * np.exp(-x * x))
     if d == 1:
@@ -371,10 +367,8 @@ def periodic_rule(n, d=1):
     Exact for trigonometric polynomials of degree < n per axis, which is the
     aliasing guard behind Fourier coefficient accuracy.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError(f"periodic rule size must be a positive integer, got {n!r}")
-    if not isinstance(d, (int, np.integer)) or not 1 <= d <= 3:
-        raise InputError(f"periodic rule supports d in 1..3, got {d!r}")
+    n = _int_in("periodic rule size", n, 1)
+    d = _int_in("periodic rule dimension", d, 1, 3)
     x = -np.pi + 2.0 * np.pi * np.arange(n) / n
     w = np.full(n, 2.0 * np.pi / n)
     line = QuadratureRule(x, w)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .indexing import _int_in
 
 # each seminorm kind, with its short label for CSV headers and reports
 _KIND_LABEL = {"sup": "sup", "weighted-sup": "wsup", "euclidean": "eucl",
@@ -79,8 +80,7 @@ class ValueSpace:
     """
 
     def __init__(self, dimension, field="real", seminorms=None):
-        if not isinstance(dimension, (int, np.integer)) or dimension < 1:
-            raise InputError(f"dimension must be a positive integer, got {dimension!r}")
+        dimension = _int_in("dimension", dimension, 1)
         if field not in ("real", "complex"):
             raise InputError(f"field must be 'real' or 'complex', got {field!r}")
         if seminorms is None:
@@ -88,7 +88,7 @@ class ValueSpace:
         seminorms = tuple(s.validated(dimension) for s in seminorms)
         if not seminorms:
             raise InputError("seminorm family must be nonempty")
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.field = field
         self.seminorms = seminorms
         self._check_separation()

@@ -230,6 +230,18 @@ def test_ck_dyadic_rejects_sampled_input(tmp_path, capsys):
         assert "hat-dyadic" in err
 
 
+def test_ck_dyadic_at_k_0_expands_sampled_input_as_hats(tmp_path, capsys):
+    # at k = 0 no derivative is read: the C^k family is the hat family
+    path = tmp_path / "line.csv"
+    path.write_text("x,value\n0.0,0.5\n0.25,1.0\n0.5,0.25\n0.75,2.0\n1.0,2.5\n")
+    cfg = tmp_path / "k0.json"
+    cfg.write_text(json.dumps({"basis": {"name": "ck-dyadic", "k": 0}}))
+    args = ["expand", "--fn", str(path), "--max-n", "8", "--format", "csv"]
+    rc, out, err = _run(capsys, args + ["--config", str(cfg)])
+    assert rc == 0 and err == ""
+    assert (rc, out) == _run(capsys, args + ["--basis", "hat-dyadic"])[:2]
+
+
 def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
     rc, out, err = _run(capsys, ["verify", "--basis", "hermite", "--max-n", "496"])
     assert rc == 2

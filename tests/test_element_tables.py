@@ -30,6 +30,7 @@ from schauder import (
     TaylorBasis,
     materialize,
 )
+from schauder import interval_bases
 from schauder.basis_core import _ascending, _element, _rows, semigroup_discrepancies
 from schauder.cli import FAMILIES as CLI_FAMILIES
 from schauder.cli import build_basis, main
@@ -167,8 +168,7 @@ def _terms(basis, idxs, coeffs, order):
 def syntheses(draw):
     """A case of ``cases`` with term indices, coefficients and partial-sum counts."""
     basis, order, pts = draw(cases())
-    top = basis.indices(len(basis.seq) - 1 + basis.k if isinstance(basis, CkBasis)
-                        else 80 if isinstance(basis, HaarBasis) else len(basis.seq) - 1)
+    top = basis.indices(80 if isinstance(basis, HaarBasis) else len(basis.seq) - 1 + basis.k)
     idxs = draw(st.lists(st.sampled_from(top), min_size=1, max_size=30))
     coeffs = draw(coefficients(len(idxs)))
     counts = draw(st.none() | st.lists(st.integers(0, len(idxs)), min_size=1, max_size=6))
@@ -296,15 +296,24 @@ def test_haar_and_hermite_elements_have_no_derivative():
                         4).derivative(1)
 
 
-def test_synthesis_makes_no_element_handles():
+def test_synthesis_makes_no_element_handles(monkeypatch):
+    made = []
+    original = interval_bases.schauder_hat
+
+    def counted(seq, n):
+        made.append(n)
+        return original(seq, n)
+
+    monkeypatch.setattr(interval_bases, "schauder_hat", counted)
     basis = HatBasis()
     elem = materialize(basis, reg("sin-pi"), 256)
     pts = np.linspace(0.0, 1.0, 1001)
     elem.partial_sums([16, 256]).derivative(1)(pts)
     elem(pts)
-    assert len(elem.terms) == 257 and basis._elements == {}
+    assert len(elem.terms) == 257 and made == []
     handle, coeff = elem.terms[3]
-    assert handle is basis.element(3) and coeff == elem.coeffs[3]
+    assert made == [3] and coeff == elem.coeffs[3]
+    assert np.array_equal(handle(pts), basis.element(3)(pts))
 
 
 # -- index checks ----------------------------------------------------------

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schauder import HatBasis, biorthogonality_matrix, hat_coefficients, schauder_hat
+from schauder import (
+    CkBasis,
+    HatBasis,
+    biorthogonality_matrix,
+    hat_coefficients,
+    schauder_hat,
+)
 from schauder.interval_bases import DenseSequence
+from schauder.registry import vector_stack
 
 PROPS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -124,3 +131,26 @@ def test_neighbours_of_short_sequences(points):
 def test_dyadic_neighbours_match_insertion_loop(levels):
     seq = DenseSequence.dyadic(levels)
     assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(seq.points)
+
+
+@pytest.mark.parametrize("seq", [
+    DenseSequence.dyadic(5),
+    DenseSequence([-1.0, 2.0] + [-1.0 + 3.0 * k / 997 for k in (500, 123, 877, 3, 640, 991, 250)]),
+], ids=["dyadic", "non-dyadic"])
+def test_hats_are_the_ck_family_at_k_0(seq):
+    # one implementation: hat coefficients, tables and handles are C^k's at k = 0, bit for bit
+    hat, ck0 = HatBasis(seq), CkBasis(0, seq)
+    assert isinstance(hat, CkBasis) and hat.k == 0
+    batch = np.random.default_rng(5).permutation(len(seq)).tolist()
+    batch += batch[::3]  # repeats
+    for f in (_handle(0), vector_stack([_handle(i) for i in range(len(FUNCS))])):
+        got = hat.coefficients(f, batch)
+        assert got.tobytes() == ck0.coefficients(f, batch).tobytes()
+        assert got.tobytes() == np.asarray(hat_coefficients(seq, f, len(seq) - 1))[batch].tobytes()
+    pts = np.linspace(seq.a, seq.b, 101)
+    for order in range(3):
+        for want, mine in zip(ck0.element_table(batch, pts, order), hat.element_table(batch, pts, order)):
+            assert mine.tobytes() == want.tobytes()
+    for n in batch:
+        assert hat.element(n)(pts).tobytes() == ck0.element(n)(pts).tobytes()
+        assert hat.element(n)(pts).tobytes() == schauder_hat(seq, n)(pts).tobytes()

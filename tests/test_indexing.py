@@ -1,6 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 
-from schauder import IndexSet, InputError
+from schauder import (
+    DenseSequence,
+    FiniteRankElement,
+    HatBasis,
+    IndexSet,
+    InputError,
+    ValueSpace,
+    biorthogonality_matrix,
+    haar_constancy_intervals,
+)
+from schauder.quadrature import box_rule, gauss_hermite_rule, gauss_legendre_rule, periodic_rule
 
 
 def test_linear_grades_and_enumeration():
@@ -47,3 +60,44 @@ def test_validate_member_errors():
 def test_bad_kind():
     with pytest.raises(InputError):
         IndexSet("tree")
+
+
+def _partial_sums(counts):
+    return FiniteRankElement([(HatBasis().element(n), 1.0) for n in range(3)]).partial_sums(counts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: box_rule(1.0, True),
+    lambda: gauss_hermite_rule(5, d=True),
+    lambda: periodic_rule(8, d=True),
+    lambda: (gauss_legendre_rule(0, 1, panels=1), gauss_legendre_rule(0, 1, panels=True)),
+    lambda: (gauss_legendre_rule(0, 1, order=1), gauss_legendre_rule(0, 1, order=True)),
+    lambda: (gauss_legendre_rule(0, 1, order=2), gauss_legendre_rule(0, 1, order=2.0)),
+    lambda: ValueSpace(True),
+    lambda: DenseSequence.dyadic(True),
+    lambda: DenseSequence.dyadic(2.5),
+    lambda: haar_constancy_intervals(True),
+    lambda: _partial_sums([True]),
+    lambda: _partial_sums([1.5]),
+    lambda: (gauss_hermite_rule(1), gauss_hermite_rule(True)),
+    lambda: periodic_rule(True),
+    lambda: biorthogonality_matrix(HatBasis(), 2.5),
+    lambda: biorthogonality_matrix(HatBasis(), -1),
+    lambda: biorthogonality_matrix(HatBasis(), np.bool_(True)),
+], ids=["box-d", "hermite-d", "periodic-d", "panels", "order", "order-float", "value-space",
+        "dyadic-bool", "dyadic-float", "haar-interval", "counts-bool", "counts-float",
+        "hermite-m", "periodic-n", "biorth-float", "biorth-negative", "biorth-np-bool"])
+def test_sizes_and_counts_are_integers(call):
+    # a bool is not 1 and a float is not truncated, even after the integer's rule is cached
+    with pytest.raises(InputError, match="must be an integer in"):
+        call()
+
+
+@pytest.mark.parametrize("index_set, k", [
+    (IndexSet("linear"), math.nan), (IndexSet("linear"), math.inf),
+    (IndexSet("multi", dim=2), math.inf), (IndexSet("lattice", dim=2), np.nan),
+    (IndexSet("multi", dim=2), -math.inf),
+])
+def test_up_to_refuses_non_finite_thresholds(index_set, k):
+    with pytest.raises(InputError, match="truncation threshold"):
+        index_set.up_to(k)

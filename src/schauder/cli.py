@@ -224,6 +224,10 @@ def _float_text(x):
     return _FLOAT_WORDS.get(text, text)
 
 
+class _Text(str):
+    """Finished JSON text, which ``_json`` writes as it is."""
+
+
 # exact type -> JSON text, for the values ``json.dumps`` writes as they are
 _SCALARS = {
     float: _float_text,
@@ -231,6 +235,7 @@ _SCALARS = {
     str: _quote,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    _Text: str.__str__,
 }
 
 
@@ -240,7 +245,8 @@ def _json(obj, pad="\n"):
     The stdlib falls back to its pure-Python encoder whenever ``indent`` is
     set.  This writer dispatches on the exact type and joins strings; any
     other value (numpy scalars and arrays, complex numbers) is converted by
-    ``_py`` first.  Dict keys must be strings.
+    ``_py`` first.  Dict keys must be strings.  A ``_Text`` value, such as
+    expand's table from ``_coefficient_json``, is written as it is.
     """
     kind = type(obj)
     write = _SCALARS.get(kind)
@@ -264,6 +270,35 @@ def _json(obj, pad="\n"):
 
 def _index_columns(idx):
     return list(idx) if isinstance(idx, tuple) else [idx]
+
+
+_SLOT = _Text("%s")
+_encode = json.JSONEncoder().encode
+
+
+def _coefficient_json(idxs, values):
+    """The ``_Text`` that ``_json`` writes for expand's rows
+    ``{"index": _index_columns(i), "value": row}`` in a report, in one pass.
+
+    The stdlib C encoder writes every index column and value (a complex one
+    as its im, then re part) from one flat list, with ``_json``'s text for
+    ints and floats; no number's text holds ``", "``.  The texts fill a
+    %-template of the row that ``_json`` writes with a ``%s`` slot for each.
+    """
+    count, width = values.shape
+    complex_vals = np.iscomplexobj(values)
+    if complex_vals:
+        # sorted keys put im before re
+        values = np.stack([values.imag, values.real], axis=-1).reshape(count, -1)
+    row = _json({"index": [_SLOT] * len(_index_columns(idxs[0])),
+                 "value": [{"im": _SLOT, "re": _SLOT} if complex_vals else _SLOT] * width},
+                "\n    ")
+    flat = []
+    for idx, vals in zip(idxs, values.tolist()):
+        flat += _index_columns(idx)
+        flat += vals
+    rows = ",\n    ".join([row] * count) % tuple(_encode(flat)[1:-1].split(", "))
+    return _Text("[\n    " + rows + "\n  ]")
 
 
 def _coefficient_table(idxs, values):
@@ -330,10 +365,7 @@ def _cmd_expand(args, basis_params):
             "basis": args.basis,
             "fn": args.fn,
             "max_n": args.max_n,
-            "coefficients": [
-                {"index": _index_columns(i), "value": row}
-                for i, row in zip(idxs, values.tolist())
-            ],
+            "coefficients": _coefficient_json(idxs, values),
         }, None
     else:
         payload, table = None, _coefficient_table(idxs, values)

@@ -676,14 +676,15 @@ class CkBasis(BasisFamily):
         lambda_{n-k}(f^(k)) otherwise.  The derivatives come from
         ``f.derivative(j)`` (a FunctionBundle, a PiecewisePolynomial, or a
         materialized sum of such terms); a bare callable serves index 0
-        only.  Each requested jet order is read once at a, and f^(k) is
-        evaluated once for all the hat coefficients; the rows are then
-        picked in request order from the jet rows and the hat rows."""
+        only.  Each requested jet order is read once at a, checked finite
+        like every other sample, and f^(k) is evaluated once for all the hat
+        coefficients; the rows are then picked in request order from the
+        jet rows and the hat rows."""
         k, seq = self.k, self.seq
         idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
         derivs = _derivatives(f, min(int(idx.max(initial=0)), k))
         orders, hats = np.unique(idx[idx < k]), idx >= k
-        blocks = [derivs[n](np.array([seq.a])) for n in orders.tolist()]
+        blocks = [samples_of(derivs[n], np.array([seq.a])) for n in orders.tolist()]
         if hats.any():
             blocks.append(_hat_surpluses(seq, derivs[k], idx[hats] - k))
         rows = np.searchsorted(orders, idx)

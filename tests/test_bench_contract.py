@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import schauder
+import schauder.cli  # noqa: F401
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 

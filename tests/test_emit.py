@@ -1,8 +1,10 @@
 """The CLI's output writers: the indent-2 JSON text and the expand tables.
 
 ``cli._json`` must write exactly what ``json.dumps(_py(x), sort_keys=True,
-indent=2)`` writes, and an expand table read back from either format must
-give the coefficient array bit for bit.
+indent=2)`` writes; ``cli._coefficient_json``, expand's one-pass table
+writer, must write exactly what ``cli._json`` writes for the list of row
+dicts it stands for, and so must a whole expand report; and an expand table
+read back from either format must give the coefficient array bit for bit.
 """
 
 import csv
@@ -70,6 +72,43 @@ def test_json_writer_takes_string_keys_only():
         cli._json({"a": {2: "b"}})
 
 
+# -- the one-pass expand table -------------------------------------------------
+
+TABLE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2250738585072014e-309]),
+)
+
+
+@st.composite
+def coefficient_tables(draw):
+    """Indices of 1 to 3 columns (a plain int for one) and (count, width)
+    real or complex values, as ``_cmd_expand`` hands them over."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 4))
+    columns = st.integers(-(2 ** 70), 2 ** 70)
+    index = columns if dim == 1 else st.tuples(*[columns] * dim)
+    idxs = draw(st.lists(index, min_size=count, max_size=count))
+    parts = hnp.arrays(np.float64, (count, width), elements=TABLE_FLOATS)
+    values = draw(parts)
+    if draw(st.booleans()):
+        # set the parts: adding 0j would turn a real -0.0 into 0.0
+        real, values = values, np.empty((count, width), complex)
+        values.real, values.imag = real, draw(parts)
+    return idxs, values
+
+
+@PROPS
+@given(coefficient_tables())
+def test_coefficient_json_matches_the_row_dicts(table):
+    idxs, values = table
+    rows = [{"index": cli._index_columns(i), "value": row}
+            for i, row in zip(idxs, values.tolist())]
+    assert (cli._json({"coefficients": cli._coefficient_json(idxs, values)})
+            == cli._json({"coefficients": rows}))
+
+
 # -- expand tables read back ---------------------------------------------------
 
 FNS = {
@@ -123,3 +162,9 @@ def test_expand_json_reads_back_bit_for_bit(capsys, fam, fn):
         got = np.array([c["value"] for c in doc["coefficients"]])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam, fn", CASES)
+def test_expand_json_is_its_own_json_dumps(capsys, fam, fn):
+    out = _expand(capsys, fam, fn, "json")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

@@ -12,9 +12,11 @@ import pytest
 
 from schauder import (
     CkBasis,
+    FunctionBundle,
     HaarBasis,
     HatBasis,
     InputError,
+    NumericError,
     PiecewisePolynomial,
     SeminormSpec,
     ValueSpace,
@@ -380,6 +382,16 @@ def test_ck_cubic_terminates():
 def test_ck_first_coefficient_works_on_bare_callables():
     b = CkBasis(k=2)
     assert b.coefficient(lambda x: np.asarray(x) * 0.0 + 5.0, 0) == 5.0
+
+
+def test_ck_non_finite_jet_is_a_numeric_error_at_a():
+    # the jets f^(n)(a) are samples like any other: a non-finite one is
+    # refused with the node, never returned as a coefficient
+    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    f = FunctionBundle(one, [lambda x: np.full(np.shape(x), np.inf), one])
+    with pytest.raises(NumericError) as err:
+        CkBasis(2).coefficients(f, [0, 1, 2, 3])
+    assert err.value.node == 0.0
 
 
 # -- L^p error ---------------------------------------------------------------

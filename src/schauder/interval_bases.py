@@ -215,8 +215,8 @@ def _table_points(lo, hi, pts):
 # ---------------------------------------------------------------------------
 
 
-# at most 2^20 + 1 points, whose neighbour search holds 21 window-minimum
-# tables of 4-byte indices
+# at most 2^20 + 1 points; the general neighbour search would hold 21
+# window-minimum tables of 4-byte indices for them
 MAX_DYADIC_LEVELS = 20
 
 
@@ -230,19 +230,32 @@ class DenseSequence:
     t_n lies strictly between points[left[n]] and points[right[n]] (entries
     0 and 1 are -1: the endpoints have no neighbours).  The neighbours are
     the support of hat n and the chord ends of its hierarchical surplus (see
-    ``_hat_surpluses``).  Instances are immutable.
+    ``_hat_surpluses``).  ``dyadic`` reads them off the dyadic parents;
+    any other sequence gets them from ``_nearest_smaller``.  Points must be
+    finite.  Instances are immutable.
     """
 
     def __init__(self, points):
+        self._build(points)
+
+    def _build(self, points, order=None, neighbours=None):
+        """Check ``points`` and store them with their neighbours.  ``order``
+        sorts the points, and ``neighbours`` are the left and right arrays of
+        its interior positions; both default to the general search."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise InputError("dense sequence needs at least the two endpoints")
+        if not np.isfinite(pts).all():
+            raise InputError("dense sequence points must be finite")
         a, b = pts[0], pts[1]
         if not a < b:
             raise InputError("first two points must be the interval ends a < b")
         if np.any(pts < a) or np.any(pts > b):
             raise InputError("all points must lie in [a, b]")
-        if np.unique(pts).size != pts.size:
+        if order is None:
+            order = np.argsort(pts, kind="stable").astype(np.int32)
+        # strictly ascending in ``order``: distinct, and ``order`` sorts them
+        if np.any(np.diff(pts[order]) <= 0):
             raise InputError("points must be pairwise distinct")
         pts.flags.writeable = False
         self.points = pts
@@ -251,9 +264,8 @@ class DenseSequence:
         # in sorted order, t_n's neighbours in T_{n-1} are the nearest
         # positions on either side holding a smaller index; a is first and
         # b is last, so every interior position has both
-        order = np.argsort(pts, kind="stable").astype(np.int32)
         inner = order[1:-1]
-        left[inner], right[inner] = _nearest_smaller(order)
+        left[inner], right[inner] = _nearest_smaller(order) if neighbours is None else neighbours
         left.flags.writeable = False
         right.flags.writeable = False
         self.left = left
@@ -275,12 +287,20 @@ class DenseSequence:
         """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... down to the given level, mapped to [a, b].
 
         At most ``MAX_DYADIC_LEVELS`` levels: 2^levels + 1 points are built.
+        Sorted position q = odd * 2^e, 0 < q < 2^levels, holds hat n =
+        2^(levels-e-1) + (odd + 1) / 2, and its neighbours are its dyadic
+        parents at positions q -/+ 2^e.
         """
         levels = _int_in("dyadic levels", levels, 1, MAX_DYADIC_LEVELS)
-        pts = [np.array([0.0, 1.0])]
-        for lev in range(1, levels + 1):
-            pts.append(np.arange(1, 2 ** lev, 2) / 2.0 ** lev)
-        return cls(a + (b - a) * np.concatenate(pts))
+        top = 1 << levels
+        q = np.arange(1, top, dtype=np.int32)
+        low = q & -q  # 2^e
+        order = np.concatenate([[0], top // (2 * low) + (q // low + 1) // 2, [1]]).astype(np.int32)
+        unit = np.empty(top + 1)
+        unit[order] = np.arange(top + 1) / top
+        seq = cls.__new__(cls)
+        seq._build(a + (b - a) * unit, order, (order[q - low], order[q + low]))
+        return seq
 
 
 def _nearest_smaller(order):
@@ -631,12 +651,13 @@ class CkBasis(BasisFamily):
     no antiderivatives: the family is the hat system, ``HatBasis``.  The
     family's own topology controls derivatives up to order k, so error rows
     stack derivative residuals.  Elements are made when asked for, never
-    kept.
+    kept; ``element_table`` keeps the pieces of its last index list.
     """
 
     name = "ck"
     field = "real"
     coefficient_tol = 1e-12
+    _pieces = None  # (index array, starts, present, co) of the last table's index list
 
     def __init__(self, k=2, seq=None):
         self.k = _int_in("smoothness order k", k, 0)
@@ -653,20 +674,29 @@ class CkBasis(BasisFamily):
         at once, and the jet monomials (x - a)^n / n! as one piece on [a, b]:
         the float operations of ``ck_basis_element`` and its handles.  The
         monomials' coefficients are padded with leading zeros to degree
-        k + 1, which Horner's rule passes through exactly."""
+        k + 1, which Horner's rule passes through exactly.  The pieces of
+        the last index list read are kept, read-only, so every derivative
+        order and point set read for that list reuses them."""
         if not _on_line(pts):
             return super().element_table(idxs, pts, order)
         k, seq = self.k, self.seq
         idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
         if idx.size:
             _check_domain(seq, pts)
-        jets = np.flatnonzero(idx < k)
-        starts, present, co = _hat_pieces(seq, np.maximum(idx - k, 0))  # hat 0's pattern for jets
-        widths = _slot_ends(starts, present, seq.b) - starts
-        for _ in range(k):
-            co = _antiderivative_columns(widths, present, co)
-        co[jets] = 0.0
-        co[jets, 1, idx[jets]] = [1.0 / math.factorial(n) for n in idx[jets].tolist()]
+        kept = self._pieces
+        if kept is None or not np.array_equal(kept[0], idx):
+            jets = np.flatnonzero(idx < k)
+            starts, present, co = _hat_pieces(seq, np.maximum(idx - k, 0))  # hat 0's pattern for jets
+            widths = _slot_ends(starts, present, seq.b) - starts
+            for _ in range(k):
+                co = _antiderivative_columns(widths, present, co)
+            co[jets] = 0.0
+            co[jets, 1, idx[jets]] = [1.0 / math.factorial(n) for n in idx[jets].tolist()]
+            kept = idx, starts, present, co
+            for arr in kept:
+                arr.flags.writeable = False
+            self._pieces = kept  # one swap: a reader sees the old entry or the new one
+        _, starts, present, co = kept
         return _piece_table(starts, present, _derivative_columns(co, order), seq.b, pts)
 
     coefficient = BasisFamily.coefficient

@@ -12,6 +12,8 @@ by ``tobytes()``, so the sign of every zero counts too.
 
 import json
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +316,60 @@ def test_synthesis_makes_no_element_handles(monkeypatch):
     handle, coeff = elem.terms[3]
     assert made == [3] and coeff == elem.coeffs[3]
     assert np.array_equal(handle(pts), basis.element(3)(pts))
+
+
+# -- piece reuse --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_reused_pieces_equal_a_fresh_basis(k):
+    # one instance reads lists A, B (A's entries in another order), A again,
+    # a prefix of A and a superset of A; a stale reuse of the pieces kept
+    # for an earlier list would differ from a fresh instance's table
+    seq = DenseSequence.dyadic(5)
+    shared = CkBasis(k, seq)
+    a = [0, 5, 1, 17, 2, 30, 9, k + 1]
+    lists = [a, a[::-1], a, a[:5], a + [3, 31, 4]]
+    point_sets = [np.linspace(seq.a, seq.b, 101), np.sort(seq.points)]
+    for idxs in lists:
+        for pts in point_sets:
+            for order in range(k + 3):
+                got = shared.element_table(idxs, pts, order)
+                want = CkBasis(k, seq).element_table(idxs, pts, order)
+                for mine, fresh in zip(got, want):
+                    _same(mine, fresh)
+
+
+def test_threads_sharing_a_basis_read_their_own_pieces():
+    # each thread reads its own index list on one instance, whose kept pieces
+    # the others keep replacing; every table must still be its own list's
+    seq = DenseSequence.dyadic(5)
+    shared = CkBasis(2, seq)
+    pts = np.linspace(seq.a, seq.b, 65)
+    lists = [[0, 5, 1, 17], [17, 1, 5, 0], [0, 5, 1], [3, 30, 2, 8, 9], [0, 5, 1, 17, 4], [33]]
+    want = {i: [CkBasis(2, seq).element_table(idxs, pts, order) for order in range(4)]
+            for i, idxs in enumerate(lists)}
+    wrong = []
+
+    def read(i):
+        for _ in range(40):
+            for order in range(4):
+                got = shared.element_table(lists[i], pts, order)
+                if any(a.tobytes() != b.tobytes() for a, b in zip(got, want[i][order])):
+                    wrong.append((i, order))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(lists))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # -- index checks ----------------------------------------------------------

@@ -127,10 +127,22 @@ def test_neighbours_of_short_sequences(points):
     assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(points)
 
 
-@pytest.mark.parametrize("levels", [1, 2, 5, 11])
-def test_dyadic_neighbours_match_insertion_loop(levels):
-    seq = DenseSequence.dyadic(levels)
+@pytest.mark.parametrize("levels, a, b", [
+    pytest.param(levels, 0.0, 1.0, id=str(levels)) for levels in (1, 2, 5, 11, 12)
+] + [pytest.param(9, -3.0, 5.0, id="9-mapped"), pytest.param(9, 1e-3, 2e-3, id="9-narrow")])
+def test_dyadic_neighbours_match_insertion_loop(levels, a, b):
+    seq = DenseSequence.dyadic(levels, a, b)
     assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(seq.points)
+
+
+def test_dyadic_neighbours_match_the_general_search():
+    # ``dyadic`` reads its neighbours off the dyadic parents; the constructor
+    # given the same points searches for them (``_nearest_smaller``)
+    for levels in range(1, 21):
+        seq = DenseSequence.dyadic(levels)
+        general = DenseSequence(seq.points)
+        assert np.array_equal(seq.left, general.left), levels
+        assert np.array_equal(seq.right, general.right), levels
 
 
 @pytest.mark.parametrize("seq", [

@@ -106,6 +106,10 @@ def test_dense_sequence_validation():
         DenseSequence([0.0, 1.0, 0.5, 0.5])
     with pytest.raises(InputError):
         DenseSequence([0.0, 1.0, 1.5])
+    # non-finite points are refused before any neighbour search
+    for points in ([0.0, 1.0, np.nan], [-np.inf, 1.0, 0.5], [0.0, np.inf, 0.5, 2.0]):
+        with pytest.raises(InputError, match="finite"):
+            DenseSequence(points)
 
 
 # -- step family -------------------------------------------------------------

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import InputError
-from .indexing import _int_in
+from .indexing import _finite_at_least, _int_in
 from .value_space import ValueSpace
 
 __all__ = [
@@ -369,10 +369,8 @@ class ExpansionOperator:
     """The rank-k partial-sum operator P_k of a basis family."""
 
     def __init__(self, basis, k):
-        if k < 0:
-            raise InputError("truncation rank must be >= 0")
         self.basis = basis
-        self.k = k
+        self.k = _finite_at_least("truncation rank", k, 0)
 
     def __call__(self, f):
         return materialize(self.basis, f, self.k)
@@ -564,6 +562,9 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", p=1):
     """
     if mode not in ("sup", "lp"):
         raise InputError(f"unknown convergence mode {mode!r}")
+    if mode == "lp":
+        # refused before the sweep runs f
+        _finite_at_least("exponent p", p, 1)
     sp = space if space is not None else basis.scalar_space()
     # one sweep to the largest rank; each rank's indices are a prefix of it
     idxs, coeffs = _sweep(basis, f, max(ranks)) if ranks else ([], np.zeros(0))

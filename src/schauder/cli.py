@@ -215,90 +215,47 @@ def _py(obj):
     return obj
 
 
-_quote = json.encoder.encode_basestring_ascii
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x):
-    text = float.__repr__(x)
-    return _FLOAT_WORDS.get(text, text)
-
-
-class _Text(str):
-    """Finished JSON text, which ``_json`` writes as it is."""
-
-
-# exact type -> JSON text, for the values ``json.dumps`` writes as they are
-_SCALARS = {
-    float: _float_text,
-    int: int.__repr__,
-    str: _quote,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-    _Text: str.__str__,
-}
-
-
-def _json(obj, pad="\n"):
-    """The text of ``json.dumps(_py(obj), sort_keys=True, indent=2)``.
-
-    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
-    set.  This writer dispatches on the exact type and joins strings; any
-    other value (numpy scalars and arrays, complex numbers) is converted by
-    ``_py`` first.  Dict keys must be strings.  A ``_Text`` value, such as
-    expand's table from ``_coefficient_json``, is written as it is.
-    """
-    kind = type(obj)
-    write = _SCALARS.get(kind)
-    if write is not None:
-        return write(obj)
-    if kind is dict or kind is list or kind is tuple:
-        if not obj:
-            return "{}" if kind is dict else "[]"
-        inner = pad + "  "
-        if kind is dict:
-            items = [_quote(k) + ": " + _json(v, inner) for k, v in sorted(obj.items())]
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
-    if isinstance(obj, str):
-        return _quote(obj)
-    plain = _py(obj)
-    if plain is obj:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return _json(plain, pad)
+def _json(obj):
+    """``json.dumps(_py(obj), sort_keys=True, indent=2)``.  A string under
+    ``"coefficients"``, expand's table from ``_coefficient_json``, is
+    written as it is."""
+    table = obj.get("coefficients")
+    if not isinstance(table, str):
+        return json.dumps(_py(obj), sort_keys=True, indent=2)
+    # keys are sorted: only "basis", a registry name, can precede the slot
+    text = json.dumps(_py(dict(obj, coefficients="%s")), sort_keys=True, indent=2)
+    return text.replace('"coefficients": "%s"', '"coefficients": ' + table, 1)
 
 
 def _index_columns(idx):
     return list(idx) if isinstance(idx, tuple) else [idx]
 
 
-_SLOT = _Text("%s")
-_encode = json.JSONEncoder().encode
-
-
 def _coefficient_json(idxs, values):
-    """The ``_Text`` that ``_json`` writes for expand's rows
-    ``{"index": _index_columns(i), "value": row}`` in a report, in one pass.
+    """The text ``json.dumps`` writes for expand's rows
+    ``{"index": _index_columns(i), "value": row}`` as a report's
+    ``"coefficients"`` value, in one pass.
 
     The stdlib C encoder writes every index column and value (a complex one
-    as its im, then re part) from one flat list, with ``_json``'s text for
-    ints and floats; no number's text holds ``", "``.  The texts fill a
-    %-template of the row that ``_json`` writes with a ``%s`` slot for each.
+    as its im, then re part) from one flat list; no number's text holds
+    ``", "``.  The texts fill a %-template: ``json.dumps`` of one row whose
+    number slots are the string ``"%s"``, unquoted and indented to depth 2.
     """
     count, width = values.shape
     complex_vals = np.iscomplexobj(values)
     if complex_vals:
         # sorted keys put im before re
         values = np.stack([values.imag, values.real], axis=-1).reshape(count, -1)
-    row = _json({"index": [_SLOT] * len(_index_columns(idxs[0])),
-                 "value": [{"im": _SLOT, "re": _SLOT} if complex_vals else _SLOT] * width},
-                "\n    ")
+    row = json.dumps({"index": ["%s"] * len(_index_columns(idxs[0])),
+                      "value": [{"im": "%s", "re": "%s"} if complex_vals else "%s"] * width},
+                     sort_keys=True, indent=2)
+    row = row.replace('"%s"', "%s").replace("\n", "\n    ")
     flat = []
     for idx, vals in zip(idxs, values.tolist()):
         flat += _index_columns(idx)
         flat += vals
-    rows = ",\n    ".join([row] * count) % tuple(_encode(flat)[1:-1].split(", "))
-    return _Text("[\n    " + rows + "\n  ]")
+    rows = ",\n    ".join([row] * count) % tuple(json.dumps(flat)[1:-1].split(", "))
+    return "[\n    " + rows + "\n  ]"
 
 
 def _coefficient_table(idxs, values):

@@ -59,6 +59,8 @@ class SampledFunction:
         vals = np.asarray(values, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise InputError("sampled function needs at least two sample points")
+        if not np.isfinite(pts).all():
+            raise InputError("sample points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise InputError("sample points must be strictly increasing")
         if vals.shape[0] != pts.size:

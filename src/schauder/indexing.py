@@ -13,6 +13,7 @@ part of the reproducibility contract.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,13 @@ def _int_in(name, value, low, high=math.inf):
     if not _is_int(value) or not low <= value <= high:
         raise InputError(f"{name} must be an integer in {low}..{high}, got {value!r}")
     return int(value)
+
+
+def _finite_at_least(name, value, low):
+    """``value``, refused unless it is a finite real number >= low; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low <= value < math.inf:
+        raise InputError(f"{name} must be a finite real >= {low}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,7 @@ class IndexSet:
 
     def up_to(self, k):
         """All indices of grade <= k, sorted by (grade, lex)."""
-        if not k >= 0 or k == math.inf:
-            raise InputError(f"truncation threshold must be finite and >= 0, got {k!r}")
+        _finite_at_least("truncation threshold", k, 0)
         if self.kind == "linear":
             return list(range(self.origin, int(math.floor(k)) + 1))
         bound = int(math.floor(k))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis_core import BasisFamily, _on_line, _rows
 from .errors import InputError
-from .indexing import IndexSet, _int_in
+from .indexing import IndexSet, _finite_at_least, _int_in
 from .quadrature import accumulate, samples_of, segment_rules
 from .value_space import ValueSpace
 
@@ -770,8 +770,7 @@ def lp_error(f, g, p, breakpoints, space=None):
     node order, then the segments in ascending order.  Returns a scalar for scalar handles
     without a space, else one value per seminorm of ``space``.
     """
-    if p < 1:
-        raise InputError("p must be >= 1")
+    _finite_at_least("exponent p", p, 1)
     bps = np.asarray(breakpoints, dtype=float)
     if bps.ndim != 1 or bps.size < 2 or np.any(np.diff(bps) <= 0):
         raise InputError("breakpoints must be a strictly increasing 1-D array")

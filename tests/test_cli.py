@@ -206,6 +206,16 @@ def test_non_finite_samples_produce_diagnostic(tmp_path, capsys):
     assert doc["node"] == 0.5  # the hat surplus samples the dyadic points
 
 
+@pytest.mark.parametrize("row", ["nan,1", "inf,1", "-inf,1"])
+def test_non_finite_sample_points_are_input_errors(tmp_path, capsys, row):
+    # a bad point is refused as input; a bad value stays a numeric error at its node
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0.0,0.0\n0.5,1.0\n{row}\n")
+    rc, out, err = _run(capsys, ["expand", "--basis", "hat-dyadic", "--fn", str(path)])
+    assert rc == 2 and out == ""
+    assert "sample points must be finite" in err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("basis", ["hermite", "fourier"])
 def test_overflowing_sum_produces_diagnostic(tmp_path, capsys, basis):

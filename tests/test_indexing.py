@@ -5,7 +5,9 @@ import pytest
 
 from schauder import (
     DenseSequence,
+    ExpansionOperator,
     FiniteRankElement,
+    HaarBasis,
     HatBasis,
     IndexSet,
     InputError,
@@ -97,7 +99,16 @@ def test_sizes_and_counts_are_integers(call):
     (IndexSet("linear"), math.nan), (IndexSet("linear"), math.inf),
     (IndexSet("multi", dim=2), math.inf), (IndexSet("lattice", dim=2), np.nan),
     (IndexSet("multi", dim=2), -math.inf),
+    (IndexSet("linear"), True), (IndexSet("multi", dim=2), np.bool_(False)),
+    (IndexSet("linear"), "2"), (IndexSet("lattice", dim=2), 1 + 0j), (IndexSet("linear"), None),
 ])
 def test_up_to_refuses_non_finite_thresholds(index_set, k):
+    # a threshold is a finite real: not a bool, a string or a complex
     with pytest.raises(InputError, match="truncation threshold"):
         index_set.up_to(k)
+    with pytest.raises(InputError, match="truncation rank"):
+        ExpansionOperator(HaarBasis(), k)
+    # numpy ints and floats are reals
+    for n in (np.int64(2), np.float64(2.5), np.float32(2.5)):
+        assert index_set.up_to(n) == index_set.up_to(n.item())
+        assert ExpansionOperator(HaarBasis(), n).k == n

@@ -5,6 +5,7 @@ overlap for the step family, a triangular interpolation solve for the hats)
 or from closed-form integrals checked by hand.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -21,6 +22,7 @@ from schauder import (
     SeminormSpec,
     ValueSpace,
     ck_basis_element,
+    convergence_report,
     haar_constancy_intervals,
     hat_coefficients,
     lp_error,
@@ -426,6 +428,22 @@ def test_lp_error_validates_p():
     f = lambda x: np.asarray(x, dtype=float)
     with pytest.raises(InputError):
         lp_error(f, f, 0.5, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("p", [math.inf, np.inf, math.nan, True, np.bool_(True), "2", 2j, None])
+def test_lp_error_refuses_exponents_that_are_not_finite_reals(p):
+    # refused before f runs, from lp_error and from convergence_report's L^p mode
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.asarray(x, dtype=float)
+
+    with pytest.raises(InputError, match="exponent p"):
+        lp_error(f, f, p, [0.0, 0.5, 1.0])
+    with pytest.raises(InputError, match="exponent p"):
+        convergence_report(HaarBasis(), f, [1, 4], mode="lp", p=p)
+    assert points == []
 
 
 def test_basis_lp_hook():

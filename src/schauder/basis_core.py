@@ -138,11 +138,16 @@ class BasisFamily(ABC):
     def lp_error(self, f, g, p, rank, space=None):
         """``interval_bases.lp_error`` of ``g`` against ``f``, panel edges on
         ``segment_breakpoints(rank)``; without breakpoints there is no L^p mode."""
-        breakpoints = self.segment_breakpoints(rank)
+        from . import interval_bases  # imports this module; read at call time
+        return interval_bases.lp_error(f, g, p, self._lp_breakpoints(rank), space=space)
+
+    def _lp_breakpoints(self, rank):
+        """``segment_breakpoints`` of a rank checked as a finite real >= 0,
+        refused with ``InputError`` if the family has no L^p error mode."""
+        breakpoints = self.segment_breakpoints(_finite_at_least("truncation rank", rank, 0))
         if breakpoints is None:
             raise InputError(f"basis family {self.name!r} has no L^p error mode")
-        from . import interval_bases  # imports this module; read at call time
-        return interval_bases.lp_error(f, g, p, breakpoints, space=space)
+        return breakpoints
 
     def scalar_space(self):
         return ValueSpace(1, field=self.field)
@@ -507,6 +512,7 @@ def vector_scalar_gap(basis, f, idxs, components):
     still computes both honestly.
     """
     idxs = list(idxs)
+    components = _int_in("component count", components, 1)
     vec = np.asarray(basis.coefficients(f, idxs))
     if vec.shape[1:] != (components,):
         raise InputError(
@@ -562,9 +568,12 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", p=1):
     """
     if mode not in ("sup", "lp"):
         raise InputError(f"unknown convergence mode {mode!r}")
+    # refused before the sweep runs f
+    ranks = [_finite_at_least("truncation rank", k, 0) for k in ranks]
     if mode == "lp":
-        # refused before the sweep runs f
         _finite_at_least("exponent p", p, 1)
+        if ranks:
+            basis._lp_breakpoints(max(ranks))
     sp = space if space is not None else basis.scalar_space()
     # one sweep to the largest rank; each rank's indices are a prefix of it
     idxs, coeffs = _sweep(basis, f, max(ranks)) if ranks else ([], np.zeros(0))

@@ -397,8 +397,7 @@ def _haar_values(steps, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     pts = x[None] if scalar else x
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise InputError("Haar functions are defined on [0, 1]")
+    _check_unit(pts)
     if len(steps) == 1:
         vals = np.ones_like(pts)
     else:
@@ -408,6 +407,13 @@ def _haar_values(steps, x):
             np.where((mid <= pts) & (pts < hi), -1.0, 0.0),
         )
     return vals[0] if scalar else vals
+
+
+def _check_unit(pts):
+    """Refuse points that are not finite or lie outside [0, 1]: a NaN would
+    slip past the range test alone, as every comparison with it is false."""
+    if not np.isfinite(pts).all() or (pts.size and (pts.min() < 0.0 or pts.max() > 1.0)):
+        raise InputError("Haar functions are defined on finite points of [0, 1]")
 
 
 # Gauss-Legendre order of every Haar coefficient panel
@@ -488,8 +494,8 @@ class HaarBasis(BasisFamily):
         if order or not _on_line(pts):
             return super().element_table(idxs, pts, order)
         n = _haar_indices(self.index_set, idxs)
-        if n.size and len(pts) and (pts[0] < 0.0 or pts[-1] > 1.0):
-            raise InputError("Haar functions are defined on [0, 1]")
+        if n.size:
+            _check_unit(pts)
         two, _, start, mid, end = _haar_steps(n)
         lo, hi = np.searchsorted(pts, start, side="left"), np.searchsorted(pts, end, side="right")
         cuts = np.stack([lo, np.where(two, np.searchsorted(pts, mid, side="left"), hi),

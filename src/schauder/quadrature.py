@@ -1,6 +1,6 @@
 """Deterministic quadrature with a fixed accumulation order.
 
-Every integral in this package reduces to one kernel, ``accumulate``: the
+Every integral of this module reduces to one kernel, ``accumulate``: the
 handle is evaluated once on the whole node array, then ``acc = acc + w_i *
 f(x_i)`` runs from zero in ascending node order.  The kernel does this with
 ``np.add.accumulate`` over a zero-prefixed stack of terms, which adds
@@ -20,9 +20,10 @@ table[k, i])`` for every requested row k at once, over tiles of rows and
 columns whose running sums stay in cache.  Each entry is still its own
 sequential sum from zero, of the same products in the same operand order,
 so row k has the bits of ``accumulate(w, f(x) * table[k])`` and a column of
-a vector sample table equals the scalar run of that column.  The caller
-supplies the sample-times-table product: numpy's ``multiply`` for Hermite
-and Fourier, real arithmetic for the Taylor contour (see ``spectral_bases``).
+a vector sample table equals the scalar run of that column.  Hermite runs
+its sweep this way.  The Fourier and Taylor functionals are discrete Fourier
+transforms of equispaced samples, so ``spectral_bases`` takes them from one
+``numpy.fft`` transform instead, which also treats each column on its own.
 
 Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
 from ``psi_weighted_rule``; composition into panels, tensorization, and the
@@ -30,9 +31,9 @@ bound checks are local.  A d-dimensional tensor rule lists its nodes in
 lexicographic order (last coordinate fastest) as one column-major (N, d)
 array, so each coordinate column ``x[:, a]`` an integrand reads is
 contiguous; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the
-left.  No node array goes through BLAS: the Fourier phase <n, x> is folded
-from the left over the columns, ((n_1 x_1 + n_2 x_2) + n_3 x_3), so its bits
-do not depend on the layout.
+left.  No node array goes through BLAS: the phase <n, x> of a Fourier element
+is folded from the left over the columns, ((n_1 x_1 + n_2 x_2) + n_3 x_3), so
+its bits do not depend on the layout.
 """
 
 import functools
@@ -155,18 +156,17 @@ NODE_MAJOR_ENTRIES = 1 << 16
 NODE_MAJOR_ROW_WIDTH = 512
 
 
-def node_major(weights, samples, rows, count, dtype=float, product=np.multiply):
+def node_major(weights, samples, rows, count):
     """The ``count`` rows sum_i weights[i] * (samples[i] * table[k, i]), each
     added left to right from zero.
 
     Bit for bit, row k is ``accumulate(weights, samples * table[k])``, with
     table[k] broadcast over the columns of (n, m) samples: every entry is
     its own sequential sum, so a column of vector samples equals the scalar
-    run of that column.  The (count, n) table of ``dtype`` is never formed
-    whole: for an index slice ``ks``, ``rows(ks)`` returns a function
+    run of that column.  The real (count, n) table is never formed whole:
+    for an index slice ``ks``, ``rows(ks)`` returns a function
     ``block(start, stop)`` giving table[ks, start:stop].T, the (stop -
-    start, len(ks)) block of a node range.  The products are formed by
-    ``product(sample_block, table_block, out=buffer)``, numpy's by default.
+    start, len(ks)) block of a node range.
 
     The loops run over tiles of at most ``NODE_MAJOR_INDICES`` indices by
     ``NODE_MAJOR_COLUMNS`` columns, whose running sums stay in cache, and
@@ -177,12 +177,12 @@ def node_major(weights, samples, rows, count, dtype=float, product=np.multiply):
     weights = np.asarray(weights, dtype=float)
     samples = np.asarray(samples)
     cols = samples.reshape(len(samples), -1)
-    out = np.empty((count, cols.shape[1]), dtype=np.result_type(weights, samples, dtype))
-    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out, product)
+    out = np.empty((count, cols.shape[1]), dtype=np.result_type(weights, samples))
+    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out)
     return out.reshape((count,) + samples.shape[1:])
 
 
-def _node_major_tiles(weights, samples, rows, out, product):
+def _node_major_tiles(weights, samples, rows, out):
     n, width = samples.shape
     for k0 in range(0, len(out), NODE_MAJOR_INDICES):
         ks = slice(k0, min(k0 + NODE_MAJOR_INDICES, len(out)))
@@ -196,7 +196,7 @@ def _node_major_tiles(weights, samples, rows, out, product):
             for start in range(0, n, step):
                 stop = min(start + step, n)
                 block = buf[:(stop - start) * acc.size].reshape((stop - start,) + tile)
-                product(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
+                np.multiply(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
                 np.multiply(weights[start:stop, None, None], block, out=block)
                 if acc.size < NODE_MAJOR_ROW_WIDTH:
                     np.add(acc, block[0], out=block[0])

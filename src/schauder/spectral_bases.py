@@ -4,9 +4,11 @@ of Hermite/Fourier coefficients into the rapid-decay sequence space.
 
 Coefficients are quadrature-backed: the rule of ``psi_weighted_rule`` on the
 line, the uniform rectangle rule on the torus, and uniform contour averaging
-on a circle.  All three inherit the fixed accumulation order of
-``quadrature.accumulate``, so repeated runs are byte-stable and vector
-components match scalar runs bit for bit.
+on a circle.  Hermite sums inherit the fixed accumulation order of
+``quadrature.accumulate``; the rectangle rule and the contour average of
+equispaced samples are discrete Fourier transforms, taken by one
+``numpy.fft`` call that transforms each column on its own.  So repeated runs
+are byte-stable and vector components match scalar runs bit for bit.
 """
 
 import cmath
@@ -328,8 +330,10 @@ class FourierBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        """One evaluation of ``f`` on the rectangle rule, then one ``node_major``
-        pass over the phases e^{-i<n, x>}, formed a block at a time."""
+        """One evaluation of ``f`` on the rectangle rule, then one FFT of the
+        samples on their (N,) * d grid, last axis fastest as ``tensor_grid``
+        lays them out, scaled by N^-d.  Node j of an axis sits at -pi + 2 pi
+        j / N, so mode n is the entry at n mod N times (-1)^(n_1 + ... + n_d)."""
         idxs = self.index_set.check(idxs)
         modes = [_as_multi(n, self.d, signed=True) for n in idxs]
         for n, ns in zip(idxs, modes):
@@ -338,15 +342,13 @@ class FourierBasis(BasisFamily):
                     f"mode {n!r} exceeds the aliasing guard {self.max_mode} "
                     f"of a size-{self.grid_size} grid"
                 )
-        rule = self.rule
-        axes = np.array(modes, dtype=float).reshape(-1, self.d).T  # row a: n_a of every mode
-
-        def rows(ks):
-            # one row of phases per mode, along the nodes, as the exponential runs fastest
-            return lambda start, stop: np.exp(-1j * _phase(rule.nodes[start:stop], axes[:, ks, None])).T
-
-        sums = node_major(rule.weights, samples_of(f, rule.nodes), rows, len(modes), complex)
-        return sums / (2.0 * math.pi) ** self.d
+        size, axes = self.grid_size, tuple(range(self.d))
+        samples = samples_of(f, self.rule.nodes)
+        grid = samples.reshape((size,) * self.d + samples.shape[1:])
+        spectrum = _overflow_checked(len(samples), lambda: np.fft.fftn(grid, axes=axes, norm="forward"))
+        ns = np.array(modes, dtype=np.intp).reshape(-1, self.d)
+        sign = np.where(ns.sum(axis=1) % 2, -1.0, 1.0).reshape((-1,) + (1,) * (samples.ndim - 1))
+        return spectrum[tuple((ns % size).T)] * sign
 
     def indices(self, k):
         idxs = self.index_set.up_to(k)
@@ -391,17 +393,15 @@ def taylor_coefficients(f, n_max, ctx=None):
     """Derivative coefficients c_0..c_{n_max} at the disc center.
 
     c_n = (N rho^n)^{-1} sum_j f(z_0 + rho w^j) w^{-jn} with w the primitive
-    N-th root of unity; one function evaluation pass on the contour, then an
-    ascending-j accumulation per coefficient.  The contour size must be at
-    least 4 n_max (aliasing margin); the residual alias error scales like
-    (rho / radius-of-validity)^N.
+    N-th root of unity; one function evaluation pass on the contour, then
+    one FFT of the samples, whose entry n is the sum.  The contour size must
+    be at least 4 n_max (aliasing margin); the residual alias error scales
+    like (rho / radius-of-validity)^N.
 
-    Products are formed in real arithmetic, (pr sr - pi si) + i (pr si +
-    pi sr), as the scalar complex product does (numpy's array complex
-    multiply may fuse multiply-adds), so each column of a vector-valued
-    handle gets the bits of its scalar component.  A non-integer ``n_max``,
-    and an order whose 1 / (N rho^n) is not a finite nonzero float, are
-    refused before f runs; products and sums that overflow raise
+    The FFT transforms each column of a vector-valued handle on its own, so
+    each column gets the bits of its scalar component.  A non-integer
+    ``n_max``, and an order whose 1 / (N rho^n) is not a finite nonzero
+    float, are refused before f runs; a transform that overflows raises
     ``NumericError``, as in ``quadrature.accumulate``.
     """
     n_max = _int_in("n_max", n_max, 0)
@@ -419,7 +419,7 @@ def _contour_average(f, orders, ctx):
     angles = 2.0 * math.pi * np.arange(npts) / npts
     zs = ctx.center + ctx.contour_radius * np.exp(1j * angles)
     samples = samples_of(f, zs)
-    return _contour_sums(samples, angles, orders, scales), samples, scales
+    return _contour_sums(samples, orders, scales), samples, scales
 
 
 def _check_rounding(ctx, samples, scales, orders, tol):
@@ -459,23 +459,12 @@ def _contour_scales(ctx, n_max):
     return scales
 
 
-def _contour_sums(samples, angles, orders, scales):
-    """scales[n] times the ascending-j sum of samples[j] w^(-jn), per order n of
-    ``orders``: one unit-weight ``node_major`` pass, phase rows formed a block at a time."""
+def _contour_sums(samples, orders, scales):
+    """scales[n] times sum_j samples[j] w^(-jn), entry n of the samples' FFT,
+    per order n of ``orders``."""
     ns = np.asarray(orders, dtype=np.intp)
-
-    def rows(ks):
-        return lambda start, stop: np.exp(-1j * (angles[start:stop, None] * ns[ks]))
-
-    sums = node_major(np.ones(len(angles)), samples, rows, len(ns), complex, _real_product)
     scale = np.asarray(scales)[ns].reshape((-1,) + (1,) * (samples.ndim - 1))
-    return _overflow_checked(len(angles), np.multiply, sums, scale)
-
-
-def _real_product(s, p, out):
-    """s * p into ``out`` in real arithmetic, (pr sr - pi si) + i (pr si + pi sr)."""
-    np.subtract(p.real * s.real, p.imag * s.imag, out=out.real)
-    np.add(p.real * s.imag, p.imag * s.real, out=out.imag)
+    return _overflow_checked(len(samples), lambda: np.fft.fft(samples, axis=0)[ns] * scale)
 
 
 class TaylorBasis(BasisFamily):

@@ -8,6 +8,7 @@ from schauder import (
     FourierBasis,
     HaarBasis,
     HatBasis,
+    HermiteBasis,
     InputError,
     TaylorBasis,
     biorthogonality_matrix,
@@ -17,6 +18,7 @@ from schauder import (
     projection_algebra_check,
     semigroup_max_discrepancy,
     vector_scalar_consistency,
+    vector_scalar_gap,
 )
 from schauder.registry import get as reg, vector_stack
 
@@ -114,3 +116,36 @@ def test_convergence_report_sup_mode():
 def test_lp_mode_rejected_for_spectral_families():
     with pytest.raises(InputError):
         convergence_report(FourierBasis(n_max=4), reg("cos"), [1, 2], mode="lp", p=2)
+
+
+def _cos_pair(x):
+    return np.stack([np.cos(x), np.sin(x)], axis=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: convergence_report(HaarBasis(), f, [4, -1]),
+    lambda f: convergence_report(HaarBasis(), f, [4, "a"]),
+    lambda f: convergence_report(HaarBasis(), f, [4, float("inf")], mode="lp"),
+    lambda f: convergence_report(HaarBasis(), f, [True]),
+    lambda f: convergence_report(HermiteBasis(), f, [4, 16], mode="lp"),
+    lambda f: convergence_report(FourierBasis(n_max=4), f, [1, 2], mode="lp"),
+    lambda f: convergence_report(TaylorBasis(), f, [1, 2], mode="lp"),
+    lambda f: HaarBasis().lp_error(f, f, 1, -3),
+    lambda f: HaarBasis().lp_error(f, f, 1, "a"),
+    lambda f: HermiteBasis().lp_error(f, f, 1, 4),
+    lambda f: vector_scalar_gap(HaarBasis(), lambda x: _cos_pair(f(x)), [1, 2], 0),
+    lambda f: vector_scalar_gap(HaarBasis(), lambda x: _cos_pair(f(x)), [1, 2], 2.0),
+    lambda f: vector_scalar_gap(HaarBasis(), lambda x: _cos_pair(f(x)), [1, 2], True),
+], ids=["negative-rank", "string-rank", "inf-rank", "bool-rank", "hermite-lp",
+        "fourier-lp", "taylor-lp", "lp-negative-rank", "lp-string-rank", "lp-hermite",
+        "zero-components", "float-components", "bool-components"])
+def test_bad_ranks_and_counts_are_refused_before_f_runs(call):
+    points = []
+
+    def f(x):
+        points.append(len(x))
+        return np.asarray(x)
+
+    with pytest.raises(InputError):
+        call(f)
+    assert points == []

@@ -1,9 +1,13 @@
 """The array coefficient kernels against the per-index loops they replaced.
 
-Each reference below restates, literally, the loop an earlier version ran:
-one ``accumulate(w, fv * factor)`` per Hermite index, one ``fv * ph`` per
-Fourier mode, and one composite rule per Haar piece added index by index.
-The kernels must reproduce them bit for bit (``np.array_equal`` and dtype).
+The Hermite and Haar references restate, literally, the loop an earlier
+version ran: one ``accumulate(w, fv * factor)`` per Hermite index and one
+composite rule per Haar piece added index by index.  Those kernels must
+reproduce them bit for bit (``np.array_equal`` and dtype).  Fourier
+coefficients come from an FFT, which sums in another order: they must be
+close to a per-mode ``math.fsum`` of the products, within the rounding
+estimate sqrt(N) eps max|f| of an N-term sum, and each column of a vector
+handle must equal its scalar run bit for bit.
 """
 
 import math
@@ -14,9 +18,9 @@ import pytest
 import schauder.quadrature as quadrature
 from schauder import FourierBasis, HaarBasis, HermiteBasis, InputError, NumericError
 from schauder.interval_bases import HAAR_ORDER, _haar_split, haar_constancy_intervals
-from schauder.quadrature import accumulate, node_major, require_finite, samples_of, segment_rules
+from schauder.quadrature import accumulate, node_major, samples_of, segment_rules
 from schauder.registry import corpus, vector_stack
-from schauder.spectral_bases import _as_multi, _phase
+from schauder.spectral_bases import _as_multi
 
 
 def _same(got, want):
@@ -43,17 +47,21 @@ def _hermite_loop(basis, f, idxs):
     return np.array(out)
 
 
-def _fourier_loop(basis, f, idxs):
-    modes = [_as_multi(n, basis.d, signed=True) for n in idxs]
-    rule = basis.rule
-    fv = samples_of(f, rule.nodes)
+def _fourier_fsum(basis, f, idxs):
+    """The per-mode mean of f(x) e^{-i<n, x>} over the grid, each sum by
+    ``math.fsum``: node j of an axis sits at -pi + 2 pi j / N, so the phase
+    is (-1)^(n_1 + ... + n_d) w^(-<j, n>), read from one table of w^-k."""
+    size, d = basis.grid_size, basis.d
+    table = np.exp(-2j * math.pi * np.arange(size) / size)
+    grid = np.indices((size,) * d).reshape(d, -1).T  # lexicographic, last axis fastest
+    fv = samples_of(f, basis.rule.nodes)
+    cols = fv.reshape(len(fv), -1)
     out = []
-    for ns in modes:
-        ph = np.exp(-1j * _phase(rule.nodes, ns))
-        terms = fv * ph if fv.ndim == 1 else fv * ph[:, None]
-        require_finite(rule.nodes, terms)
-        out.append(accumulate(rule.weights, terms) / (2.0 * math.pi) ** basis.d)
-    return np.array(out)
+    for n in idxs:
+        ns = np.array(_as_multi(n, d, signed=True))
+        terms = cols * ((-1.0) ** ns.sum() * table[grid @ ns % size])[:, None]
+        out.append([complex(math.fsum(t.real), math.fsum(t.imag)) / len(fv) for t in terms.T])
+    return np.array(out).reshape((len(idxs),) + fv.shape[1:])
 
 
 def _haar_piece_panels(lo, hi):
@@ -106,14 +114,19 @@ def _wide(x):
     return vals + 1j * np.where(np.arange(cols) % 2, vals, 0.0)
 
 
-def _box_handles(d):
+def _box_functions(d):
     def g(x):
         return np.exp(-0.5 * np.sum(x * x, axis=1)) * (1.0 + x[:, 0] - 0.3 * x[:, -1] ** 2)
 
     def h(x):
         return np.cos(x[:, 0]) * np.sin(2.0 * x[:, -1]) + 0.1
 
-    return [g, lambda x: np.stack([g(x), h(x), np.exp(1j * x[:, 0]) * g(x)], axis=1)]
+    return [g, h, lambda x: np.exp(1j * x[:, 0]) * g(x)]
+
+
+def _box_handles(d):
+    funcs = _box_functions(d)
+    return [funcs[0], vector_stack(funcs)]
 
 
 # -- the kernel itself ---------------------------------------------------------
@@ -121,10 +134,11 @@ def _box_handles(d):
 
 def _kernel_case(rng, count, n, width, dtype):
     weights = rng.uniform(0.0, 1.0, n)
-    samples = rng.standard_normal((n, width)) if width else rng.standard_normal(n)
-    table = rng.standard_normal((count, n)).astype(dtype)
-    if np.iscomplexobj(table):
-        table += 1j * rng.standard_normal((count, n))
+    shape = (n, width) if width else (n,)
+    samples = rng.standard_normal(shape).astype(dtype)
+    if np.iscomplexobj(samples):
+        samples += 1j * rng.standard_normal(shape)
+    table = rng.standard_normal((count, n))
     want = [accumulate(weights, samples * (table[k] if samples.ndim == 1 else table[k][:, None]))
             for k in range(count)]
     return weights, samples, table, np.array(want)
@@ -140,7 +154,7 @@ def test_node_major_equals_the_per_index_accumulate(width, dtype):
     rng = np.random.default_rng(width)
     count = quadrature.NODE_MAJOR_INDICES + 3  # two index tiles
     weights, samples, table, want = _kernel_case(rng, count, 23, width, dtype)
-    _same(node_major(weights, samples, _table_rows(table), count, table.dtype), want)
+    _same(node_major(weights, samples, _table_rows(table), count), want)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -155,7 +169,7 @@ def test_node_major_tiles_and_blocks_do_not_move_bits(monkeypatch, width, dtype)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_COLUMNS", 2)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_ENTRIES", entries)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_ROW_WIDTH", row_width)
-        _same(node_major(weights, samples, _table_rows(table), 11, table.dtype), want)
+        _same(node_major(weights, samples, _table_rows(table), 11), want)
 
 
 def test_node_major_refuses_an_overflowing_sum():
@@ -181,13 +195,29 @@ def test_hermite_coefficients_equal_the_per_index_loop(d, n_max, grade):
 
 @pytest.mark.parametrize("d,n_max,grid", [(1, 80, None), (2, 4, 16), (3, 2, 10)])
 def test_fourier_coefficients_equal_the_per_mode_loop(d, n_max, grid):
+    # close to the fsum loop within sqrt(N) eps max|f| per column, and every
+    # column of a stack the bits of its scalar run
     basis = FourierBasis(d=d, n_max=n_max, grid_size=grid)
     idxs = basis.indices(n_max)
-    handles = _line_handles("fourier") + [_wide] if d == 1 else _box_handles(d)
+    npts = len(basis.rule)
+    eps = np.finfo(float).eps
     if d == 1:
-        assert len(idxs) > quadrature.NODE_MAJOR_INDICES
+        funcs = [f for _, f in corpus("fourier")][:3]
+        handles = _line_handles("fourier")
+    else:
+        funcs = _box_functions(d)
+        handles = _box_handles(d)
     for f in handles:
-        _same(basis.coefficients(f, idxs), _fourier_loop(basis, f, idxs))
+        got = basis.coefficients(f, idxs)
+        assert got.dtype == complex and got.shape[0] == len(idxs)
+        fv = samples_of(f, basis.rule.nodes)
+        bound = math.sqrt(npts) * eps * np.max(np.abs(fv.reshape(npts, -1)), axis=0)
+        gap = np.abs(got - _fourier_fsum(basis, f, idxs)).reshape(len(idxs), -1)
+        assert np.all(gap <= bound)
+    stack = basis.coefficients(vector_stack(funcs), idxs)
+    assert stack.shape == (len(idxs), len(funcs))
+    for i, f in enumerate(funcs):
+        _same(stack[:, i], basis.coefficients(f, idxs))
 
 
 def test_haar_coefficients_equal_the_per_piece_loop():

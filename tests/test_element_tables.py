@@ -291,6 +291,20 @@ def test_points_outside_the_domain_raise(basis):
                 elem.derivative(1)(np.array(bad))
 
 
+def test_haar_refuses_non_finite_points():
+    # a NaN once switched the range test off: element(1) at [nan, 2, -1, 0.5]
+    # gave [1, 1, 1, 1], and P_4 cos at nan the finite value 0.8415
+    basis = HaarBasis()
+    elem = materialize(basis, reg("cos"), 4)
+    handles = [basis.element(1), basis.element(2), elem, elem.partial_sums([1, 3])]
+    for bad in ([np.nan, 2.0, -1.0, 0.5], [np.nan], [0.25, np.nan, 0.75], [0.5, np.inf], np.nan):
+        for handle in handles:
+            with pytest.raises(InputError, match="finite points of"):
+                handle(np.array(bad))
+    with pytest.raises(InputError, match="finite points of"):
+        basis.element_table([1, 2], np.array([0.25, np.nan, 0.75]))
+
+
 def test_haar_and_hermite_elements_have_no_derivative():
     for basis in (HaarBasis(), GLOBAL["hermite"]):
         with pytest.raises(InputError, match="derivative support"):

@@ -429,6 +429,11 @@ def semigroup_max_discrepancy(basis, f, kmax, points=None):
     return float(np.max(semigroup_discrepancies(basis, f, kmax, points)))
 
 
+# entries of one rank chunk of ``semigroup_discrepancies``: ranks times
+# max(points, indices) times components
+_SEMIGROUP_ENTRIES = 1 << 20
+
+
 def semigroup_discrepancies(basis, f, kmax, points=None):
     """Per component of f, the max over k, j <= kmax of |P_k P_j f - P_min(k,j) f|.
 
@@ -442,6 +447,15 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     points the terms since the last count changed are compared with
     P_min(k,j) f.  Functionals and sums act componentwise, so entry i is
     the scalar result for component i of f.
+
+    The ranks j run in equal chunks of at most ``_SEMIGROUP_ENTRIES`` /
+    (max(points, indices) * m) ranks, m the component count, each with its
+    own coefficient call and outer running sum.  A chunk's tables (its
+    lifted coefficients, and its outer sum, P_min(k,j) f and entrywise max
+    on the grid) then hold about 2^20 entries at most, beside the lifted
+    element on the family's coefficient nodes, which may outnumber the
+    grid.  A max is exact, and by the batch contract of ``coefficients``
+    each column has the bits it has alone, so the chunks leave every bit.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
@@ -451,22 +465,28 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
     counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
-    sums = _element(basis, idxs, coeffs).partial_sums(counts)
-    lifted = basis.coefficients(sums, idxs).reshape(len(idxs), -1)  # lambda_n(P_j f), all j
+    series = _element(basis, idxs, coeffs)
     _, spts = _ascending(pts)
     table = basis.element_table(idxs, spts)
-    n, width = len(pts), lifted.shape[1] // len(ranks)
-    target = np.zeros((n, len(ranks), width), dtype=np.result_type(lifted, coeffs, table[2]))
-    worst = np.zeros(target.shape)  # entrywise max over the ranks k reached
-    outer = _running(table, n, lifted, counts)  # P_k P_j f, all j
-    direct = _running(table, n, coeffs, counts)  # P_k f
-    for (c, outer_k, rows), (_, direct_k, _) in zip(outer, direct):
-        # ranks j whose count is not below c: P_min(k,j) f = P_k f; rows
-        # outside ``rows`` already hold that, and their max
-        target[rows, counts.index(c):] = direct_k.reshape(n, 1, width)[rows]
-        outer_k = outer_k.reshape(n, len(ranks), width)
-        np.maximum(worst[rows], np.abs(outer_k[rows] - target[rows]), out=worst[rows])
-    return worst.reshape(-1, width).max(axis=0)
+    n, width = len(pts), int(np.prod(coeffs.shape[1:]))
+    chunks = -(-len(ranks) // max(1, _SEMIGROUP_ENTRIES // (max(n, len(idxs)) * width)))
+    size = -(-len(ranks) // chunks)  # ceilings: as few chunks as fit, of equal size
+    out = np.zeros(width)  # max over the chunks done
+    for r0 in range(0, len(ranks), size):
+        part = counts[r0:r0 + size]
+        lifted = basis.coefficients(series.partial_sums(part), idxs).reshape(len(idxs), -1)
+        target = np.zeros((n, len(part), width), dtype=np.result_type(lifted, coeffs, table[2]))
+        worst = np.zeros(target.shape)  # entrywise max over the ranks k reached
+        outer = _running(table, n, lifted, counts)  # P_k P_j f, the chunk's j
+        direct = _running(table, n, coeffs, counts)  # P_k f
+        for (c, outer_k, rows), (_, direct_k, _) in zip(outer, direct):
+            # ranks j whose count is not below c: P_min(k,j) f = P_k f; rows
+            # outside ``rows`` already hold that, and their max
+            target[rows, max(counts.index(c) - r0, 0):] = direct_k.reshape(n, 1, width)[rows]
+            outer_k = outer_k.reshape(n, len(part), width)
+            np.maximum(worst[rows], np.abs(outer_k[rows] - target[rows]), out=worst[rows])
+        np.maximum(out, worst.reshape(-1, width).max(axis=0), out=out)
+    return out
 
 
 def biorthogonality_matrix(basis, count):

@@ -94,8 +94,9 @@ class PiecewisePolynomial:
         scalar = x.ndim == 0
         pts = x[None] if scalar else x
         lo, hi = self.domain
-        if pts.size and (pts.min() < lo or pts.max() > hi):
-            raise InputError(f"evaluation outside domain [{lo}, {hi}]")
+        # negated, so that a NaN, for which every comparison is false, is refused
+        if pts.size and not (lo <= pts.min() and pts.max() <= hi):
+            raise InputError(f"evaluation needs finite points of the domain [{lo}, {hi}]")
         piece = np.clip(
             np.searchsorted(self.breakpoints, pts, side="right") - 1,
             0, self.npieces - 1,

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericError
-from .indexing import _int_in
+from .indexing import _finite_at_least, _int_in
 
 DEFAULT_PANELS = 64
 DEFAULT_ORDER = 8
@@ -407,18 +407,27 @@ def integral_bound_check(f, nodes, weights, space, slack=1e-12):
 
         p(sum_i w_i f(x_i))  <=  (sum_i w_i) * max_i p(f(x_i)) + slack
 
-    Negative or non-finite weights void the bound, and like a node/weight
-    count mismatch raise ``InputError`` before ``f`` runs.
+    An empty rule, a non-finite node, negative or non-finite weights (which
+    void the bound), a node/weight count mismatch and a slack that is not a
+    finite real >= 0 raise ``InputError`` before ``f`` runs.  The sup is
+    taken over ``ACCUMULATE_BLOCK``-row slices of the samples, so beside the
+    (n, m) samples no table of n rows is formed.
     """
+    slack = _finite_at_least("slack", slack, 0)
     weights = np.asarray(weights, dtype=float)
     nodes = np.asarray(nodes)
     if weights.shape != (len(nodes),):
         raise InputError(f"{len(nodes)} nodes vs weights of shape {weights.shape}")
+    if not len(nodes):
+        raise InputError("bound check needs at least one node")
+    if not np.all(np.isfinite(nodes)):
+        raise InputError("bound check requires finite nodes")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise InputError("bound check requires finite nonnegative weights")
     samples = samples_of(f, nodes)
     integral = accumulate(weights, samples)
-    sup = np.max(space.seminorm_table(samples), axis=0)
+    sup = np.max([space.seminorm_table(samples[start:start + ACCUMULATE_BLOCK]).max(axis=0)
+                  for start in range(0, len(samples), ACCUMULATE_BLOCK)], axis=0)
     total = float(np.sum(weights))
     lhs, rhs = _bound_sides(space, np.reshape(integral, (1, -1)), sup[None], [total])
     return IntegralBoundReport(lhs=lhs[0], rhs=rhs[0], total_weight=total,

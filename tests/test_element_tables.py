@@ -32,8 +32,8 @@ from schauder import (
     TaylorBasis,
     materialize,
 )
-from schauder import interval_bases
-from schauder.basis_core import _ascending, _element, _rows, semigroup_discrepancies
+from schauder import basis_core, interval_bases
+from schauder.basis_core import FiniteRankElement, _ascending, _element, _rows, semigroup_discrepancies
 from schauder.cli import FAMILIES as CLI_FAMILIES
 from schauder.cli import build_basis, main
 from schauder.registry import corpus, vector_stack
@@ -112,6 +112,12 @@ def sequences(draw):
     """The dyadic sequence on [0, 1], or random distinct points on a random [a, b]."""
     if draw(st.booleans()):
         return DenseSequence.dyadic(6)
+    return draw(general_sequences())
+
+
+@st.composite
+def general_sequences(draw):
+    """Random distinct points on a random [a, b]."""
     a = draw(st.sampled_from([0.0, -1.5, 0.25]))
     b = a + draw(st.sampled_from([1.0, 3.0, 0.7]))
     points = [a, b]
@@ -276,6 +282,58 @@ def test_semigroup_equals_its_term_loop(name, shuffled):
     assert got.shape == (8,)
 
 
+def _chunk_counts(patch, entries=None):
+    """The partial-sum counts of each rank chunk of ``semigroup_discrepancies``,
+    recorded as it runs; ``entries`` replaces its chunk budget."""
+    chunks = []
+    original = FiniteRankElement.partial_sums
+
+    def spied(self, counts):
+        chunks.append(list(counts))
+        return original(self, counts)
+
+    patch.setattr(FiniteRankElement, "partial_sums", spied)
+    if entries is not None:
+        patch.setattr(basis_core, "_SEMIGROUP_ENTRIES", entries)
+    return chunks
+
+
+@pytest.mark.parametrize("name", ["haar", "hat-dyadic", "ck-dyadic", "hermite", "fourier",
+                                  "taylor"])
+def test_semigroup_rank_chunks_keep_every_bit(name):
+    # a budget of one entry makes each chunk one rank; the default budget
+    # takes kmax 16 in one chunk
+    basis = build_basis(name, {"n_max": 16} if "n_max" in CLI_FAMILIES[name].params else None)
+    funcs = [fn for _, fn in corpus(basis.name)]
+    for f in (funcs[4], vector_stack(funcs)):
+        with pytest.MonkeyPatch.context() as patch:
+            whole = _chunk_counts(patch)
+            want = semigroup_discrepancies(basis, f, 16)
+        with pytest.MonkeyPatch.context() as patch:
+            ranks = _chunk_counts(patch, entries=1)
+            got = semigroup_discrepancies(basis, f, 16)
+        assert len(whole) == 1 and [[c] for c in whole[0]] == ranks
+        _same(got, want)
+
+
+@PROPS
+@given(general_sequences(), st.integers(0, 2), st.integers(0, 12), st.integers(1, 5))
+def test_semigroup_rank_chunks_keep_every_bit_on_general_sequences(seq, k, kmax, entries):
+    # hats (k = 0) and C^k elements on non-dyadic sequences, in chunks of
+    # one to five ranks against one chunk and the term loop
+    basis = CkBasis(k, seq)
+    kmax = min(kmax, len(seq) + k - 1)  # the last index
+    f = vector_stack([fn for _, fn in corpus("ck")])
+    pts = basis.sample_points()
+    want = semigroup_discrepancies(basis, f, kmax, pts)
+    with pytest.MonkeyPatch.context() as patch:
+        chunks = _chunk_counts(patch, entries=entries * len(pts) * 8)
+        got = semigroup_discrepancies(basis, f, kmax, pts)
+    assert max(map(len, chunks)) <= entries
+    _same(got, want)
+    _same(got, semigroup_loop(basis, f, kmax, pts))
+
+
 @pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), CkBasis(k=2),
                                    HatBasis(DenseSequence([-1.0, 2.0, 0.3, 1.7]))])
 def test_points_outside_the_domain_raise(basis):
@@ -303,6 +361,19 @@ def test_haar_refuses_non_finite_points():
                 handle(np.array(bad))
     with pytest.raises(InputError, match="finite points of"):
         basis.element_table([1, 2], np.array([0.25, np.nan, 0.75]))
+
+
+@pytest.mark.parametrize("basis, n", [(HatBasis(), 3), (CkBasis(k=2), 5),
+                                      (HatBasis(DenseSequence([-1.0, 2.0, 0.3, 1.7])), 3)])
+def test_hat_and_ck_refuse_non_finite_points(basis, n):
+    # a NaN once passed the range test of ``PiecewisePolynomial``: hat element
+    # 3 at [nan, 2] gave [nan, 0], C^2 element 5 there [nan, 0.4375]
+    elem = materialize(basis, reg("cos"), 3)
+    handles = [basis.element(n), elem, elem.partial_sums([1, 3]), elem.derivative(1)]
+    for bad in ([np.nan, 2.0], [np.nan], [0.25, np.nan, 0.75], [0.5, np.inf], np.nan):
+        for handle in handles:
+            with pytest.raises(InputError, match="finite points of"):
+                handle(np.array(bad))
 
 
 def test_haar_and_hermite_elements_have_no_derivative():

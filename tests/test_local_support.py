@@ -139,12 +139,28 @@ def test_points_outside_the_domain_still_raise(name):
     assert np.array_equal(narrow(np.array([0.2, 0.1])), [0.0, 0.0])
 
 
+class _Bump:
+    """A handle with a support that, unlike the family handles, evaluates a
+    NaN (to NaN)."""
+
+    def __init__(self, lo, hi):
+        self.support = lo, hi
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        return np.where((x < lo) | (x > hi), 0.0, (x - lo) * (hi - x))
+
+
 def test_non_finite_points_take_the_dense_path():
-    terms = [(FAMILIES["hat"].element(n), 1.0) for n in range(9)]
+    terms = [(_Bump(j / 8, (j + 2) / 8), 1.0 + j) for j in range(7)]
     pts = np.array([0.5, np.nan, 0.25])
     got = FiniteRankElement(terms)(pts)
     want = dense_sum(terms, pts)
-    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got[1])
+    # there every hat handle sees the NaN, and refuses it
+    with pytest.raises(InputError, match="finite points of"):
+        FiniteRankElement([(FAMILIES["hat"].element(n), 1.0) for n in range(9)])(pts)
 
 
 def test_rank_256_hat_element_evaluates_only_where_its_terms_live(monkeypatch):

@@ -282,6 +282,54 @@ def test_integral_bound_rejects_bad_weights_before_f_runs(weights):
     assert calls == []
 
 
+@pytest.mark.parametrize("nodes, weights, slack", [
+    ([], [], 1e-12),
+    ([0.0, np.nan], [0.5, 0.5], 1e-12),
+    ([0.0, np.inf], [0.5, 0.5], 1e-12),
+    ([0.0, 1.0], [0.5, 0.5], np.nan),
+    ([0.0, 1.0], [0.5, 0.5], -1.0),
+    ([0.0, 1.0], [0.5, 0.5], np.inf),
+    ([0.0, 1.0], [0.5, 0.5], "0"),
+], ids=["empty", "nan-node", "inf-node", "nan-slack", "negative-slack", "inf-slack",
+        "string-slack"])
+def test_integral_bound_refuses_bad_rules_and_slack_before_f_runs(nodes, weights, slack):
+    # an empty rule once raised a bare ValueError, a NaN node was evaluated
+    # into a passing report, and a NaN or negative slack made ``passed`` False
+    points = []
+
+    def f(x):
+        points.append(len(x))
+        return x
+
+    with pytest.raises(InputError):
+        integral_bound_check(f, np.array(nodes), np.array(weights), ValueSpace(1), slack=slack)
+    assert points == []
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_integral_bound_blockwise_sup_equals_the_whole_table_sup(m):
+    # the sup runs over ACCUMULATE_BLOCK-row slices; a last, partial slice
+    # holds the largest sample
+    n = 3 * ACCUMULATE_BLOCK + 5
+    space = ValueSpace(m, seminorms=(
+        SeminormSpec("sup"), SeminormSpec("euclidean"),
+        SeminormSpec("weighted-sup", tuple(range(1, m + 1))),
+    ))
+    rng = np.random.default_rng(11)
+    samples = rng.standard_normal((n, m))
+    samples[n - 2] = 80.0
+    samples[ACCUMULATE_BLOCK // 2, 0] = -60.0
+    nodes = np.arange(n, dtype=float)
+    weights = rng.uniform(0.0, 1.0, n)
+    f = lambda x: samples[x.astype(int)] if m > 1 else samples[x.astype(int), 0]
+    report = integral_bound_check(f, nodes, weights, space)
+    total = float(np.sum(weights))
+    sup = np.max(space.seminorm_table(samples), axis=0)
+    assert report.rhs.tobytes() == (total * sup).tobytes()
+    assert report.lhs.tobytes() == space.seminorm_table(
+        accumulate(weights, f(nodes)).reshape(1, -1))[0].tobytes()
+
+
 def test_integral_bound_slack_absorbs_equality():
     # f constant and positive makes both sides equal up to rounding
     space = ValueSpace(1)

@@ -409,17 +409,16 @@ def partial_sum(basis, f, k, x):
 
 def projection_algebra_check(basis, f, k, j):
     """Max discrepancy of P_k(P_j f) against P_min(k,j) f on the family's
-    sample points.
-
-    Each partial sum is an honest expansion: P_j f is materialized, then fed
-    back through the coefficient functionals.  Returns the sup over the grid
-    and the components of the residual.
-    """
-    pts = basis.sample_points()
+    sample points: P_j f is materialized, fed back through the coefficient
+    functionals, and the residual synthesised from the defects of
+    ``semigroup_discrepancies``.  Returns the sup over the grid and the
+    components of the residual."""
+    k, j = (_finite_at_least("truncation rank", r, 0) for r in (k, j))
     inner = materialize(basis, f, j)
-    outer = materialize(basis, inner, k)
-    direct = materialize(basis, f, min(k, j))
-    rows = _rows(outer(pts)) - _rows(direct(pts))
+    outer = materialize(basis, inner, k)  # P_k P_j f; its coefficients become the defects
+    shared = min(len(outer), len(inner))  # the indices of grade <= min(k, j)
+    outer.coeffs[:shared] -= inner.coeffs[:shared]
+    rows = _rows(outer(basis.sample_points()))
     return float(np.max(np.abs(rows))) if rows.size else 0.0
 
 
@@ -441,50 +440,47 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     partial sums of that series at the rank counts
     (``FiniteRankElement.partial_sums``) form one vector-valued element,
     and one batched coefficient call on it gives every lambda_n(P_j f).
-    On the grid, two running sums over one element table (``_running``),
-    term by term in enumeration order, then build P_k P_j f for every j at
-    once and P_k f; each time they reach the term count of a rank k, the
-    points the terms since the last count changed are compared with
-    P_min(k,j) f.  Functionals and sums act componentwise, so entry i is
-    the scalar result for component i of f.
+    By linearity P_k P_j f - P_min(k,j) f is the sum over n of grade <= k
+    of the defect (lambda_n(P_j f) - c_n [grade n <= j]) f_n, c_n the
+    coefficients of f.  The defects replace the lifted coefficients in
+    place, and one running sum of them (``_running``) over the grid's
+    element table, which is made before f runs, gives the residual of every
+    j; at the term count of each rank k, its max modulus on the points
+    changed since the last count joins the max.  Functionals and sums act
+    componentwise, so entry i is the scalar result for component i of f.
 
     The ranks j run in equal chunks of at most ``_SEMIGROUP_ENTRIES`` /
     (max(points, indices) * m) ranks, m the component count, each with its
-    own coefficient call and outer running sum.  A chunk's tables (its
-    lifted coefficients, and its outer sum, P_min(k,j) f and entrywise max
-    on the grid) then hold about 2^20 entries at most, beside the lifted
-    element on the family's coefficient nodes, which may outnumber the
-    grid.  A max is exact, and by the batch contract of ``coefficients``
-    each column has the bits it has alone, so the chunks leave every bit.
+    own coefficient call and running sum, so its defects and its sum on
+    the grid hold about 2^20 entries at most, beside the lifted element on
+    the family's coefficient nodes, which may outnumber the grid.  A max
+    is exact, and by the batch contract of ``coefficients`` each column
+    has the bits it has alone, so the chunks leave every bit.
     """
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
     if not idxs:
         return np.zeros(_rows(f(pts)).shape[1])
+    table = basis.element_table(idxs, _ascending(pts)[1])
     coeffs = basis.coefficients(f, idxs)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
     counts = np.searchsorted(np.sort(grades), ranks, side="right").tolist()  # grades <= r
     series = _element(basis, idxs, coeffs)
-    _, spts = _ascending(pts)
-    table = basis.element_table(idxs, spts)
     n, width = len(pts), int(np.prod(coeffs.shape[1:]))
+    coeffs = coeffs.reshape(len(idxs), width)
     chunks = -(-len(ranks) // max(1, _SEMIGROUP_ENTRIES // (max(n, len(idxs)) * width)))
     size = -(-len(ranks) // chunks)  # ceilings: as few chunks as fit, of equal size
     out = np.zeros(width)  # max over the chunks done
     for r0 in range(0, len(ranks), size):
         part = counts[r0:r0 + size]
-        lifted = basis.coefficients(series.partial_sums(part), idxs).reshape(len(idxs), -1)
-        target = np.zeros((n, len(part), width), dtype=np.result_type(lifted, coeffs, table[2]))
-        worst = np.zeros(target.shape)  # entrywise max over the ranks k reached
-        outer = _running(table, n, lifted, counts)  # P_k P_j f, the chunk's j
-        direct = _running(table, n, coeffs, counts)  # P_k f
-        for (c, outer_k, rows), (_, direct_k, _) in zip(outer, direct):
-            # ranks j whose count is not below c: P_min(k,j) f = P_k f; rows
-            # outside ``rows`` already hold that, and their max
-            target[rows, max(counts.index(c) - r0, 0):] = direct_k.reshape(n, 1, width)[rows]
-            outer_k = outer_k.reshape(n, len(part), width)
-            np.maximum(worst[rows], np.abs(outer_k[rows] - target[rows]), out=worst[rows])
+        defect = basis.coefficients(series.partial_sums(part), idxs).reshape(len(idxs), -1, width)
+        for r, c in enumerate(part):  # lambda_n(P_j f) - c_n [n < count of j]
+            defect[:c, r] -= coeffs[:c]
+        worst = np.zeros(len(part) * width)  # max over the ranks k reached
+        for _, acc, rows in _running(table, n, defect.reshape(len(idxs), -1), counts):
+            # P_k P_j f - P_min(k,j) f; rows outside ``rows`` are unchanged
+            np.maximum(worst, np.abs(acc[rows]).max(axis=0, initial=0.0), out=worst)
         np.maximum(out, worst.reshape(-1, width).max(axis=0), out=out)
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis_core import BasisFamily
 from .errors import InputError, NumericError
-from .indexing import IndexSet, _int_in, _is_int
+from .indexing import IndexSet, _finite_at_least, _int_in, _is_int
 from .quadrature import (
     HERMITE_MAX_SIZE,
     QuadratureRule,
@@ -219,10 +219,15 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     (sum of absolute coefficients, growth exponent j = |n|), a weighted sup
     of f on a grid over [-10, 10]^d (an under-approximation, which only
     tightens the check), and the difference of the box terms
-    2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].
+    2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].  Bad radii, panel
+    densities and grid sizes are refused before f runs.
     """
-    if not 0 < inner < outer:
-        raise InputError("need 0 < inner < outer box half-widths")
+    for name, value in (("inner", inner), ("outer", outer), ("panels_per_unit", panels_per_unit)):
+        _finite_at_least(name, value, 0)
+    if not 0 < inner < outer or not panels_per_unit > 0:
+        raise InputError("need 0 < inner < outer box half-widths and panels_per_unit > 0")
+    default = 2001 if d == 1 else 201
+    grid_points = _int_in("grid_points", default if grid_points is None else grid_points, 1)
     ns = _as_multi(n, d)
     j = sum(ns)
 
@@ -242,8 +247,6 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     else:
         lhs = space.seminorm_values(gap)
 
-    if grid_points is None:
-        grid_points = 2001 if d == 1 else 201
     axis = np.linspace(-10.0, 10.0, grid_points)
     if d == 1:
         pts = axis

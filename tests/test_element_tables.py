@@ -5,9 +5,14 @@ The reference ``term_loop`` is the synthesis loop, kept literally: every
 element handle evaluated on the points of its support, each term's products
 added by ``acc[lo:hi] += contrib`` in term order, a first term covering
 every point starting the sum.  ``semigroup_loop`` is the semigroup check's
-own per-term loop, kept literally too.  Both orders are recursive summation
-in enumeration order, as in ``basis_core._running``.  Results are compared
-by ``tobytes()``, so the sign of every zero counts too.
+own per-term loop, kept literally too: one sum of the coefficient defects
+lambda_n(P_j f) - c_n [n counted in P_j], whose partial sums are
+P_k P_j f - P_min(k,j) f.  Both orders are recursive summation in
+enumeration order, as in ``basis_core._running``.  Results are compared by
+``tobytes()``, so the sign of every zero counts too.  ``two_sum_loop`` is
+the check as it ran before, two sums P_k P_j f and P_k f compared with
+P_min(k,j) f; it differs from the defect sum only by rounding, and the tests
+hold the two within Higham's recursive-summation bound (``summation_bound``).
 """
 
 import json
@@ -30,7 +35,9 @@ from schauder import (
     InputError,
     NumericError,
     TaylorBasis,
+    hermite_tail_bound_check,
     materialize,
+    projection_algebra_check,
 )
 from schauder import basis_core, interval_bases
 from schauder.basis_core import FiniteRankElement, _ascending, _element, _rows, semigroup_discrepancies
@@ -228,12 +235,13 @@ def test_scatter_adds_repeated_points_in_term_order():
         assert elem.partial_sums([2, 3, 1])(pts)[0].tolist() == [1e16, 0.0, 1e16]
 
 
-def semigroup_loop(basis, f, kmax, points=None):
-    """``semigroup_discrepancies`` by its own term loop (see the module docstring)."""
+def _semigroup_tables(basis, f, kmax, points):
+    """The grid, the rank counts and the tables the semigroup loops share:
+    ``(pts, counts, coeffs, lifted, values)`` with ``coeffs`` (K, 1, m),
+    ``lifted`` (K, ranks, m) and the element table on the sorted grid split
+    per term as ``(lo, hi, values)``, None for a term with no points there."""
     pts = basis.sample_points() if points is None else np.asarray(points)
     idxs = basis.indices(kmax)
-    if not idxs:
-        return np.zeros(_rows(f(pts)).shape[1])
     coeffs = basis.coefficients(f, idxs)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
@@ -243,18 +251,48 @@ def semigroup_loop(basis, f, kmax, points=None):
     coeffs = coeffs.reshape(len(idxs), 1, -1)
     _, spts = _ascending(pts)
     lo, hi, table = basis.element_table(idxs, spts)
-    bounds = list(zip(lo.tolist(), hi.tolist()))
     starts = np.cumsum(hi - lo) - (hi - lo)
-    values = [table[s:s + b - a, None, None] if a < b else None  # (hi - lo, 1, 1)
-              for s, (a, b) in zip(starts.tolist(), bounds)]
-    dtype = np.result_type(lifted, coeffs, table)
-    outer = np.zeros((len(pts), len(ranks), lifted.shape[2]), dtype=dtype)  # P_k P_j f, all j
+    values = [(a, b, table[s:s + b - a, None, None]) if a < b else None  # (hi - lo, 1, 1)
+              for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())]
+    return pts, counts, coeffs, lifted, values
+
+
+def semigroup_loop(basis, f, kmax, points=None):
+    """``semigroup_discrepancies`` by its own term loop (see the module docstring)."""
+    pts, counts, coeffs, lifted, values = _semigroup_tables(basis, f, kmax, points)
+    defect = lifted.copy()  # lambda_n(P_j f) - c_n [n < count of j]
+    for r, c in enumerate(counts):
+        defect[:c, r] -= coeffs[:c, 0]
+    dtype = np.result_type(defect, *{v[2].dtype for v in values if v})
+    acc = np.zeros((len(pts),) + defect.shape[1:], dtype=dtype)  # P_k P_j f - P_min(k,j) f, all j
+    worst = np.zeros(defect.shape[1:])  # max over the ranks k reached
+    hull = len(pts), 0  # rows changed since the last rank
+    for i, term in enumerate(values):
+        if term is not None:
+            lo, hi, vals = term
+            acc[lo:hi] += vals * defect[i]
+            hull = min(hull[0], lo), max(hull[1], hi)
+        if i + 1 in counts:
+            if hull[0] < hull[1]:
+                np.maximum(worst, np.abs(acc[slice(*hull)]).max(axis=0), out=worst)
+            hull = len(pts), 0
+    return worst.max(axis=0)
+
+
+def two_sum_loop(basis, f, kmax, points=None):
+    """The semigroup check as two sums, P_k P_j f and P_k f, and their
+    difference against P_min(k,j) f at every rank k: the reference the
+    defect sum of ``semigroup_loop`` replaced."""
+    pts, counts, coeffs, lifted, values = _semigroup_tables(basis, f, kmax, points)
+    dtype = np.result_type(lifted, coeffs, *{v[2].dtype for v in values if v})
+    outer = np.zeros((len(pts),) + lifted.shape[1:], dtype=dtype)  # P_k P_j f, all j
     direct = np.zeros((len(pts), 1, coeffs.shape[2]), dtype=dtype)  # P_k f
     target = np.zeros_like(outer)  # P_min(k,j) f, all j
     worst = np.zeros(outer.shape)  # entrywise max over the ranks k reached
     hull = len(pts), 0  # rows changed since the last comparison
-    for i, (vals, (lo, hi)) in enumerate(zip(values, bounds)):
-        if vals is not None:
+    for i, term in enumerate(values):
+        if term is not None:
+            lo, hi, vals = term
             outer[lo:hi] += vals * lifted[i]
             direct[lo:hi] += vals * coeffs[i]
             hull = min(hull[0], lo), max(hull[1], hi)
@@ -268,6 +306,41 @@ def semigroup_loop(basis, f, kmax, points=None):
     return worst.reshape(-1, worst.shape[2]).max(axis=0)
 
 
+def summation_bound(basis, f, kmax, points=None):
+    """Per component, a bound on |defect sum - two sums| from Higham's
+    recursive-summation bound (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2).
+
+    With the same lifted coefficients lambda_n(P_j f) and coefficients c_n,
+    each form is within gamma_(K+4) S of the exact residual, where
+    S = sum_n |f_n(x)| (|lambda_n(P_j f)| + |c_n|) over the K terms:
+    gamma_(K-1) for the K-term sums, one rounding for the products (sqrt(2)
+    gamma_2 <= gamma_3 for complex ones) and one for the subtraction, of
+    the coefficients or of the sums.  A max moves by no more than its
+    entries, so the discrepancies differ by at most 2 gamma_(K+4) max S.
+    """
+    pts, _, coeffs, lifted, values = _semigroup_tables(basis, f, kmax, points)
+    dense = np.zeros((len(pts), len(values)))  # |f_n| on the sorted grid
+    for i, term in enumerate(values):
+        if term is not None:
+            dense[term[0]:term[1], i] = np.abs(term[2][:, 0, 0])
+    weight = (np.abs(lifted) + np.abs(coeffs)).reshape(len(values), -1)
+    total = (dense @ weight).reshape(len(pts), *lifted.shape[1:]).max(axis=(0, 1))
+    u = np.finfo(float).eps / 2
+    terms = len(values) + 4
+    return 2 * terms * u / (1 - terms * u) * total
+
+
+def _semigroup_forms_agree(basis, f, kmax, points=None):
+    """The defect sum equals its term loop bit for bit, and the two-sum
+    reference within ``summation_bound``; returns the defect sum."""
+    got = semigroup_discrepancies(basis, f, kmax, points)
+    _same(got, semigroup_loop(basis, f, kmax, points))
+    gap = np.abs(got - two_sum_loop(basis, f, kmax, points))
+    assert np.all(gap <= summation_bound(basis, f, kmax, points))
+    return got
+
+
 @pytest.mark.parametrize("shuffled", [False, True])
 @pytest.mark.parametrize("name", ["haar", "hat-dyadic", "ck-dyadic", "hermite", "fourier",
                                   "taylor"])
@@ -277,8 +350,7 @@ def test_semigroup_equals_its_term_loop(name, shuffled):
     pts = basis.sample_points()
     if shuffled:
         pts = pts[np.random.default_rng(0).permutation(len(pts))]
-    got = semigroup_discrepancies(basis, f, 16, pts)
-    _same(got, semigroup_loop(basis, f, 16, pts))
+    got = _semigroup_forms_agree(basis, f, 16, pts)
     assert got.shape == (8,)
 
 
@@ -331,7 +403,52 @@ def test_semigroup_rank_chunks_keep_every_bit_on_general_sequences(seq, k, kmax,
         got = semigroup_discrepancies(basis, f, kmax, pts)
     assert max(map(len, chunks)) <= entries
     _same(got, want)
-    _same(got, semigroup_loop(basis, f, kmax, pts))
+    _same(got, _semigroup_forms_agree(basis, f, kmax, pts))
+
+
+@pytest.mark.parametrize("make", [HatBasis, lambda: HermiteBasis(n_max=16)], ids=["hat", "hermite"])
+def test_a_perturbed_functional_is_reported_at_its_size(make):
+    # lambda_5 off by 1e-6: then P_k P_j f - P_min(k,j) f is 1e-6 f_5 for
+    # every k of grade >= 5, up to rounding, and no term adds more
+    basis = make()
+    coefficients = basis.coefficients
+
+    def perturbed(f, idxs):
+        out = coefficients(f, idxs)
+        out[np.asarray(idxs) == 5] += 1e-6
+        return out
+
+    basis.coefficients = perturbed
+    f = corpus(basis.name)[4][1]
+    size = 1e-6 * np.max(np.abs(basis.element(5)(basis.sample_points())))
+    got = _semigroup_forms_agree(basis, f, 16)
+    assert abs(got[0] - size) <= 1e-12
+    assert abs(two_sum_loop(basis, f, 16)[0] - size) <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: projection_algebra_check(HaarBasis(), f, -1, 2),
+    lambda f: projection_algebra_check(HaarBasis(), f, True, 2),
+    lambda f: semigroup_discrepancies(HatBasis(), f, 4, [0.1, np.nan]),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, 4.0, grid_points=0),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, 4.0, grid_points=2.5),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, 4.0, grid_points=True),
+    lambda f: hermite_tail_bound_check(f, 1, True, 4.0),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, np.inf),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, 4.0, panels_per_unit=0),
+    lambda f: hermite_tail_bound_check(f, 1, 2.0, 4.0, panels_per_unit=np.nan),
+], ids=["negative-k", "bool-k", "nan-point", "zero-grid", "float-grid", "bool-grid",
+        "bool-inner", "inf-outer", "zero-panels", "nan-panels"])
+def test_bad_arguments_are_refused_before_f_runs(call):
+    points = []
+
+    def f(x):
+        points.append(len(x))
+        return np.asarray(x)
+
+    with pytest.raises(InputError):
+        call(f)
+    assert points == []
 
 
 @pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), CkBasis(k=2),

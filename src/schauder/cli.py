@@ -54,6 +54,13 @@ def _number(value, key, kind=int, minimum=None):
     return kind(value)
 
 
+def _numbers(value, key, kind=float):
+    """A config list as a tuple, each entry as ``_number`` takes it."""
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a list, got {value!r}")
+    return tuple(_number(v, f"{key} entry", kind) for v in value)
+
+
 def _complex(value, key):
     """A config complex: a real, an ``[re, im]`` pair, or ``{"re": ..., "im": ...}``
     as the JSON emitter writes complex values; each part a number, as ``_number``
@@ -177,17 +184,21 @@ def _is_number(s):
 
 def build_value_space(cfg, basis, f):
     """The value space of ``cfg``; its dimension defaults to the width of
-    f's values at the basis's first sample point."""
-    cfg = cfg or {}
+    f's values at the basis's first sample point.  A value of the wrong JSON
+    kind is refused, naming its key."""
+    cfg = {} if cfg is None else cfg
+    if not isinstance(cfg, dict):
+        raise InputError(f"value_space must be a JSON object, got {cfg!r}")
     if "dimension" in cfg:
         dimension = _number(cfg["dimension"], "value_space dimension")
     else:
         first = np.asarray(f(basis.sample_points()[:1]))
         dimension = first.shape[1] if first.ndim == 2 else 1
-    seminorms = [
-        SeminormSpec(s["kind"], tuple(s["weights"]) if s.get("weights") else None)
-        for s in cfg.get("seminorms", [{"kind": "sup"}])
-    ]
+    specs = cfg.get("seminorms", [{"kind": "sup"}])
+    if not isinstance(specs, list) or not all(isinstance(s, dict) and "kind" in s for s in specs):
+        raise InputError(f"value_space seminorms must be a list of objects with a kind, got {specs!r}")
+    seminorms = [SeminormSpec(s["kind"], _numbers(s["weights"], "value_space seminorm weights")
+                              if s.get("weights") else None) for s in specs]
     return ValueSpace(dimension, field=cfg.get("field", basis.field), seminorms=seminorms)
 
 
@@ -550,9 +561,7 @@ def _merge_config(args, parser):
     if getattr(args, "max_n", None) is None and "max_n" in cfg:
         args.max_n = _number(cfg["max_n"], "max_n")
     if getattr(args, "ranks", None) is None and "ranks" in cfg:
-        if not isinstance(cfg["ranks"], list):
-            raise InputError(f"ranks must be a list of integers, got {cfg['ranks']!r}")
-        args.ranks = ",".join(str(_number(r, "ranks entry")) for r in cfg["ranks"])
+        args.ranks = ",".join(map(str, _numbers(cfg["ranks"], "ranks", int)))
     for key in ("format", "mode", "ranks"):
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, _DEFAULTS[key])

@@ -16,14 +16,15 @@ the rest of the package:
 A coefficient sweep, many functionals against one sample table, runs the
 same sums through ``node_major``, the loop interchange of ``accumulate``:
 for node i in ascending order, ``acc[k] = acc[k] + w_i * (f(x_i) *
-table[k, i])`` for every requested row k at once, over tiles of rows and
-columns whose running sums stay in cache.  Each entry is still its own
-sequential sum from zero, of the same products in the same operand order,
-so row k has the bits of ``accumulate(w, f(x) * table[k])`` and a column of
-a vector sample table equals the scalar run of that column.  Hermite runs
-its sweep this way.  The Fourier and Taylor functionals are discrete Fourier
-transforms of equispaced samples, so ``spectral_bases`` takes them from one
-``numpy.fft`` transform instead, which also treats each column on its own.
+table[k, i])`` for every row k of a (count, n) table at once, over tiles
+of rows and columns whose running sums stay in cache.  Each entry is still
+its own sequential sum from zero, of the same products in the same operand
+order, so row k has the bits of ``accumulate(w, f(x) * table[k])`` and a
+column of a vector sample table equals the scalar run of that column.
+Hermite runs its sweep this way, one tensor axis at a time.  The Fourier and
+Taylor functionals are discrete Fourier transforms of equispaced samples,
+so ``spectral_bases`` takes them from one ``numpy.fft`` transform instead,
+which also treats each column on its own.
 
 Gauss-Legendre tables come from numpy, every Gauss-Hermite node and weight
 from ``psi_weighted_rule``; composition into panels, tensorization, and the
@@ -156,37 +157,32 @@ NODE_MAJOR_ENTRIES = 1 << 16
 NODE_MAJOR_ROW_WIDTH = 512
 
 
-def node_major(weights, samples, rows, count):
-    """The ``count`` rows sum_i weights[i] * (samples[i] * table[k, i]), each
-    added left to right from zero.
+def node_major(weights, samples, table):
+    """Row k is sum_i weights[i] * (samples[i] * table[k, i]) for each row of
+    a real (count, n) ``table``, added left to right from zero: bit for bit
+    ``accumulate(weights, samples * table[k])``, table[k] broadcast over the
+    columns of (n, ...) samples, so a column of vector samples equals its
+    scalar run.  The result has shape (count,) + samples.shape[1:].
 
-    Bit for bit, row k is ``accumulate(weights, samples * table[k])``, with
-    table[k] broadcast over the columns of (n, m) samples: every entry is
-    its own sequential sum, so a column of vector samples equals the scalar
-    run of that column.  The real (count, n) table is never formed whole:
-    for an index slice ``ks``, ``rows(ks)`` returns a function
-    ``block(start, stop)`` giving table[ks, start:stop].T, the (stop -
-    start, len(ks)) block of a node range.
-
-    The loops run over tiles of at most ``NODE_MAJOR_INDICES`` indices by
-    ``NODE_MAJOR_COLUMNS`` columns, whose running sums stay in cache, and
-    within a tile over blocks of at most ``NODE_MAJOR_ENTRIES`` products,
-    formed into one buffer per tile and added to the running sum in node
-    order.  An overflow raises ``NumericError``, as in ``accumulate``.
+    Tiles of at most ``NODE_MAJOR_INDICES`` table rows by
+    ``NODE_MAJOR_COLUMNS`` columns keep their running sums in cache; each
+    forms blocks of at most ``NODE_MAJOR_ENTRIES`` products from its slice
+    of ``table[ks].T`` and adds them in node order.  An overflow raises
+    ``NumericError``, as in ``accumulate``.
     """
     weights = np.asarray(weights, dtype=float)
     samples = np.asarray(samples)
     cols = samples.reshape(len(samples), -1)
-    out = np.empty((count, cols.shape[1]), dtype=np.result_type(weights, samples))
-    _overflow_checked(len(weights), _node_major_tiles, weights, cols, rows, out)
-    return out.reshape((count,) + samples.shape[1:])
+    out = np.empty((len(table), cols.shape[1]), dtype=np.result_type(weights, samples))
+    _overflow_checked(len(weights), _node_major_tiles, weights, cols, table, out)
+    return out.reshape((len(table),) + samples.shape[1:])
 
 
-def _node_major_tiles(weights, samples, rows, out):
+def _node_major_tiles(weights, samples, table, out):
     n, width = samples.shape
     for k0 in range(0, len(out), NODE_MAJOR_INDICES):
         ks = slice(k0, min(k0 + NODE_MAJOR_INDICES, len(out)))
-        block_rows = rows(ks)
+        rows = table[ks].T
         for c0 in range(0, width, NODE_MAJOR_COLUMNS):
             cs = slice(c0, min(c0 + NODE_MAJOR_COLUMNS, width))
             tile = (cs.stop - c0, ks.stop - k0)  # acc[c, k] sums column c of index k
@@ -196,7 +192,7 @@ def _node_major_tiles(weights, samples, rows, out):
             for start in range(0, n, step):
                 stop = min(start + step, n)
                 block = buf[:(stop - start) * acc.size].reshape((stop - start,) + tile)
-                np.multiply(samples[start:stop, cs, None], block_rows(start, stop)[:, None, :], out=block)
+                np.multiply(samples[start:stop, cs, None], rows[start:stop, None, :], out=block)
                 np.multiply(weights[start:stop, None, None], block, out=block)
                 if acc.size < NODE_MAJOR_ROW_WIDTH:
                     np.add(acc, block[0], out=block[0])
@@ -272,9 +268,7 @@ def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
     """
     d = _int_in("box dimension", d, 1)
     line = gauss_legendre_rule(-float(c), float(c), panels=panels, order=order)
-    if d == 1:
-        return line
-    return tensor_rule(line, d)
+    return line if d == 1 else tensor_rule(line, d)
 
 
 def tensor_rule(line_rule, d):
@@ -347,9 +341,7 @@ def gauss_hermite_rule(m, d=1):
     d = _int_in("Gauss-Hermite dimension", d, 1)
     x, w, _ = psi_weighted_rule(m)
     line = QuadratureRule(x, w * np.exp(-x * x))
-    if d == 1:
-        return line
-    return tensor_rule(line, d)
+    return line if d == 1 else tensor_rule(line, d)
 
 
 def integrate_gauss_hermite(g, m, d=1):
@@ -372,9 +364,7 @@ def periodic_rule(n, d=1):
     x = -np.pi + 2.0 * np.pi * np.arange(n) / n
     w = np.full(n, 2.0 * np.pi / n)
     line = QuadratureRule(x, w)
-    if d == 1:
-        return line
-    return tensor_rule(line, d)
+    return line if d == 1 else tensor_rule(line, d)
 
 
 def integrate_periodic(f, n, d=1):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .indexing import _finite_at_least, _int_in
 from .value_space import ValueSpace
 
 __all__ = [
@@ -150,11 +151,7 @@ def _weights(x, kind, matrix=None, j=None, l=None):
     indicator of n <= l.  c0 and en take positive integer indices only.
     """
     if kind == "s":
-        if j < 0:
-            raise InputError("weight order must be >= 0")
         return [(1.0 + _grade(idx) ** 2) ** (0.5 * j) for idx in x.indices]
-    if kind == "en" and l < 1:
-        raise InputError("coordinate cutoff must be >= 1")
     for idx in x.indices:
         if isinstance(idx, tuple) or idx < 1:
             raise InputError(
@@ -245,12 +242,15 @@ def projection_error_profile(x, kind, ranks, matrix=None, j=None, l=None,
     """
     _check_kind(kind)
     sp = _space_for(x, space)
-    if kind == "c0" and (matrix is None or j is None):
-        raise InputError("c0 profile needs the weight matrix and column j")
-    if kind == "s" and j is None:
-        raise InputError("s profile needs the weight order j")
-    if kind == "en" and l is None:
-        raise InputError("E^N profile needs the coordinate cutoff l")
+    if kind == "c0":
+        if matrix is None:
+            raise InputError("c0 profile needs the weight matrix")
+        _int_in("c0 profile column j", j, 1, matrix.cols)
+    elif kind == "s":
+        _finite_at_least("s profile weight order j", j, 0)
+    elif kind == "en":
+        _int_in("E^N profile coordinate cutoff l", l, 1)
+    ranks = [_finite_at_least("rank", k, 0) for k in ranks]
     if kind == "c":
         if x.limit is None:
             raise InputError("convergent-sequence profile needs a declared limit")

@@ -2,18 +2,20 @@
 monomials, plus the weighted tail bound for Hermite integrals and the bridge
 of Hermite/Fourier coefficients into the rapid-decay sequence space.
 
-Coefficients are quadrature-backed: the rule of ``psi_weighted_rule`` on the
-line, the uniform rectangle rule on the torus, and uniform contour averaging
-on a circle.  Hermite sums inherit the fixed accumulation order of
-``quadrature.accumulate``; the rectangle rule and the contour average of
-equispaced samples are discrete Fourier transforms, taken by one
-``numpy.fft`` call that transforms each column on its own.  So repeated runs
-are byte-stable and vector components match scalar runs bit for bit.
+Coefficients are quadrature-backed: the rule of ``psi_weighted_rule`` on
+each axis, the uniform rectangle rule on the torus, and uniform contour
+averaging on a circle.  Hermite sums run one axis at a time, each in the
+fixed accumulation order of ``quadrature.accumulate``; the rectangle rule
+and the contour average of equispaced samples are discrete Fourier
+transforms, taken by one ``numpy.fft`` call that transforms each column on
+its own.  So repeated runs are byte-stable and vector components match
+scalar runs bit for bit.
 """
 
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from .errors import InputError, NumericError
 from .indexing import IndexSet, _finite_at_least, _int_in, _is_int
 from .quadrature import (
     HERMITE_MAX_SIZE,
-    QuadratureRule,
     _hermite_rows,
     _overflow_checked,
     box_rule,
@@ -32,7 +33,6 @@ from .quadrature import (
     psi_weighted_rule,
     samples_of,
     tensor_grid,
-    tensor_rule,
     weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
@@ -98,8 +98,8 @@ def hermite_function(n, x, d=1):
 class HermiteBasis(BasisFamily):
     """Hermite-function expansions on R^d by the rule of ``psi_weighted_rule``.
 
-    f_hat(n) = integral f h_n is the rule's sum of f(x) times the product over
-    axes of h_(n_a)(x_a), read off the rule's own table.  The rule size Q
+    f_hat(n) = integral f h_n is the rule's sum of f(x) prod_a h_(n_a)(x_a),
+    read off the rule's own table, one axis a at a time.  The rule size Q
     defaults to max(40, 2 n_max + 10) per axis, exact for h_j h_k with
     j + k < 2Q; n_max is at most 495, and ``quad_size`` may set Q in
     n_max + 1..1000.  Orders above n_max on any axis are refused.
@@ -116,14 +116,14 @@ class HermiteBasis(BasisFamily):
         self.quad_size = max(40, 2 * self.n_max + 10) if quad_size is None \
             else _int_in("quad_size", quad_size, self.n_max + 1, HERMITE_MAX_SIZE)
         self.index_set = IndexSet("linear", origin=0) if self.d == 1 else IndexSet("multi", dim=self.d)
-        self._table = psi_weighted_rule(self.quad_size)[2][:self.n_max + 1]
+        _, self._weights, table = psi_weighted_rule(self.quad_size)
+        self._table = table[:self.n_max + 1]
 
     @functools.cached_property
-    def _rule(self):
-        """The tensor rule of the coefficients, built on first use."""
-        nodes, weights, _ = psi_weighted_rule(self.quad_size)
-        line = QuadratureRule(nodes, weights)
-        return line if self.d == 1 else tensor_rule(line, self.d)
+    def _grid(self):
+        """The Q^d nodes of the coefficients, built on first use."""
+        nodes = psi_weighted_rule(self.quad_size)[0]
+        return nodes if self.d == 1 else tensor_grid(nodes, self.d)
 
     def element(self, n):
         ns = _as_multi(self.index_set.validate_member(n), self.d)
@@ -142,35 +142,28 @@ class HermiteBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        """One evaluation of ``f`` on the tensor rule, then one ``node_major``
-        pass; the factor of index n at a node is the product, from the left,
-        of its axis rows of the rule's table, formed a block at a time."""
+        """One evaluation of ``f`` on the Q^d grid, then one ``node_major`` pass
+        per axis (sum factorisation; Orszag, J. Comput. Phys. 37, 1980) with
+        the other axes and the components as columns: each leading axis
+        against the rows of its distinct orders, the last against those of
+        the requested orders, where index k reads its leading orders off."""
         multis = [_as_multi(n, self.d) for n in self.index_set.check(idxs)]
         top = max((max(ns) for ns in multis), default=0)
         if top > self.n_max:
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
             raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
                              f"raise n_max (and quad_size) to expand that far")
-        rule, q = self._rule, self.quad_size
         orders = np.array(multis, dtype=np.intp).reshape(-1, self.d)
-
-        def rows(ks):
-            # (q, len(ks)) axis rows; node i sits at i // q on the first d - 1
-            # axes, whose products are ``head``, and at i % q on the last
-            axis = [np.ascontiguousarray(self._table[orders[ks, a]].T) for a in range(self.d)]
-            if self.d == 1:
-                return lambda start, stop: axis[0][start:stop]
-            head = axis[0]
-            for a in range(1, self.d - 1):
-                head = (head[:, None, :] * axis[a][None, :, :]).reshape(-1, head.shape[1])
-
-            def block(start, stop):
-                node = np.arange(start, stop)
-                return head[node // q] * axis[-1][node % q]
-
-            return block
-
-        return node_major(rule.weights, samples_of(f, rule.nodes), rows, len(orders))
+        samples = samples_of(f, self._grid)
+        work = samples.reshape((self.quad_size,) * self.d + samples.shape[1:])
+        picks = ()
+        for a in range(self.d - 1):
+            distinct, pos = np.unique(orders[:, a], return_inverse=True)
+            # grid axis a sits at position a, behind the a order axes in front
+            work = node_major(self._weights, np.moveaxis(work, a, 0), self._table[distinct])
+            picks = (pos,) + picks
+        out = node_major(self._weights, np.moveaxis(work, self.d - 1, 0), self._table[orders[:, -1]])
+        return out[(np.arange(len(out)),) + picks] if picks else out
 
     def sample_points(self):
         if self.d == 1:
@@ -372,7 +365,9 @@ class FourierBasis(BasisFamily):
 
 @dataclass(frozen=True)
 class DiscContext:
-    """Expansion disc |z - center| < radius with an averaging contour inside it."""
+    """Expansion disc |z - center| < radius with an averaging contour inside
+    it: a finite complex center, a real radius (inf included), a finite real
+    contour radius; a bool or a string is refused as any of them."""
 
     center: complex = 0.0
     radius: float = math.inf
@@ -380,13 +375,16 @@ class DiscContext:
     contour_points: int = 64
 
     def __post_init__(self):
-        if not cmath.isfinite(self.center):
-            raise InputError(f"disc center must be finite, got {self.center}")
+        center = self.center
+        if isinstance(center, bool) or not isinstance(center, numbers.Complex) or not cmath.isfinite(center):
+            raise InputError(f"disc center must be finite (a number, not a bool or a string), got {center!r}")
+        if self.radius != math.inf:
+            _finite_at_least("disc radius", self.radius, 0)
+        _finite_at_least("contour_radius", self.contour_radius, 0)
+        for key, kind in (("center", complex), ("radius", float), ("contour_radius", float)):
+            object.__setattr__(self, key, kind(getattr(self, key)))
         if not 0.0 < self.contour_radius < self.radius:
-            raise InputError(
-                "need 0 < contour_radius < radius "
-                f"(got {self.contour_radius}, {self.radius})"
-            )
+            raise InputError(f"need 0 < contour_radius < radius (got {self.contour_radius}, {self.radius})")
         npts = self.contour_points
         if not _is_int(npts) or npts < 4 or npts & (npts - 1):
             raise InputError(f"contour_points must be a power of two, >= 4, got {npts!r}")
@@ -483,7 +481,7 @@ class TaylorBasis(BasisFamily):
         # the least power of two at or above 4 n_max, and at least 64
         npts = max(64, 1 << (4 * max(self.n_max, 1) - 1).bit_length()) \
             if contour_points is None else _int_in("contour_points", contour_points, 1)
-        self.ctx = DiscContext(complex(center), float(radius), float(contour_radius), npts)
+        self.ctx = DiscContext(center, radius, contour_radius, npts)
         self.index_set = IndexSet("linear", origin=0)
 
     def element(self, n):

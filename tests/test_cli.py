@@ -475,6 +475,24 @@ def test_config_numbers_are_not_coerced(tmp_path, capsys, command, config, key):
     assert f"{key} must be" in err
 
 
+@pytest.mark.parametrize("value_space,key", [
+    (5, "value_space must be"),
+    ({"seminorms": 5}, "value_space seminorms must be"),
+    ({"seminorms": ["sup"]}, "value_space seminorms must be"),
+    ({"seminorms": [{"weights": [1.0]}]}, "value_space seminorms must be"),
+    ({"seminorms": [{"kind": "weighted-sup", "weights": "ab"}]}, "value_space seminorm weights must be"),
+    ({"seminorms": [{"kind": "sup", "weights": 5}]}, "value_space seminorm weights must be"),
+    ({"seminorms": [{"kind": "weighted-sup", "weights": [True]}]}, "value_space seminorm weights entry must be"),
+])
+def test_config_value_space_of_the_wrong_kind_is_refused(tmp_path, capsys, value_space, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"value_space": value_space}))
+    rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", "x", "--ranks", "1",
+                                 "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert key in err
+
+
 @pytest.mark.parametrize("config,key", [
     ({"basis": "haar", "fn": "x", "max_n": 2, "output": 1}, "output"),
     ({"basis": "haar", "fn": {"a": 1}, "max_n": 2}, "fn"),

@@ -1,13 +1,14 @@
 """The array coefficient kernels against the per-index loops they replaced.
 
 The Hermite and Haar references restate, literally, the loop an earlier
-version ran: one ``accumulate(w, fv * factor)`` per Hermite index and one
-composite rule per Haar piece added index by index.  Those kernels must
-reproduce them bit for bit (``np.array_equal`` and dtype).  Fourier
-coefficients come from an FFT, which sums in another order: they must be
-close to a per-mode ``math.fsum`` of the products, within the rounding
-estimate sqrt(N) eps max|f| of an N-term sum, and each column of a vector
-handle must equal its scalar run bit for bit.
+version ran: one ``accumulate(w, fv * factor)`` per Hermite index over the
+tensor rule and one composite rule per Haar piece added index by index.
+Haar and Hermite at d = 1 must reproduce them bit for bit
+(``np.array_equal`` and dtype).  Hermite at d = 2, 3 sums one axis at a
+time, and Fourier coefficients come from an FFT; both sum in another order,
+so they must be close to a per-index ``math.fsum`` of the products, within
+a stated rounding bound, and each column of a vector handle must equal its
+scalar run bit for bit.
 """
 
 import math
@@ -18,7 +19,15 @@ import pytest
 import schauder.quadrature as quadrature
 from schauder import FourierBasis, HaarBasis, HermiteBasis, InputError, NumericError
 from schauder.interval_bases import HAAR_ORDER, _haar_split, haar_constancy_intervals
-from schauder.quadrature import accumulate, node_major, samples_of, segment_rules
+from schauder.quadrature import (
+    QuadratureRule,
+    accumulate,
+    node_major,
+    psi_weighted_rule,
+    samples_of,
+    segment_rules,
+    tensor_rule,
+)
 from schauder.registry import corpus, vector_stack
 from schauder.spectral_bases import _as_multi
 
@@ -32,19 +41,46 @@ def _same(got, want):
 # -- the replaced loops ------------------------------------------------------
 
 
-def _hermite_loop(basis, f, idxs):
-    multis = [_as_multi(n, basis.d) for n in idxs]
-    rule = basis._rule
-    fv = samples_of(f, rule.nodes)
-    out = []
-    for ns in multis:
+def _hermite_rule(basis):
+    nodes, weights, _ = psi_weighted_rule(basis.quad_size)
+    line = QuadratureRule(nodes, weights)
+    return line if basis.d == 1 else tensor_rule(line, basis.d)
+
+
+def _hermite_factors(basis, idxs):
+    """Per index, h_n on the tensor nodes: the product of its axis rows from the left."""
+    for n in idxs:
+        ns = _as_multi(n, basis.d)
         factor = basis._table[ns[0]]
         for ni in ns[1:]:
             factor = np.multiply.outer(factor, basis._table[ni])
-        factor = factor.ravel()
+        yield factor.ravel()
+
+
+def _hermite_loop(basis, f, idxs):
+    """One sequential ``accumulate`` over all Q^d nodes per index."""
+    rule = _hermite_rule(basis)
+    fv = samples_of(f, rule.nodes)
+    out = []
+    for factor in _hermite_factors(basis, idxs):
         terms = fv * factor if fv.ndim == 1 else fv * factor[:, None]
         out.append(accumulate(rule.weights, terms))
     return np.array(out)
+
+
+def _hermite_terms(basis, f, idxs):
+    """Per index, the (Q^d, m) products w_i (f(x_i) h_n(x_i)) of the loop."""
+    rule = _hermite_rule(basis)
+    cols = samples_of(f, rule.nodes).reshape(len(rule), -1)
+    for factor in _hermite_factors(basis, idxs):
+        yield rule.weights[:, None] * (cols * factor[:, None])
+
+
+def _fsum(terms):
+    """``math.fsum`` down each column of a (N, m) table, real and imaginary parts apart."""
+    if np.iscomplexobj(terms):
+        return np.array([complex(math.fsum(t.real), math.fsum(t.imag)) for t in terms.T])
+    return np.array([math.fsum(t) for t in terms.T])
 
 
 def _fourier_fsum(basis, f, idxs):
@@ -144,17 +180,13 @@ def _kernel_case(rng, count, n, width, dtype):
     return weights, samples, table, np.array(want)
 
 
-def _table_rows(table):
-    return lambda ks: (lambda start, stop: np.ascontiguousarray(table[ks, start:stop].T))
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("width", [0, 1, 3, quadrature.NODE_MAJOR_COLUMNS + 5])
 def test_node_major_equals_the_per_index_accumulate(width, dtype):
     rng = np.random.default_rng(width)
     count = quadrature.NODE_MAJOR_INDICES + 3  # two index tiles
     weights, samples, table, want = _kernel_case(rng, count, 23, width, dtype)
-    _same(node_major(weights, samples, _table_rows(table), count), want)
+    _same(node_major(weights, samples, table), want)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -169,14 +201,14 @@ def test_node_major_tiles_and_blocks_do_not_move_bits(monkeypatch, width, dtype)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_COLUMNS", 2)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_ENTRIES", entries)
         monkeypatch.setattr(quadrature, "NODE_MAJOR_ROW_WIDTH", row_width)
-        _same(node_major(weights, samples, _table_rows(table), 11), want)
+        _same(node_major(weights, samples, table), want)
 
 
 def test_node_major_refuses_an_overflowing_sum():
     samples = np.full(8, 1e308)
     table = np.ones((2, 8))
     with pytest.raises(NumericError, match="overflows"):
-        node_major(np.ones(8), samples, _table_rows(table), 2)
+        node_major(np.ones(8), samples, table)
 
 
 # -- the families ------------------------------------------------------------
@@ -186,11 +218,32 @@ def test_node_major_refuses_an_overflowing_sum():
 def test_hermite_coefficients_equal_the_per_index_loop(d, n_max, grade):
     basis = HermiteBasis(d=d, n_max=n_max)
     idxs = basis.indices(grade)
-    handles = _line_handles("hermite") + [_wide] if d == 1 else _box_handles(d)
     if d == 1:
         assert len(idxs) > quadrature.NODE_MAJOR_INDICES
-    for f in handles:
-        _same(basis.coefficients(f, idxs), _hermite_loop(basis, f, idxs))
+        for f in _line_handles("hermite") + [_wide]:
+            _same(basis.coefficients(f, idxs), _hermite_loop(basis, f, idxs))
+        return
+    # one axis at a time: d sums of Q terms and 2 d products per term, each
+    # rounding once, against the fsum of products rounded 2 d times, so the
+    # gap is below (d (Q + 2) + 2 d) u sum |terms| (Higham, Accuracy and
+    # Stability, 2002, section 4.2); eps = 2u leaves room for the (1 - k u).
+    # The flat loop over all Q^d nodes is further from the fsum (3.1e-14 at
+    # d = 3, against at most 1.3e-15 here), and no closer for any handle
+    funcs = _box_functions(d)
+    eps = np.finfo(float).eps
+    for f in _box_handles(d):
+        got = basis.coefficients(f, idxs)
+        assert got.shape[0] == len(idxs)
+        terms = list(_hermite_terms(basis, f, idxs))
+        exact = np.array([_fsum(t) for t in terms])
+        bound = d * (basis.quad_size + 4) * eps * np.array([_fsum(np.abs(t)) for t in terms])
+        gap = np.abs(got.reshape(exact.shape) - exact)
+        flat = np.abs(_hermite_loop(basis, f, idxs).reshape(exact.shape) - exact)
+        assert np.all(gap <= bound)
+        assert gap.max() <= flat.max()
+    stack = basis.coefficients(vector_stack(funcs), idxs)
+    for i, f in enumerate(funcs):
+        assert np.array_equal(stack[:, i], basis.coefficients(f, idxs))
 
 
 @pytest.mark.parametrize("d,n_max,grid", [(1, 80, None), (2, 4, 16), (3, 2, 10)])

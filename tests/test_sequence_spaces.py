@@ -194,6 +194,28 @@ def test_en_profile_rejects_what_the_seminorm_rejects():
         projection_error_profile(_seq([1.0, 2.0], space="en"), "en", [0], l=0)
 
 
+@pytest.mark.parametrize("kind,kw,ranks,name", [
+    ("s", {"j": True}, [0], "weight order j"),
+    ("s", {"j": np.nan}, [0], "weight order j"),
+    ("s", {"j": "2"}, [0], "weight order j"),
+    ("s", {"j": -1}, [0], "weight order j"),
+    ("c0", {"j": 1.0}, [0], "column j"),
+    ("c0", {"j": 3}, [0], "column j"),
+    ("en", {"l": 2.0}, [0], "coordinate cutoff l"),
+    ("en", {"l": True}, [0], "coordinate cutoff l"),
+    ("s", {"j": 1}, [0, np.nan], "rank"),
+    ("s", {"j": 1}, [True], "rank"),
+    ("s", {"j": 1}, ["2"], "rank"),
+    ("s", {"j": 1}, [-1], "rank"),
+])
+def test_profile_numbers_are_checked_before_the_scan(kind, kw, ranks, name):
+    x = _seq([1.0, 0.5, 0.25], space=kind)
+    if kind == "c0":
+        kw = dict(kw, matrix=KotheMatrix.from_function(lambda k, j: float(k), 3, 2))
+    with pytest.raises(InputError, match=name):
+        projection_error_profile(x, kind, ranks, **kw)
+
+
 def test_convergent_profile_uses_distance_to_limit():
     idx = tuple(range(1, 11))
     x = TruncatedSequence(idx, np.array([1.0 + 1.0 / n for n in idx]), limit=1.0, space="c")

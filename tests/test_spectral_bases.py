@@ -212,14 +212,14 @@ def test_hermite_tensor_rule_is_built_on_first_coefficient(monkeypatch):
     import schauder.spectral_bases as sb
 
     calls = []
-    original = sb.tensor_rule
+    original = sb.tensor_grid
 
-    def counted(line, d):
-        calls.append((len(line), d))
-        return original(line, d)
+    def counted(axis, d):
+        calls.append((len(axis), d))
+        return original(axis, d)
 
-    monkeypatch.setattr(sb, "tensor_rule", counted)
-    HermiteBasis(d=3)  # the 138^3-node rule of the default n_max is never built
+    monkeypatch.setattr(sb, "tensor_grid", counted)
+    HermiteBasis(d=3)  # the 138^3-node grid of the default n_max is never built
     basis = HermiteBasis(d=3, n_max=2)
     assert calls == []
     f = lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1))
@@ -486,6 +486,19 @@ def test_context_validation():
     for center in (complex(np.nan, 0.0), complex(0.0, np.inf)):
         with pytest.raises(InputError, match="center must be finite"):
             DiscContext(center, np.inf, 1.0, 64)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("center", "1+2j"), ("center", True), ("center", None), ("center", complex(0.0, np.nan)),
+    ("contour_radius", "0.5"), ("contour_radius", True), ("contour_radius", np.inf),
+    ("radius", "inf"), ("radius", True), ("radius", 2j),
+])
+def test_disc_numbers_that_are_not_numbers_are_refused(key, value):
+    # the library refuses them itself, not only the CLI's config checks
+    with pytest.raises(InputError, match=key):
+        DiscContext(**{key: value})
+    with pytest.raises(InputError, match=key):
+        TaylorBasis(**{key: value})
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])

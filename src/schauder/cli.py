@@ -182,21 +182,33 @@ def _is_number(s):
         return False
 
 
+def _known_keys(obj, where, known):
+    """Refuse a config object with a key outside ``known``: a typo would
+    otherwise change the math silently."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(f"unknown key(s) in {where}: {', '.join(unknown)}; known: {', '.join(known)}")
+
+
 def build_value_space(cfg, basis, f):
     """The value space of ``cfg``; its dimension defaults to the width of
     f's values at the basis's first sample point.  A value of the wrong JSON
-    kind is refused, naming its key."""
+    kind and an unknown key, in ``cfg`` or in a seminorm, are refused before
+    f runs, naming the key."""
     cfg = {} if cfg is None else cfg
     if not isinstance(cfg, dict):
         raise InputError(f"value_space must be a JSON object, got {cfg!r}")
+    specs = cfg.get("seminorms", [{"kind": "sup"}])
+    if not isinstance(specs, list) or not all(isinstance(s, dict) and "kind" in s for s in specs):
+        raise InputError(f"value_space seminorms must be a list of objects with a kind, got {specs!r}")
+    _known_keys(cfg, "value_space", ("dimension", "field", "seminorms"))
+    for s in specs:
+        _known_keys(s, "value_space seminorm", ("kind", "weights"))
     if "dimension" in cfg:
         dimension = _number(cfg["dimension"], "value_space dimension")
     else:
         first = np.asarray(f(basis.sample_points()[:1]))
         dimension = first.shape[1] if first.ndim == 2 else 1
-    specs = cfg.get("seminorms", [{"kind": "sup"}])
-    if not isinstance(specs, list) or not all(isinstance(s, dict) and "kind" in s for s in specs):
-        raise InputError(f"value_space seminorms must be a list of objects with a kind, got {specs!r}")
     seminorms = [SeminormSpec(s["kind"], _numbers(s["weights"], "value_space seminorm weights")
                               if s.get("weights") else None) for s in specs]
     return ValueSpace(dimension, field=cfg.get("field", basis.field), seminorms=seminorms)

@@ -1,12 +1,14 @@
 """Deterministic quadrature with a fixed accumulation order.
 
-Every integral of this module reduces to one kernel, ``accumulate``: the
-handle is evaluated once on the whole node array, then ``acc = acc + w_i *
-f(x_i)`` runs from zero in ascending node order.  The kernel does this with
-``np.add.accumulate`` over a zero-prefixed stack of terms, which adds
-strictly left to right (never pairwise), one fixed-size block at a time so
-memory does not grow with the rule.  Two consequences are load bearing for
-the rest of the package:
+Every integral of this module reduces to one kernel, ``accumulate``: ``acc
+= acc + w_i * f(x_i)`` runs from zero in ascending node order.  The kernel
+does this with ``np.add.accumulate`` over a zero-prefixed stack of terms,
+which adds strictly left to right (never pairwise), one fixed-size block at
+a time.  The integrals evaluate the handle once per node, in consecutive
+blocks of at most ``NODE_BLOCK`` nodes, and carry the running sum from
+block to block, so neither the samples nor the integrand's temporaries
+grow with the rule.  Two consequences are load bearing for the rest of the
+package:
 
 * coordinate functionals commute with integration bit for bit -- component i
   of the vector accumulation performs exactly the IEEE operations the scalar
@@ -32,9 +34,11 @@ bound checks are local.  A d-dimensional tensor rule lists its nodes in
 lexicographic order (last coordinate fastest) as one column-major (N, d)
 array, so each coordinate column ``x[:, a]`` an integrand reads is
 contiguous; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the
-left.  No node array goes through BLAS: the phase <n, x> of a Fourier element
-is folded from the left over the columns, ((n_1 x_1 + n_2 x_2) + n_3 x_3), so
-its bits do not depend on the layout.
+left.  ``integrate_gauss_hermite``, ``integrate_periodic`` and the tail-bound
+check build each block of these rows from the 1-D rule, so a tensor rule
+they integrate is never formed whole.  No node array goes through BLAS: the
+phase <n, x> of a Fourier element is folded from the left over the columns,
+((n_1 x_1 + n_2 x_2) + n_3 x_3), so its bits do not depend on the layout.
 """
 
 import functools
@@ -65,16 +69,9 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes)
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise InputError("weights must be a nonempty 1-D array")
-        if nodes.shape[0] != weights.shape[0]:
-            raise InputError(
-                f"{nodes.shape[0]} nodes vs {weights.shape[0]} weights"
-            )
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(nodes.real))):
-            raise InputError("rule contains non-finite nodes or weights")
+        nodes, weights = _checked_rule(self.nodes, self.weights)
+        if not len(weights):
+            raise InputError("a rule needs at least one node")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -87,12 +84,36 @@ class QuadratureRule:
 def weighted_sum(nodes, weights, f):
     """sum_i w_i f(x_i) accumulated in ascending node-index order.
 
-    ``f`` is evaluated once on the full node array and must return one value
-    row per node: shape (k,) for scalar integrands, (k, m) for vector ones.
+    ``f`` is evaluated once per node, on consecutive blocks of at most
+    ``NODE_BLOCK`` nodes, and must return one value row per node: shape
+    (k,) for scalar integrands, (k, m) for vector ones, the same (m,) in
+    every block.  A node/weight count mismatch, weights that are not 1-D
+    and non-finite nodes or weights raise ``InputError`` before ``f`` runs;
+    an empty rule calls ``f`` once, on no nodes, for the shape of its zero.
     Non-finite samples raise ``NumericError`` carrying the first offending
     node.
     """
-    return accumulate(weights, samples_of(f, np.asarray(nodes)))
+    nodes, weights = _checked_rule(nodes, weights)
+    return _block_sum(f, _slices(nodes, weights), len(weights))
+
+
+def _checked_rule(nodes, weights):
+    """``nodes`` and float ``weights`` as arrays, refused with ``InputError``
+    unless the weights are 1-D, one per node, and both are finite."""
+    weights = np.asarray(weights, dtype=float)
+    nodes = np.asarray(nodes)
+    if weights.ndim != 1 or nodes.shape[:1] != weights.shape:
+        raise InputError(f"nodes of shape {nodes.shape} vs weights of shape {weights.shape}")
+    if not (np.isfinite(weights).all() and np.isfinite(nodes).all()):
+        raise InputError("rule contains non-finite nodes or weights")
+    return nodes, weights
+
+
+def _slices(nodes, weights):
+    """A rule given whole, in the blocks ``_block_sum`` takes: consecutive
+    slices of at most ``NODE_BLOCK`` nodes, one empty slice if it is empty."""
+    for start in range(0, max(len(weights), 1), NODE_BLOCK):
+        yield nodes[start:start + NODE_BLOCK], weights[start:start + NODE_BLOCK]
 
 
 def samples_of(f, nodes):
@@ -112,6 +133,10 @@ def samples_of(f, nodes):
 
 ACCUMULATE_BLOCK = 4096
 ACCUMULATE_ENTRIES = 64 * ACCUMULATE_BLOCK
+# nodes per call of an integrand: of 4,096 to 65,536 rows and the whole rule,
+# 16,384 and 32,768 ran the bench's integrate jobs fastest, within noise of
+# each other (ROADMAP); the larger makes half as many calls
+NODE_BLOCK = 8 * ACCUMULATE_BLOCK
 
 
 def accumulate(weights, terms):
@@ -124,9 +149,12 @@ def accumulate(weights, terms):
     axes of ``terms``.  The products are formed one block at a time, at
     most ``ACCUMULATE_BLOCK`` rows and, past one row, at most
     ``ACCUMULATE_ENTRIES`` entries, and the running sum is carried across
-    blocks into the first row of the next one.  A 0-d result is returned as
-    a numpy scalar.  A non-finite result, from finite terms whose products
-    or sum overflow, raises ``NumericError`` instead of a numpy warning.
+    blocks into the first row of the next one.  ``weighted_sum`` and the
+    integrals evaluate f once per node, in blocks of ``NODE_BLOCK`` nodes,
+    and continue this running sum on each block, so they add the same
+    products in the same order.  A 0-d result is returned as a numpy
+    scalar.  A non-finite result, from finite terms whose products or sum
+    overflow, raises ``NumericError`` instead of a numpy warning.
     """
     weights = np.asarray(weights, dtype=float)
     terms = np.asarray(terms)
@@ -136,16 +164,39 @@ def accumulate(weights, terms):
     return acc[()] if acc.ndim == 0 else acc
 
 
-def _accumulate_blocks(weights, terms):
+def _accumulate_blocks(weights, terms, acc=None):
+    """The running sum of ``accumulate``, continued from ``acc`` (zero when None)."""
     col = (slice(None),) * weights.ndim + (None,) * (terms.ndim - weights.ndim)
-    acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
+    if acc is None:
+        acc = np.zeros(terms.shape[1:], dtype=np.result_type(weights, terms))
+    # a complex block after real ones makes the sum complex from there on
+    dtype = np.result_type(acc, weights, terms)
     step = min(ACCUMULATE_BLOCK, max(1, ACCUMULATE_ENTRIES // max(acc.size, 1)))
     for start in range(0, terms.shape[0], step):
-        block = weights[start:start + step][col] * terms[start:start + step]
+        block = np.multiply(weights[start:start + step][col], terms[start:start + step], dtype=dtype)
         block[0] = acc + block[0]
         # in place, and only the last row kept: no table of running sums outlives the call
         acc = np.add.accumulate(block, axis=0, out=block)[-1].copy()
     return acc
+
+
+def _block_sum(f, blocks, n, fold=None):
+    """sum_i w_i f(x_i) over the n nodes of ``blocks``, (nodes, weights)
+    pairs of at most ``NODE_BLOCK`` rows in node order: ``f`` is evaluated
+    once per block, the running sum of ``accumulate`` is carried from block
+    to block, and ``fold``, when given, sees each block's samples.  A block
+    whose value rows change shape raises ``InputError``."""
+    acc = None
+    for nodes, weights in blocks:
+        samples = samples_of(f, nodes)
+        if acc is not None and samples.shape[1:] != acc.shape:
+            raise InputError(
+                f"handle returned rows of shape {samples.shape[1:]} after rows of shape {acc.shape}"
+            )
+        acc = _overflow_checked(n, _accumulate_blocks, weights, samples, acc)
+        if fold is not None:
+            fold(samples)
+    return acc[()] if acc.ndim == 0 else acc
 
 
 # node_major tiles: accumulator entries per index and column tile, products
@@ -273,10 +324,50 @@ def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
 
 def tensor_rule(line_rule, d):
     """Tensorize a 1-D rule to d dimensions with lexicographic node order."""
-    weights = line_rule.weights
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, line_rule.weights)
-    return QuadratureRule(tensor_grid(line_rule.nodes, d), weights.reshape(-1))
+    size = _tensor_size(line_rule, d)
+    return QuadratureRule(*next(_tensor_blocks(line_rule, d, size)))
+
+
+def _tensor_size(line_rule, d):
+    """len(line_rule)**d, refused with ``InputError`` past ``np.intp``."""
+    size = len(line_rule) ** d
+    if size > np.iinfo(np.intp).max:
+        raise InputError(f"a {len(line_rule)}-node rule in {d} dimensions has too many nodes")
+    return size
+
+
+def _tensor_blocks(line_rule, d, block=NODE_BLOCK):
+    """The rows of ``tensor_rule(line_rule, d)`` in blocks of at most
+    ``block``, each built from the 1-D rule.  The ``lead`` first axes are the
+    fewest whose remaining grid fits a block: each block takes a range of
+    their index tuples, with the whole remaining grid under each tuple.
+    Nodes are column-major (k, d); weights are multiplied from the left,
+    (w_i1 * w_i2) * w_i3, as in the outer products of the whole rule."""
+    x, w = line_rule.nodes, line_rule.weights
+    q = len(w)
+    lead = next(a for a in range(d + 1) if q ** (d - a) <= block)
+    trail = (q,) * (d - lead)
+    step = block // q ** (d - lead)
+    for start in range(0, q ** lead, step):
+        stop = min(start + step, q ** lead)
+        heads = np.unravel_index(np.arange(start, stop), (q,) * lead) if lead else ()
+        cols = np.empty((d, stop - start) + trail, dtype=x.dtype)
+        weights = np.ones(stop - start)
+        for a, head in enumerate(heads):
+            cols[a] = x[head].reshape((-1,) + (1,) * len(trail))
+            weights = weights * w[head]
+        for a in range(lead, d):
+            cols[a] = x.reshape((-1,) + (1,) * (d - 1 - a))
+            weights = np.multiply.outer(weights, w)
+        yield cols.reshape(d, -1).T, weights.reshape(-1)
+
+
+def _tensor_sum(f, line_rule, d):
+    """``_block_sum`` over ``line_rule`` for d = 1 and over the blocks of
+    ``_tensor_blocks`` otherwise: the tensor rule is never formed whole."""
+    if d == 1:
+        return _block_sum(f, _slices(line_rule.nodes, line_rule.weights), len(line_rule))
+    return _block_sum(f, _tensor_blocks(line_rule, d), _tensor_size(line_rule, d))
 
 
 def tensor_grid(axis, d):
@@ -339,15 +430,21 @@ def gauss_hermite_rule(m, d=1):
     """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}, with
     the weights of ``psi_weighted_rule(m)`` times e^{-x_i^2}."""
     d = _int_in("Gauss-Hermite dimension", d, 1)
-    x, w, _ = psi_weighted_rule(m)
-    line = QuadratureRule(x, w * np.exp(-x * x))
+    line = _gauss_hermite_line(m)
     return line if d == 1 else tensor_rule(line, d)
 
 
+def _gauss_hermite_line(m):
+    x, w, _ = psi_weighted_rule(m)
+    return QuadratureRule(x, w * np.exp(-x * x))
+
+
 def integrate_gauss_hermite(g, m, d=1):
-    """integral over R^d of g(x) e^{-|x|^2} dx by the size-m tensor rule."""
-    rule = gauss_hermite_rule(m, d=d)
-    return weighted_sum(rule.nodes, rule.weights, g)
+    """integral over R^d of g(x) e^{-|x|^2} dx by the size-m tensor rule:
+    ``weighted_sum`` over ``gauss_hermite_rule(m, d)``, bit for bit, with g
+    evaluated once per node, in blocks built from the 1-D rule."""
+    d = _int_in("Gauss-Hermite dimension", d, 1)
+    return _tensor_sum(g, _gauss_hermite_line(m), d)
 
 
 # -- periodic rectangle rule -------------------------------------------------
@@ -359,18 +456,23 @@ def periodic_rule(n, d=1):
     Exact for trigonometric polynomials of degree < n per axis, which is the
     aliasing guard behind Fourier coefficient accuracy.
     """
-    n = _int_in("periodic rule size", n, 1)
+    line = _periodic_line(n)
     d = _int_in("periodic rule dimension", d, 1, 3)
-    x = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    w = np.full(n, 2.0 * np.pi / n)
-    line = QuadratureRule(x, w)
     return line if d == 1 else tensor_rule(line, d)
 
 
+def _periodic_line(n):
+    n = _int_in("periodic rule size", n, 1)
+    x = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    return QuadratureRule(x, np.full(n, 2.0 * np.pi / n))
+
+
 def integrate_periodic(f, n, d=1):
-    """Integral of ``f`` over [-pi, pi]^d by the uniform rectangle rule."""
-    rule = periodic_rule(n, d=d)
-    return weighted_sum(rule.nodes, rule.weights, f)
+    """Integral of ``f`` over [-pi, pi]^d by the uniform rectangle rule:
+    ``weighted_sum`` over ``periodic_rule(n, d)``, bit for bit, with f
+    evaluated once per node, in blocks built from the 1-D rule."""
+    line = _periodic_line(n)
+    return _tensor_sum(f, line, _int_in("periodic rule dimension", d, 1, 3))
 
 
 # -- the discrete integral bound ---------------------------------------------
@@ -399,27 +501,21 @@ def integral_bound_check(f, nodes, weights, space, slack=1e-12):
 
     An empty rule, a non-finite node, negative or non-finite weights (which
     void the bound), a node/weight count mismatch and a slack that is not a
-    finite real >= 0 raise ``InputError`` before ``f`` runs.  The sup is
-    taken over ``ACCUMULATE_BLOCK``-row slices of the samples, so beside the
-    (n, m) samples no table of n rows is formed.
+    finite real >= 0 raise ``InputError`` before ``f`` runs.  ``f`` is
+    evaluated once per node, in the blocks of ``weighted_sum``, and the sup
+    is folded block by block, so no table of n rows is formed.
     """
     slack = _finite_at_least("slack", slack, 0)
-    weights = np.asarray(weights, dtype=float)
-    nodes = np.asarray(nodes)
-    if weights.shape != (len(nodes),):
-        raise InputError(f"{len(nodes)} nodes vs weights of shape {weights.shape}")
-    if not len(nodes):
+    nodes, weights = _checked_rule(nodes, weights)
+    if not len(weights):
         raise InputError("bound check needs at least one node")
-    if not np.all(np.isfinite(nodes)):
-        raise InputError("bound check requires finite nodes")
-    if not np.all(np.isfinite(weights) & (weights >= 0)):
+    if not np.all(weights >= 0):
         raise InputError("bound check requires finite nonnegative weights")
-    samples = samples_of(f, nodes)
-    integral = accumulate(weights, samples)
-    sup = np.max([space.seminorm_table(samples[start:start + ACCUMULATE_BLOCK]).max(axis=0)
-                  for start in range(0, len(samples), ACCUMULATE_BLOCK)], axis=0)
+    sups = []
+    integral = _block_sum(f, _slices(nodes, weights), len(weights),
+                          lambda samples: sups.append(space.seminorm_table(samples).max(axis=0)))
     total = float(np.sum(weights))
-    lhs, rhs = _bound_sides(space, np.reshape(integral, (1, -1)), sup[None], [total])
+    lhs, rhs = _bound_sides(space, np.reshape(integral, (1, -1)), np.max(sups, axis=0)[None], [total])
     return IntegralBoundReport(lhs=lhs[0], rhs=rhs[0], total_weight=total,
                                slack=float(slack))
 

@@ -27,13 +27,13 @@ from .quadrature import (
     HERMITE_MAX_SIZE,
     _hermite_rows,
     _overflow_checked,
-    box_rule,
+    _tensor_sum,
+    gauss_legendre_rule,
     node_major,
     periodic_rule,
     psi_weighted_rule,
     samples_of,
     tensor_grid,
-    weighted_sum,
 )
 from .sequence_spaces import TruncatedSequence
 
@@ -212,9 +212,12 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     (sum of absolute coefficients, growth exponent j = |n|), a weighted sup
     of f on a grid over [-10, 10]^d (an under-approximation, which only
     tightens the check), and the difference of the box terms
-    2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].  Bad radii, panel
-    densities and grid sizes are refused before f runs.
+    2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].  Each box
+    integral is ``weighted_sum`` over ``box_rule``, bit for bit, with its
+    tensor rows built block by block from the 1-D rule.  Bad radii, panel
+    densities, dimensions and grid sizes are refused before f runs.
     """
+    d = _int_in("box dimension", d, 1)
     for name, value in (("inner", inner), ("outer", outer), ("panels_per_unit", panels_per_unit)):
         _finite_at_least(name, value, 0)
     if not 0 < inner < outer or not panels_per_unit > 0:
@@ -232,8 +235,8 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     vals = {}
     for c in (inner, outer):
         panels = max(4, int(math.ceil(2.0 * c * panels_per_unit)))
-        rule = box_rule(c, d, panels=panels, order=order)
-        vals[c] = np.atleast_1d(weighted_sum(rule.nodes, rule.weights, integrand))
+        line = gauss_legendre_rule(-float(c), float(c), panels=panels, order=order)
+        vals[c] = np.atleast_1d(_tensor_sum(integrand, line, d))
     gap = vals[outer] - vals[inner]
     if space is None:
         lhs = np.array([float(np.max(np.abs(gap)))])

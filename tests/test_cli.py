@@ -493,6 +493,22 @@ def test_config_value_space_of_the_wrong_kind_is_refused(tmp_path, capsys, value
     assert key in err
 
 
+@pytest.mark.parametrize("value_space,key", [
+    ({"dimensoin": 3}, "dimensoin"),
+    ({"dimension": 3, "feild": "complex"}, "feild"),
+    ({"seminorms": [{"kind": "sup", "wieghts": [1, 2]}]}, "wieghts"),
+    ({"seminorms": [{"kind": "euclidean"}, {"kind": "sup", "weight": 1}]}, "weight"),
+], ids=["dimension", "field", "weights", "second-seminorm"])
+def test_config_value_space_unknown_keys_are_refused(tmp_path, capsys, value_space, key):
+    # each typo once fell back to the default space and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"value_space": value_space}))
+    rc, out, err = _run(capsys, ["converge", "--basis", "haar", "--fn", "one,x,x2", "--ranks", "1",
+                                 "--config", str(cfg)])
+    assert (rc, out) == (2, "")
+    assert "unknown key(s) in value_space" in err and key in err
+
+
 @pytest.mark.parametrize("config,key", [
     ({"basis": "haar", "fn": "x", "max_n": 2, "output": 1}, "output"),
     ({"basis": "haar", "fn": {"a": 1}, "max_n": 2}, "fn"),

@@ -17,7 +17,14 @@ from schauder import (
     periodic_rule,
     weighted_sum,
 )
-from schauder.quadrature import ACCUMULATE_BLOCK, ACCUMULATE_ENTRIES, accumulate, tensor_rule
+from schauder.quadrature import (
+    ACCUMULATE_BLOCK,
+    ACCUMULATE_ENTRIES,
+    NODE_BLOCK,
+    _tensor_blocks,
+    accumulate,
+    tensor_rule,
+)
 
 SQRT_PI = 1.7724538509055159
 
@@ -96,8 +103,26 @@ def test_weighted_sum_reports_offending_node():
 
 
 def test_weighted_sum_shape_mismatch():
-    with pytest.raises(InputError):
-        weighted_sum(np.zeros(3), np.zeros(4), lambda x: x)
+    # a mismatch once raised only after f ran on every node, a NaN or inf
+    # weight came back as the sum, and a NaN node was evaluated
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.ones(len(x))
+
+    for nodes, weights in (
+        (np.zeros(3), np.zeros(4)),
+        (np.linspace(0.0, 1.0, 5), np.full(4, 0.25)),
+        (np.linspace(0.0, 1.0, 4), np.full((4, 1), 0.25)),
+        (np.linspace(0.0, 1.0, 3), np.array([0.5, np.nan, 0.5])),
+        (np.linspace(0.0, 1.0, 3), np.array([0.5, np.inf, 0.5])),
+        (np.array([0.0, np.nan, 1.0]), np.full(3, 0.5)),
+        (np.array([[0.0, 1.0], [np.inf, 1.0]]), np.full(2, 0.5)),
+    ):
+        with pytest.raises(InputError):
+            weighted_sum(nodes, weights, f)
+        assert calls == []
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -308,9 +333,9 @@ def test_integral_bound_refuses_bad_rules_and_slack_before_f_runs(nodes, weights
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_integral_bound_blockwise_sup_equals_the_whole_table_sup(m):
-    # the sup runs over ACCUMULATE_BLOCK-row slices; a last, partial slice
+    # the sup is folded over NODE_BLOCK-row blocks; a last, partial block
     # holds the largest sample
-    n = 3 * ACCUMULATE_BLOCK + 5
+    n = 3 * NODE_BLOCK + 5
     space = ValueSpace(m, seminorms=(
         SeminormSpec("sup"), SeminormSpec("euclidean"),
         SeminormSpec("weighted-sup", tuple(range(1, m + 1))),
@@ -318,7 +343,7 @@ def test_integral_bound_blockwise_sup_equals_the_whole_table_sup(m):
     rng = np.random.default_rng(11)
     samples = rng.standard_normal((n, m))
     samples[n - 2] = 80.0
-    samples[ACCUMULATE_BLOCK // 2, 0] = -60.0
+    samples[NODE_BLOCK // 2, 0] = -60.0
     nodes = np.arange(n, dtype=float)
     weights = rng.uniform(0.0, 1.0, n)
     f = lambda x: samples[x.astype(int)] if m > 1 else samples[x.astype(int), 0]
@@ -338,3 +363,186 @@ def test_integral_bound_slack_absorbs_equality():
     report = integral_bound_check(lambda x: np.ones_like(x), nodes, weights, space)
     assert report.passed
     assert report.slack == 1e-12
+
+
+# -- integrands evaluated in node blocks --------------------------------------
+
+
+def _recording(f, seen):
+    # records every node block the integrand is called on
+    def g(x):
+        seen.append(np.array(x))
+        return f(x)
+    return g
+
+
+def _vector(x):
+    x = np.asarray(x, dtype=float)
+    r = x * x if x.ndim == 1 else np.sum(x * x, axis=1)
+    first = x if x.ndim == 1 else x[:, 0]
+    return np.stack([np.exp(-0.1 * r), np.cos(first) * np.exp(-0.2 * r), first ** 3], axis=-1)
+
+
+def test_weighted_sum_across_node_blocks_matches_explicit_loop_bitwise():
+    n = 2 * NODE_BLOCK + 123
+    rng = np.random.default_rng(5)
+    nodes = rng.uniform(-2.0, 2.0, n)
+    weights = rng.uniform(0.0, 1.0, n)
+    for f in (
+        lambda x: np.exp(-x * x) * np.cos(9.0 * x),
+        lambda x: np.stack([np.sin(x), x ** 3, np.exp(x)], axis=-1),
+        lambda x: np.exp(1j * 5.0 * x) * (1.0 + x),
+    ):
+        seen = []
+        got, want = weighted_sum(nodes, weights, _recording(f, seen)), _loop_sum(nodes, weights, f)
+        assert [len(x) for x in seen] == [NODE_BLOCK, NODE_BLOCK, 123]
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("block", [1, 5, 7, 50, 10 ** 6])
+def test_tensor_blocks_are_the_rows_of_tensor_rule(d, block):
+    # blocks below, between and above the powers 9, 81, 729 of the 9-node line
+    line = gauss_legendre_rule(-1.5, 2.0, panels=3, order=3)
+    rule = tensor_rule(line, d)
+    blocks = list(_tensor_blocks(line, d, block))
+    assert all(1 <= len(w) <= block and x.shape == (len(w), d) for x, w in blocks)
+    assert all(x.flags.f_contiguous for x, _ in blocks)
+    assert np.concatenate([x for x, _ in blocks]).tobytes() == rule.nodes.tobytes()
+    assert np.concatenate([w for _, w in blocks]).tobytes() == rule.weights.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_blocks_of_node_block_rows(d):
+    # the 40-node Gauss-Hermite line: 1,600 rows and 64,000 rows
+    line = gauss_hermite_rule(40)
+    rule = tensor_rule(line, d)
+    blocks = list(_tensor_blocks(line, d))
+    assert max(len(w) for _, w in blocks) <= NODE_BLOCK
+    assert len(blocks) == (1 if d == 2 else 2)
+    assert np.concatenate([x for x, _ in blocks]).tobytes() == rule.nodes.tobytes()
+    assert np.concatenate([w for _, w in blocks]).tobytes() == rule.weights.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integrate_equals_weighted_sum_over_the_whole_rule(d, m):
+    g = (lambda x: _vector(x)[:, 1]) if m == 1 else _vector
+    size = {1: 40, 2: 200, 3: 40}[d]  # the d = 2, 3 rules span two node blocks
+    rule = gauss_hermite_rule(size, d)
+    got = integrate_gauss_hermite(g, size, d)
+    want = weighted_sum(rule.nodes, rule.weights, g)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    rule = periodic_rule(size, d)
+    assert (np.asarray(integrate_periodic(g, size, d)).tobytes()
+            == np.asarray(weighted_sum(rule.nodes, rule.weights, g)).tobytes())
+
+
+def test_integrate_vector_columns_keep_their_scalar_bits():
+    vec = integrate_periodic(_vector, 40, d=3)
+    for i in range(3):
+        assert vec[i].tobytes() == integrate_periodic(lambda x, i=i: _vector(x)[:, i], 40, d=3).tobytes()
+
+
+def test_every_node_is_evaluated_once_in_bounded_blocks():
+    n = 2 * NODE_BLOCK + NODE_BLOCK // 2
+    nodes = np.linspace(-1.0, 1.0, n)
+    rule = box_rule(1.0, 2, panels=40, order=8)
+    box_seen, bound_seen = [], []
+    weighted_sum(rule.nodes, rule.weights, _recording(_vector, box_seen))
+    integral_bound_check(_recording(_vector, bound_seen), nodes, np.full(n, 1.0 / n), ValueSpace(3))
+    for seen, want in (
+        (box_seen, rule.nodes),
+        (bound_seen, nodes),
+    ):
+        assert max(len(x) for x in seen) <= NODE_BLOCK
+        assert np.concatenate(seen).tobytes() == np.ascontiguousarray(want).tobytes()
+    for integrate, build, size in ((integrate_gauss_hermite, gauss_hermite_rule, 40),
+                                   (integrate_periodic, periodic_rule, 64)):
+        seen = []
+        integrate(_recording(_vector, seen), size, d=3)
+        rule = build(size, 3)
+        assert max(len(x) for x in seen) <= NODE_BLOCK
+        assert np.concatenate(seen).tobytes() == np.ascontiguousarray(rule.nodes).tobytes()
+
+
+def test_numeric_error_carries_the_first_bad_node_of_a_later_block():
+    n = NODE_BLOCK + 100
+    nodes = np.arange(n, dtype=float)
+    bad = {NODE_BLOCK + 7, NODE_BLOCK + 50}
+
+    def f(x):
+        return np.where(np.isin(x, list(bad)), np.nan, 1.0)
+
+    with pytest.raises(NumericError) as err:
+        weighted_sum(nodes, np.ones(n), f)
+    assert err.value.node == float(NODE_BLOCK + 7)
+    rule = gauss_hermite_rule(40, 3)
+    first = rule.nodes[NODE_BLOCK + 3]
+
+    def g(x):
+        return np.where(np.all(x == first, axis=1), np.inf, 0.0)
+
+    with pytest.raises(NumericError) as err:
+        integrate_gauss_hermite(g, 40, d=3)
+    assert err.value.node == first.tolist()
+
+
+@pytest.mark.parametrize("widths", [(None, 3), (3, None), (2, 3)])
+def test_a_value_shape_change_between_blocks_is_refused(widths):
+    n = NODE_BLOCK + 10
+    calls = []
+
+    def f(x):
+        width = widths[min(len(calls), 1)]
+        calls.append(len(x))
+        return np.ones(len(x)) if width is None else np.ones((len(x), width))
+
+    with pytest.raises(InputError, match="shape"):
+        weighted_sum(np.zeros(n), np.ones(n), f)
+    assert calls == [NODE_BLOCK, 10]
+
+
+def test_a_complex_block_after_a_real_one_promotes_the_sum():
+    n = NODE_BLOCK + 10
+    rng = np.random.default_rng(8)
+    nodes = rng.uniform(-1.0, 1.0, n)
+    weights = rng.uniform(0.0, 1.0, n)
+    f = lambda x: np.cos(x) if len(x) == NODE_BLOCK else np.exp(1j * x)
+    acc = 0.0
+    for x, w in ((nodes[:NODE_BLOCK], weights[:NODE_BLOCK]), (nodes[NODE_BLOCK:], weights[NODE_BLOCK:])):
+        for s, wi in zip(f(x), w):
+            acc = acc + wi * s
+    got = weighted_sum(nodes, weights, f)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == np.complex128(acc).tobytes()
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_an_empty_rule_calls_f_once_and_keeps_its_shape(m):
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.ones(len(x)) if m is None else np.ones((len(x), m))
+
+    got = weighted_sum(np.zeros(0), np.zeros(0), f)
+    assert calls == [(0,)]
+    assert np.shape(got) == (() if m is None else (m,))
+    assert np.all(got == 0.0)
+
+
+def test_a_tensor_rule_past_intp_is_refused_before_f_runs():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.ones(len(x))
+
+    with pytest.raises(InputError, match="too many nodes"):
+        integrate_gauss_hermite(f, 40, d=20)
+    with pytest.raises(InputError, match="too many nodes"):
+        gauss_hermite_rule(40, d=20)
+    assert calls == []

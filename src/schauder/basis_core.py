@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import InputError
-from .indexing import _finite_at_least, _int_in
+from .indexing import _finite_at_least, _int_in, _numbers
 from .value_space import ValueSpace
 
 __all__ = [
@@ -403,7 +403,17 @@ def _element(basis, idxs, coeffs):
 
 
 def partial_sum(basis, f, k, x):
-    """Evaluate P_k f at point(s) ``x``: coefficients times elements, in order."""
+    """Evaluate P_k f at point(s) ``x``: coefficients times elements, in order.
+
+    Points that are not integers, floats or complex numbers, and points the
+    family's elements refuse, raise ``InputError`` before ``f`` runs; the
+    elements of a family share one domain, so the table of the first one
+    refuses what the table of all would.
+    """
+    x = _numbers("points", x, "iufc")
+    idxs = basis.indices(k)
+    if idxs:
+        basis.element_table(idxs[:1], _ascending(np.atleast_1d(x))[1])
     return materialize(basis, f, k)(x)
 
 

@@ -40,6 +40,19 @@ def _finite_at_least(name, value, low):
     return value
 
 
+def _numbers(name, values, kinds="iuf"):
+    """``values`` as an array, refused unless its entries are integers or
+    floats, or complex numbers too with ``kinds`` "iufc"; a bool, a string
+    or None is not a number, and neither is a ragged nesting."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise InputError(f"{name} must be an array of numbers") from exc
+    if arr.dtype.kind not in kinds:
+        raise InputError(f"{name} must be numbers, got an array of dtype {arr.dtype}")
+    return arr
+
+
 @dataclass(frozen=True)
 class IndexSet:
     kind: str  # 'linear' | 'multi' | 'lattice'

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis_core import BasisFamily, _on_line, _rows
 from .errors import InputError
-from .indexing import IndexSet, _finite_at_least, _int_in
+from .indexing import IndexSet, _finite_at_least, _int_in, _numbers
 from .quadrature import accumulate, samples_of, segment_rules
 from .value_space import ValueSpace
 
@@ -775,12 +775,15 @@ def lp_error(f, g, p, breakpoints, space=None):
     piecewise-polynomial residuals.  ``f`` and ``g`` are evaluated once on
     the nodes of every segment; each segment's integral is accumulated in
     node order, then the segments in ascending order.  Returns a scalar for scalar handles
-    without a space, else one value per seminorm of ``space``.
+    without a space, else one value per seminorm of ``space``.  Breakpoints
+    that are not strictly increasing finite reals (a bool is not one) are
+    refused before ``f`` runs.
     """
     _finite_at_least("exponent p", p, 1)
-    bps = np.asarray(breakpoints, dtype=float)
+    # segment_rules refuses non-finite ends, still before f runs
+    bps = np.asarray(_numbers("breakpoints", breakpoints), dtype=float)
     if bps.ndim != 1 or bps.size < 2 or np.any(np.diff(bps) <= 0):
-        raise InputError("breakpoints must be a strictly increasing 1-D array")
+        raise InputError("breakpoints must be a strictly increasing 1-D array of reals")
     sp = space if space is not None else ValueSpace(1)
 
     def integrand(pts):

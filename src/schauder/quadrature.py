@@ -34,9 +34,11 @@ bound checks are local.  A d-dimensional tensor rule lists its nodes in
 lexicographic order (last coordinate fastest) as one column-major (N, d)
 array, so each coordinate column ``x[:, a]`` an integrand reads is
 contiguous; node (i_1, ..., i_d) weighs w_i1 * w_i2 * ... * w_id, from the
-left.  ``integrate_gauss_hermite``, ``integrate_periodic`` and the tail-bound
-check build each block of these rows from the 1-D rule, so a tensor rule
-they integrate is never formed whole.  No node array goes through BLAS: the
+left; d = 1 is the one-axis case, with (N,) nodes and the bits of the 1-D
+rule.  One builder, ``_grid_rows``, lays out every tensor grid, and
+``integrate_*`` and the tail-bound check build it block by block from the
+1-D grid, so they never form a tensor rule or grid whole.  No node array
+goes through BLAS: the
 phase <n, x> of a Fourier element is folded from the left over the columns,
 ((n_1 x_1 + n_2 x_2) + n_3 x_3), so its bits do not depend on the layout.
 """
@@ -312,18 +314,14 @@ def segment_rules(a, b, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
 
 
 def box_rule(c, d, panels=DEFAULT_PANELS, order=DEFAULT_ORDER):
-    """Tensor composite Gauss-Legendre rule on the box [-c, c]^d.
-
-    For d == 1 nodes have shape (k,); otherwise (k, d) with lexicographic
-    node order (last axis fastest).
-    """
+    """Tensor composite Gauss-Legendre rule on the box [-c, c]^d, in the
+    layout of ``tensor_rule``."""
     d = _int_in("box dimension", d, 1)
-    line = gauss_legendre_rule(-float(c), float(c), panels=panels, order=order)
-    return line if d == 1 else tensor_rule(line, d)
+    return tensor_rule(gauss_legendre_rule(-float(c), float(c), panels=panels, order=order), d)
 
 
 def tensor_rule(line_rule, d):
-    """Tensorize a 1-D rule to d dimensions with lexicographic node order."""
+    """Tensorize a 1-D rule to d dimensions, its nodes laid out by ``_grid_rows``."""
     size = _tensor_size(line_rule, d)
     return QuadratureRule(*next(_tensor_blocks(line_rule, d, size)))
 
@@ -341,43 +339,47 @@ def _tensor_blocks(line_rule, d, block=NODE_BLOCK):
     ``block``, each built from the 1-D rule.  The ``lead`` first axes are the
     fewest whose remaining grid fits a block: each block takes a range of
     their index tuples, with the whole remaining grid under each tuple.
-    Nodes are column-major (k, d); weights are multiplied from the left,
+    Nodes are those of ``_grid_rows``; weights are multiplied from the left,
     (w_i1 * w_i2) * w_i3, as in the outer products of the whole rule."""
     x, w = line_rule.nodes, line_rule.weights
     q = len(w)
     lead = next(a for a in range(d + 1) if q ** (d - a) <= block)
-    trail = (q,) * (d - lead)
     step = block // q ** (d - lead)
     for start in range(0, q ** lead, step):
         stop = min(start + step, q ** lead)
         heads = np.unravel_index(np.arange(start, stop), (q,) * lead) if lead else ()
-        cols = np.empty((d, stop - start) + trail, dtype=x.dtype)
         weights = np.ones(stop - start)
-        for a, head in enumerate(heads):
-            cols[a] = x[head].reshape((-1,) + (1,) * len(trail))
+        for head in heads:
             weights = weights * w[head]
-        for a in range(lead, d):
-            cols[a] = x.reshape((-1,) + (1,) * (d - 1 - a))
+        for _ in range(lead, d):
             weights = np.multiply.outer(weights, w)
-        yield cols.reshape(d, -1).T, weights.reshape(-1)
+        yield _grid_rows(x, d, heads), weights.reshape(-1)
 
 
 def _tensor_sum(f, line_rule, d):
-    """``_block_sum`` over ``line_rule`` for d = 1 and over the blocks of
-    ``_tensor_blocks`` otherwise: the tensor rule is never formed whole."""
-    if d == 1:
-        return _block_sum(f, _slices(line_rule.nodes, line_rule.weights), len(line_rule))
+    """``_block_sum`` over the blocks of ``_tensor_blocks``: the tensor rule
+    is never formed whole."""
     return _block_sum(f, _tensor_blocks(line_rule, d), _tensor_size(line_rule, d))
 
 
 def tensor_grid(axis, d):
-    """The (q**d, d) grid of ``axis`` in lexicographic order, last coordinate
-    fastest, column-major: each coordinate column is one contiguous row of
-    the (d, q**d) array it transposes."""
-    cols = np.empty((d,) + (len(axis),) * d, dtype=axis.dtype)
-    for i in range(d):
-        cols[i] = axis.reshape((-1,) + (1,) * (d - 1 - i))
-    return cols.reshape(d, -1).T
+    """The q**d rows of ``axis``^d, laid out by ``_grid_rows``."""
+    return _grid_rows(axis, d)
+
+
+def _grid_rows(axis, d, heads=()):
+    """Rows of ``axis``^d, last coordinate fastest: the whole grid, or under
+    each index tuple of ``heads`` (index arrays of the leading axes) the grid
+    of the other axes.  Column-major (k, d) nodes, each coordinate column one
+    contiguous row of the (d, k) array they transpose; (k,) for d = 1."""
+    trail = (len(axis),) * (d - len(heads))
+    cols = np.empty((d, len(heads[0]) if heads else 1) + trail, dtype=axis.dtype)
+    for a, head in enumerate(heads):
+        cols[a] = axis[head].reshape((-1,) + (1,) * len(trail))
+    for a in range(len(heads), d):
+        cols[a] = axis.reshape((-1,) + (1,) * (d - 1 - a))
+    cols = cols.reshape(d, -1)
+    return cols[0] if d == 1 else cols.T
 
 
 # -- Hermite functions and the Gauss-Hermite rule ---------------------------
@@ -430,8 +432,7 @@ def gauss_hermite_rule(m, d=1):
     """Gauss-Hermite rule: sum w_i g(x_i) ~ integral of g e^{-|x|^2}, with
     the weights of ``psi_weighted_rule(m)`` times e^{-x_i^2}."""
     d = _int_in("Gauss-Hermite dimension", d, 1)
-    line = _gauss_hermite_line(m)
-    return line if d == 1 else tensor_rule(line, d)
+    return tensor_rule(_gauss_hermite_line(m), d)
 
 
 def _gauss_hermite_line(m):
@@ -457,8 +458,7 @@ def periodic_rule(n, d=1):
     aliasing guard behind Fourier coefficient accuracy.
     """
     line = _periodic_line(n)
-    d = _int_in("periodic rule dimension", d, 1, 3)
-    return line if d == 1 else tensor_rule(line, d)
+    return tensor_rule(line, _int_in("periodic rule dimension", d, 1, 3))
 
 
 def _periodic_line(n):

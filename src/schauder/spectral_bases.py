@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_core import BasisFamily
+from .basis_core import BasisFamily, _rows
 from .errors import InputError, NumericError
 from .indexing import IndexSet, _finite_at_least, _int_in, _is_int
 from .quadrature import (
     HERMITE_MAX_SIZE,
+    QuadratureRule,
     _hermite_rows,
     _overflow_checked,
+    _tensor_blocks,
     _tensor_sum,
     gauss_legendre_rule,
     node_major,
@@ -36,6 +38,7 @@ from .quadrature import (
     tensor_grid,
 )
 from .sequence_spaces import TruncatedSequence
+from .value_space import ValueSpace
 
 __all__ = [
     "hermite_function",
@@ -122,12 +125,11 @@ class HermiteBasis(BasisFamily):
     @functools.cached_property
     def _grid(self):
         """The Q^d nodes of the coefficients, built on first use."""
-        nodes = psi_weighted_rule(self.quad_size)[0]
-        return nodes if self.d == 1 else tensor_grid(nodes, self.d)
+        return tensor_grid(psi_weighted_rule(self.quad_size)[0], self.d)
 
     def element(self, n):
         ns = _as_multi(self.index_set.validate_member(n), self.d)
-        return functools.partial(hermite_function, ns if self.d > 1 else ns[0], d=self.d)
+        return functools.partial(hermite_function, ns, d=self.d)
 
     def element_table(self, idxs, pts, order=0):
         """For d = 1 on 1-D real points, the rows of one ``_hermite_rows``
@@ -213,8 +215,10 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     of f on a grid over [-10, 10]^d (an under-approximation, which only
     tightens the check), and the difference of the box terms
     2^d [(1 - e^{-outer^2/2})^d - (1 - e^{-inner^2/2})^d].  Each box
-    integral is ``weighted_sum`` over ``box_rule``, bit for bit, with its
-    tensor rows built block by block from the 1-D rule.  Bad radii, panel
+    integral is ``weighted_sum`` over ``box_rule``, bit for bit, and the sup
+    is folded block by block, the rows of each block built from the 1-D
+    grid, so f sees at most ``NODE_BLOCK`` points per call.  The seminorms
+    are those of ``space``, by default the sup norm.  Bad radii, panel
     densities, dimensions and grid sizes are refused before f runs.
     """
     d = _int_in("box dimension", d, 1)
@@ -227,9 +231,9 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     ns = _as_multi(n, d)
     j = sum(ns)
 
-    def integrand(pts, ns=ns, d=d):
+    def integrand(pts):
         fv = np.asarray(f(pts))
-        hv = hermite_function(ns if d > 1 else ns[0], pts, d=d)
+        hv = hermite_function(ns, pts, d=d)
         return fv * hv if fv.ndim == 1 else fv * hv[:, None]
 
     vals = {}
@@ -238,31 +242,19 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
         line = gauss_legendre_rule(-float(c), float(c), panels=panels, order=order)
         vals[c] = np.atleast_1d(_tensor_sum(integrand, line, d))
     gap = vals[outer] - vals[inner]
-    if space is None:
-        lhs = np.array([float(np.max(np.abs(gap)))])
-    else:
-        lhs = space.seminorm_values(gap)
+    # no space: the sup norm of f's values, whatever their field
+    space = ValueSpace(len(gap)) if space is None else space
+    lhs = space.seminorm_values(gap)
 
     axis = np.linspace(-10.0, 10.0, grid_points)
-    if d == 1:
-        pts = axis
-        sq = axis * axis
-    else:
-        pts = tensor_grid(axis, d)
-        sq = np.sum(pts * pts, axis=1)
-    weight = (1.0 + sq) ** (0.5 * j)
-    fv = np.asarray(f(pts))
-    rows = fv[:, None] if fv.ndim == 1 else fv
-    if space is None:
-        weighted = np.max(np.abs(rows), axis=1) * weight
-        fnorm = np.array([float(np.max(weighted))])
-    else:
-        table = space.seminorm_table(rows)
-        fnorm = np.max(table * weight[:, None], axis=0)
+    sups = []
+    for pts, _ in _tensor_blocks(QuadratureRule(axis, np.ones(grid_points)), d):
+        sq = np.sum(np.reshape(pts * pts, (len(pts), -1)), axis=1)
+        weight = (1.0 + sq) ** (0.5 * j)
+        sups.append(np.max(space.seminorm_table(_rows(f(pts))) * weight[:, None], axis=0))
+    fnorm = np.max(sups, axis=0)
 
-    cgrow = 1.0
-    for ni in ns:
-        cgrow *= _abs_coeff_sum(ni)
+    cgrow = math.prod(map(_abs_coeff_sum, ns))
     boxes = (1.0 - math.exp(-0.5 * outer * outer)) ** d \
         - (1.0 - math.exp(-0.5 * inner * inner)) ** d
     rhs = (2.0 ** d) * cgrow * fnorm * boxes

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from schauder import (
+    CkBasis,
     ExpansionOperator,
     FourierBasis,
+    FunctionBundle,
     HaarBasis,
     HatBasis,
     HermiteBasis,
@@ -48,6 +50,53 @@ def test_partial_sum_equals_operator_call():
     el = ExpansionOperator(basis, 6)(f)
     for x in (0.0, 0.3, 0.875, 1.0):
         assert el(x) == partial_sum(basis, f, 6, x)
+
+
+def _counted(f, points):
+    def g(x):
+        points.append(np.size(x))
+        return f(x)
+    return g
+
+
+@pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), HermiteBasis(n_max=8)],
+                         ids=["haar", "hat", "hermite"])
+@pytest.mark.parametrize("x", [["a"], [None], [True], np.array([False, True]), "0.5", [[0.1], [0.2, 0.3]]],
+                         ids=["string", "none", "bool", "bools", "string-scalar", "ragged"])
+def test_partial_sum_refuses_points_that_are_not_numbers_before_f_runs(basis, x):
+    points = []
+    with pytest.raises(InputError, match="points"):
+        partial_sum(basis, _counted(reg("x"), points), 4, x)
+    assert points == []
+
+
+@pytest.mark.parametrize("basis", [HaarBasis(), HatBasis(), CkBasis(2)], ids=["haar", "hat", "ck"])
+@pytest.mark.parametrize("x", [[np.nan], [0.25, np.nan, 0.5], [0.5, np.inf], [0.5, -0.25], 1.5],
+                         ids=["nan", "inner-nan", "inf", "outside", "outside-scalar"])
+def test_partial_sum_refuses_points_off_the_domain_before_f_runs(basis, x):
+    # x and its derivatives, each counted: the C^k coefficients read f''
+    points = []
+    f = FunctionBundle(_counted(reg("x"), points), [_counted(np.ones_like, points),
+                                                    _counted(np.zeros_like, points)])
+    assert partial_sum(basis, f, 4, [0.25, 0.5]).shape == (2,) and points
+    points.clear()
+    with pytest.raises(InputError):
+        partial_sum(basis, f, 4, x)
+    assert points == []
+
+
+@pytest.mark.parametrize("basis, f, x", [
+    (HaarBasis(), reg("sin-pi"), np.array([0.9, 0.1, 0.5, 0.0, 1.0])),
+    (HatBasis(), reg("x2"), [1, 0, 0.3]),
+    (HermiteBasis(n_max=8), reg("gauss"), np.array([-1.5, 0.0, 2, 0.25])),
+    (FourierBasis(n_max=3), reg("cos"), 0.5),
+    (TaylorBasis(n_max=6), lambda z: np.exp(z), np.array([0.1 + 0.2j, -0.3j, 0.5])),
+], ids=["haar", "hat", "hermite", "fourier", "taylor-complex"])
+def test_partial_sum_of_valid_points_is_the_materialized_sum(basis, f, x):
+    got = np.asarray(partial_sum(basis, f, 4, x))
+    want = np.asarray(materialize(basis, f, 4)(x))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_expansion_is_linear_in_the_function():

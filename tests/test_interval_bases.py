@@ -446,6 +446,29 @@ def test_lp_error_refuses_exponents_that_are_not_finite_reals(p):
     assert points == []
 
 
+@pytest.mark.parametrize("breakpoints", [
+    [0, "a", 1], [False, True], [0.0, math.nan, 1.0], [0.0, math.inf],
+    [None, 1.0], [[0.0], [0.5, 1.0]], [0.0, 1j],
+], ids=["string", "bools", "nan", "inf", "none", "ragged", "complex"])
+def test_lp_error_refuses_breakpoints_that_are_not_finite_reals(breakpoints):
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.asarray(x, dtype=float)
+
+    with pytest.raises(InputError, match="breakpoints|interval"):
+        lp_error(f, f, 1, breakpoints)
+    assert points == []
+
+
+def test_lp_error_takes_integer_breakpoints_as_floats():
+    f = lambda x: np.asarray(x, dtype=float)
+    g = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    assert lp_error(f, g, 1, [0, 1]) == lp_error(f, g, 1, [0.0, 1.0])
+    assert lp_error(f, g, 2, np.array([0, 1, 3], dtype=np.int32)) == lp_error(f, g, 2, [0.0, 1.0, 3.0])
+
+
 def test_basis_lp_hook():
     basis = HaarBasis()
     err = basis.lp_error(reg("x"), materialize(basis, reg("x"), 4), 1, 4)

@@ -23,6 +23,7 @@ from schauder.quadrature import (
     NODE_BLOCK,
     _tensor_blocks,
     accumulate,
+    psi_weighted_rule,
     tensor_rule,
 )
 
@@ -208,6 +209,11 @@ def test_periodic_integrals():
         periodic_rule(16, d=4)
 
 
+def _rows_shape(k, d):
+    # d = 1 is the one-axis case, with (k,) nodes like every 1-D rule
+    return (k,) if d == 1 else (k, d)
+
+
 def _meshgrid_rule(line, d):
     # the meshgrid construction of a tensor rule, kept as the reference
     grids = np.meshgrid(*([line.nodes] * d), indexing="ij")
@@ -215,7 +221,7 @@ def _meshgrid_rule(line, d):
     weights = np.ones(nodes.shape[0])
     for g in np.meshgrid(*([line.weights] * d), indexing="ij"):
         weights = weights * g.reshape(-1)
-    return nodes, weights
+    return nodes.reshape(_rows_shape(len(weights), d)), weights
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -227,7 +233,7 @@ def _meshgrid_rule(line, d):
 def test_tensor_rule_matches_meshgrid_construction(line, d):
     rule = tensor_rule(line, d)
     nodes, weights = _meshgrid_rule(line, d)
-    assert rule.nodes.shape == (len(line) ** d, d)
+    assert rule.nodes.shape == _rows_shape(len(line) ** d, d)
     # column-major: each coordinate column is contiguous
     assert rule.nodes.flags.f_contiguous
     assert np.array_equal(rule.nodes, nodes)
@@ -407,10 +413,36 @@ def test_tensor_blocks_are_the_rows_of_tensor_rule(d, block):
     line = gauss_legendre_rule(-1.5, 2.0, panels=3, order=3)
     rule = tensor_rule(line, d)
     blocks = list(_tensor_blocks(line, d, block))
-    assert all(1 <= len(w) <= block and x.shape == (len(w), d) for x, w in blocks)
+    assert all(1 <= len(w) <= block and x.shape == _rows_shape(len(w), d) for x, w in blocks)
     assert all(x.flags.f_contiguous for x, _ in blocks)
     assert np.concatenate([x for x, _ in blocks]).tobytes() == rule.nodes.tobytes()
     assert np.concatenate([w for _, w in blocks]).tobytes() == rule.weights.tobytes()
+
+
+def test_one_axis_rules_are_their_lines():
+    # d = 1 is the one-axis tensor case: (k,) nodes, the bits of the 1-D rule
+    line = gauss_legendre_rule(-1.5, 1.5, panels=3, order=5)
+    x, w, _ = psi_weighted_rule(9)
+    periodic = -np.pi + 2.0 * np.pi * np.arange(7) / 7
+    for rules, nodes, weights in (
+        ((box_rule(1.5, 1, panels=3, order=5), tensor_rule(line, 1)), line.nodes, line.weights),
+        ((gauss_hermite_rule(9, 1), tensor_rule(gauss_hermite_rule(9), 1)), x, w * np.exp(-x * x)),
+        ((periodic_rule(7, 1), tensor_rule(periodic_rule(7), 1)), periodic, np.full(7, 2.0 * np.pi / 7)),
+    ):
+        for rule in rules:
+            assert rule.nodes.shape == np.shape(nodes)
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+
+
+def test_a_one_axis_integral_runs_in_node_blocks():
+    seen = []
+    got = integrate_periodic(_recording(_vector, seen), 70000, 1)
+    assert [len(x) for x in seen] == [NODE_BLOCK, NODE_BLOCK, 4464]
+    assert all(x.shape == (len(x),) for x in seen)
+    rule = periodic_rule(70000)
+    assert np.concatenate(seen).tobytes() == rule.nodes.tobytes()
+    assert got.tobytes() == weighted_sum(rule.nodes, rule.weights, _vector).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -13,8 +13,11 @@ from schauder import (
     HermiteBasis,
     InputError,
     NumericError,
+    SeminormSpec,
     TaylorBasis,
+    ValueSpace,
     biorthogonality_matrix,
+    box_rule,
     fourier_coefficient,
     hermite_function,
     hermite_tail_bound_check,
@@ -22,7 +25,9 @@ from schauder import (
     partial_sum,
     taylor_coefficients,
     to_s_space,
+    weighted_sum,
 )
+from schauder.quadrature import NODE_BLOCK
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 from schauder.spectral_bases import _abs_coeff_sum
@@ -243,6 +248,80 @@ def test_tail_bound_two_dim():
     rep = hermite_tail_bound_check(f, (1, 0), 1.0, 2.0, d=2, grid_points=161, panels_per_unit=2, order=6)
     assert rep.passed()
     assert rep.inner == 1.0 and rep.outer == 2.0
+
+
+def _tail_bound_reference(f, ns, inner, outer, d, space, grid_points, order, panels_per_unit):
+    # both sides by the whole-grid formula: each box integral a weighted_sum
+    # over the whole box rule, the weighted sup over the whole grid at once
+    def integrand(pts):
+        fv = np.asarray(f(pts))
+        hv = hermite_function(ns, pts, d=d)
+        return fv * hv if fv.ndim == 1 else fv * hv[:, None]
+
+    vals = {}
+    for c in (inner, outer):
+        rule = box_rule(c, d, panels=max(4, int(math.ceil(2.0 * c * panels_per_unit))), order=order)
+        vals[c] = np.atleast_1d(weighted_sum(rule.nodes, rule.weights, integrand))
+    gap = vals[outer] - vals[inner]
+    lhs = np.array([float(np.max(np.abs(gap)))]) if space is None else space.seminorm_values(gap)
+    axis = np.linspace(-10.0, 10.0, grid_points)
+    if d == 1:
+        pts, sq = axis, axis * axis
+    else:
+        grids = np.meshgrid(*([axis] * d), indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids]).T  # column-major
+        sq = np.sum(pts * pts, axis=1)
+    weight = (1.0 + sq) ** (0.5 * sum(ns))
+    fv = np.asarray(f(pts))
+    rows = fv[:, None] if fv.ndim == 1 else fv
+    if space is None:
+        fnorm = np.array([float(np.max(np.max(np.abs(rows), axis=1) * weight))])
+    else:
+        fnorm = np.max(space.seminorm_table(rows) * weight[:, None], axis=0)
+    cgrow = math.prod(_abs_coeff_sum(ni) for ni in ns)
+    boxes = (1.0 - math.exp(-0.5 * outer * outer)) ** d - (1.0 - math.exp(-0.5 * inner * inner)) ** d
+    return lhs, (2.0 ** d) * cgrow * fnorm * boxes
+
+
+def _tail_scalar(p):
+    q = np.reshape(p, (len(p), -1))
+    return np.exp(-0.3 * np.sum(q * q, axis=1)) * (1.0 + q[:, 0])
+
+
+def _tail_vector(p):
+    q = np.reshape(p, (len(p), -1))
+    r = np.sum(q * q, axis=1)
+    return np.stack([np.exp(-0.3 * r), np.cos(q[:, 0]) * np.exp(-0.2 * r), q[:, -1] * np.exp(-r)], axis=-1)
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["sup", "space"])
+@pytest.mark.parametrize("f", [_tail_scalar, _tail_vector], ids=["scalar", "vector"])
+@pytest.mark.parametrize("d, ns, grid_points, rows", [
+    (1, (2,), 2001, 2001),
+    (2, (1, 2), 201, 40401),  # two blocks of the sup grid
+    (3, (1, 0, 1), 41, 68921),  # three
+], ids=["d1", "d2", "d3"])
+def test_tail_bound_blockwise_sup_equals_the_whole_grid(d, ns, grid_points, rows, f, given):
+    space = None
+    if given:
+        kinds = [SeminormSpec("sup"), SeminormSpec("euclidean")]
+        space = ValueSpace(1) if f is _tail_scalar else ValueSpace(3, seminorms=kinds + [
+            SeminormSpec("weighted-sup", (1.0, 2.0, 0.5))])
+    seen = []
+
+    def recorded(p):
+        seen.append(len(p))
+        return f(p)
+
+    rep = hermite_tail_bound_check(recorded, ns, 1.0, 2.0, d=d, space=space,
+                                   grid_points=grid_points, order=4, panels_per_unit=1)
+    assert max(seen) <= NODE_BLOCK
+    # the inner and the outer box, 4 panels of 4 nodes per axis each, then the sup grid
+    assert seen[:2] == [16 ** d] * 2 and sum(seen[2:]) == rows
+    lhs, rhs = _tail_bound_reference(f, ns, 1.0, 2.0, d, space, grid_points, 4, 1)
+    for got, want in ((rep.lhs, lhs), (rep.rhs, rhs)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tail_bound_validates_radii():

@@ -157,11 +157,10 @@ class BasisFamily(ABC):
 
 
 def _ascending(pts):
-    """``(order, spts)``: 1-D real ``pts`` sorted stably, ``spts = pts[order]``;
-    ``order`` is None, and ``spts`` is ``pts``, when they already ascend or
-    are not 1-D reals."""
+    """``(order, pts[order])``: 1-D real ``pts`` sorted stably; ``order`` is
+    ``slice(None)`` when they already ascend or are not 1-D reals."""
     if pts.ndim != 1 or np.iscomplexobj(pts) or np.all(pts[1:] >= pts[:-1]):
-        return None, pts
+        return slice(None), pts
     order = np.argsort(pts, kind="stable")
     return order, pts[order]
 
@@ -227,7 +226,9 @@ class FiniteRankElement:
     the element is sum_n f_n(x) * e_n: the action of the point evaluation
     at x.  Its values come from one ``element_table`` call on the sorted
     points, and ``_running`` adds the terms in term order, each on the
-    points of its support.
+    points of its support.  A plain call is the partial sum of every term,
+    and every sum is written straight into the caller's point order, with
+    no second copy of the result.
 
     ``partial_sums`` makes the K^(R*m)-valued element whose block r
     (columns r*m .. r*m + m - 1, m the coefficient length, 1 for scalars)
@@ -270,33 +271,31 @@ class FiniteRankElement:
 
     def __call__(self, x):
         x = np.asarray(x)
-        scalar_input = x.ndim == 0
-        pts = x[None] if scalar_input else x
-        order, spts = _ascending(pts)
-        acc = self._sums(spts)
-        if order is not None:
-            acc[order] = acc.copy()
-        return acc[0] if scalar_input else acc
+        pts = x[None] if x.ndim == 0 else x
+        if self.counts is None:  # the partial sum of every term
+            out = self._with(counts=[len(self.idxs)])._sums(pts)
+            out = out.reshape((len(pts),) + self.coeffs.shape[1:])
+        else:
+            out = self._sums(pts)
+        return out[0] if x.ndim == 0 else out
 
     def _sums(self, pts):
-        """The sum of all terms on ascending ``pts``; with ``counts``, block r
-        is the running sum as it stands after ``counts[r]`` terms (zero while
-        no term has been added)."""
-        counts, n = self.counts, len(pts)
-        stops = [len(self.idxs)] if counts is None else counts
-        total = max(stops, default=0)
+        """Block r of the running sum over the terms as it stands after
+        ``counts[r]`` terms (zero while no term has been added), in the
+        caller's row order: the table and the sum run on the sorted points,
+        and each block is written straight into the rows its points came
+        from."""
+        rows, spts = _ascending(pts)
+        n, total = len(pts), max(self.counts, default=0)
         width = int(np.prod(self.coeffs.shape[1:]))
-        out = np.zeros((n,) + self.coeffs.shape[1:] if counts is None else (n, len(counts) * width))
-        if not total:
-            return out
-        table = self.basis.element_table(self.idxs[:total], pts, self.order)
-        for c, acc, _ in _running(table, n, self.coeffs[:total], stops):
-            if counts is None:
-                return acc
-            out = out.astype(np.result_type(out, acc), copy=False)
-            for r, k in enumerate(counts):
-                if k == c:
-                    out[:, r * width:(r + 1) * width] = acc.reshape(n, width)
+        out = np.zeros((n, len(self.counts) * width))
+        if total:
+            table = self.basis.element_table(self.idxs[:total], spts, self.order)
+            for c, acc, _ in _running(table, n, self.coeffs[:total], self.counts):
+                out = out.astype(np.result_type(out, acc), copy=False)
+                for r, k in enumerate(self.counts):
+                    if k == c:
+                        out[rows, r * width:(r + 1) * width] = acc.reshape(n, width)
         return out
 
     def derivative(self, order=1):

@@ -43,13 +43,17 @@ def _finite_at_least(name, value, low):
 def _numbers(name, values, kinds="iuf"):
     """``values`` as an array, refused unless its entries are integers or
     floats, or complex numbers too with ``kinds`` "iufc"; a bool, a string
-    or None is not a number, and neither is a ragged nesting."""
+    or None is not a number, and neither is a ragged nesting.  numpy makes
+    ``[0.25, True]`` floats, so entries not in an ndarray are scanned for bools."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # a ragged nesting
         raise InputError(f"{name} must be an array of numbers") from exc
     if arr.dtype.kind not in kinds:
         raise InputError(f"{name} must be numbers, got an array of dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise InputError(f"{name} must be numbers, got a bool among them")
     return arr
 
 

@@ -452,11 +452,11 @@ class HaarBasis(BasisFamily):
         """2^k times the raw integral of f h_n, ``f`` evaluated once.
 
         Each constancy interval gets its own composite rule, so jump
-        locations never sit inside a quadrature panel.  The intervals, signs,
+        locations never sit inside a quadrature panel.  The intervals,
         panel counts and scales of all indices come from one index array, by
         the float operations of ``haar_constancy_intervals``; intervals with
         the same panel count are built and accumulated together, then each
-        index adds its signed interval sums, (+1 p0) + (-1 p1).
+        index takes its second interval sum from its first, p0 - p1.
         """
         n = _haar_indices(self.index_set, idxs)
         if not n.size:
@@ -465,10 +465,9 @@ class HaarBasis(BasisFamily):
         keep = np.stack([np.ones_like(two), two], axis=1)  # pieces in index order
         starts = np.stack([lo, mid], axis=1)[keep]
         ends = np.stack([np.where(two, mid, hi), hi], axis=1)[keep]
-        signs = np.broadcast_to([1.0, -1.0], keep.shape)[keep]
-        # panel edges align with dyadic jumps down to level 6 (enough for rank 128)
-        width = ends - starts
-        level = np.where(width < 1.0, np.rint(-np.log2(width)), 0.0).astype(np.int64)
+        # a piece of h_(2^k + j) has width 2^-(k+1); panel edges align with
+        # dyadic jumps down to level 6 (enough for rank 128)
+        level = np.repeat(np.where(two, k + 1, 0), 1 + two)
         counts = np.maximum(4, 1 << np.maximum(0, 6 - level))
         groups = []
         for c in np.unique(counts):
@@ -481,11 +480,10 @@ class HaarBasis(BasisFamily):
             block = samples[start:start + nodes.size].reshape(nodes.shape + samples.shape[1:])
             start += nodes.size
             sums[sel] = accumulate(weights.T, block.swapaxes(0, 1))
-        col = (slice(None),) + (None,) * (sums.ndim - 1)
-        signed = signs[col] * sums
         first = np.cumsum(1 + two) - (1 + two)
-        raw = signed[first]
-        raw[two] = raw[two] + signed[first[two] + 1]
+        raw = sums[first]
+        raw[two] -= sums[first[two] + 1]
+        col = (slice(None),) + (None,) * (sums.ndim - 1)
         return raw * np.where(two, np.ldexp(1.0, k), 1.0)[col]
 
     def element_table(self, idxs, pts, order=0):

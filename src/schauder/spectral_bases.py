@@ -79,18 +79,16 @@ def hermite_function(n, x, d=1):
 
     h_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^(-x^2/2), the last row of
     ``_hermite_rows``; for multi-indices the product over coordinates, taken
-    from the left.  ``x`` has shape (k,) for d = 1 and (k, d) otherwise.
+    from the left.  ``x`` has shape (k,) or (k, 1) for d = 1 and (k, d)
+    otherwise; any other shape is refused.
     """
     ns = _as_multi(n, d)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0 and d == 1
     pts = np.atleast_1d(x)
-    if d == 1:
-        cols = pts[:, None] if pts.ndim == 1 else pts
-    else:
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise InputError(f"points must have shape (k, {d}), got {pts.shape}")
-        cols = pts
+    cols = pts[:, None] if d == 1 and pts.ndim == 1 else pts
+    if cols.ndim != 2 or cols.shape[1] != d:
+        raise InputError(f"points must have shape (k, {d}){' or (k,)' if d == 1 else ''}, got {pts.shape}")
     # an owned row: a view would keep the whole (n + 1, k) table alive
     vals = _hermite_rows(ns[0], cols[:, 0])[ns[0]].copy()
     for axis, ni in enumerate(ns[1:], start=1):

@@ -15,6 +15,8 @@ from schauder import (
     TaylorBasis,
     biorthogonality_matrix,
     convergence_report,
+    hermite_function,
+    lp_error,
     materialize,
     partial_sum,
     projection_algebra_check,
@@ -82,6 +84,22 @@ def test_partial_sum_refuses_points_off_the_domain_before_f_runs(basis, x):
     points.clear()
     with pytest.raises(InputError):
         partial_sum(basis, f, 4, x)
+    assert points == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: hermite_function(0, [[0.0, 5.0, 7.0], [1.0, 2.0, 3.0]], d=1),
+    lambda f: partial_sum(HermiteBasis(n_max=4), f, 2, [[0.0, 5.0], [1.0, 2.0]]),
+    lambda f: partial_sum(HaarBasis(), f, 4, [0.25, True]),
+    lambda f: partial_sum(HatBasis(), f, 4, (0.5, np.False_)),
+    lambda f: partial_sum(HaarBasis(), f, 4, [[0.25], [True]]),
+    lambda f: lp_error(f, f, 1, [0.0, True, 2.0]),
+], ids=["hermite-function-2d", "hermite-2d-points", "haar-bool-entry", "hat-numpy-bool-entry",
+        "haar-nested-bool", "lp-bool-breakpoint"])
+def test_point_shapes_and_bool_entries_are_refused_before_f_runs(call):
+    points = []
+    with pytest.raises(InputError, match="points|breakpoints"):
+        call(_counted(reg("x"), points))
     assert points == []
 
 

@@ -82,9 +82,10 @@ class BasisFamily(ABC):
         before it.  When ``pts`` are finite 1-D reals they must ascend, and
         the ranges are the points in each element's closed support;
         otherwise every element gets every point.  The default evaluates
-        each handle once; families override it with the same float
-        operations as their handles.  A term without the derivative is
-        refused, and so is a point outside the domain.
+        each handle once; the Haar, hat, C^k and d = 1 Hermite families
+        override it with the same float operations as their handles, and
+        refuse what those tables cannot read.  A term without the
+        derivative is refused, and so is a point outside the domain.
         """
         return _handle_table([self.element(n) for n in idxs], pts, order)
 
@@ -171,16 +172,32 @@ def _on_line(pts):
         not len(pts) or bool(np.isfinite(pts[0]) and np.isfinite(pts[-1])))
 
 
+def _real_points(x, lo=-np.inf, hi=np.inf):
+    """``x`` as a float array, refused unless its dtype is real (integers or
+    floats) and every point is a finite point of [lo, hi].  Each point is
+    compared, and the test negated, so a NaN anywhere is refused too."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
+        raise InputError(f"evaluation needs real numbers that are finite points of [{lo:.15g}, {hi:.15g}]")
+    return x.astype(float, copy=False)
+
+
 def _handle_table(handles, pts, order=0):
     """``BasisFamily.element_table`` of explicit handles: each handle (or its
-    ``order``-th derivative) evaluated once, on the points ``_layout`` gives it."""
+    ``order``-th derivative) evaluated once, on the points ``_layout`` gives
+    it, and refused unless it gives one scalar per point."""
     if order:
         if not all(hasattr(handle, "derivative") for handle in handles):
             raise InputError("finite-rank element has a term without derivative support")
         handles = [handle.derivative(order) for handle in handles]
     lo, hi = _layout(handles, pts)
-    values = [np.asarray(handle(pts[a:b]))
-              for handle, a, b in zip(handles, lo.tolist(), hi.tolist()) if a < b]
+    values = []
+    for handle, a, b in zip(handles, lo.tolist(), hi.tolist()):
+        if a < b:
+            values.append(np.asarray(handle(pts[a:b])))
+            if values[-1].shape != (b - a,):
+                raise InputError(f"an element gave values of shape {values[-1].shape} "
+                                 f"on {b - a} points; expected one scalar per point")
     return lo, hi, np.concatenate(values) if values else np.zeros(0)
 
 
@@ -224,11 +241,12 @@ class FiniteRankElement:
     list of ``(handle, coefficient)`` pairs instead, and ``terms`` lists the
     pairs of any element, each handle made when it is read.  Called at x,
     the element is sum_n f_n(x) * e_n: the action of the point evaluation
-    at x.  Its values come from one ``element_table`` call on the sorted
-    points, and ``_running`` adds the terms in term order, each on the
-    points of its support.  A plain call is the partial sum of every term,
-    and every sum is written straight into the caller's point order, with
-    no second copy of the result.
+    at x, which must be numbers (``indexing._numbers``: no string, no bool
+    among them) that the family's table reads.  Its values come from one
+    ``element_table`` call on the sorted points, and ``_running`` adds the
+    terms in term order, each on the points of its support.  A plain call
+    is the partial sum of every term, and every sum is written straight
+    into the caller's point order, with no second copy of the result.
 
     ``partial_sums`` makes the K^(R*m)-valued element whose block r
     (columns r*m .. r*m + m - 1, m the coefficient length, 1 for scalars)
@@ -270,7 +288,7 @@ class FiniteRankElement:
         return self._with(counts=counts)
 
     def __call__(self, x):
-        x = np.asarray(x)
+        x = _numbers("points", x, "iufc")
         pts = x[None] if x.ndim == 0 else x
         if self.counts is None:  # the partial sum of every term
             out = self._with(counts=[len(self.idxs)])._sums(pts)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .basis_core import BasisFamily, _on_line, _rows
+from .basis_core import BasisFamily, _real_points, _rows
 from .errors import InputError
 from .indexing import IndexSet, _finite_at_least, _int_in, _numbers
 from .quadrature import accumulate, samples_of, segment_rules
@@ -90,13 +90,9 @@ class PiecewisePolynomial:
         return float(self.breakpoints[live[0]]), float(self.breakpoints[live[-1] + 1])
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _real_points(x, *self.domain)
         scalar = x.ndim == 0
         pts = x[None] if scalar else x
-        lo, hi = self.domain
-        # negated, so that a NaN, for which every comparison is false, is refused
-        if pts.size and not (lo <= pts.min() and pts.max() <= hi):
-            raise InputError(f"evaluation needs finite points of the domain [{lo}, {hi}]")
         piece = np.clip(
             np.searchsorted(self.breakpoints, pts, side="right") - 1,
             0, self.npieces - 1,
@@ -204,6 +200,13 @@ def _piece_table(starts, present, co, b, pts):
     return lo, hi, vals
 
 
+def _line_points(pts, lo, hi):
+    """``_real_points`` of [lo, hi] for an element table, which reads a 1-D array."""
+    if np.ndim(pts) != 1:
+        raise InputError(f"element tables need a 1-D array of points, got shape {np.shape(pts)}")
+    return _real_points(pts, lo, hi)
+
+
 def _table_points(lo, hi, pts):
     """The points of every entry of a table whose term i covers
     ``pts[lo[i]:hi[i]]``, term-major."""
@@ -216,8 +219,7 @@ def _table_points(lo, hi, pts):
 # ---------------------------------------------------------------------------
 
 
-# at most 2^20 + 1 points; the general neighbour search would hold 21
-# window-minimum tables of 4-byte indices for them
+# at most 2^20 + 1 points, whose neighbours come from their dyadic parents
 MAX_DYADIC_LEVELS = 20
 
 
@@ -310,28 +312,40 @@ def _nearest_smaller(order):
     q > p with order[q] < order[p].
 
     This is the all-nearest-smaller-values problem (Berkman, Schieber and
-    Vishkin, J. Algorithms 14, 1993), solved here by binary lifting over a
-    table of window minima, table[k][i] = min(order[i : i + 2^k]), in about
-    log2 N vectorized passes.
+    Vishkin, J. Algorithms 14, 1993), solved here on one min tree over
+    ``order`` (4-byte entries, about 2N of them up to 4N): from its leaf,
+    each position climbs while the sibling on the searched side holds no
+    smaller value, then descends to the nearest leaf that does, preferring
+    the child nearer to it.  Each step is one vectorized pass over the
+    positions still moving, so a side takes at most 2 log2 N passes on any
+    order.  Leaf 0 holds 0 and leaf N-1 holds 1, smaller than every
+    interior value, so every climb stops below the root.
     """
     size = order.size
-    table, width = [order], 1
-    while 2 * width < size:
-        table.append(np.minimum(table[-1][:-width], table[-1][width:]))
-        width *= 2
+    leaves = 1 << (size - 1).bit_length()
+    tree = np.full(2 * leaves, size, dtype=np.int32)  # padding: larger than every value
+    tree[leaves:leaves + size] = order
+    width = leaves
+    while width > 1:
+        width //= 2
+        tree[width:2 * width] = np.minimum(tree[2 * width:4 * width:2], tree[2 * width + 1:4 * width:2])
     value = order[1:-1]
-    # [lo, p) and (p, hi) hold no smaller value; pass k widens each by 2^k
-    # where the next window holds none.  A window clamped into range holds
-    # order[0] = 0 or order[-1] = 1, smaller than every interior value, so it
-    # stops the search just as a window past the end would.
-    lo = np.arange(1, size - 1, dtype=np.int32)
-    hi = lo + 1
-    for k in range(len(table) - 1, -1, -1):
-        mins, step = table[k], 1 << k
-        start = np.maximum(lo - step, 0)
-        lo = np.where(mins[start] > value, start, lo)
-        hi = np.where(mins[np.minimum(hi, mins.size - 1)] > value, hi + step, hi)
-    return order[lo - 1], order[hi]
+    found = []
+    for side in (0, 1):  # left: a right child looks at its sibling; right: a left child
+        node = np.arange(leaves + 1, leaves + size - 1, dtype=np.int32)
+        moving = np.arange(size - 2, dtype=np.int32)
+        while moving.size:
+            at = node[moving]
+            hit = ((at & 1) != side) & (tree[at ^ 1] < value[moving])
+            node[moving] = np.where(hit, at ^ 1, at >> 1)
+            moving = moving[~hit]
+        moving = np.flatnonzero(node < leaves)
+        while moving.size:
+            near = 2 * node[moving] + 1 - side
+            node[moving] = np.where(tree[near] < value[moving], near, near ^ 1)
+            moving = moving[node[moving] < leaves]
+        found.append(order[node - leaves])
+    return found[0], found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +409,9 @@ def _haar_values(steps, x):
     """The Haar function with constancy intervals ``steps`` at ``x``, in [0, 1].
 
     The steps are half-open, so h_n(1) = 0 for n >= 2."""
-    x = np.asarray(x, dtype=float)
+    x = _real_points(x, 0.0, 1.0)
     scalar = x.ndim == 0
     pts = x[None] if scalar else x
-    _check_unit(pts)
     if len(steps) == 1:
         vals = np.ones_like(pts)
     else:
@@ -408,13 +421,6 @@ def _haar_values(steps, x):
             np.where((mid <= pts) & (pts < hi), -1.0, 0.0),
         )
     return vals[0] if scalar else vals
-
-
-def _check_unit(pts):
-    """Refuse points that are not finite or lie outside [0, 1]: a NaN would
-    slip past the range test alone, as every comparison with it is false."""
-    if not np.isfinite(pts).all() or (pts.size and (pts.min() < 0.0 or pts.max() > 1.0)):
-        raise InputError("Haar functions are defined on finite points of [0, 1]")
 
 
 # Gauss-Legendre order of every Haar coefficient panel
@@ -489,12 +495,12 @@ class HaarBasis(BasisFamily):
     def element_table(self, idxs, pts, order=0):
         """The steps of ``_haar_steps`` on the ascending points of [lo, hi]:
         a run of 1 below mid, of -1 below hi and of 0 at hi, the values the
-        handles give there."""
-        if order or not _on_line(pts):
-            return super().element_table(idxs, pts, order)
+        handles give there.  The elements have no derivatives, and points
+        that are not ascending finite points of [0, 1] are refused."""
+        if order:
+            raise InputError("Haar elements have no derivative support")
+        pts = _line_points(pts, 0.0, 1.0)
         n = _haar_indices(self.index_set, idxs)
-        if n.size:
-            _check_unit(pts)
         two, _, start, mid, end = _haar_steps(n)
         lo, hi = np.searchsorted(pts, start, side="left"), np.searchsorted(pts, end, side="right")
         cuts = np.stack([lo, np.where(two, np.searchsorted(pts, mid, side="left"), hi),
@@ -565,12 +571,6 @@ def _sequence_indices(index_set, idxs, size):
         bad = next(n for n in idxs if n >= size)
         raise InputError(f"coefficient index {bad} out of range for this sequence")
     return np.asarray(idxs, dtype=np.intp)
-
-
-def _check_domain(seq, pts):
-    """Refuse ascending points outside [a, b], as each element handle would."""
-    if len(pts) and (pts[0] < seq.a or pts[-1] > seq.b):
-        raise InputError(f"evaluation outside domain [{seq.a}, {seq.b}]")
 
 
 def _hat_surpluses(seq, f, idx):
@@ -681,13 +681,11 @@ class CkBasis(BasisFamily):
         monomials' coefficients are padded with leading zeros to degree
         k + 1, which Horner's rule passes through exactly.  The pieces of
         the last index list read are kept, read-only, so every derivative
-        order and point set read for that list reuses them."""
-        if not _on_line(pts):
-            return super().element_table(idxs, pts, order)
+        order and point set read for that list reuses them.  Points that
+        are not ascending finite points of [a, b] are refused."""
         k, seq = self.k, self.seq
+        pts = _line_points(pts, seq.a, seq.b)
         idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
-        if idx.size:
-            _check_domain(seq, pts)
         kept = self._pieces
         if kept is None or not np.array_equal(kept[0], idx):
             jets = np.flatnonzero(idx < k)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis_core import BasisFamily, _rows
+from .basis_core import BasisFamily, _real_points, _rows
 from .errors import InputError, NumericError
 from .indexing import IndexSet, _finite_at_least, _int_in, _is_int
 from .quadrature import (
@@ -80,20 +80,29 @@ def hermite_function(n, x, d=1):
     h_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^(-x^2/2), the last row of
     ``_hermite_rows``; for multi-indices the product over coordinates, taken
     from the left.  ``x`` has shape (k,) or (k, 1) for d = 1 and (k, d)
-    otherwise; any other shape is refused.
+    otherwise; any other shape is refused, and so is a point that is not
+    a finite real.
     """
     ns = _as_multi(n, d)
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     scalar = x.ndim == 0 and d == 1
-    pts = np.atleast_1d(x)
-    cols = pts[:, None] if d == 1 and pts.ndim == 1 else pts
-    if cols.ndim != 2 or cols.shape[1] != d:
-        raise InputError(f"points must have shape (k, {d}){' or (k,)' if d == 1 else ''}, got {pts.shape}")
+    cols = _hermite_points(x, d)
     # an owned row: a view would keep the whole (n + 1, k) table alive
     vals = _hermite_rows(ns[0], cols[:, 0])[ns[0]].copy()
     for axis, ni in enumerate(ns[1:], start=1):
         vals = vals * _hermite_rows(ni, cols[:, axis])[ni]
     return vals[0] if scalar else vals
+
+
+def _hermite_points(x, d):
+    """Points ``x`` as a (k, d) float array, (k,) read as (k, 1) for d = 1,
+    refused unless finite reals of that shape."""
+    x = _real_points(x)
+    pts = np.atleast_1d(x)
+    cols = pts[:, None] if d == 1 and pts.ndim == 1 else pts
+    if cols.ndim != 2 or cols.shape[1] != d:
+        raise InputError(f"points must have shape (k, {d}){' or (k,)' if d == 1 else ''}, got {pts.shape}")
+    return cols
 
 
 class HermiteBasis(BasisFamily):
@@ -130,14 +139,18 @@ class HermiteBasis(BasisFamily):
         return functools.partial(hermite_function, ns, d=self.d)
 
     def element_table(self, idxs, pts, order=0):
-        """For d = 1 on 1-D real points, the rows of one ``_hermite_rows``
-        table up to the largest order: row n is what handle n computes."""
-        if order or self.d > 1 or pts.ndim != 1 or np.iscomplexobj(pts):
+        """For d = 1, the rows of one ``_hermite_rows`` table up to the
+        largest order: row n is what handle n computes, on the points
+        ``hermite_function`` reads.  The elements have no derivatives."""
+        if self.d > 1:
             return super().element_table(idxs, pts, order)
+        if order:
+            raise InputError("Hermite elements have no derivative support")
+        x = _hermite_points(pts, 1)[:, 0]
         ns = self.index_set.check(idxs)
-        table = _hermite_rows(max(ns, default=0), pts)[ns]
+        table = _hermite_rows(max(ns, default=0), x)[ns]
         lo = np.zeros(len(ns), dtype=np.intp)
-        return lo, lo + len(pts), table.reshape(-1)
+        return lo, lo + len(x), table.reshape(-1)
 
     coefficient = BasisFamily.coefficient
 
@@ -312,7 +325,7 @@ class FourierBasis(BasisFamily):
         ns = _as_multi(self.index_set.validate_member(n), self.d, signed=True)
 
         def e(x, ns=ns):
-            return np.exp(1j * _phase(np.asarray(x, dtype=float), ns))
+            return np.exp(1j * _phase(_real_points(x), ns))
 
         return e
 
@@ -481,7 +494,10 @@ class TaylorBasis(BasisFamily):
         n = int(self.index_set.validate_member(n))
 
         def mono(z, n=n, z0=self.ctx.center):
-            return (np.asarray(z) - z0) ** n
+            z = np.asarray(z)
+            if z.dtype.kind not in "iufc" or not np.isfinite(z).all():
+                raise InputError("Taylor monomials need finite real or complex points")
+            return (z - z0) ** n
 
         return mono
 

@@ -38,6 +38,7 @@ from schauder import (
     TaylorBasis,
     hermite_tail_bound_check,
     materialize,
+    partial_sum,
     projection_algebra_check,
 )
 from schauder import basis_core, interval_bases
@@ -637,6 +638,103 @@ def test_numpy_integer_indices_are_members(name):
     idxs = basis.indices(3)
     assert np.array_equal(basis.coefficients(reg(fn), [np.int64(n) for n in idxs]),
                           basis.coefficients(reg(fn), idxs))
+
+
+# -- point checks ----------------------------------------------------------
+
+BAD_POINTS = {
+    "k-by-1": np.array([[0.25], [0.5], [0.75]]),
+    "k-by-2": np.array([[0.25, 0.5], [0.5, 0.75]]),
+    "complex": [0.25 + 1j, 0.5],
+    "nan": [0.25, np.nan, 0.5],
+    "bool-entry": [0.25, True],
+    "string": ["0.25", "0.5"],
+}
+
+
+def _counting(name):
+    """The family's test function, counting its evaluations."""
+    f, calls = reg(FAMILIES[name][1]), []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("name, kind", [
+    # Taylor monomials are defined on the complex plane
+    (name, kind) for name in sorted(FAMILIES) for kind in sorted(BAD_POINTS)
+    if (name, kind) != ("taylor", "complex")])
+def test_unreadable_points_are_refused_before_f_runs(name, kind):
+    # (k, 1) points once crashed Haar, hat, C^k and Fourier sums in the
+    # running sum after f had run, and complex points lost their imaginary
+    # part with a ComplexWarning
+    basis, bad = FAMILIES[name][0], BAD_POINTS[kind]
+    f, calls = _counting(name)
+    elem = materialize(basis, reg(FAMILIES[name][1]), 4)
+    if (name, kind) == ("hermite", "k-by-1"):
+        # d = 1 Hermite reads (k, 1) points as (k,), as hermite_function does
+        column = bad[:, 0]
+        assert partial_sum(basis, f, 4, bad).tobytes() == partial_sum(basis, f, 4, column).tobytes()
+        assert elem(bad).tobytes() == elem(column).tobytes()
+        return
+    with pytest.raises(InputError):
+        partial_sum(basis, f, 4, bad)
+    assert calls == []
+    for handle in (elem, elem.partial_sums([1, 3])):
+        with pytest.raises(InputError):
+            handle(bad)
+
+
+@pytest.mark.parametrize("basis", [HermiteBasis(d=2, n_max=4), FourierBasis(d=2, n_max=4)],
+                         ids=["hermite-d2", "fourier-d2"])
+def test_complex_and_non_finite_points_are_refused_in_the_handle_loop(basis):
+    # the handles once cast complex points to float, dropping the imaginary part
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-0.5 * np.sum(np.asarray(x) ** 2, axis=1))
+
+    elem = materialize(basis, f, 2)
+    calls.clear()
+    for bad in (np.array([[0.25 + 1j, 0.5], [0.5, 0.25]]), np.array([[0.25, np.nan], [0.5, 0.25]])):
+        with pytest.raises(InputError, match="finite points of"):
+            partial_sum(basis, f, 2, bad)
+        with pytest.raises(InputError, match="finite points of"):
+            elem(bad)
+        with pytest.raises(InputError, match="finite points of"):
+            basis.element(basis.indices(1)[1])(bad)
+    assert calls == []
+
+
+def test_interval_and_hermite_tables_never_reach_the_handle_loop(monkeypatch):
+    # the Haar, hat, C^k and d = 1 Hermite tables are their families' only
+    # synthesis path: sums, derivative tables and refusals all come from them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the handle loop was reached")
+
+    monkeypatch.setattr(basis_core, "_handle_table", refuse)
+    unit = np.linspace(0.0, 1.0, 33)
+    for basis, fn, pts in ((HaarBasis(), "x", unit), (HatBasis(), "cos", unit),
+                           (CkBasis(k=2), "cos", unit),
+                           (GLOBAL["hermite"], "gauss", np.linspace(-4.0, 4.0, 33))):
+        elem = materialize(basis, reg(fn), 8)
+        assert np.all(np.isfinite(elem(pts)))
+        assert elem.partial_sums([1, 4, len(elem)])(pts[::-1]).shape == (len(pts), 3)
+        assert partial_sum(basis, reg(fn), 8, pts[:, None] if basis.name == "hermite" else pts).shape \
+            == (len(pts),)
+        if isinstance(basis, CkBasis):
+            assert np.all(np.isfinite(elem.derivative(1)(pts)))
+            assert np.all(np.isfinite(elem.partial_sums([2, 5]).derivative(2)(pts)))
+        else:
+            with pytest.raises(InputError, match="derivative support"):
+                elem.derivative(1)
+        for bad in (BAD_POINTS["k-by-2"], BAD_POINTS["complex"], BAD_POINTS["nan"], [pts[0], np.inf]):
+            with pytest.raises(InputError):
+                elem(bad)
 
 
 # -- Taylor contour rounding ----------------------------------------------------

@@ -120,6 +120,25 @@ def test_neighbours_match_insertion_loop(points):
     assert seq.right.tolist() == right
 
 
+def _insertion_orders():
+    """Interior points k / 4097 of [0, 1] inserted in ascending, descending
+    and zig-zag (outermost first) order, one point near b and then the rest
+    ascending (one long climb for that point), and 4,096 shuffled."""
+    ks = list(range(1, 4097))
+    zigzag = [k for pair in zip(ks[:2048], ks[::-1][:2048]) for k in pair]
+    shuffled = np.random.default_rng(11).permutation(ks).tolist()
+    orders = {"ascending": ks, "descending": ks[::-1], "zigzag": zigzag,
+              "near-b-then-ascending": ks[-1:] + ks[:-1], "shuffled": shuffled}
+    return {name: [0.0, 1.0] + [k / 4097 for k in order] for name, order in orders.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_insertion_orders()))
+def test_neighbour_search_matches_insertion_loop(name):
+    points = _insertion_orders()[name]
+    seq = DenseSequence(points)
+    assert (seq.left.tolist(), seq.right.tolist()) == _neighbours_by_insertion(points)
+
+
 @pytest.mark.parametrize("points", [[0.0, 1.0], [0.0, 1.0, 0.5], [-1.0, 2.0, 1.9],
                                     [0.0, 1.0, 0.5, 0.25], [0.0, 1.0, 0.9, 0.1, 0.5]])
 def test_neighbours_of_short_sequences(points):

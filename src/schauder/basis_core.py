@@ -133,8 +133,9 @@ class BasisFamily(ABC):
         The default is plain value rows.  Families whose natural seminorms
         involve derivatives (the C^k family) override this to stack
         derivative rows below them; residuals are differences of such rows.
+        Points the family's elements refuse are refused before ``f`` runs.
         """
-        return _rows(f(pts))
+        return _rows(f(_points(self, pts)))
 
     def lp_error(self, f, g, p, rank, space=None):
         """``interval_bases.lp_error`` of ``g`` against ``f``, panel edges on
@@ -180,6 +181,16 @@ def _real_points(x, lo=-np.inf, hi=np.inf):
     if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
         raise InputError(f"evaluation needs real numbers that are finite points of [{lo:.15g}, {hi:.15g}]")
     return x.astype(float, copy=False)
+
+
+def _points(basis, x):
+    """``x`` as an array, refused with ``InputError`` unless its entries are
+    integers, floats or complex numbers that the family's elements read: the
+    elements of a family share one domain, so the table of its first element
+    refuses what the table of all would."""
+    x = _numbers("points", x, "iufc")
+    basis.element_table(basis.indices(1)[:1], _ascending(np.atleast_1d(x))[1])
+    return x
 
 
 def _handle_table(handles, pts, order=0):
@@ -319,8 +330,9 @@ class FiniteRankElement:
     def derivative(self, order=1):
         """The termwise ``order``-th derivative, read off the family's
         derivative tables; a term without that derivative is refused here,
-        before anything is evaluated."""
-        if order == 0:
+        before anything is evaluated.  ``order`` is an integer >= 0."""
+        order = _int_in("derivative order", order, 0)
+        if not order:
             return self
         order += self.order
         self.basis.element_table(self.idxs, np.zeros(0), order)
@@ -423,14 +435,10 @@ def partial_sum(basis, f, k, x):
     """Evaluate P_k f at point(s) ``x``: coefficients times elements, in order.
 
     Points that are not integers, floats or complex numbers, and points the
-    family's elements refuse, raise ``InputError`` before ``f`` runs; the
-    elements of a family share one domain, so the table of the first one
-    refuses what the table of all would.
+    family's elements refuse (``_points``), raise ``InputError`` before ``f``
+    runs.
     """
-    x = _numbers("points", x, "iufc")
-    idxs = basis.indices(k)
-    if idxs:
-        basis.element_table(idxs[:1], _ascending(np.atleast_1d(x))[1])
+    x = _points(basis, x)
     return materialize(basis, f, k)(x)
 
 
@@ -441,7 +449,11 @@ def projection_algebra_check(basis, f, k, j):
     ``semigroup_discrepancies``.  Returns the sup over the grid and the
     components of the residual."""
     k, j = (_finite_at_least("truncation rank", r, 0) for r in (k, j))
-    inner = materialize(basis, f, j)
+    # one sweep to the larger rank, so a rank past the family's range is
+    # refused before f runs; P_j f is its prefix, by the batch contract
+    idxs, coeffs = _sweep(basis, f, max(k, j))
+    count = len(basis.indices(j))
+    inner = _element(basis, idxs[:count], coeffs[:count])
     outer = materialize(basis, inner, k)  # P_k P_j f; its coefficients become the defects
     shared = min(len(outer), len(inner))  # the indices of grade <= min(k, j)
     outer.coeffs[:shared] -= inner.coeffs[:shared]
@@ -484,7 +496,7 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     is exact, and by the batch contract of ``coefficients`` each column
     has the bits it has alone, so the chunks leave every bit.
     """
-    pts = basis.sample_points() if points is None else np.asarray(points)
+    pts = basis.sample_points() if points is None else _points(basis, points)
     idxs = basis.indices(kmax)
     if not idxs:
         return np.zeros(_rows(f(pts)).shape[1])

@@ -14,6 +14,7 @@ derivatives instead of finite differences.
 import numpy as np
 
 from .errors import InputError
+from .indexing import _int_in
 
 
 class FunctionBundle:
@@ -31,10 +32,12 @@ class FunctionBundle:
         return self.func(x)
 
     def derivative(self, order=1):
-        """Handle for the derivative of the given order (0 returns func)."""
-        if order == 0:
+        """Handle for the derivative of the given order (0 returns func);
+        the order is an integer >= 0, refused past the orders carried."""
+        order = _int_in("derivative order", order, 0)
+        if not order:
             return self.func
-        if order < 0 or order > len(self.derivatives):
+        if order > len(self.derivatives):
             raise InputError(
                 f"derivative of order {order} not available "
                 f"(bundle carries {len(self.derivatives)})"

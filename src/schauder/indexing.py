@@ -109,39 +109,56 @@ class IndexSet:
 
     def validate_member(self, n):
         """``n`` itself if it is a member, else an ``InputError`` naming it."""
-        if self.kind == "linear":
-            ok = _is_int(n) and n >= self.origin
-        else:
-            m = self._tuplize(n)
-            ok = isinstance(m, tuple) and len(m) == self.dim and all(
-                _is_int(c) and (self.kind == "lattice" or c >= 0) for c in m)
-        if not ok:
-            raise InputError(f"index {n!r} not in {self.kind} index set (dim {self.dim})")
+        self._coords(n)
         return n
 
-    def check(self, idxs):
-        """``idxs`` as a list, refusing the first entry that is not a member
-        with an ``InputError`` naming it.  Entries are integers (tuples of
-        them for multi-indices); a bool, a float or a string never is one,
-        even where ``int()`` would take it."""
-        idxs = list(idxs)
-        if not self._plain_members(idxs):
-            for n in idxs:
-                self.validate_member(n)
-        return idxs
+    def _coords(self, n, below=None):
+        """The coordinates of ``n`` as a tuple of ints, refused with an
+        ``InputError`` naming ``n`` unless it is a member, every coordinate
+        is in the int64 range and, given ``below``, below it."""
+        m = (n,) if self.kind == "linear" else self._tuplize(n)
+        low = {"linear": self.origin, "multi": 0}.get(self.kind, -math.inf)
+        if not (isinstance(m, tuple) and len(m) == (1 if self.kind == "linear" else self.dim)
+                and all(_is_int(c) and c >= low for c in m)):
+            raise InputError(f"index {n!r} not in {self.kind} index set (dim {self.dim})")
+        if not all(-2 ** 63 <= c < 2 ** 63 for c in m):
+            raise InputError(f"index {n!r} is past the int64 range")
+        if below is not None and max(m) >= below:
+            raise InputError(f"index {n!r} is out of range: entries must be below {below}")
+        return tuple(map(int, m))
 
-    def _plain_members(self, idxs):
-        """Whether ``idxs`` are members by a few whole-list passes: Python
-        ints for a one-dimensional set, tuples of them otherwise.  False
-        leaves the verdict to ``validate_member``, index by index."""
+    def check(self, idxs, below=None):
+        """``idxs`` as one int64 array, (k,) for a linear set and (k, dim)
+        otherwise, refusing the first entry that is not a member, is past
+        the int64 range, or has an entry ``below`` or more, with an
+        ``InputError`` naming it.  Entries are integers (tuples of them for
+        multi-indices); a bool, a float or a string never is one, even where
+        ``int()`` would take it."""
+        idxs = list(idxs)
+        shape = (len(idxs),) if self.kind == "linear" else (len(idxs), self.dim)
+        arr = self._plain_array(idxs)
+        low = {"linear": self.origin, "multi": 0}.get(self.kind)
+        if arr is None or arr.size and (low is not None and arr.min() < low
+                                        or below is not None and arr.max() >= below):
+            arr = np.array([self._coords(n, below) for n in idxs], dtype=np.int64)
+        return arr.reshape(shape)
+
+    def _plain_array(self, idxs):
+        """``idxs`` flattened into an int64 array by a few whole-list passes,
+        when they are Python ints for a one-dimensional set, tuples of them of
+        length ``dim`` otherwise, all in the int64 range; else None, which
+        leaves the verdict to ``_coords``, index by index.  Bounds are not
+        checked here."""
         kinds = set(map(type, idxs))
         if kinds <= {int} and (self.kind == "linear" or self.dim == 1):
             entries = idxs
         elif self.kind != "linear" and kinds <= {tuple} and set(map(len, idxs)) <= {self.dim}:
             entries = list(itertools.chain.from_iterable(idxs))
             if not set(map(type, entries)) <= {int}:
-                return False
+                return None
         else:
-            return False
-        low = {"linear": self.origin, "multi": 0}.get(self.kind)
-        return low is None or min(entries, default=low) >= low
+            return None
+        try:
+            return np.array(entries, dtype=np.int64)
+        except OverflowError:
+            return None

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .basis_core import BasisFamily, _real_points, _rows
+from .basis_core import BasisFamily, _points, _real_points, _rows
 from .errors import InputError
 from .indexing import IndexSet, _finite_at_least, _int_in, _numbers
 from .quadrature import accumulate, samples_of, segment_rules
@@ -105,8 +105,7 @@ class PiecewisePolynomial:
         return vals[0] if scalar else vals
 
     def derivative(self, order=1):
-        if order < 0:
-            raise InputError("derivative order must be >= 0")
+        order = _int_in("derivative order", order, 0)
         if not order:
             return self
         return PiecewisePolynomial(self.breakpoints, _derivative_columns(self.coefficients, order))
@@ -362,17 +361,6 @@ def _haar_split(n):
     return k, j
 
 
-def _haar_indices(index_set, idxs):
-    """``idxs`` as one int64 array, checked once: the first index outside
-    ``index_set``, or past the int64 range, is refused."""
-    idxs = index_set.check(idxs)
-    try:
-        return np.array(idxs, dtype=np.int64)
-    except OverflowError:
-        bad = next(v for v in idxs if v >= 2 ** 63)
-        raise InputError(f"Haar index {bad} is past the int64 range") from None
-
-
 def _floor_log2(m):
     """floor(log2 m) for a positive int64 array, exact also where float(m)
     rounds up to a power of two."""
@@ -464,7 +452,7 @@ class HaarBasis(BasisFamily):
         the same panel count are built and accumulated together, then each
         index takes its second interval sum from its first, p0 - p1.
         """
-        n = _haar_indices(self.index_set, idxs)
+        n = self.index_set.check(idxs)
         if not n.size:
             return np.zeros(0)
         two, k, lo, mid, hi = _haar_steps(n)  # n = 2^k + j has two pieces; n = 1 one, [0, 1]
@@ -500,7 +488,7 @@ class HaarBasis(BasisFamily):
         if order:
             raise InputError("Haar elements have no derivative support")
         pts = _line_points(pts, 0.0, 1.0)
-        n = _haar_indices(self.index_set, idxs)
+        n = self.index_set.check(idxs)
         two, _, start, mid, end = _haar_steps(n)
         lo, hi = np.searchsorted(pts, start, side="left"), np.searchsorted(pts, end, side="right")
         cuts = np.stack([lo, np.where(two, np.searchsorted(pts, mid, side="left"), hi),
@@ -564,15 +552,6 @@ def _hat_pieces(seq, idx):
     return starts, present, co
 
 
-def _sequence_indices(index_set, idxs, size):
-    """``idxs`` checked by ``index_set`` and refused from ``size`` on, as an intp array."""
-    idxs = index_set.check(idxs)
-    if max(idxs, default=0) >= size:
-        bad = next(n for n in idxs if n >= size)
-        raise InputError(f"coefficient index {bad} out of range for this sequence")
-    return np.asarray(idxs, dtype=np.intp)
-
-
 def _hat_surpluses(seq, f, idx):
     """The hat coefficients ``idx`` (checked indices) of ``f``: lambda_0 = f(a),
     lambda_1 = f(b), and for n >= 2 the hierarchical surplus lambda_n =
@@ -605,8 +584,7 @@ def _hat_surpluses(seq, f, idx):
 
 def hat_coefficients(seq, f, n):
     """The full coefficient prefix lambda_0(f), ..., lambda_n(f) (see ``HatBasis``)."""
-    # a negative n is passed on alone, to be refused
-    return list(HatBasis(seq).coefficients(f, np.arange(n + 1) if n >= 0 else [n]))
+    return list(HatBasis(seq).coefficients(f, np.arange(_int_in("hat index", n, 0) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +663,7 @@ class CkBasis(BasisFamily):
         are not ascending finite points of [a, b] are refused."""
         k, seq = self.k, self.seq
         pts = _line_points(pts, seq.a, seq.b)
-        idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
+        idx = self.index_set.check(idxs, below=len(seq) + k)
         kept = self._pieces
         if kept is None or not np.array_equal(kept[0], idx):
             jets = np.flatnonzero(idx < k)
@@ -714,7 +692,7 @@ class CkBasis(BasisFamily):
         coefficients; the rows are then picked in request order from the
         jet rows and the hat rows."""
         k, seq = self.k, self.seq
-        idx = _sequence_indices(self.index_set, idxs, len(seq) + k)
+        idx = self.index_set.check(idxs, below=len(seq) + k)
         derivs = _derivatives(f, min(int(idx.max(initial=0)), k))
         orders, hats = np.unique(idx[idx < k]), idx >= k
         blocks = [samples_of(derivs[n], np.array([seq.a])) for n in orders.tolist()]
@@ -728,7 +706,9 @@ class CkBasis(BasisFamily):
         return np.linspace(self.seq.a, self.seq.b, 513)
 
     def value_rows(self, f, pts):
-        """Value rows of f, f', ..., f^(k), stacked in that order."""
+        """Value rows of f, f', ..., f^(k), stacked in that order, on points
+        checked as ``BasisFamily.value_rows`` checks them."""
+        pts = _points(self, pts)
         return np.concatenate([_rows(h(pts)) for h in _derivatives(f, self.k)], axis=0)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericError
-from .indexing import _finite_at_least, _int_in
+from .indexing import _finite_at_least, _int_in, _numbers
 
 DEFAULT_PANELS = 64
 DEFAULT_ORDER = 8
@@ -101,9 +101,10 @@ def weighted_sum(nodes, weights, f):
 
 def _checked_rule(nodes, weights):
     """``nodes`` and float ``weights`` as arrays, refused with ``InputError``
-    unless the weights are 1-D, one per node, and both are finite."""
-    weights = np.asarray(weights, dtype=float)
-    nodes = np.asarray(nodes)
+    unless both are numbers (``indexing._numbers``: no bool, string or None
+    among them), the weights real and 1-D, one per node, and both finite."""
+    weights = np.asarray(_numbers("weights", weights), dtype=float)
+    nodes = _numbers("nodes", nodes, "iufc")
     if weights.ndim != 1 or nodes.shape[:1] != weights.shape:
         raise InputError(f"nodes of shape {nodes.shape} vs weights of shape {weights.shape}")
     if not (np.isfinite(weights).all() and np.isfinite(nodes).all()):

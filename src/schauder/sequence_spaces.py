@@ -120,6 +120,7 @@ class KotheMatrix:
 
     @classmethod
     def from_function(cls, fn, rows, cols):
+        rows, cols = _int_in("rows", rows, 1), _int_in("cols", cols, 1)
         return cls([[fn(k, j) for j in range(1, cols + 1)]
                     for k in range(1, rows + 1)])
 

@@ -139,18 +139,20 @@ class HermiteBasis(BasisFamily):
         return functools.partial(hermite_function, ns, d=self.d)
 
     def element_table(self, idxs, pts, order=0):
-        """For d = 1, the rows of one ``_hermite_rows`` table up to the
-        largest order: row n is what handle n computes, on the points
-        ``hermite_function`` reads.  The elements have no derivatives."""
-        if self.d > 1:
-            return super().element_table(idxs, pts, order)
+        """Every element on every point, on the points ``hermite_function``
+        reads: one ``_hermite_rows`` table per axis, up to that axis's
+        largest order, whose rows are multiplied in from the left, so row
+        i is what the handle of ``idxs[i]`` computes.  The elements have no
+        derivatives."""
         if order:
             raise InputError("Hermite elements have no derivative support")
-        x = _hermite_points(pts, 1)[:, 0]
-        ns = self.index_set.check(idxs)
-        table = _hermite_rows(max(ns, default=0), x)[ns]
-        lo = np.zeros(len(ns), dtype=np.intp)
-        return lo, lo + len(x), table.reshape(-1)
+        cols = _hermite_points(pts, self.d)
+        orders = self.index_set.check(idxs).reshape(-1, self.d)
+        table = _hermite_rows(int(orders[:, 0].max(initial=0)), cols[:, 0])[orders[:, 0]]
+        for a in range(1, self.d):
+            table *= _hermite_rows(int(orders[:, a].max(initial=0)), cols[:, a])[orders[:, a]]
+        lo = np.zeros(len(orders), dtype=np.intp)
+        return lo, lo + len(cols), table.reshape(-1)
 
     coefficient = BasisFamily.coefficient
 
@@ -160,13 +162,12 @@ class HermiteBasis(BasisFamily):
         the other axes and the components as columns: each leading axis
         against the rows of its distinct orders, the last against those of
         the requested orders, where index k reads its leading orders off."""
-        multis = [_as_multi(n, self.d) for n in self.index_set.check(idxs)]
-        top = max((max(ns) for ns in multis), default=0)
+        orders = self.index_set.check(idxs).reshape(-1, self.d)
+        top = int(orders.max(initial=0))
         if top > self.n_max:
             # past n_max the rule no longer integrates h_n f: refuse, do not guess
             raise InputError(f"Hermite order {top} exceeds n_max = {self.n_max}; "
                              f"raise n_max (and quad_size) to expand that far")
-        orders = np.array(multis, dtype=np.intp).reshape(-1, self.d)
         samples = samples_of(f, self._grid)
         work = samples.reshape((self.quad_size,) * self.d + samples.shape[1:])
         picks = ()
@@ -336,19 +337,16 @@ class FourierBasis(BasisFamily):
         samples on their (N,) * d grid, last axis fastest as ``tensor_grid``
         lays them out, scaled by N^-d.  Node j of an axis sits at -pi + 2 pi
         j / N, so mode n is the entry at n mod N times (-1)^(n_1 + ... + n_d)."""
-        idxs = self.index_set.check(idxs)
-        modes = [_as_multi(n, self.d, signed=True) for n in idxs]
-        for n, ns in zip(idxs, modes):
-            if max(abs(c) for c in ns) > self.max_mode:
-                raise InputError(
-                    f"mode {n!r} exceeds the aliasing guard {self.max_mode} "
-                    f"of a size-{self.grid_size} grid"
-                )
+        idxs = list(idxs)
+        ns = self.index_set.check(idxs)
+        aliased = np.flatnonzero(np.any((ns < -self.max_mode) | (ns > self.max_mode), axis=1))
+        if aliased.size:
+            raise InputError(f"mode {idxs[aliased[0]]!r} exceeds the aliasing guard "
+                             f"{self.max_mode} of a size-{self.grid_size} grid")
         size, axes = self.grid_size, tuple(range(self.d))
         samples = samples_of(f, self.rule.nodes)
         grid = samples.reshape((size,) * self.d + samples.shape[1:])
         spectrum = _overflow_checked(len(samples), lambda: np.fft.fftn(grid, axes=axes, norm="forward"))
-        ns = np.array(modes, dtype=np.intp).reshape(-1, self.d)
         sign = np.where(ns.sum(axis=1) % 2, -1.0, 1.0).reshape((-1,) + (1,) * (samples.ndim - 1))
         return spectrum[tuple((ns % size).T)] * sign
 
@@ -418,7 +416,7 @@ def taylor_coefficients(f, n_max, ctx=None):
 def _contour_average(f, orders, ctx):
     """The contour averages of the nonempty integer ``orders``, with the
     contour samples and the scales 1 / (N rho^n), n = 0..max(orders), it read."""
-    npts, n_max = ctx.contour_points, max(orders)
+    npts, n_max = ctx.contour_points, int(np.max(orders))
     if npts < max(4, 4 * n_max):
         raise InputError(f"contour of {npts} points is too small for order {n_max}; "
                          f"need at least {max(4, 4 * n_max)}")
@@ -504,8 +502,8 @@ class TaylorBasis(BasisFamily):
     coefficient = BasisFamily.coefficient
 
     def coefficients(self, f, idxs):
-        idxs = [int(n) for n in self.index_set.check(idxs)]
-        if not idxs:
+        idxs = self.index_set.check(idxs)
+        if not idxs.size:
             return np.zeros(0)
         coeffs, samples, scales = _contour_average(f, idxs, self.ctx)
         _check_rounding(self.ctx, samples, scales, idxs, self.coefficient_tol)

@@ -45,6 +45,7 @@ from schauder import basis_core, interval_bases
 from schauder.basis_core import FiniteRankElement, _ascending, _element, _rows, semigroup_discrepancies
 from schauder.cli import FAMILIES as CLI_FAMILIES
 from schauder.cli import build_basis, main
+from schauder.quadrature import tensor_grid
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
 
@@ -640,6 +641,92 @@ def test_numpy_integer_indices_are_members(name):
                           basis.coefficients(reg(fn), idxs))
 
 
+@pytest.mark.parametrize("name", ["haar", "hat", "ck"])
+def test_indices_past_int64_or_the_sequence_are_refused_by_name(name):
+    # IndexSet.check names the first bad entry: one past the int64 range,
+    # or, for the hats and C^k elements, one past the dense sequence
+    basis = FAMILIES[name][0]
+    f, calls = _counting(name)
+    unit = np.linspace(0.0, 1.0, 5)
+    bads = [2 ** 63, 2 ** 70, np.uint64(2 ** 63)]
+    if name != "haar":
+        size = len(basis.seq) + basis.k  # C^k: k jets, then one hat per sequence point
+        bads += [size, np.int64(size + 5)]
+        assert len(basis.coefficients(reg("x"), [size - 1])) == 1  # the last index is a member
+    for bad in bads:
+        why = "past the int64 range" if bad >= 2 ** 63 else "out of range"
+        named = re.escape(f"index {bad!r} is {why}")
+        with pytest.raises(InputError, match=named):
+            basis.coefficients(f, [3, bad, -1])
+        with pytest.raises(InputError, match=named):
+            basis.element_table([bad, 3], unit)
+    assert calls == []
+
+
+def test_fourier_aliasing_names_the_callers_index():
+    one, two = FourierBasis(n_max=4), FourierBasis(d=2, n_max=4)  # 64-point grids: modes to 31
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.cos(np.sum(np.reshape(x, (len(x), -1)), axis=1))
+
+    for basis, idxs, named in (
+            (one, [3, -32, 40], "mode -32 exceeds"),
+            (one, [np.int64(40)], "mode np.int64(40) exceeds"),
+            (one, [2, -2 ** 63], f"mode {-2 ** 63} exceeds"),  # |-2^63| is no int64
+            (two, [(1, 1), (0, 32)], "mode (0, 32) exceeds"),
+            (two, [(-32, 0)], "mode (-32, 0) exceeds")):
+        with pytest.raises(InputError, match=re.escape(named) + " the aliasing guard 31"):
+            basis.coefficients(f, idxs)
+    assert calls == []
+    # the guard's edges are valid modes
+    assert np.allclose(one.coefficients(f, [-31, 31]), 0.0, atol=1e-12)
+    assert np.allclose(two.coefficients(f, [(-31, 31), (31, -31)]), 0.0, atol=1e-12)
+
+
+EMPTY = {**{name: basis for name, (basis, _) in FAMILIES.items()},
+         "hermite-d2": HermiteBasis(d=2, n_max=4), "fourier-d2": FourierBasis(d=2, n_max=4)}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY))
+def test_empty_index_lists_give_zero_rows(name):
+    basis = EMPTY[name]
+    d = getattr(basis, "d", 1)
+    index_set = basis.index_set
+    shape = (0,) if index_set.kind == "linear" else (0, index_set.dim)
+    for empty in ([], (), iter([]), np.zeros(0, dtype=np.int64)):
+        got = index_set.check(empty)
+        assert got.shape == shape and got.dtype == np.int64
+    f = (lambda x: np.exp(-0.5 * np.sum(np.reshape(x, (len(x), -1)) ** 2, axis=1))) if d > 1 \
+        else reg(FAMILIES[name][1])
+    assert len(basis.coefficients(f, [])) == 0
+    pts = basis.sample_points()[:7]
+    lo, hi, values = basis.element_table([], np.sort(pts) if pts.ndim == 1 and name != "taylor" else pts)
+    assert len(lo) == len(hi) == len(values) == 0
+
+
+@pytest.mark.parametrize("d, grade", [(2, 8), (3, 6)])
+def test_hermite_tables_at_d_2_and_3_equal_the_term_loop(d, grade):
+    # one recurrence table per axis, rows multiplied in from the left: the
+    # bits of every handle, on shuffled points, in every partial sum
+    basis = HermiteBasis(d=d, n_max=grade)
+    rng = np.random.default_rng(2026 + d)
+    pts = basis.sample_points()
+    pts = pts[rng.permutation(len(pts))[:700]]
+    idxs = basis.indices(grade)
+    rng.shuffle(idxs)
+    lo, hi, values = basis.element_table(idxs, pts)
+    assert np.all(lo == 0) and np.all(hi == len(pts))
+    want = np.concatenate([basis.element(n)(pts) for n in idxs])
+    assert values.tobytes() == want.tobytes()
+    for coeffs in (rng.standard_normal(len(idxs)), rng.standard_normal((len(idxs), 3)) * (1 + 1j)):
+        for counts in (None, [0, 1, len(idxs) // 2, len(idxs)]):
+            elem = _element(basis, idxs, coeffs)
+            elem = elem if counts is None else elem.partial_sums(counts)
+            _same(elem(pts), term_loop(_terms(basis, idxs, coeffs, 0), counts, pts))
+
+
 # -- point checks ----------------------------------------------------------
 
 BAD_POINTS = {
@@ -718,23 +805,38 @@ def test_interval_and_hermite_tables_never_reach_the_handle_loop(monkeypatch):
 
     monkeypatch.setattr(basis_core, "_handle_table", refuse)
     unit = np.linspace(0.0, 1.0, 33)
-    for basis, fn, pts in ((HaarBasis(), "x", unit), (HatBasis(), "cos", unit),
-                           (CkBasis(k=2), "cos", unit),
-                           (GLOBAL["hermite"], "gauss", np.linspace(-4.0, 4.0, 33))):
-        elem = materialize(basis, reg(fn), 8)
+    line = np.linspace(-4.0, 4.0, 33)
+
+    def gauss(x):
+        return np.exp(-0.5 * np.sum(np.asarray(x) ** 2, axis=1))
+
+    line_bad = [BAD_POINTS["k-by-2"], BAD_POINTS["complex"], BAD_POINTS["nan"]]
+    for basis, f, pts, bads in (
+            (HaarBasis(), reg("x"), unit, line_bad + [[0.0, np.inf]]),
+            (HatBasis(), reg("cos"), unit, line_bad + [[0.0, np.inf]]),
+            (CkBasis(k=2), reg("cos"), unit, line_bad + [[0.0, np.inf]]),
+            # d = 1 Hermite reads (k, 1) points as (k,)
+            (GLOBAL["hermite"], reg("gauss"), line, line_bad + [[-4.0, np.inf]]),
+            (HermiteBasis(d=2, n_max=8), gauss, tensor_grid(np.linspace(-4.0, 4.0, 6), 2),
+             [np.zeros((3, 3)), np.zeros(3), [[0.25 + 1j, 0.5]], [[0.25, np.nan]]]),
+            (HermiteBasis(d=3, n_max=8), gauss, tensor_grid(np.linspace(-4.0, 4.0, 4), 3),
+             [np.zeros((3, 2)), [[0.25, 0.5, np.inf]]])):
+        elem = materialize(basis, f, 8)
         assert np.all(np.isfinite(elem(pts)))
         assert elem.partial_sums([1, 4, len(elem)])(pts[::-1]).shape == (len(pts), 3)
-        assert partial_sum(basis, reg(fn), 8, pts[:, None] if basis.name == "hermite" else pts).shape \
-            == (len(pts),)
+        d = getattr(basis, "d", 1)
+        assert partial_sum(basis, f, 8, pts[:, None] if pts.ndim == 1 and basis.name == "hermite"
+                           else pts).shape == (len(pts),)
         if isinstance(basis, CkBasis):
             assert np.all(np.isfinite(elem.derivative(1)(pts)))
             assert np.all(np.isfinite(elem.partial_sums([2, 5]).derivative(2)(pts)))
         else:
             with pytest.raises(InputError, match="derivative support"):
                 elem.derivative(1)
-        for bad in (BAD_POINTS["k-by-2"], BAD_POINTS["complex"], BAD_POINTS["nan"], [pts[0], np.inf]):
+        for bad in bads:
             with pytest.raises(InputError):
                 elem(bad)
+        assert d == 1 or basis.element_table(basis.indices(2), pts)[2].size == len(basis.indices(2)) * len(pts)
 
 
 # -- Taylor contour rounding ----------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from schauder import CkBasis, FunctionBundle, InputError, SampledFunction
+from schauder import CkBasis, FunctionBundle, InputError, SampledFunction, materialize
+from schauder.registry import get as reg
 
 
 def test_bundle_derivative_access():
@@ -10,6 +11,25 @@ def test_bundle_derivative_access():
     assert f.derivative(1)(0.0) == 1.0
     with pytest.raises(InputError):
         f.derivative(2)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "1", True, np.bool_(True), None, 1.0, np.float64(1.0)])
+def test_derivative_orders_are_integers(bad):
+    # -1 once gave a C^k element's own values, 1.5 and "1" a bare TypeError
+    # when called, and True the first derivative
+    elem = materialize(CkBasis(2), reg("cos"), 4)
+    f, df = _Counting(np.sin), _Counting(np.cos)
+    handles = (elem, elem.partial_sums([2, 4]), CkBasis(2).element(5), FunctionBundle(f, (df,)))
+    for handle in handles:
+        with pytest.raises(InputError, match="derivative order must be an integer"):
+            handle.derivative(bad)
+    assert f.points == df.points == 0
+    # numpy integers are orders, and past what a bundle carries keeps its message
+    x = np.linspace(0.0, 1.0, 9)
+    for handle in handles:
+        assert handle.derivative(np.int64(1))(x).tobytes() == handle.derivative(1)(x).tobytes()
+    with pytest.raises(InputError, match="order 2 not available"):
+        FunctionBundle(f, (df,)).derivative(np.int64(2))
 
 
 class _Counting:

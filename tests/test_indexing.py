@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,37 @@ def test_validate_member_errors():
     lin = IndexSet("linear", origin=1)
     with pytest.raises(InputError):
         lin.validate_member(0)
+
+
+def test_check_gives_one_int64_array():
+    # (k,) for a linear set, (k, dim) otherwise, numpy integers and bare
+    # ints of a one-dimensional lattice included
+    for index_set, idxs, want in (
+            (IndexSet("linear", origin=1), [3, 1, np.int64(2)], [3, 1, 2]),
+            (IndexSet("multi", dim=2), [(1, 2), (0, np.uint8(0))], [[1, 2], [0, 0]]),
+            (IndexSet("lattice", dim=1), [-2, (3,), np.int32(-1)], [[-2], [3], [-1]]),
+            (IndexSet("lattice", dim=2), [(-2 ** 63, 2 ** 63 - 1)], [[-2 ** 63, 2 ** 63 - 1]])):
+        got = index_set.check(idxs)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("index_set, idxs, below, named", [
+    # the first bad entry is named, whatever makes it bad
+    (IndexSet("linear"), [1, 5, 7, -1], 5, "index 5 is out of range"),
+    (IndexSet("linear"), [1, -1, 5], 5, "index -1 not in linear"),
+    (IndexSet("linear"), [1, 2 ** 63, -1], None, f"index {2 ** 63} is past the int64 range"),
+    (IndexSet("linear"), [1, np.uint64(2 ** 64 - 1)], None, "past the int64 range"),
+    (IndexSet("multi", dim=2), [(0, 1), (4, 0)], 4, "index (4, 0) is out of range"),
+    (IndexSet("multi", dim=2), [(0, 1), (0, 2 ** 63), (0, -1)], None, "index (0, 9223372036854775808) is past"),
+    (IndexSet("lattice", dim=2), [(0, 1), (-2 ** 63 - 1, 0)], None, "past the int64 range"),
+    (IndexSet("lattice", dim=1), [2, [3]], None, "index [3] not in lattice"),
+])
+def test_check_refuses_the_first_bad_entry_by_name(index_set, idxs, below, named):
+    with pytest.raises(InputError, match=re.escape(named)):
+        index_set.check(idxs, below=below)
+    # the bound itself is the first index refused
+    if below is not None:
+        assert len(index_set.check(idxs[:1], below=below)) == 1
 
 
 def test_bad_kind():

@@ -131,11 +131,25 @@ class BasisFamily(ABC):
         """Rows of ``f`` on ``pts`` in the family's own topology.
 
         The default is plain value rows.  Families whose natural seminorms
-        involve derivatives (the C^k family) override this to stack
-        derivative rows below them; residuals are differences of such rows.
-        Points the family's elements refuse are refused before ``f`` runs.
+        involve derivatives (the C^k family) override ``_value_rows`` to
+        stack derivative rows below them; residuals are differences of such
+        rows.  Points the family's elements refuse are refused before ``f``
+        runs.
         """
-        return _rows(f(_points(self, pts)))
+        return self._value_rows(f, self._checked_points(pts))
+
+    def _value_rows(self, f, pts):
+        """``value_rows`` on points already checked."""
+        return _rows(f(pts))
+
+    def _checked_points(self, x):
+        """``x`` as an array, refused with ``InputError`` unless its entries
+        are integers, floats or complex numbers that the family's elements
+        read: the elements of a family share one domain, so the table of its
+        first element refuses what the table of all would."""
+        x = _numbers("points", x, "iufc")
+        self.element_table(self.indices(1)[:1], _ascending(np.atleast_1d(x))[1])
+        return x
 
     def lp_error(self, f, g, p, rank, space=None):
         """``interval_bases.lp_error`` of ``g`` against ``f``, panel edges on
@@ -181,16 +195,6 @@ def _real_points(x, lo=-np.inf, hi=np.inf):
     if x.dtype.kind not in "iuf" or not np.all(np.isfinite(x) & (lo <= x) & (x <= hi)):
         raise InputError(f"evaluation needs real numbers that are finite points of [{lo:.15g}, {hi:.15g}]")
     return x.astype(float, copy=False)
-
-
-def _points(basis, x):
-    """``x`` as an array, refused with ``InputError`` unless its entries are
-    integers, floats or complex numbers that the family's elements read: the
-    elements of a family share one domain, so the table of its first element
-    refuses what the table of all would."""
-    x = _numbers("points", x, "iufc")
-    basis.element_table(basis.indices(1)[:1], _ascending(np.atleast_1d(x))[1])
-    return x
 
 
 def _handle_table(handles, pts, order=0):
@@ -435,10 +439,10 @@ def partial_sum(basis, f, k, x):
     """Evaluate P_k f at point(s) ``x``: coefficients times elements, in order.
 
     Points that are not integers, floats or complex numbers, and points the
-    family's elements refuse (``_points``), raise ``InputError`` before ``f``
-    runs.
+    family's elements refuse (``BasisFamily._checked_points``), raise
+    ``InputError`` before ``f`` runs.
     """
-    x = _points(basis, x)
+    x = basis._checked_points(x)
     return materialize(basis, f, k)(x)
 
 
@@ -449,11 +453,10 @@ def projection_algebra_check(basis, f, k, j):
     ``semigroup_discrepancies``.  Returns the sup over the grid and the
     components of the residual."""
     k, j = (_finite_at_least("truncation rank", r, 0) for r in (k, j))
-    # one sweep to the larger rank, so a rank past the family's range is
-    # refused before f runs; P_j f is its prefix, by the batch contract
-    idxs, coeffs = _sweep(basis, f, max(k, j))
-    count = len(basis.indices(j))
-    inner = _element(basis, idxs[:count], coeffs[:count])
+    # the functionals of grade in (j, k] read the zero element, so a rank k
+    # past the family's range is refused before f runs
+    basis.coefficients(_element(basis, [], np.zeros(0)), basis.indices(k)[len(basis.indices(j)):])
+    inner = materialize(basis, f, j)
     outer = materialize(basis, inner, k)  # P_k P_j f; its coefficients become the defects
     shared = min(len(outer), len(inner))  # the indices of grade <= min(k, j)
     outer.coeffs[:shared] -= inner.coeffs[:shared]
@@ -496,10 +499,10 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     is exact, and by the batch contract of ``coefficients`` each column
     has the bits it has alone, so the chunks leave every bit.
     """
-    pts = basis.sample_points() if points is None else _points(basis, points)
+    pts = basis.sample_points() if points is None else _numbers("points", points, "iufc")
     idxs = basis.indices(kmax)
-    if not idxs:
-        return np.zeros(_rows(f(pts)).shape[1])
+    if not idxs:  # no table refuses bad points before f runs
+        return np.zeros(_rows(f(basis._checked_points(pts))).shape[1])
     table = basis.element_table(idxs, _ascending(pts)[1])
     coeffs = basis.coefficients(f, idxs)
     grades = [basis.index_set.grade(n) for n in idxs]
@@ -610,7 +613,7 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", p=1):
         Truncation thresholds, reported in the given order.
     mode : str
         ``"sup"`` for the sup of the residual rows over ``sample_points()``
-        (derivative-aware for families that override ``value_rows``),
+        (the family's ``value_rows``, derivative-aware for C^k),
         ``"lp"`` for the family's L^p error with panel edges on element
         kinks.
     space : ValueSpace, optional
@@ -636,8 +639,8 @@ def convergence_report(basis, f, ranks, space=None, mode="sup", p=1):
     if mode == "sup" and ranks:
         # f once, and every P_k f read off one running sum as block r
         pts = basis.sample_points()
-        frows = basis.value_rows(f, pts)
-        sums = basis.value_rows(_element(basis, idxs, coeffs).partial_sums(counts), pts)
+        frows = basis._value_rows(f, pts)
+        sums = basis._value_rows(_element(basis, idxs, coeffs).partial_sums(counts), pts)
         width = sums.shape[1] // len(ranks)
     out = []
     for r, k in enumerate(ranks):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .basis_core import BasisFamily, _points, _real_points, _rows
+from .basis_core import BasisFamily, _real_points, _rows
 from .errors import InputError
 from .indexing import IndexSet, _finite_at_least, _int_in, _numbers
 from .quadrature import accumulate, samples_of, segment_rules
@@ -705,10 +705,16 @@ class CkBasis(BasisFamily):
     def sample_points(self):
         return np.linspace(self.seq.a, self.seq.b, 513)
 
-    def value_rows(self, f, pts):
-        """Value rows of f, f', ..., f^(k), stacked in that order, on points
-        checked as ``BasisFamily.value_rows`` checks them."""
-        pts = _points(self, pts)
+    def _checked_points(self, x):
+        """``BasisFamily._checked_points`` by the rule of the element tables,
+        finite reals of [a, b] in a 1-D array, without building a piece set,
+        so the one kept stays."""
+        x = _numbers("points", x, "iufc")
+        _line_points(np.atleast_1d(x), self.seq.a, self.seq.b)
+        return x
+
+    def _value_rows(self, f, pts):
+        """Value rows of f, f', ..., f^(k), stacked in that order."""
         return np.concatenate([_rows(h(pts)) for h in _derivatives(f, self.k)], axis=0)
 
 

@@ -134,6 +134,18 @@ def test_projection_algebra_small():
     assert got <= 1e-12
 
 
+@pytest.mark.parametrize("basis", [HaarBasis(), HatBasis()], ids=["haar", "hat"])
+def test_projection_algebra_runs_f_only_to_rank_j(basis):
+    # a rank k above j is checked on the zero element, so f is read on the
+    # nodes of P_j f and on no other
+    def seen(log):
+        return lambda x: log.append(np.size(x)) or reg("x")(x)
+    direct, checked = [], []
+    materialize(basis, seen(direct), 2)
+    projection_algebra_check(basis, seen(checked), 9, 2)
+    assert checked == direct
+
+
 def test_semigroup_discrepancy_small_rank():
     assert semigroup_max_discrepancy(HatBasis(), reg("sin-pi"), 8) <= 1e-12
 

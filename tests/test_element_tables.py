@@ -578,6 +578,26 @@ def test_reused_pieces_equal_a_fresh_basis(k):
                     _same(mine, fresh)
 
 
+@pytest.mark.parametrize("k", [0, 2])
+def test_point_checks_build_no_pieces(k, monkeypatch):
+    # value_rows checks C^k points by the tables' rule without a table of its
+    # own, so it builds the piece sets the rows build and no other
+    basis = CkBasis(k)
+    sums = materialize(basis, reg("cos"), 4).partial_sums([2, 4])
+    pts = basis.sample_points()
+    builds = []
+    monkeypatch.setattr(interval_bases, "_hat_pieces",
+                        lambda *a, build=interval_bases._hat_pieces: builds.append(a) or build(*a))
+    counts = []
+    for rows in (basis._value_rows, basis.value_rows):
+        basis._pieces = None
+        builds.clear()
+        rows(sums, pts)
+        counts.append(len(builds))
+    basis._checked_points(pts)
+    assert counts[1] == counts[0] and len(builds) == counts[0]
+
+
 def test_threads_sharing_a_basis_read_their_own_pieces():
     # each thread reads its own index list on one instance, whose kept pieces
     # the others keep replacing; every table must still be its own list's

@@ -20,7 +20,8 @@ Algorithms, 2nd ed., section 4.2), so every entry is its own sequential sum
 over the terms.  Finite-rank elements, their partial sums and the semigroup
 check all read it.  A term is added only where it can be nonzero; a skipped
 term would only have added an exact zero, so only the sign of a zero result
-can differ from adding every term everywhere.
+can differ from adding every term everywhere.  Explicit handles are each
+evaluated on every point; a handle's ``support`` is not read.
 """
 
 import copy
@@ -79,13 +80,14 @@ class BasisFamily(ABC):
         Returns ``(lo, hi, values)``: element i is exactly zero on ``pts``
         outside ``pts[lo[i]:hi[i]]``, and its values there are the next
         ``hi[i] - lo[i]`` entries of ``values``, after those of the elements
-        before it.  When ``pts`` are finite 1-D reals they must ascend, and
-        the ranges are the points in each element's closed support;
-        otherwise every element gets every point.  The default evaluates
-        each handle once; the Haar, hat, C^k and d = 1 Hermite families
-        override it with the same float operations as their handles, and
-        refuse what those tables cannot read.  A term without the
-        derivative is refused, and so is a point outside the domain.
+        before it.  The default (``_handle_table``) evaluates each handle
+        once on every point, so every range is all of ``pts``.  The Haar,
+        hat, C^k and Hermite families override it with the same float
+        operations as their handles, and refuse what those tables cannot
+        read; the Haar, hat and C^k tables read ascending finite points of
+        their interval, and their ranges are the points in each element's
+        closed support.  A term without the derivative is refused, and so
+        is a point outside the domain.
         """
         return _handle_table([self.element(n) for n in idxs], pts, order)
 
@@ -181,12 +183,6 @@ def _ascending(pts):
     return order, pts[order]
 
 
-def _on_line(pts):
-    """Whether ``pts`` are finite 1-D reals (ascending ones: only the ends are read)."""
-    return pts.ndim == 1 and not np.iscomplexobj(pts) and (
-        not len(pts) or bool(np.isfinite(pts[0]) and np.isfinite(pts[-1])))
-
-
 def _real_points(x, lo=-np.inf, hi=np.inf):
     """``x`` as a float array, refused unless its dtype is real (integers or
     floats) and every point is a finite point of [lo, hi].  Each point is
@@ -199,42 +195,20 @@ def _real_points(x, lo=-np.inf, hi=np.inf):
 
 def _handle_table(handles, pts, order=0):
     """``BasisFamily.element_table`` of explicit handles: each handle (or its
-    ``order``-th derivative) evaluated once, on the points ``_layout`` gives
-    it, and refused unless it gives one scalar per point."""
+    ``order``-th derivative) evaluated once on every point, and none when
+    there are no points; refused unless it gives one scalar per point."""
     if order:
         if not all(hasattr(handle, "derivative") for handle in handles):
             raise InputError("finite-rank element has a term without derivative support")
         handles = [handle.derivative(order) for handle in handles]
-    lo, hi = _layout(handles, pts)
-    values = []
-    for handle, a, b in zip(handles, lo.tolist(), hi.tolist()):
-        if a < b:
-            values.append(np.asarray(handle(pts[a:b])))
-            if values[-1].shape != (b - a,):
-                raise InputError(f"an element gave values of shape {values[-1].shape} "
-                                 f"on {b - a} points; expected one scalar per point")
-    return lo, hi, np.concatenate(values) if values else np.zeros(0)
-
-
-def _layout(handles, pts):
-    """Where each handle needs evaluating: the points ``pts[lo[i]:hi[i]]``.
-
-    On ascending finite 1-D reals these are the points in handle i's closed
-    ``support``; a handle without one gets every point, and so does every
-    handle on other points.  Points outside every support go to the first
-    handle, which rejects them if they lie outside its domain, as evaluating
-    it everywhere would.
-    """
-    n = len(pts)
-    supports = [getattr(handle, "support", None) for handle in handles]
-    if not n or not _on_line(pts) or all(s is None for s in supports):
-        return np.zeros(len(handles), dtype=np.intp), np.full(len(handles), n, dtype=np.intp)
-    lo = np.searchsorted(pts, [-np.inf if s is None else s[0] for s in supports], side="left")
-    hi = np.searchsorted(pts, [np.inf if s is None else s[1] for s in supports], side="right")
-    first, last = lo.min(), hi.max()
-    if first > 0 or last < n:
-        handles[0](np.concatenate([pts[:first], pts[last:]]))
-    return lo, hi
+    n, values = len(pts), []
+    for handle in handles if n else ():
+        values.append(np.asarray(handle(pts)))
+        if values[-1].shape != (n,):
+            raise InputError(f"an element gave values of shape {values[-1].shape} "
+                             f"on {n} points; expected one scalar per point")
+    lo = np.zeros(len(handles), dtype=np.intp)
+    return lo, lo + n, np.concatenate(values) if values else np.zeros(0)
 
 
 def _rows(values):
@@ -259,7 +233,8 @@ class FiniteRankElement:
     at x, which must be numbers (``indexing._numbers``: no string, no bool
     among them) that the family's table reads.  Its values come from one
     ``element_table`` call on the sorted points, and ``_running`` adds the
-    terms in term order, each on the points of its support.  A plain call
+    terms in term order, each on the points of its table range (every
+    point for explicit handles).  A plain call
     is the partial sum of every term, and every sum is written straight
     into the caller's point order, with no second copy of the result.
 
@@ -333,13 +308,16 @@ class FiniteRankElement:
 
     def derivative(self, order=1):
         """The termwise ``order``-th derivative, read off the family's
-        derivative tables; a term without that derivative is refused here,
-        before anything is evaluated.  ``order`` is an integer >= 0."""
+        derivative tables; a term that the sums read and that has no such
+        derivative is refused here, before anything is evaluated.
+        ``order`` is an integer >= 0."""
         order = _int_in("derivative order", order, 0)
         if not order:
             return self
         order += self.order
-        self.basis.element_table(self.idxs, np.zeros(0), order)
+        # the terms ``_sums`` tables: C^k keeps the pieces of one index list
+        read = len(self.idxs) if self.counts is None else max(self.counts, default=0)
+        self.basis.element_table(self.idxs[:read], np.zeros(0), order)
         return self._with(order=order)
 
 

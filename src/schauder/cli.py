@@ -43,14 +43,12 @@ from .spectral_bases import FourierBasis, HermiteBasis, TaylorBasis
 from .value_space import SeminormSpec, ValueSpace
 
 
-def _number(value, key, kind=int, minimum=None):
+def _number(value, key, kind=int):
     """``kind(value)`` for a config value; bools, strings and, for ``int``, floats are refused."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if kind is int else numbers.Real):
         noun = "an integer" if kind is int else "a number"
         raise InputError(f"{key} must be {noun}, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InputError(f"{key} must be >= {minimum}, got {value}")
     return kind(value)
 
 
@@ -80,8 +78,9 @@ def _dyadic(family, **params):
     return family(seq=DenseSequence.dyadic(**levels), **params)
 
 
-# a --config basis parameter: its doc, JSON kind and least value
-Param = namedtuple("Param", "doc kind minimum", defaults=(int, None))
+# a --config basis parameter: its doc, and the reader of a JSON form the
+# constructor does not take (``_complex``); the constructor checks the value
+Param = namedtuple("Param", "doc read", defaults=(None,))
 # the constructor owns every default: a parameter the config leaves out is
 # not passed, and an explicit null is passed as None
 Family = namedtuple("Family", "build doc params")
@@ -97,16 +96,16 @@ FAMILIES = {
                         {"k": Param("smoothness order (default 2)"), "levels": _LEVELS}),
     "hermite": Family(HermiteBasis, "normalized Hermite functions on the line", {
         "n_max": Param("largest degree (default 64, at most 495)"),
-        "quad_size": Param("Gauss-Hermite size override (n_max + 1 to 1000)", minimum=1)}),
+        "quad_size": Param("Gauss-Hermite size override (n_max + 1 to 1000)")}),
     "fourier": Family(FourierBasis, "exponential modes on [-pi, pi]", {
         "n_max": Param("largest mode (default 32)"),
-        "grid_size": Param("rectangle-rule size override", minimum=1)}),
+        "grid_size": Param("rectangle-rule size override")}),
     "taylor": Family(TaylorBasis, "Taylor monomials with contour-average coefficients", {
-        "center": Param("expansion point (re or [re, im], default 0)", complex),
-        "radius": Param("disc radius (default inf)", float),
-        "contour_radius": Param("averaging circle radius (default 1)", float),
+        "center": Param("expansion point (re or [re, im], default 0)", _complex),
+        "radius": Param("disc radius (default inf)"),
+        "contour_radius": Param("averaging circle radius (default 1)"),
         "n_max": Param("largest order (default 16)"),
-        "contour_points": Param("contour size override (power of 2)", minimum=1)}),
+        "contour_points": Param("contour size override (power of 2)")}),
 }
 
 
@@ -120,10 +119,9 @@ def build_basis(name, params=None):
     given = {key: params.pop(key) for key in family.params if key in params}
     try:
         for key, value in given.items():
-            param, label = family.params[key], f"basis parameter {key}"
-            if value is not None:
-                given[key] = (_complex(value, label) if param.kind is complex
-                              else _number(value, label, param.kind, param.minimum))
+            read = family.params[key].read
+            if read is not None and value is not None:
+                given[key] = read(value, f"basis parameter {key}")
         basis = family.build(**given)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad parameters for basis {name!r}: {exc}")

@@ -6,6 +6,10 @@ Every function handle in this package is vectorized over evaluation points:
   d > 1 domains) to values of shape (k,),
 * vector-valued handles map the same points to values of shape (k, m).
 
+A handle must accept every point of its domain: a ``FiniteRankElement``
+built from explicit handles evaluates each of them on every point it is
+called at, and no attribute of a handle (a ``support``, say) narrows that.
+
 ``FunctionBundle`` pairs a handle with its derivative handles so bases whose
 coefficient functionals differentiate (the C^k family) can ask for exact
 derivatives instead of finite differences.
@@ -66,12 +70,12 @@ class SampledFunction:
             raise InputError("sample points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise InputError("sample points must be strictly increasing")
+        if vals.ndim not in (1, 2):
+            raise InputError("value table must be 1-D (scalar) or 2-D (vector)")
         if vals.shape[0] != pts.size:
             raise InputError(
                 f"value table has {vals.shape[0]} rows for {pts.size} points"
             )
-        if vals.ndim not in (1, 2):
-            raise InputError("value table must be 1-D (scalar) or 2-D (vector)")
         self.points = pts
         self.values = vals
 

@@ -83,7 +83,7 @@ class PiecewisePolynomial:
     @functools.cached_property
     def support(self):
         """Closed hull (lo, hi) of the pieces that are not identically zero
-        (None for the zero polynomial, which then counts as global)."""
+        (None for the zero polynomial)."""
         live = np.flatnonzero(self.coefficients.any(axis=1))
         if not live.size:
             return None

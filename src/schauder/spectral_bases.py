@@ -74,6 +74,20 @@ def _as_multi(n, d, signed=False):
     return ns
 
 
+# the n_max of the largest rule; past it the recurrence table of one order
+# alone is (order + 1) x points
+HERMITE_MAX_ORDER = (HERMITE_MAX_SIZE - 10) // 2
+
+
+def _hermite_orders(n, d):
+    """``_as_multi`` of a Hermite index, refused if an entry exceeds
+    ``HERMITE_MAX_ORDER``."""
+    ns = _as_multi(n, d)
+    if max(ns) > HERMITE_MAX_ORDER:
+        raise InputError(f"Hermite order {max(ns)} of index {n!r} exceeds {HERMITE_MAX_ORDER}")
+    return ns
+
+
 def hermite_function(n, x, d=1):
     """L^2-normalized Hermite function, tensorized over axes for d > 1.
 
@@ -81,9 +95,9 @@ def hermite_function(n, x, d=1):
     ``_hermite_rows``; for multi-indices the product over coordinates, taken
     from the left.  ``x`` has shape (k,) or (k, 1) for d = 1 and (k, d)
     otherwise; any other shape is refused, and so is a point that is not
-    a finite real.
+    a finite real, and an order above ``HERMITE_MAX_ORDER`` (495).
     """
-    ns = _as_multi(n, d)
+    ns = _hermite_orders(n, d)
     x = np.asarray(x)
     scalar = x.ndim == 0 and d == 1
     cols = _hermite_points(x, d)
@@ -121,7 +135,7 @@ class HermiteBasis(BasisFamily):
 
     def __init__(self, d=1, n_max=64, quad_size=None):
         self.d = _int_in("dimension d", d, 1, 3)
-        self.n_max = _int_in("n_max", n_max, 0, (HERMITE_MAX_SIZE - 10) // 2)
+        self.n_max = _int_in("n_max", n_max, 0, HERMITE_MAX_ORDER)
         # biorthogonality through n_max needs at least n_max + 1 nodes
         self.quad_size = max(40, 2 * self.n_max + 10) if quad_size is None \
             else _int_in("quad_size", quad_size, self.n_max + 1, HERMITE_MAX_SIZE)
@@ -231,7 +245,8 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
     is folded block by block, the rows of each block built from the 1-D
     grid, so f sees at most ``NODE_BLOCK`` points per call.  The seminorms
     are those of ``space``, by default the sup norm.  Bad radii, panel
-    densities, dimensions and grid sizes are refused before f runs.
+    densities, dimensions, grid sizes and orders (an entry above
+    ``HERMITE_MAX_ORDER``, 495) are refused before f runs.
     """
     d = _int_in("box dimension", d, 1)
     for name, value in (("inner", inner), ("outer", outer), ("panels_per_unit", panels_per_unit)):
@@ -240,7 +255,7 @@ def hermite_tail_bound_check(f, n, inner, outer, d=1, space=None,
         raise InputError("need 0 < inner < outer box half-widths and panels_per_unit > 0")
     default = 2001 if d == 1 else 201
     grid_points = _int_in("grid_points", default if grid_points is None else grid_points, 1)
-    ns = _as_multi(n, d)
+    ns = _hermite_orders(n, d)
     j = sum(ns)
 
     def integrand(pts):

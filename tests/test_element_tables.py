@@ -598,6 +598,30 @@ def test_point_checks_build_no_pieces(k, monkeypatch):
     assert counts[1] == counts[0] and len(builds) == counts[0]
 
 
+def test_derivative_rows_read_the_kept_pieces(monkeypatch):
+    # the derivative probe asks for the terms the sums read, the list the
+    # rows table too, so the kept piece set serves every later call
+    basis = CkBasis(2)
+    sums = materialize(basis, reg("cos"), 4).partial_sums([2, 4])
+    pts = basis.sample_points()
+    builds = []
+    monkeypatch.setattr(interval_bases, "_hat_pieces",
+                        lambda *a, build=interval_bases._hat_pieces: builds.append(a) or build(*a))
+    first = basis.value_rows(sums, pts)
+    _same(basis.value_rows(sums, pts), first)
+    assert len(builds) <= 1
+
+
+def test_derivatives_probe_only_the_terms_the_sums_read():
+    hat = HatBasis().element(3)
+    terms = [(hat, 2.0), (lambda x: x, 1.0)]  # the second term has no derivative
+    pts = np.linspace(0.0, 1.0, 17)
+    _same(FiniteRankElement(terms).partial_sums([1]).derivative(1)(pts),
+          (hat.derivative(1)(pts) * 2.0)[:, None])
+    with pytest.raises(InputError, match="term without derivative support"):
+        FiniteRankElement(terms).derivative(1)
+
+
 def test_threads_sharing_a_basis_read_their_own_pieces():
     # each thread reads its own index list on one instance, whose kept pieces
     # the others keep replacing; every table must still be its own list's

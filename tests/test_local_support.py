@@ -1,5 +1,7 @@
-"""Local-support synthesis: Haar, hat and C^k terms are added only where
-they can be nonzero, with the values of adding every term everywhere.
+"""Local-support synthesis: the Haar, hat and C^k tables add a term only
+where it can be nonzero, with the values of adding every term everywhere.
+An element built from their handles evaluates every handle on every point,
+as a handle's ``support`` is not read.
 
 The reference in these tests is the plain term loop: every handle on every
 point, added in term order from zero.  Skipping a term can only change the
@@ -161,6 +163,58 @@ def test_non_finite_points_take_the_dense_path():
     # there every hat handle sees the NaN, and refuses it
     with pytest.raises(InputError, match="finite points of"):
         FiniteRankElement([(FAMILIES["hat"].element(n), 1.0) for n in range(9)])(pts)
+
+
+class _Shifted:
+    """x + 1, whose ``support`` is narrower than where it is nonzero."""
+
+    support = 0.5, 1.0
+
+    def __call__(self, x):
+        return np.asarray(x, dtype=float) + 1.0
+
+
+def test_a_handle_support_is_not_read():
+    # ``support`` is no part of the handle contract, so a wrong one cannot
+    # drop a term from the sum
+    terms = [(_Shifted(), 1.0)]
+    pts = np.array([0.0, 0.25, 0.75, 1.0])
+    assert np.array_equal(FiniteRankElement(terms)(pts), [1.0, 1.25, 1.75, 2.0])
+    assert np.array_equal(FiniteRankElement(terms).partial_sums([0, 1])(pts),
+                          [[0.0, 1.0], [0.0, 1.25], [0.0, 1.75], [0.0, 2.0]])
+
+
+class _Seen:
+    """A handle recording how many points each of its calls, and those of
+    its derivatives, gets; it carries the wrapped handle's ``support``,
+    which the handle loop must not read."""
+
+    def __init__(self, handle, seen):
+        self.handle, self.seen, self.support = handle, seen, handle.support
+
+    def __call__(self, x):
+        self.seen.append(np.size(x))
+        return self.handle(x)
+
+    def derivative(self, order=1):
+        return _Seen(self.handle.derivative(order), self.seen)
+
+
+def test_each_handle_runs_once_on_every_point():
+    hat = FAMILIES["hat"]
+    pts = np.linspace(0.0, 1.0, 33)
+    want = dense_sum([(hat.element(n), 1.0) for n in range(9)], pts)
+    seen = [[] for _ in range(9)]
+    elem = FiniteRankElement([(_Seen(hat.element(n), seen[n]), 1.0) for n in range(9)])
+    assert np.array_equal(elem(pts), want)
+    assert seen == [[33]] * 9
+    # the derivative probe passes no points, so no handle runs there
+    for s in seen:
+        s.clear()
+    deriv = elem.partial_sums([9]).derivative(1)
+    assert seen == [[]] * 9
+    deriv(pts)
+    assert seen == [[33]] * 9
 
 
 def test_rank_256_hat_element_evaluates_only_where_its_terms_live(monkeypatch):

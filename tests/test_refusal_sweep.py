@@ -10,7 +10,9 @@ its evaluations (and those of its derivative handles), a refused evaluation
 included.  Fractional ranks are valid grade thresholds, and negative Fourier
 modes are valid modes; both are checked to stay accepted.  The handles of a
 hand-built ``FiniteRankElement`` judge their own domain, so its points case
-tries only the values that are not an array of numbers.
+tries only the values that are not an array of numbers.  ``REFUSALS`` holds
+the refusals of a shape, a count or a constructor argument, each with the
+message that must name the fault.
 """
 
 import inspect
@@ -23,6 +25,7 @@ import pytest
 import schauder
 from schauder import (
     CkBasis,
+    DenseSequence,
     ExpansionOperator,
     FiniteRankElement,
     FourierBasis,
@@ -32,6 +35,9 @@ from schauder import (
     HermiteBasis,
     InputError,
     KotheMatrix,
+    PiecewisePolynomial,
+    SampledFunction,
+    SeminormSpec,
     TaylorBasis,
     ValueSpace,
     convergence_report,
@@ -53,7 +59,7 @@ from schauder import (
     vector_scalar_gap,
     weighted_sum,
 )
-from schauder.quadrature import HERMITE_MAX_SIZE
+from schauder.quadrature import HERMITE_MAX_SIZE, accumulate
 from schauder.registry import corpus, vector_stack
 
 
@@ -231,7 +237,7 @@ MODULE_CASES = [
     Case("fourier_coefficient", "n", lambda: Counting(cos), lambda f, v: fourier_coefficient(f, v),
          -3, dict(SIGNED, out=32, below=-32)),
     Case("hermite_tail_bound_check", "n", lambda: Counting(gauss),
-         lambda f, v: hermite_tail_bound_check(f, v, 1.0, 2.0), 1, dict(INTEGER, tuple=(1, 0))),
+         lambda f, v: hermite_tail_bound_check(f, v, 1.0, 2.0), 1, dict(INTEGER, tuple=(1, 0), big=496)),
     Case("hermite_tail_bound_check", "inner", lambda: Counting(gauss),
          lambda f, v: hermite_tail_bound_check(f, 1, v, 2.0), 1.0, dict(RANK, zero=0.0, out=3.0)),
     Case("hermite_tail_bound_check", "outer", lambda: Counting(gauss),
@@ -342,3 +348,69 @@ def test_negative_fourier_modes_stay_accepted():
     g = Counting(lambda x: np.cos(np.asarray(x)[:, 0] - np.asarray(x)[:, 1]))
     assert np.allclose(two.coefficients(g, [(-1, 1), (1, -1), (-31, -31)]), [0.5, 0.5, 0.0], atol=1e-12)
     assert len(g.calls) == 1
+
+
+def _weighted(kind, weights, dimension=2):
+    return ValueSpace(dimension, seminorms=[SeminormSpec(kind, weights)])
+
+
+# refusals of a shape, a count or a constructor argument, each with its message
+REFUSALS = {
+    "value_rows:shape": (lambda: HaarBasis().value_rows(lambda x: np.zeros((len(x), 2, 2)), UNIT),
+                         r"handle output has shape \(9, 2, 2\); expected \(k,\) or \(k, m\)"),
+    "coefficients:rows": (lambda: HaarBasis().coefficients(lambda x: np.zeros(len(x) + 1), [1]),
+                          r"handle returned shape \(\d+,\) for \d+ nodes"),
+    "coefficients:shape": (lambda: HaarBasis().coefficients(lambda x: np.zeros((len(x), 2, 2)), [1]),
+                           r"handle returned shape \(\d+, 2, 2\) for \d+ nodes"),
+    "accumulate": (lambda: accumulate(np.ones(3), np.ones(4)),
+                   r"weights of shape \(3,\) for terms of shape \(4,\)"),
+    "vector_scalar_gap:components": (
+        lambda: vector_scalar_gap(HaarBasis(), vector_stack([sin, sin]), [1, 2], 3),
+        r"vector coefficient has shape \(2,\), expected \(3,\)"),
+    "PiecewisePolynomial:one": (lambda: PiecewisePolynomial([0.0], [[1.0]]),
+                                "need at least two breakpoints"),
+    "PiecewisePolynomial:order": (lambda: PiecewisePolynomial([0.0, 0.0], [[1.0]]),
+                                  "breakpoints must be strictly increasing"),
+    "PiecewisePolynomial:rows": (lambda: PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0]]),
+                                 "1 coefficient rows for 2 pieces"),
+    "DenseSequence:one": (lambda: DenseSequence([0.0]), "needs at least the two endpoints"),
+    "DenseSequence:nan": (lambda: DenseSequence([0.0, 1.0, math.nan]), "points must be finite"),
+    "DenseSequence:ends": (lambda: DenseSequence([1.0, 0.0]), "the interval ends a < b"),
+    "DenseSequence:outside": (lambda: DenseSequence([0.0, 1.0, 1.5]), r"all points must lie in \[a, b\]"),
+    "DenseSequence:repeated": (lambda: DenseSequence([0.0, 1.0, 0.5, 0.5]), "pairwise distinct"),
+    "SeminormSpec:kind": (lambda: SeminormSpec("max"), "unknown seminorm kind 'max'"),
+    "ValueSpace:dimension": (lambda: ValueSpace(0), r"dimension must be an integer in 1\.\.inf"),
+    "ValueSpace:field": (lambda: ValueSpace(1, field="quaternion"), "field must be 'real' or 'complex'"),
+    "ValueSpace:empty": (lambda: ValueSpace(1, seminorms=[]), "seminorm family must be nonempty"),
+    "ValueSpace:unweighted": (lambda: _weighted("sup", (1.0,), 1), "kind 'sup' takes no weights"),
+    "ValueSpace:weightless": (lambda: _weighted("weighted-sup", None), "kind 'weighted-sup' requires weights"),
+    "ValueSpace:length": (lambda: _weighted("weighted-sup", (1.0,)), r"weights must have length 2, got shape \(1,\)"),
+    "ValueSpace:negative": (lambda: _weighted("weighted-sup", (1.0, -1.0)), "finite and nonnegative"),
+    "ValueSpace:no-positive": (lambda: _weighted("coordinate-subset-sup", (0.0, 0.0)),
+                               "needs at least one positive weight"),
+    "ValueSpace:separation": (lambda: _weighted("weighted-sup", (1.0, 0.0)),
+                              "does not separate coordinate 1"),
+    "SampledFunction:one": (lambda: SampledFunction([0.0], [1.0]), "at least two sample points"),
+    "SampledFunction:nan": (lambda: SampledFunction([0.0, math.nan], [1.0, 2.0]), "must be finite"),
+    "SampledFunction:order": (lambda: SampledFunction([1.0, 0.0], [1.0, 2.0]), "strictly increasing"),
+    "SampledFunction:rows": (lambda: SampledFunction([0.0, 1.0], [1.0, 2.0, 3.0]), "3 rows for 2 points"),
+    "SampledFunction:scalar": (lambda: SampledFunction([0.0, 1.0], 1.0), r"1-D \(scalar\) or 2-D"),
+    "SampledFunction:shape": (lambda: SampledFunction([0.0, 1.0], np.zeros((2, 2, 2))), r"1-D \(scalar\) or 2-D"),
+}
+
+
+@pytest.mark.parametrize("call,message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_fault(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_semigroup_points_are_refused_when_kmax_gives_no_index():
+    # Haar indices start at 1: no table of grade <= 0 refuses the points, so
+    # the family's point check does, before f runs
+    f = Counting(sin)
+    assert np.array_equal(semigroup_discrepancies(HaarBasis(), f, 0, points=UNIT), [0.0])
+    f.calls.clear()
+    with pytest.raises(InputError, match=r"finite points of \[0, 1\]"):
+        semigroup_discrepancies(HaarBasis(), f, 0, points=[0.5, 2.0])
+    assert f.calls == []

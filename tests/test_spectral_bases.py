@@ -27,6 +27,7 @@ from schauder import (
     to_s_space,
     weighted_sum,
 )
+from schauder import spectral_bases
 from schauder.quadrature import NODE_BLOCK
 from schauder.registry import corpus, vector_stack
 from schauder.registry import get as reg
@@ -82,6 +83,19 @@ def test_hermite_function_refuses_non_integer_orders(bad):
     with pytest.raises(InputError, match="non-integer"):
         hermite_function((1, bad), np.zeros((5, 2)), d=2)
     assert np.array_equal(hermite_function(np.int64(2), x), hermite_function(2, x))
+
+
+def test_hermite_orders_past_495_are_refused_before_any_table(monkeypatch):
+    # 495 is the largest n_max of HermiteBasis; past it the recurrence table
+    # alone would be (order + 1) x points
+    x = np.linspace(-1.0, 1.0, 5)
+    assert np.all(np.isfinite(hermite_function(495, x)))
+    monkeypatch.setattr(spectral_bases, "_hermite_rows",
+                        lambda n, x: pytest.fail(f"a table of order {n} was allocated"))
+    with pytest.raises(InputError, match="order 496 of index 496 exceeds 495"):
+        hermite_function(496, x)
+    with pytest.raises(InputError, match=r"order 496 of index \(1, 496\) exceeds 495"):
+        hermite_function((1, 496), np.zeros((5, 2)), d=2)
 
 
 def test_hermite_function_owns_its_values():

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .indexing import _finite_at_least, _int_in, _numbers
 from .value_space import ValueSpace
 
@@ -469,6 +469,14 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     changed since the last count joins the max.  Functionals and sums act
     componentwise, so entry i is the scalar result for component i of f.
 
+    Each chunk sums only its nonzero defects (``_defect_max``): a column
+    (rank j, component) zero for every term reports +0.0, and a term with
+    no nonzero defect is skipped.  A skipped product is an exact zero, which
+    changes at most the sign of a zero sum, and |.| drops that sign, so
+    every bit is kept.  inf * 0 is NaN, though, so a table value that is
+    not finite raises ``NumericError`` naming the element and the point,
+    before f runs.
+
     The ranks j run in equal chunks of at most ``_SEMIGROUP_ENTRIES`` /
     (max(points, indices) * m) ranks, m the component count, each with its
     own coefficient call and running sum, so its defects and its sum on
@@ -481,7 +489,14 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
     idxs = basis.indices(kmax)
     if not idxs:  # no table refuses bad points before f runs
         return np.zeros(_rows(f(basis._checked_points(pts))).shape[1])
-    table = basis.element_table(idxs, _ascending(pts)[1])
+    spts = _ascending(pts)[1]
+    table = basis.element_table(idxs, spts)
+    bad = np.flatnonzero(~np.isfinite(table[2]))
+    if bad.size:  # its product with a zero defect is NaN, which a skipped zero would hide
+        ends = np.cumsum(table[1] - table[0])
+        term = int(np.searchsorted(ends, bad[0], side="right"))
+        node = spts[table[1][term] - ends[term] + bad[0]]
+        raise NumericError(f"element {idxs[term]!r} is not finite at point {node}", node=node)
     coeffs = basis.coefficients(f, idxs)
     grades = [basis.index_set.grade(n) for n in idxs]
     ranks = sorted({int(np.ceil(g)) for g in grades} | {0, kmax})
@@ -497,11 +512,33 @@ def semigroup_discrepancies(basis, f, kmax, points=None):
         defect = basis.coefficients(series.partial_sums(part), idxs).reshape(len(idxs), -1, width)
         for r, c in enumerate(part):  # lambda_n(P_j f) - c_n [n < count of j]
             defect[:c, r] -= coeffs[:c]
-        worst = np.zeros(len(part) * width)  # max over the ranks k reached
-        for _, acc, rows in _running(table, n, defect.reshape(len(idxs), -1), counts):
-            # P_k P_j f - P_min(k,j) f; rows outside ``rows`` are unchanged
-            np.maximum(worst, np.abs(acc[rows]).max(axis=0, initial=0.0), out=worst)
+        worst = _defect_max(table, n, defect.reshape(len(idxs), -1), counts)
         np.maximum(out, worst.reshape(-1, width).max(axis=0), out=out)
+    return out
+
+
+def _defect_max(table, n, defect, stops):
+    """Per column of ``defect`` (terms by columns), the max modulus of its
+    running sum (``_running``) over the terms of a finite ``element_table``
+    result on n points, taken at each count of ``stops``.
+
+    The sum reads only the columns with a nonzero defect and the terms with
+    one among them, each stop moved to the number of such terms before it;
+    the other columns report +0.0.  A point that no kept term changed since
+    the last stop holds the value counted then, up to the sign of a zero,
+    so every bit is that of the sum over all terms.
+    """
+    lo, hi, values = table
+    cols = np.flatnonzero(np.any(defect != 0, axis=0))
+    terms = np.any(defect[:, cols] != 0, axis=1)
+    kept = lo[terms], hi[terms], values[np.repeat(terms, hi - lo)]
+    before = np.concatenate([[0], np.cumsum(terms)])  # kept terms before each count
+    top = np.zeros(len(cols))  # max over the stops reached
+    for _, acc, rows in _running(kept, n, defect[np.ix_(terms, cols)], before[stops].tolist()):
+        # rows outside ``rows`` are unchanged since the last stop
+        np.maximum(top, np.abs(acc[rows]).max(axis=0, initial=0.0), out=top)
+    out = np.zeros(defect.shape[1])
+    out[cols] = top
     return out
 
 
@@ -546,6 +583,10 @@ def vector_scalar_gap(basis, f, idxs, components):
     each row has the bits it has alone.  Shared evaluation points and
     accumulation order make the two routes agree to the bit; the check
     still computes both honestly.
+
+    A ``components`` count that does not match f is refused only after the
+    vector call, the one exception to refusing bad input before f runs:
+    f's width is known only from its values.  f then runs exactly once.
     """
     idxs = list(idxs)
     components = _int_in("component count", components, 1)

@@ -37,8 +37,9 @@ from .basis_core import (
 )
 from .errors import InputError, NumericError
 from .functions import SampledFunction
-from .interval_bases import CkBasis, DenseSequence, HaarBasis, HatBasis
+from .interval_bases import MAX_DYADIC_LEVELS, CkBasis, DenseSequence, HaarBasis, HatBasis
 from .quadrature import _bound_sides, accumulate, samples_of
+from .spectral_bases import FOURIER_MAX_N, HERMITE_MAX_ORDER, TAYLOR_MAX_N
 from .spectral_bases import FourierBasis, HermiteBasis, TaylorBasis
 from .value_space import SeminormSpec, ValueSpace
 
@@ -330,6 +331,7 @@ def _cmd_bases(args):
 
 def _cmd_expand(args, basis_params):
     basis = build_basis(args.basis, basis_params)
+    _check_last_index(args.basis, basis, args.max_n)
     f = resolve_function(args.fn, basis)
     idxs = basis.indices(args.max_n)
     if not idxs:
@@ -374,10 +376,23 @@ def _cmd_converge(args, cfg, basis_params):
 
 
 VERIFY_BASES = tuple(FAMILIES)
+# the largest verify --max-n of a family, where its basis constant says why
+VERIFY_MAX_N = {"hermite": HERMITE_MAX_ORDER, "fourier": FOURIER_MAX_N, "taylor": TAYLOR_MAX_N}
+
+
+def _check_last_index(name, basis, max_n):
+    """Refuse a --max-n past the last index of a family over a dyadic
+    sequence (2^levels + 1 points), naming the sequence's levels."""
+    seq = getattr(basis, "seq", None)
+    if seq is not None and max_n >= len(seq) + basis.k:
+        levels = (len(seq) - 1).bit_length() - 1
+        raise InputError(f"--max-n {max_n} is past the last {name} index {len(seq) + basis.k - 1} "
+                         f"of a dyadic sequence of levels {levels} (at most {MAX_DYADIC_LEVELS})")
 
 
 def _verify_basis(name, max_n):
     basis = build_basis(name, {"n_max": max_n} if "n_max" in FAMILIES[name].params else None)
+    _check_last_index(name, basis, max_n)
     corpus = registry.corpus(basis.name)
     tol_semigroup = 1e-10
     # the corpus is one K^8-valued function; component i is function i
@@ -461,6 +476,9 @@ def _cmd_verify(args):
     for n in names:
         if n not in FAMILIES:
             raise InputError(f"unknown basis {n!r}")
+        if args.max_n > VERIFY_MAX_N.get(n, args.max_n):
+            raise InputError(f"--max-n {args.max_n}, the {n} n_max of verify, exceeds "
+                             f"its cap {VERIFY_MAX_N[n]}")
     report = {"command": "verify", "seed": seed, "max_n": args.max_n,
               "bases": {}, "quadrature": {}}
     for name in names:

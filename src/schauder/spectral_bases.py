@@ -78,6 +78,14 @@ def _as_multi(n, d, signed=False):
 # alone is (order + 1) x points
 HERMITE_MAX_ORDER = (HERMITE_MAX_SIZE - 10) // 2
 
+# the largest ``verify --max-n`` of the Fourier and Taylor families, each set
+# from a budget of about 10 s and 300 MB peak RSS for one ``verify --basis B
+# --max-n cap`` run (2-core VM, Python 3.11, numpy 2.4): Fourier took 6.5 s
+# and 158 MB at 512, 30 s and 333 MB at 1024; Taylor took 2.0 s and 187 MB
+# at 512, 10.0 s and 266 MB at 1024
+FOURIER_MAX_N = 512
+TAYLOR_MAX_N = 1024
+
 
 def _hermite_orders(n, d):
     """``_as_multi`` of a Hermite index, refused if an entry exceeds

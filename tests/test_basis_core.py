@@ -228,3 +228,24 @@ def test_bad_ranks_and_counts_are_refused_before_f_runs(call):
     with pytest.raises(InputError):
         call(f)
     assert points == []
+
+
+@pytest.mark.parametrize("basis, fns", [
+    (HaarBasis(), ("x", "cos")), (HatBasis(), ("x", "cos")),
+    (HermiteBasis(n_max=8), ("gauss", "h3")), (FourierBasis(n_max=8), ("cos", "sin")),
+    (TaylorBasis(n_max=8), ("exp-z", "sin-z")),
+], ids=["haar", "hat", "hermite", "fourier", "taylor"])
+@pytest.mark.parametrize("components", [1, 3])
+def test_a_wrong_component_count_is_refused_after_one_evaluation_of_f(basis, fns, components):
+    # f's width is known only from its values: the one refusal after f runs,
+    # and the vector call runs f exactly once before it (C^k at k > 0 reads
+    # derivative handles too, and is left out)
+    stack, calls = vector_stack([reg(fn) for fn in fns]), []
+
+    def f(x):
+        calls.append(len(x))
+        return stack(x)
+
+    with pytest.raises(InputError, match=rf"vector coefficient has shape \(2,\), expected \({components},\)"):
+        vector_scalar_gap(basis, f, basis.indices(4), components)
+    assert len(calls) == 1

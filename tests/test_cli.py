@@ -259,6 +259,43 @@ def test_hermite_n_max_past_the_rule_limit_is_a_usage_error(capsys):
     assert "n_max" in err and "495" in err
 
 
+@pytest.mark.parametrize("name, cap", [("hermite", 495), ("fourier", 512), ("taylor", 1024)])
+def test_verify_max_n_past_a_family_cap_is_refused_before_any_family_runs(capsys, monkeypatch,
+                                                                           name, cap):
+    # the cap itself passes the check; one past it, alone or among every
+    # family, exits 2 naming the cap before any family is built
+    ran = []
+    monkeypatch.setattr(cli, "_verify_basis", lambda family, max_n: ran.append((family, max_n)) or {})
+    assert _run(capsys, ["verify", "--basis", name, "--max-n", str(cap)])[0] == 0
+    rc, out, err = _run(capsys, ["verify", "--basis", name, "--max-n", str(cap + 1)])
+    assert rc == 2 and out == "" and f"--max-n {cap + 1}, the {name} n_max" in err
+    assert f"its cap {cap}" in err
+    rc, out, err = _run(capsys, ["verify", "--max-n", str(cap + 1)])  # hermite's cap is the least
+    assert rc == 2 and out == "" and "its cap 495" in err
+    assert ran == [(name, cap)]
+
+
+@pytest.mark.parametrize("command, name, levels, last", [
+    (command, name, None, last) for command in ("verify", "expand")
+    for name, last in (("hat-dyadic", 2048), ("ck-dyadic", 2050))
+] + [("expand", "hat-dyadic", 4, 16), ("expand", "ck-dyadic", 4, 18)])  # verify reads no levels
+def test_dyadic_max_n_past_the_sequence_names_max_n_and_levels(capsys, tmp_path, command, name,
+                                                              levels, last):
+    # once refused as "index 2049 is out of range: entries must be below 2049"
+    fn = ["--fn", "x"] if command == "expand" else []
+    where = ["--basis", name]
+    if levels is not None:
+        cfg = tmp_path / "levels.json"
+        cfg.write_text(json.dumps({"basis": {"name": name, "levels": levels}}))
+        where = ["--config", str(cfg)]
+    rc, out, err = _run(capsys, [command, *fn, "--max-n", "10000000", *where])
+    assert rc == 2 and out == ""
+    assert f"--max-n 10000000 is past the last {name} index {last}" in err
+    assert f"levels {levels or 11}" in err
+    if levels is not None:  # the last index itself is expanded
+        assert _run(capsys, [command, *fn, "--max-n", str(last), *where])[0] == 0
+
+
 @pytest.mark.parametrize("max_n", ["0", "-1"])
 def test_verify_rejects_max_n_below_one(capsys, max_n):
     rc, out, err = _run(capsys, ["verify", "--basis", "haar", "--max-n", max_n])

@@ -7,9 +7,11 @@ added by ``acc[lo:hi] += contrib`` in term order, a first term covering
 every point starting the sum.  ``semigroup_loop`` is the semigroup check's
 own per-term loop, kept literally too: one sum of the coefficient defects
 lambda_n(P_j f) - c_n [n counted in P_j], whose partial sums are
-P_k P_j f - P_min(k,j) f.  Both orders are recursive summation in
-enumeration order, as in ``basis_core._running``.  Results are compared by
-``tobytes()``, so the sign of every zero counts too.  ``two_sum_loop`` is
+P_k P_j f - P_min(k,j) f, summed over every term, zero defects included,
+against the check's sum of only the nonzero ones.  Both orders are
+recursive summation in enumeration order, as in ``basis_core._running``.
+Results are compared by ``tobytes()``, so the sign of every zero counts
+too.  ``two_sum_loop`` is
 the check as it ran before, two sums P_k P_j f and P_k f compared with
 P_min(k,j) f; it differs from the defect sum only by rounding, and the tests
 hold the two within Higham's recursive-summation bound (``summation_bound``).
@@ -286,11 +288,15 @@ def _semigroup_tables(basis, f, kmax, points):
     lifted = basis.coefficients(sums, idxs).reshape(len(idxs), len(ranks), -1)
     coeffs = coeffs.reshape(len(idxs), 1, -1)
     _, spts = _ascending(pts)
-    lo, hi, table = basis.element_table(idxs, spts)
+    return pts, counts, coeffs, lifted, _per_term(*basis.element_table(idxs, spts))
+
+
+def _per_term(lo, hi, table):
+    """An element table split per term as ``(lo, hi, values)``, the values
+    shaped (hi - lo, 1, 1), None for a term with no points."""
     starts = np.cumsum(hi - lo) - (hi - lo)
-    values = [(a, b, table[s:s + b - a, None, None]) if a < b else None  # (hi - lo, 1, 1)
-              for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())]
-    return pts, counts, coeffs, lifted, values
+    return [(a, b, table[s:s + b - a, None, None]) if a < b else None
+            for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())]
 
 
 def semigroup_loop(basis, f, kmax, points=None):
@@ -299,10 +305,18 @@ def semigroup_loop(basis, f, kmax, points=None):
     defect = lifted.copy()  # lambda_n(P_j f) - c_n [n < count of j]
     for r, c in enumerate(counts):
         defect[:c, r] -= coeffs[:c, 0]
+    return defect_loop(len(pts), counts, defect, values)
+
+
+def defect_loop(n, counts, defect, values):
+    """The term loop of ``semigroup_loop`` on n points: the defects
+    (terms, ranks, m) summed over every term of the per-term table
+    ``values``, the max modulus taken at each count; per component, the
+    max over the ranks."""
     dtype = np.result_type(defect, *{v[2].dtype for v in values if v})
-    acc = np.zeros((len(pts),) + defect.shape[1:], dtype=dtype)  # P_k P_j f - P_min(k,j) f, all j
+    acc = np.zeros((n,) + defect.shape[1:], dtype=dtype)  # P_k P_j f - P_min(k,j) f, all j
     worst = np.zeros(defect.shape[1:])  # max over the ranks k reached
-    hull = len(pts), 0  # rows changed since the last rank
+    hull = n, 0  # rows changed since the last rank
     for i, term in enumerate(values):
         if term is not None:
             lo, hi, vals = term
@@ -311,7 +325,7 @@ def semigroup_loop(basis, f, kmax, points=None):
         if i + 1 in counts:
             if hull[0] < hull[1]:
                 np.maximum(worst, np.abs(acc[slice(*hull)]).max(axis=0), out=worst)
-            hull = len(pts), 0
+            hull = n, 0
     return worst.max(axis=0)
 
 
@@ -440,6 +454,94 @@ def test_semigroup_rank_chunks_keep_every_bit_on_general_sequences(seq, k, kmax,
     assert max(map(len, chunks)) <= entries
     _same(got, want)
     _same(got, _semigroup_forms_agree(basis, f, kmax, pts))
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def defect_tables(draw):
+    """``(n, (lo, hi, values), defect, counts)``: a finite element table on n
+    points, each term on every point or on a random local range, and its
+    (terms, columns) defects, real or complex, with planted all-zero columns
+    and terms, signed zeros among the entries, and at random every defect
+    zero; with the partial-sum counts at which the max is taken."""
+    n, terms, width = draw(st.integers(1, 12)), draw(st.integers(0, 10)), draw(st.integers(1, 6))
+    ranges = [(0, n) if draw(st.booleans()) else tuple(sorted(draw(st.tuples(st.integers(0, n),
+                                                                              st.integers(0, n)))))
+              for _ in range(terms)]
+    lo, hi = (np.array([r[i] for r in ranges], dtype=np.intp) for i in (0, 1))
+    values = np.array(draw(st.lists(signed_zero | unit, min_size=int(np.sum(hi - lo)),
+                                    max_size=int(np.sum(hi - lo)))))
+    entry = signed_zero | unit
+    defect = np.array(draw(st.lists(entry, min_size=terms * width, max_size=terms * width)))
+    if draw(st.booleans()):
+        imag = np.array(draw(st.lists(entry, min_size=terms * width, max_size=terms * width)))
+        defect = defect + 1j * imag if imag.size else defect.astype(complex)
+    defect = defect.reshape(terms, width)
+    planted = st.lists(st.booleans(), min_size=width, max_size=width)
+    zero = np.array(draw(planted), dtype=bool)[None, :] | np.array(
+        draw(st.lists(st.booleans(), min_size=terms, max_size=terms)), dtype=bool).reshape(terms, 1)
+    if draw(st.booleans()):
+        zero[:] = True
+    # a planted zero keeps a random sign: -0.0 is a zero defect too
+    signs = np.array(draw(st.lists(signed_zero, min_size=terms * width, max_size=terms * width)))
+    defect[zero] = signs.reshape(terms, width)[zero]
+    counts = sorted(draw(st.lists(st.integers(0, terms), min_size=1, max_size=6)))
+    return n, (lo, hi, values), defect, counts
+
+
+@PROPS
+@given(defect_tables())
+# every defect zero: no term is summed, and every column reads +0.0
+@example((3, (np.array([0, 1]), np.array([3, 2]), np.array([1.0, -2.0, 0.5, 4.0])),
+          np.array([[0.0, -0.0], [-0.0, 0.0]]), [1, 2]))
+def test_the_nonzero_defect_sum_equals_the_term_loop(case):
+    # the sum of only the nonzero defects against the term loop over all of
+    # them, bit for bit, the sign of every zero included
+    n, table, defect, counts = case
+    summed = []
+    running = basis_core._running
+
+    def spied(kept, *args):
+        for item in running(kept, *args):
+            summed.append(item[0])
+            yield item
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis_core, "_running", spied)
+        got = basis_core._defect_max(table, n, defect, counts)
+    _same(got, defect_loop(n, counts, defect[:, None, :], _per_term(*table)))
+    if not np.any(defect):
+        assert summed == []
+        _same(got, np.zeros(defect.shape[1]))
+
+
+def test_a_check_with_only_zero_defects_sums_no_term(monkeypatch):
+    # f = x is its own hat interpolant from rank 1 on: lambda_n(P_j f) is c_n
+    # exactly, so every defect is zero and no running sum adds a term
+    summed = []
+    running = basis_core._running
+
+    def spied(table, *args):
+        summed.append(len(table[0]))
+        return running(table, *args)
+
+    monkeypatch.setattr(basis_core, "_running", spied)
+    got = semigroup_discrepancies(HatBasis(), reg("x"), 16)
+    # the lifted partial sums are synthesised from all 17 terms, then the
+    # defect sum is given none
+    assert summed == [17, 0] and got.tobytes() == np.zeros(1).tobytes()
+
+
+def test_a_table_that_is_not_finite_is_refused_before_f_runs():
+    # z^2 at 1e200 overflows to inf, and inf times a zero defect is NaN: the
+    # sum over every term read [nan], and a skipped zero defect would hide
+    # it, so the check refuses the table, naming the element and the point
+    f, calls = _counting("taylor")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match=r"element 2 is not finite at point 1e\+200") as err:
+        semigroup_discrepancies(TaylorBasis(), f, 16, [0.5, 1e200])
+    assert err.value.node == 1e200 and calls == []
 
 
 @pytest.mark.parametrize("make", [HatBasis, lambda: HermiteBasis(n_max=16)], ids=["hat", "hermite"])
